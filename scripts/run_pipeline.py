@@ -9,9 +9,9 @@ Stages (all through the installed command-line interface):
    of the reference table, so a nonzero exit here is expected and the
    pipeline only requires the structural pass)
 
-Without --module the H^1 and lcm columns stay empty and the run takes a
-few minutes; with the bundled module it recomputes first cohomology for
-every class, which is the long part.
+Without --module the H^1 and lcm columns stay empty; with the bundled
+module first cohomology is computed for every class, which takes seconds.
+The classification in stage 1 is the long part.
 """
 
 import argparse
@@ -47,7 +47,6 @@ def main(argv=None):
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--module", default=str(DATA / "m61.gmodule"),
                         help="gmodule file ('' skips the H^1 columns)")
-    parser.add_argument("--jobs", type=int, default=1)
     args = parser.parse_args(argv)
 
     work = pathlib.Path(args.work_dir)
@@ -60,13 +59,13 @@ def main(argv=None):
              + seed_args):
         return 1
     if stage("table", ["table", "compute", "--lattice", str(lattice),
-                       "--format", "csv", "--out", str(work / "table.csv"),
-                       "--jobs", str(args.jobs)] + module_args):
+                       "--format", "csv", "--out", str(work / "table.csv")]
+             + module_args):
         return 1
     if stage("table-json", ["table", "compute", "--lattice", str(lattice),
                             "--format", "json",
-                            "--out", str(work / "table.json"),
-                            "--jobs", str(args.jobs)] + module_args):
+                            "--out", str(work / "table.json")]
+             + module_args):
         return 1
     structural = stage("check-structural",
                        ["table", "check", "--table",

@@ -6,10 +6,9 @@ Subcommands mirror the pipeline stages::
     psp4obs lattice compute --cache lattice.json [--seed N]
     psp4obs table compute --lattice lattice.json [--module m61.gmodule]
                           [--format csv|json|markdown] --out table.csv
-                          [--jobs N]
     psp4obs table check [--fixture fixture.csv]
                         (--table table.json | --lattice lattice.json
-                         [--module m61.gmodule] [--jobs N])
+                         [--module m61.gmodule])
     psp4obs module verify --module m61.gmodule
     psp4obs cohomology one --class ID --lattice lattice.json
                            --module m61.gmodule
@@ -26,7 +25,7 @@ import os
 import sys
 from pathlib import Path
 
-from . import cohomology, sp4f3, subgroups, table, zmodules
+from . import cohomology, permgroups, sp4f3, subgroups, table, zmodules
 
 
 def _say(msg):
@@ -54,24 +53,6 @@ def _load_module(path, model) -> zmodules.GIntModule:
 # subcommands
 
 
-def _orbit_count(generators, degree) -> int:
-    seen, count = set(), 0
-    for start in range(degree):
-        if start in seen:
-            continue
-        count += 1
-        stack = [start]
-        seen.add(start)
-        while stack:
-            x = stack.pop()
-            for g in generators:
-                y = g[x]
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-    return count
-
-
 def cmd_group_info(args) -> int:
     model = sp4f3.standard_model()
     classes = model.psp.conjugacy_classes()
@@ -85,7 +66,7 @@ def cmd_group_info(args) -> int:
     for name, grp in (("projective points", model.psp),
                       ("isotropic lines", model.line_action),
                       ("perp pairs", model.pair_action)):
-        orb = _orbit_count(grp.generators, grp.degree)
+        orb = len(permgroups.orbits(grp.generators, grp.degree))
         print(f"  action on {name}: degree {grp.degree}, "
               f"{'transitive' if orb == 1 else f'{orb} orbits'}")
     print(f"chi24: degree {chi[0]}, <chi24, chi24> = {norm}")
@@ -123,7 +104,7 @@ def _computed_rows(args, need_module) -> list:
     def progress(done, total, cid):
         _say(f"  h1 {done}/{total} (class {cid})")
 
-    cfg = table.TableConfig(lattice=lat, module=module, jobs=args.jobs,
+    cfg = table.TableConfig(lattice=lat, module=module,
                             progress=progress if module else None)
     return table.compute_table(cfg)
 
@@ -222,7 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
     tcompute.add_argument("--format", choices=sorted(table.RENDERERS),
                           default="csv")
     tcompute.add_argument("--out", required=True)
-    tcompute.add_argument("--jobs", type=int, default=1)
     tcompute.set_defaults(func=cmd_table_compute)
 
     tcheck = tsub.add_parser("check",
@@ -234,7 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
     tcheck.add_argument("--lattice", default=None,
                         help="compute rows from this lattice instead")
     tcheck.add_argument("--module", default=None)
-    tcheck.add_argument("--jobs", type=int, default=1)
     tcheck.add_argument("--structural", action="store_true",
                         help="compare lattice structure only, ignoring "
                              "the obstruction columns")

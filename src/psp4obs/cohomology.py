@@ -3,25 +3,33 @@
 For a finite group H acting on M = Z^n (rows, right action), a 1-cocycle
 is a map c: H -> M with c(gh) = c(g) M(h) + c(h), and coboundaries are
 c_m(g) = m (M(g) - 1).  Since H is finite and M is torsion-free, H^1(H, M)
-is a finite abelian group.
+is a finite abelian group, killed by e = |H|.
 
-The computation works on a Sims presentation of H coming from its
-stabiliser chain: an unknown vector per presentation generator, and one
-linear system per relator, obtained by expanding the cocycle rule along
-the relator word with suffix products (which are matrices of honest group
-elements, so entries stay bounded).  The cocycle lattice Z^1 is the
-integral kernel of the stacked systems, accumulated relator by relator;
-because H^1(H, M tensor Q) = 0, the kernel's rank is known in advance to
-be n minus the rank of the invariants M^H, and processing stops as soon
-as the accumulated kernel reaches that rank: any remaining relator
-equations vanish on the saturated kernel automatically.  Finally
-H^1 = Z^1 / B^1 via Smith reduction of coboundary coordinates.
+Only the matrices of the stored generators g_1 .. g_k are needed.  From
+0 -> M -> M (x) Q -> M (x) Q/Z -> 0 and H^1(H, M (x) Q) = 0 (Brown,
+*Cohomology of Groups*, ch. III),
+
+    H^1(H, M) = L / (e Z^n + M^H),  L = {x : x (M(g_i) - 1) = 0 mod e},
+
+and in the Smith coordinates of A = [M(g_1) - 1 | ... | M(g_k) - 1], with
+invariants d_1 .. d_n, this is the sum of Z / gcd(d_i, e) over d_i != 0.
+e must be |H|, not the exponent of H (V4 on its augmentation ideal has
+H^1 = Z/4).  For each p^a exactly dividing e, the Smith form of A over
+Z/p^a gives min(v_p(d_i), a) in int64, with entries kept below p^a.
+Over Z/p^a the d_i = 0 look like those divisible by p^a; there are
+rank M^H of them, n minus the rank of A over F_l for the least prime l
+not dividing e.  That is exact by Maschke's theorem: M^H (x) Z_(l) is
+the direct summand of M (x) Z_(l) cut out by the averaging idempotent,
+so the fixed points of M / l M have dimension rank M^H.
 
 A bar-resolution brute force (unknowns indexed by all nontrivial group
 elements) is provided for cross-checking on very small inputs.
 """
 
 from __future__ import annotations
+
+from itertools import zip_longest
+from math import prod
 
 import numpy as np
 
@@ -33,53 +41,112 @@ from .zmodules import GIntModule
 BRUTE_FORCE_MAX_ORDER = 16
 BRUTE_FORCE_MAX_CELLS = 200_000
 
+# entries are reduced below the modulus q, so a product of two stays
+# below q^2 <= 2^62 and an int64 elimination step cannot overflow
+_MAX_MODULUS = 2**31
+
 
 def invariants_basis(module: GIntModule) -> np.ndarray:
     """HNF basis of the fixed sublattice M^H = {v : v M(g) = v}."""
     if not module.gens:
         return np.asarray(intlinalg.identity(module.rank))
-    blocks = [np.asarray(g) - np.asarray(intlinalg.identity(module.rank))
-              for g in module.gens]
-    return intlinalg.kernel_saturated(np.hstack(blocks))
+    return intlinalg.kernel_saturated(_augmentation_matrix(module))
+
+
+def _augmentation_matrix(module: GIntModule) -> np.ndarray:
+    """A = [M(g_1) - 1 | ... | M(g_k) - 1], an n x kn matrix."""
+    ident = intlinalg.identity(module.rank)
+    return np.hstack([np.asarray(g) - ident for g in module.gens])
+
+
+def _prime_powers(e: int) -> list:
+    """(p, a) for each prime power p^a exactly dividing e."""
+    out, p = [], 2
+    while e > 1:
+        a = 0
+        while e % p == 0:
+            e //= p
+            a += 1
+        if a:
+            out.append((p, a))
+        p += 1
+    return out
+
+
+def _least_prime_not_dividing(e: int) -> int:
+    p = 2
+    while e % p == 0 or any(p % d == 0 for d in range(2, p)):
+        p += 1
+    return p
+
+
+def _smith_valuations(a: np.ndarray, p: int, exp: int) -> list:
+    """p-adic valuations, capped at ``exp``, of the n Smith invariants of
+    the m x n matrix ``a`` (m >= n): its Smith form over Z/p^exp.
+
+    Level v pivots on units mod p^(exp-v) only.  Clearing a pivot's column
+    splits it off as one invariant of valuation v (the column operations
+    that would clear its row touch no other row); the rows left over are
+    divisible by p and divided by p for the next level.
+    """
+    if p ** exp > _MAX_MODULUS:
+        raise ValueError(f"modulus {p}^{exp} is too large for int64 "
+                         f"elimination")
+    n = a.shape[1]
+    w = (a % p ** exp).astype(np.int64)
+    out = []
+    for v in range(exp):
+        w = w[w.any(axis=1)]
+        if not len(w) or len(out) == n:
+            break
+        mod = p ** (exp - v)
+        rank = 0  # pivot rows found at this level are w[:rank]
+        for j in range(n):
+            hits = np.flatnonzero(w[rank:, j] % p)
+            if not hits.size:
+                continue
+            i = rank + hits[0]
+            w[[rank, i]] = w[[i, rank]]
+            pivot = w[rank]
+            rank += 1
+            below = rank + np.flatnonzero(w[rank:, j])
+            if below.size:
+                f = w[below, j] * pow(int(pivot[j]), -1, mod) % mod
+                w[below] = (w[below] - np.outer(f, pivot)) % mod
+        out += [v] * rank
+        w = w[rank:] // p
+    return out + [exp] * (n - len(out))
 
 
 def h0(module: GIntModule) -> int:
-    """Rank of the invariants M^H."""
-    return len(invariants_basis(module))
+    """Rank of the invariants M^H: n minus the rank of A over F_l, for the
+    least prime l not dividing |H| (exact by Maschke's theorem)."""
+    if not module.gens:
+        return module.rank
+    ell = _least_prime_not_dividing(module.group.order)
+    return module.rank - _smith_valuations(
+        _augmentation_matrix(module).T, ell, 1).count(0)
 
 
-def _word_system(rel, sgen_mats, sgen_invs, n, k):
-    """Coefficient block of the relator equation c(rel) = 0.
-
-    Returns a (k n) x n integer matrix B with the equation x B = 0, where
-    x is the concatenation of the unknown rows c(s_1) ... c(s_k).
-    """
-    pieces = []  # (generator index, +-1, matrix)
-    suffix = None  # identity so far
-    for idx, e in reversed(rel):
-        if e == 1:
-            if suffix is None:
-                pieces.append((idx, 1, np.eye(n, dtype=np.int64)))
-                suffix = np.asarray(sgen_mats[idx])
-            else:
-                pieces.append((idx, 1, suffix))
-                suffix = np.asarray(
-                    intlinalg.mat_mul(sgen_mats[idx], suffix))
-        else:
-            # c(s^-1) = -c(s) M(s)^-1, and the new suffix product equals
-            # the same matrix M(s)^-1 M(suffix)
-            suffix = np.asarray(intlinalg.mat_mul(
-                sgen_invs[idx], suffix)) if suffix is not None \
-                else np.asarray(sgen_invs[idx])
-            pieces.append((idx, -1, suffix))
-    dtype = object if any(p[2].dtype == object for p in pieces) else np.int64
-    block = np.zeros((k * n, n), dtype=dtype)
-    for idx, sign, mat in pieces:
-        if sign == 1:
-            block[idx * n:(idx + 1) * n, :] += mat
-        else:
-            block[idx * n:(idx + 1) * n, :] -= mat
-    return block
+def h1(module: GIntModule) -> AbelianInvariants:
+    """H^1(H, M) as a finite abelian group (divisor-chain invariants)."""
+    e = module.group.order
+    if e == 1 or module.rank == 0:
+        return TRIVIAL_GROUP
+    a = _augmentation_matrix(module).T
+    zeros = h0(module)
+    chains = []  # per prime, the elementary divisors, largest first
+    for p, exp in _prime_powers(e):
+        vals = _smith_valuations(a, p, exp)
+        full = vals.count(exp) - zeros
+        if full < 0:
+            raise RuntimeError(
+                f"{vals.count(exp)} Smith invariants vanish mod {p}^{exp}, "
+                f"fewer than the rank {zeros} of the invariants")
+        chains.append([p ** exp] * full + sorted(
+            (p ** v for v in vals if 0 < v < exp), reverse=True))
+    factors = [prod(ds) for ds in zip_longest(*chains, fillvalue=1)]
+    return AbelianInvariants(0, tuple(reversed(factors)))
 
 
 def _quotient_mod_coboundaries(z1, cob_rows) -> AbelianInvariants:
@@ -88,37 +155,15 @@ def _quotient_mod_coboundaries(z1, cob_rows) -> AbelianInvariants:
     coords = []
     for row in cob_rows:
         c = intlinalg.solve_in_lattice(z1, row)
-        assert c is not None, "coboundary outside the cocycle lattice"
+        if c is None:
+            raise RuntimeError("coboundary outside the cocycle lattice")
         coords.append(c)
     inv = intlinalg.quotient_invariants(len(z1), np.array(coords,
                                                           dtype=object))
-    assert inv.free_rank == 0, "H^1 of a finite group must be finite"
+    if inv.free_rank:
+        raise RuntimeError(f"H^1 of a finite group has free rank "
+                           f"{inv.free_rank}")
     return inv
-
-
-def h1(module: GIntModule) -> AbelianInvariants:
-    """H^1(H, M) as a finite abelian group (divisor-chain invariants)."""
-    group = module.group
-    n = module.rank
-    if group.order == 1 or n == 0:
-        return TRIVIAL_GROUP
-    pres = group.presentation()
-    k = pres.ngens
-    sgen_mats = [np.asarray(module.evaluate_word(w)) for w in pres.gen_words]
-    sgen_invs = [np.asarray(intlinalg.unimodular_inverse(m))
-                 for m in sgen_mats]
-    target = n - h0(module)
-    acc = intlinalg.KernelAccumulator(k * n)
-    for rel in pres.relators:
-        acc.add_block(_word_system(rel, sgen_mats, sgen_invs, n, k))
-        if acc.corank == target:
-            break
-    assert acc.corank == target, (
-        f"cocycle rank {acc.corank} differs from expected {target}")
-    z1 = acc.kernel()
-    ident = np.eye(n, dtype=np.int64)
-    cob = np.hstack([m - ident for m in sgen_mats])
-    return _quotient_mod_coboundaries(z1, list(cob))
 
 
 def h1_bruteforce(module: GIntModule) -> AbelianInvariants:

@@ -13,12 +13,10 @@ certified bound guarantees no overflow, and are promoted to dtype ``object``
 (exact Python integers) the moment the bound is at risk.  All results are
 exact; ``int64`` is only ever an optimisation.
 
-The workhorse for large kernel computations is :class:`KernelAccumulator`,
-which maintains a saturated basis of the left kernel of a growing block
-matrix ``[B1 | B2 | ...]`` and lets callers stop early once the kernel is
-small enough.  Saturation is automatic: the kernel rows are part of a
-unimodular basis of Z^n, so an integer vector in their rational span is an
-integer combination of them.
+:class:`KernelAccumulator` maintains a saturated basis of the left kernel
+of a growing block matrix ``[B1 | B2 | ...]``.  Saturation is automatic:
+the kernel rows are part of a unimodular basis of Z^n, so an integer
+vector in their rational span is an integer combination of them.
 """
 
 from __future__ import annotations
@@ -203,24 +201,18 @@ class _Workspace:
 
 
 def _echelon(ws: _Workspace, col_lo: int, col_hi: int, row_start: int,
-             reduce_above: bool, stop_when_rows_left=None) -> int:
+             reduce_above: bool) -> int:
     """Row-reduce columns ``[col_lo, col_hi)`` to echelon form.
 
     Returns the number of pivots found.  Rows below ``row_start + pivots``
     end up zero throughout the column range.  With ``reduce_above`` the
     result is genuine HNF on that range (positive pivots, entries above
     reduced); otherwise rows above ``row_start`` are never touched.
-
-    ``stop_when_rows_left``: abort (returning pivots so far) once the number
-    of not-yet-pivotal rows drops to this value; used for early exit in
-    kernel accumulation.
     """
     m = ws.w.shape[0]
     r = row_start
     for c in range(col_lo, col_hi):
         if r >= m:
-            break
-        if stop_when_rows_left is not None and m - r <= stop_when_rows_left:
             break
         while True:
             colvals = ws.w[r:, c]
@@ -568,9 +560,8 @@ class KernelAccumulator:
     """Saturated left kernel of a growing block matrix ``[B1 | B2 | ...]``.
 
     After ``add_block(B)`` calls, :meth:`kernel` is a saturated basis of
-    ``{x in Z^n : x @ Bi = 0 for all i}``.  ``corank`` is available at any
-    point, so callers that know the final kernel rank can stop feeding
-    blocks as soon as ``corank`` reaches it.
+    ``{x in Z^n : x @ Bi = 0 for all i}``, whose rank ``corank`` is
+    available at any point.
 
     The invariant: ``self.u`` holds rows of a unimodular matrix; the first
     ``self.rank`` rows have nonzero image in the processed columns (in

@@ -493,7 +493,8 @@ class PermGroup:
             self._cache['classes'] = [classes[i] for i in order]
             relabel = {old: new for new, old in enumerate(order)}
             self._cache['class_index'] = np.array(
-                [relabel[c] for c in cls.tolist()])
+                [relabel[c] for c in cls.tolist()],
+                dtype=np.min_scalar_type(nclass))
         return self._cache['classes']
 
     def class_index_of(self, p):

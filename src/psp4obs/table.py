@@ -29,7 +29,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import multiprocessing
 from collections import defaultdict
 from dataclasses import dataclass
 from math import lcm
@@ -100,59 +99,26 @@ def not_rational_verdict(row: TableRow) -> bool | None:
 class TableConfig:
     """Inputs of :func:`compute_table`.
 
-    ``jobs`` > 1 fans the per-class cohomology out over a process pool;
-    results are keyed by class id, so the output does not depend on the
-    worker count.  ``progress`` receives ``(done, total, class_id)``
-    after each class when supplied.
+    ``progress`` receives ``(done, total, class_id)`` after each class's
+    cohomology when supplied.
     """
 
     lattice: SubgroupLattice
     module: GIntModule | None = None
-    jobs: int = 1
     progress: object = None
-
-
-_WORKER_STATE = None
-
-
-def _h1_pair(lattice, module, dual, class_id):
-    rep = lattice.rep(class_id)
-    return (cohomology.h1(module.restrict(rep)),
-            cohomology.h1(dual.restrict(rep)))
-
-
-def _h1_worker(class_id):
-    lattice, module, dual = _WORKER_STATE
-    return class_id, _h1_pair(lattice, module, dual, class_id)
 
 
 def _h1_all(config: TableConfig) -> dict:
     """H^1 of module and dual for every class, keyed by class id."""
     lattice, module = config.lattice, config.module
     dual = module.dual()
-    # big classes first, so a pool is not left waiting on the longest job
-    order = sorted(lattice.classes, key=lambda c: (-c.order, c.class_id))
     out = {}
-
-    def note(cid, value):
-        out[cid] = value
+    for info in lattice.classes:
+        rep = lattice.rep(info.class_id)
+        out[info.class_id] = (cohomology.h1(module.restrict(rep)),
+                              cohomology.h1(dual.restrict(rep)))
         if config.progress is not None:
-            config.progress(len(out), len(lattice.classes), cid)
-
-    if config.jobs > 1:
-        global _WORKER_STATE
-        _WORKER_STATE = (lattice, module, dual)
-        try:
-            ctx = multiprocessing.get_context("fork")
-            with ctx.Pool(config.jobs) as pool:
-                ids = [c.class_id for c in order]
-                for cid, value in pool.imap_unordered(_h1_worker, ids):
-                    note(cid, value)
-        finally:
-            _WORKER_STATE = None
-    else:
-        for c in order:
-            note(c.class_id, _h1_pair(lattice, module, dual, c.class_id))
+            config.progress(len(out), len(lattice.classes), info.class_id)
     return out
 
 
@@ -163,7 +129,11 @@ def compute_table(config: TableConfig) -> list:
     if lattice.ambient.generators != model.psp.generators:
         raise ValueError("lattice ambient group is not the canonical "
                          "degree-40 copy of PSp4(3)")
-    chi = sp4f3.chi24_classfunction(model).values
+    # chi24 on the classes that elem_fusion indexes, those of the
+    # lattice's own ambient copy: the element table this builds then goes
+    # with the lattice instead of staying on the process-wide model
+    chi = [sp4f3.chi24(model, rep)
+           for rep, _ in lattice.ambient.conjugacy_classes()]
     h1 = _h1_all(config) if config.module is not None else None
     rows = []
     for info in sorted(lattice.classes, key=lambda c: c.class_id):

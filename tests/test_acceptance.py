@@ -1,0 +1,84 @@
+"""Acceptance gate: the full table with the bundled rank-61 module.
+
+Computes every column for all 116 subgroup classes, H^1 of M and of its
+dual included, and checks it against the bundled reference table under
+the structural alignment.  The reference table disagrees with the
+computed one in exactly five cells outside the module columns; each is
+named here, so any other difference fails.
+"""
+
+import re
+
+import pytest
+
+from psp4obs import cohomology, table, zmodules
+
+MODULE_PATH = table.default_fixture_path().parent / "m61.gmodule"
+
+# the five cells where the bundled reference table disagrees with the
+# computed one; the checks independent of this code recorded in
+# ROADMAP.md (the F3-span of the preimage's matrices for irreducibility,
+# a brute force over the subgroups of class 60) side with the computed
+# values
+KNOWN_CELLS = {(43, "irred"), (46, "irred"), (77, "irred"), (81, "irred"),
+               (60, "burnside")}
+_CELL = re.compile(r"^class (\d+) ~ fixture row \d+: (\w+) ")
+
+
+@pytest.fixture(scope="module")
+def module(model):
+    return zmodules.load_module(MODULE_PATH, model.psp)
+
+
+@pytest.fixture(scope="module")
+def rows(lattice, module):
+    return table.compute_table(table.TableConfig(lattice=lattice,
+                                                 module=module))
+
+
+@pytest.fixture(scope="module")
+def fixture():
+    return table.Fixture.load(table.default_fixture_path())
+
+
+def test_module_columns_match_fixture(rows, fixture):
+    structural = table.compare_fixture(rows, fixture, structural_only=True)
+    assert structural.ok
+    groups = [((c,), (f,)) for c, f in structural.assignments.items()]
+    groups += list(structural.ambiguity_groups)
+    assert sum(len(cids) for cids, _ in groups) == len(rows) == 116
+    by_id = {r.class_id: r for r in rows}
+    for cids, fids in groups:
+        have = sorted((by_id[c].h1_m, by_id[c].h1_mdual,
+                       by_id[c].lcm_obstruction) for c in cids)
+        want = sorted((fixture.by_row(f).h1_m, fixture.by_row(f).h1_md,
+                       fixture.by_row(f).lcm) for f in fids)
+        assert have == want, (cids, fids)
+
+
+def test_full_comparison_reports_only_known_cells(rows, fixture):
+    full = table.compare_fixture(rows, fixture)
+    cells = set()
+    for m in full.mismatches:
+        hit = _CELL.match(m)
+        assert hit, m
+        cells.add((int(hit.group(1)), hit.group(2)))
+    assert cells == KNOWN_CELLS
+    assert len(full.mismatches) == len(KNOWN_CELLS)
+
+
+def test_verdict_counts(rows):
+    verdicts = [r.not_rational_verdict for r in rows]
+    assert verdicts.count(True) == 90
+    assert verdicts.count(False) == 26
+
+
+def test_invariant_rank_mod_ell_matches_hnf(lattice, module):
+    # h0 ranks M^H over F_l (l the least prime not dividing |H|); the HNF
+    # kernel over Z is the independent check, on M and its dual
+    dual = module.dual()
+    for info in lattice.classes:
+        rep = lattice.rep(info.class_id)
+        for m in (module.restrict(rep), dual.restrict(rep)):
+            assert cohomology.h0(m) == len(cohomology.invariants_basis(m)), \
+                info.class_id

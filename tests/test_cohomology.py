@@ -1,9 +1,9 @@
 """Tests for group cohomology in degree zero and one.
 
-The presentation-based computation is validated against an independent
-bar-resolution brute force on every module small enough for that, and
-against textbook values where they are classical (sign modules, root
-lattices, permutation modules).
+The computation from generator matrices is validated against an
+independent bar-resolution brute force on every module small enough for
+that, and against textbook values where they are classical (sign modules,
+root lattices, permutation modules, augmentation ideals).
 """
 
 from random import Random
@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from psp4obs import cohomology, intlinalg
-from psp4obs.permgroups import PermGroup
+from psp4obs.permgroups import PermGroup, pmul
 from psp4obs.zmodules import GIntModule, direct_sum, perm_module
 
 C2 = PermGroup([(1, 0)], 2)
@@ -22,10 +22,37 @@ V4 = PermGroup([(1, 0, 3, 2), (2, 3, 0, 1)], 4)
 S3 = PermGroup([(1, 0, 2), (1, 2, 0)], 3)
 D4 = PermGroup([(1, 2, 3, 0), (3, 2, 1, 0)], 4)
 Q8 = PermGroup([(1, 2, 3, 0, 5, 6, 7, 4), (4, 7, 6, 5, 2, 1, 0, 3)], 8)
+C7 = PermGroup([(1, 2, 3, 4, 5, 6, 0)], 7)
 
 ROT = np.array([[0, 1], [-1, -1]])
 J = np.array([[0, 1], [-1, 0]])
 REFL = np.array([[1, 0], [0, -1]])
+
+
+def augmentation_ideal(group):
+    """The kernel of Z[H] -> Z on the basis b_g = e_g - e_1 (g != 1).
+
+    Right multiplication by h sends b_g to b_gh - b_h (with b_1 = 0).
+    From 0 -> I -> Z[H] -> Z -> 0, H^1(H, I) = Z/|H|.
+    """
+    elems = [tuple(r) for r in group.element_table().table]
+    # the sorted element table starts with the identity
+    pos = {g: i for i, g in enumerate(elems[1:])}
+    n = len(pos)
+    mats = []
+    for h in group.generators:
+        m = np.zeros((n, n), dtype=int)
+        for g, i in pos.items():
+            gh = pmul(g, h)
+            if gh in pos:
+                m[i, pos[gh]] += 1
+            if h in pos:
+                m[i, pos[h]] -= 1
+        mats.append(m)
+    module = GIntModule(group, mats, n)
+    module.validate()
+    return module
+
 
 KNOWN = [
     # (name, module, expected torsion of H^1)
@@ -44,6 +71,10 @@ KNOWN = [
                                         ROT], 2), ()),
     ("D4 rotation lattice", GIntModule(D4, [J, REFL], 2), (2,)),
     ("Q8 regular", perm_module(Q8, Q8.generators), ()),
+    # |H| = 4 kills H^1 here and the exponent 2 does not
+    ("V4 augmentation ideal", augmentation_ideal(V4), (4,)),
+    # a prime outside 2, 3, 5; invariants ranked over F_2
+    ("C7 augmentation ideal", augmentation_ideal(C7), (7,)),
 ]
 
 
@@ -59,6 +90,12 @@ class TestKnownValues:
                              KNOWN, ids=[k[0] for k in KNOWN])
     def test_matches_bruteforce(self, name, module, expected):
         assert cohomology.h1(module) == cohomology.h1_bruteforce(module)
+
+    @pytest.mark.parametrize("name,module,expected",
+                             KNOWN, ids=[k[0] for k in KNOWN])
+    def test_h0_rank_mod_ell_matches_invariants(self, name, module, expected):
+        assert cohomology.h0(module) == len(
+            cohomology.invariants_basis(module))
 
     def test_h0(self):
         assert cohomology.h0(perm_module(S3, S3.generators)) == 1
@@ -188,3 +225,23 @@ class TestBruteForceGuards:
                           15, 16, 0)], 17)
         with pytest.raises(ValueError):
             cohomology.h1_bruteforce(perm_module(big, big.generators))
+
+
+class TestInvariantChecks:
+    def test_invariant_rank_above_vanishing_invariants_raises(
+            self, monkeypatch):
+        # more invariants than Smith invariants vanishing mod p^a is a
+        # contradiction, reported even under python -O
+        module = GIntModule(C4, [J], 2)
+        monkeypatch.setattr(cohomology, "h0", lambda m: m.rank)
+        with pytest.raises(RuntimeError):
+            cohomology.h1(module)
+
+    def test_coboundary_outside_cocycles_raises(self):
+        z1 = np.array([[2, 0], [0, 2]])
+        with pytest.raises(RuntimeError):
+            cohomology._quotient_mod_coboundaries(z1, [np.array([1, 0])])
+
+    def test_modulus_too_large_for_int64(self):
+        with pytest.raises(ValueError):
+            cohomology._smith_valuations(np.eye(2, dtype=np.int64), 2, 40)
