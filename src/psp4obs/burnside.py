@@ -44,17 +44,17 @@ def perm_characters(group: PermGroup, class_rows) -> np.ndarray:
     """
     from .permgroups import ElementTable
     et = group.element_table()
-    inv_rows = np.argsort(et.table, axis=1)
     tables = [ElementTable(np.asarray(rows), group.degree)
               for rows in class_rows]
     out = np.zeros((len(tables), len(group.conjugacy_classes())),
                    dtype=np.int64)
     for j, (rep, _size) in enumerate(group.conjugacy_classes()):
-        carr = np.asarray(rep, dtype=np.int64)
-        conj = np.take_along_axis(et.table, carr[inv_rows], axis=1)
+        conj = et.conjugates(rep)
         for i, kt in enumerate(tables):
             hits = int(kt.contains_rows(conj).sum())
-            assert hits % len(kt) == 0
+            if hits % len(kt):
+                raise RuntimeError("fixed-point count is not a multiple "
+                                   "of the subgroup order")
             out[i, j] = hits // len(kt)
     return out
 

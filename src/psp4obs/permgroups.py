@@ -5,14 +5,21 @@ left-to-right, so ``(p * q)(i) = q[p[i]]`` and points are acted on from the
 right: ``i ^ (pq) = (i ^ p) ^ q``.
 
 :class:`PermGroup` keeps a base and strong generating set built by a
-deterministic Schreier-Sims procedure.  Every strong generator carries a
-word in the original generators, every transversal element a word in the
-strong generators, so that any group element can be rewritten as a word in
-the original generators (:meth:`PermGroup.express`) and a finite
-presentation on the strong generators can be read off the stabiliser chain
+deterministic Schreier-Sims procedure.  Schreier generators are sifted
+without words; only a residue that becomes a new strong generator is sifted
+again to build its word in the original generators.  Every transversal
+element carries a word in the strong generators, so that any group element
+can be rewritten as a word in the original generators
+(:meth:`PermGroup.express`) and a finite presentation on the strong
+generators can be read off the stabiliser chain
 (:meth:`PermGroup.presentation`).
 
-Heavier operations (conjugacy of subgroups, normalisers, centralisers) work
+Closures (:func:`group_from_elements`, :func:`normal_closure`) test
+membership in an element set grown by Dimino's coset closure and build one
+:class:`PermGroup` at the end, from the same greedy generating set that a
+chain rebuilt after every accepted generator would give.
+
+Heavier operations (conjugacy of subgroups, normalisers) work
 on the full element table of the group held as a numpy array; on groups of
 the sizes treated here (up to tens of thousands of elements of small
 degree) a vectorised scan over all elements beats a backtrack search by a
@@ -21,9 +28,11 @@ wide margin and has no tuning knobs.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
-from math import gcd, lcm
+from collections import deque
+from dataclasses import dataclass, field
+from functools import cache
+from math import lcm
+from operator import itemgetter
 from random import Random
 
 import numpy as np
@@ -32,13 +41,16 @@ import numpy as np
 # permutations as tuples
 
 
+@cache
 def pident(n):
     return tuple(range(n))
 
 
 def pmul(p, q):
     """Compose left-to-right: apply p, then q."""
-    return tuple(q[i] for i in p)
+    if len(p) < 2:  # itemgetter of one index returns a bare item
+        return tuple(q[i] for i in p)
+    return itemgetter(*p)(q)
 
 
 def pinv(p):
@@ -79,7 +91,7 @@ def porder(p):
 
 
 def is_identity(p):
-    return all(i == j for i, j in enumerate(p))
+    return tuple(p) == pident(len(p))
 
 
 # ---------------------------------------------------------------------------
@@ -115,16 +127,20 @@ def word_evaluate(word, gens, inverses=None):
 # element tables
 
 
+def _dtype(degree):
+    return np.uint8 if degree <= 255 else np.uint16
+
+
 def _as_table(rows, degree):
-    dtype = np.uint8 if degree <= 255 else np.uint16
-    return np.array(rows, dtype=dtype).reshape(-1, degree)
+    return np.asarray(rows, dtype=_dtype(degree)).reshape(-1, degree)
 
 
 class ElementTable:
     """All elements of a group as a lexicographically sorted numpy array.
 
     Provides O(log n) membership via a void view over contiguous rows, and
-    vectorised composition and conjugation over the whole table.
+    vectorised conjugation over the whole table through a cached table of
+    row inverses.
     """
 
     def __init__(self, rows, degree):
@@ -134,12 +150,13 @@ class ElementTable:
         self.degree = degree
         self._void = self.table.view(
             np.dtype((np.void, self.table.dtype.itemsize * degree))).ravel()
+        self._inverses = None
 
     def __len__(self):
         return self.table.shape[0]
 
     def _rows_void(self, rows):
-        rows = np.ascontiguousarray(rows.astype(self.table.dtype))
+        rows = np.ascontiguousarray(rows, dtype=self.table.dtype)
         return rows.view(
             np.dtype((np.void, rows.dtype.itemsize * rows.shape[1]))).ravel()
 
@@ -161,17 +178,27 @@ class ElementTable:
     def perm(self, i):
         return tuple(int(x) for x in self.table[i])
 
-    def compose_all(self, p):
-        """Table of x * p for every row x (apply x then p)."""
+    def conjugates(self, p, index=None):
+        """Rows g^-1 p g for every row g, or for the rows at ``index``."""
+        if self._inverses is None:
+            self._inverses = np.argsort(self.table, axis=1).astype(
+                self.table.dtype)
+        table, inverses = self.table, self._inverses
+        if index is not None:
+            table, inverses = table[index], inverses[index]
+        # row k holds g[p[g^-1[i]]]: gather from the flat table
+        offsets = np.arange(0, table.size, self.degree)[:, None]
         p = np.asarray(p, dtype=self.table.dtype)
-        return p[self.table]
+        return table.ravel()[p[inverses] + offsets]
 
-    def conjugate_all(self, p):
-        """Table of g^-1 p g for every row g."""
-        inv_rows = np.argsort(self.table, axis=1)
-        p = np.asarray(p)
-        return np.take_along_axis(self.table, p[inv_rows].astype(np.int64),
-                                  axis=1)
+    def conjugators(self, gens, target: "ElementTable"):
+        """Indices of the rows g with g^-1 h g in ``target`` for every h."""
+        index = np.arange(len(self))
+        for h in gens:
+            index = index[target.contains_rows(self.conjugates(h, index))]
+            if not index.size:
+                break
+        return index
 
 
 # ---------------------------------------------------------------------------
@@ -184,6 +211,14 @@ class _Level:
     gen_indices: list          # indices into the strong generator list
     orbit: dict                # point -> transversal perm (base -> point)
     orbit_words: dict          # point -> word in strong generator indices
+    inverses: dict = field(default_factory=dict)  # point -> inverse, lazily
+
+    def inverse(self, pt):
+        """Inverse of the transversal element for ``pt`` (cached)."""
+        inv = self.inverses.get(pt)
+        if inv is None:
+            inv = self.inverses[pt] = pinv(self.orbit[pt])
+        return inv
 
 
 class PermGroup:
@@ -226,12 +261,16 @@ class PermGroup:
 
     def _rebuild_orbit(self, i):
         level = self.levels[i]
-        level.gen_indices = [j for j, s in enumerate(self.sgens)
-                             if self._sgen_level(s) >= i]
+        gen_indices = [j for j, s in enumerate(self.sgens)
+                       if self._sgen_level(s) >= i]
+        if level.orbit and gen_indices == level.gen_indices:
+            return  # the orbit is a function of the level's generators
+        level.gen_indices = gen_indices
         b = level.point
         n = self.degree
         level.orbit = {b: pident(n)}
         level.orbit_words = {b: ()}
+        level.inverses = {}
         frontier = [b]
         while frontier:
             new = []
@@ -254,24 +293,8 @@ class PermGroup:
             img = p[level.point]
             if img not in level.orbit:
                 return i, p
-            p = pmul(p, pinv(level.orbit[img]))
+            p = pmul(p, level.inverse(img))
         return len(self.levels), p
-
-    def _strip_word(self, p):
-        """Word in strong generator indices for a member, deepest level first."""
-        parts = []
-        for level in self.levels:
-            img = p[level.point]
-            if img not in level.orbit:
-                return None
-            parts.append(level.orbit_words[img])
-            p = pmul(p, pinv(level.orbit[img]))
-        if not is_identity(p):
-            return None
-        out = ()
-        for w in reversed(parts):
-            out = out + w
-        return out
 
     def _add_sgen(self, p, word):
         lvl = self._sgen_level(p)
@@ -294,7 +317,7 @@ class PermGroup:
             if img not in level.orbit:
                 return i, p, word
             word = word + word_inverse(level.orbit_words[img])
-            p = pmul(p, pinv(level.orbit[img]))
+            p = pmul(p, level.inverse(img))
         return len(self.levels), p, word
 
     def _build(self):
@@ -315,28 +338,36 @@ class PermGroup:
             restart = None
             for pt in sorted(level.orbit):
                 t = level.orbit[pt]
-                tw = level.orbit_words[pt]
                 for j in level.gen_indices:
                     s = self.sgens[j]
                     img = s[pt]
-                    schreier = pmul(pmul(t, s), pinv(level.orbit[img]))
-                    word = tw + ((j, 1),) + word_inverse(
+                    ts = pmul(t, s)
+                    if ts == level.orbit[img]:
+                        continue  # trivial Schreier generator
+                    schreier = pmul(ts, level.inverse(img))
+                    if is_identity(self._strip(schreier, i + 1)[1]):
+                        continue
+                    # a new strong generator: sift again, with its word
+                    word = level.orbit_words[pt] + ((j, 1),) + word_inverse(
                         level.orbit_words[img])
                     lvl, res, word = self._strip_with_word(
                         schreier, word, i + 1)
-                    if not is_identity(res):
-                        self._add_sgen(res, self._expand_sgen_word(word))
-                        for k in range(i + 1, len(self.levels)):
-                            self._rebuild_orbit(k)
-                        restart = len(self.levels) - 1 if lvl >= len(
-                            self.levels) - 1 else lvl
-                        break
+                    self._add_sgen(res, self._expand_sgen_word(word))
+                    for k in range(i + 1, len(self.levels)):
+                        self._rebuild_orbit(k)
+                    restart = len(self.levels) - 1 if lvl >= len(
+                        self.levels) - 1 else lvl
+                    break
                 if restart is not None:
                     break
             if restart is not None:
                 i = restart
             else:
                 i -= 1
+        # the inverses serve the sifts of the build; a built chain keeps
+        # only its transversals, as groups are kept by the thousand
+        for level in self.levels:
+            level.inverses = {}
 
     def _expand_sgen_word(self, word):
         """Rewrite a word in strong generator indices into original ones."""
@@ -368,42 +399,10 @@ class PermGroup:
 
         Returns ``None`` for non-members.
         """
-        w = self._strip_word(tuple(p))
-        if w is None:
+        _, res, word = self._strip_with_word(tuple(p), (), 0)
+        if not is_identity(res):
             return None
-        return self._expand_sgen_word(w)
-
-    def express_sgens(self, p):
-        """A word in the strong generators evaluating to ``p`` (or None)."""
-        return self._strip_word(tuple(p))
-
-    def chain_decomposition(self, p):
-        """Transversal factorisation ``p = t[k-1] * ... * t[0]``.
-
-        Returns a list of ``(level, point)`` pairs, deepest level first; the
-        element equals the product of ``transversal(level, point)`` in that
-        order.  Raises for non-members.
-        """
-        p = tuple(p)
-        out = []
-        for i, level in enumerate(self.levels):
-            img = p[level.point]
-            if img not in level.orbit:
-                raise ValueError("not a member")
-            out.append((i, img))
-            p = pmul(p, pinv(level.orbit[img]))
-        if not is_identity(p):
-            raise ValueError("not a member")
-        out.reverse()
-        return [(i, pt) for i, pt in out if not is_identity(
-            self.levels[i].orbit[pt])]
-
-    def transversal(self, level, point):
-        return self.levels[level].orbit[point]
-
-    def transversal_word(self, level, point):
-        """Word in strong generator indices for a transversal element."""
-        return self.levels[level].orbit_words[point]
+        return self._expand_sgen_word(word_inverse(word))
 
     def random_element(self, rng: Random):
         """Uniformly random element (product of random transversal picks)."""
@@ -418,29 +417,17 @@ class PermGroup:
 
     # -- element enumeration ----------------------------------------------
 
-    def elements(self):
-        """Iterate over all elements (no particular order)."""
-        chains = [[level.orbit[pt] for pt in sorted(level.orbit)]
-                  for level in reversed(self.levels)]
-        if not chains:
-            yield pident(self.degree)
-            return
-        for combo in itertools.product(*chains):
-            out = combo[0]
-            for t in combo[1:]:
-                out = pmul(out, t)
-            yield out
-
     def element_table(self) -> ElementTable:
         if 'table' not in self._cache:
-            rows = np.array([pident(self.degree)],
-                            dtype=np.uint8 if self.degree <= 255 else np.uint16)
+            rows = np.array([pident(self.degree)], dtype=_dtype(self.degree))
             for level in reversed(self.levels):
-                ts = [np.asarray(level.orbit[pt], dtype=rows.dtype)
-                      for pt in sorted(level.orbit)]
                 # all products rows[i] * t: apply the accumulated deeper
                 # factors first, then the transversal element
-                rows = np.concatenate([np.take(t, rows) for t in ts], axis=0)
+                out = np.empty((len(level.orbit), *rows.shape), rows.dtype)
+                for k, pt in enumerate(sorted(level.orbit)):
+                    np.take(np.asarray(level.orbit[pt], rows.dtype), rows,
+                            out=out[k])
+                rows = out.reshape(-1, self.degree)
             self._cache['table'] = ElementTable(rows, self.degree)
         return self._cache['table']
 
@@ -460,8 +447,8 @@ class PermGroup:
             conj_tables = []
             for g in gens:
                 gi = pinv(g)
-                garr = np.asarray(g, dtype=np.int64)
-                giarr = np.asarray(gi, dtype=np.int64)
+                garr = np.asarray(g, dtype=et.table.dtype)
+                giarr = np.asarray(gi)
                 conj_tables.append((garr, giarr))
             nclass = 0
             classes = []
@@ -491,10 +478,9 @@ class PermGroup:
                            key=lambda i: (porder(classes[i][0]),
                                           classes[i][1], classes[i][0]))
             self._cache['classes'] = [classes[i] for i in order]
-            relabel = {old: new for new, old in enumerate(order)}
-            self._cache['class_index'] = np.array(
-                [relabel[c] for c in cls.tolist()],
-                dtype=np.min_scalar_type(nclass))
+            relabel = np.empty(nclass, dtype=np.min_scalar_type(nclass))
+            relabel[order] = np.arange(nclass)
+            self._cache['class_index'] = relabel[cls]
         return self._cache['classes']
 
     def class_index_of(self, p):
@@ -509,27 +495,11 @@ class PermGroup:
 
     # -- subgroup-level operations ----------------------------------------
 
-    def centralizer_elements(self, p):
-        et = self.element_table()
-        parr = np.asarray(p, dtype=et.table.dtype)
-        left = parr[et.table]                      # x then p... (g * p)
-        right = np.take_along_axis(
-            et.table, np.tile(np.asarray(p, dtype=np.int64),
-                              (len(et), 1)), axis=1)  # p then g
-        mask = (left == right).all(axis=1)
-        return et.table[mask]
-
     def normalizer(self, sub: "PermGroup") -> "PermGroup":
         """N_G(H) via a vectorised scan of the whole element table."""
         et = self.element_table()
-        ht = sub.element_table()
-        inv_rows = np.argsort(et.table, axis=1)
-        mask = np.ones(len(et), dtype=bool)
-        for h in _generating_rows(sub):
-            harr = np.asarray(h, dtype=np.int64)
-            conj = np.take_along_axis(et.table, harr[inv_rows], axis=1)
-            mask &= ht.contains_rows(conj)
-        return group_from_elements(et.table[mask], self.degree)
+        index = et.conjugators(_generating_rows(sub), sub.element_table())
+        return group_from_elements(et.table[index], self.degree)
 
     def conjugating_element(self, a: "PermGroup", b: "PermGroup"):
         """Some g in G with a^g = b (as subgroups), or None."""
@@ -549,20 +519,8 @@ class PermGroup:
 
     def _conjugate_into_scan(self, a, b):
         et = self.element_table()
-        bt = b.element_table()
-        inv_rows = np.argsort(et.table, axis=1)
-        mask = np.ones(len(et), dtype=bool)
-        for h in _generating_rows(a):
-            harr = np.asarray(h, dtype=np.int64)
-            conj = np.take_along_axis(et.table[mask], harr[inv_rows[mask]],
-                                      axis=1)
-            sub = bt.contains_rows(conj)
-            idx = np.nonzero(mask)[0]
-            mask[idx[~sub]] = False
-            if not mask.any():
-                return None
-        i = int(np.nonzero(mask)[0][0])
-        return et.perm(i)
+        index = et.conjugators(_generating_rows(a), b.element_table())
+        return et.perm(int(index[0])) if index.size else None
 
     def is_conjugate_element(self, x, y) -> bool:
         if cycle_type(x) != cycle_type(y):
@@ -626,7 +584,7 @@ class PermGroup:
         et = self.element_table()
         index = self.order // sub.order
         labels = np.full(len(et), -1, dtype=np.int64)
-        start = et.index_of(_as_table(list(_table_rows(sub)), self.degree))
+        start = et.index_of(sub.element_table().table)
         labels[start] = 0
         reps = [self.identity]
         frontier = [0]
@@ -647,7 +605,8 @@ class PermGroup:
                         new.append(ncoset)
                         ncoset += 1
             frontier = new
-        assert ncoset == index, "coset sweep did not reach every coset"
+        if ncoset != index:
+            raise RuntimeError("coset sweep did not reach every coset")
         action_gens = []
         for g in gen_list:
             images = []
@@ -677,7 +636,7 @@ class PermGroup:
                 for j in level.gen_indices:
                     s = self.sgens[j]
                     img = s[pt]
-                    schreier = pmul(pmul(t, s), pinv(level.orbit[img]))
+                    schreier = pmul(pmul(t, s), level.inverse(img))
                     word = tw + ((j, 1),) + word_inverse(
                         level.orbit_words[img])
                     rest = schreier
@@ -685,8 +644,9 @@ class PermGroup:
                         lv = self.levels[k]
                         ipt = rest[lv.point]
                         word = word + word_inverse(lv.orbit_words[ipt])
-                        rest = pmul(rest, pinv(lv.orbit[ipt]))
-                    assert is_identity(rest), "chain failed to sift"
+                        rest = pmul(rest, lv.inverse(ipt))
+                    if not is_identity(rest):
+                        raise RuntimeError("chain failed to sift")
                     word = word_free_reduce(word)
                     if word:
                         relators.append(word)
@@ -729,58 +689,89 @@ class Presentation:
 # helpers on groups
 
 
-def _table_rows(group: PermGroup):
-    return group.element_table().table
-
-
 def _generating_rows(group: PermGroup):
     gens = [g for g in group.generators if not is_identity(g)]
     return gens if gens else [group.identity]
 
 
+class _ElementSet:
+    """Elements of the group generated so far, as row bytes.
+
+    Dimino's algorithm: a new generator adds right cosets Hx of the old
+    group H until the union is closed under every generator.  Growing
+    past ``limit`` elements raises ``RuntimeError``.
+    """
+
+    def __init__(self, degree, limit=None):
+        self.dtype = _dtype(degree)
+        identity = np.arange(degree, dtype=self.dtype)
+        self.blocks = [identity[None, :]]
+        self.keys = {identity.tobytes()}
+        self.gens = []
+        self.limit = limit
+
+    def __len__(self):
+        return len(self.keys)
+
+    def __contains__(self, p):
+        return np.asarray(p, dtype=self.dtype).tobytes() in self.keys
+
+    def add_generator(self, p):
+        self.gens.append(tuple(p))
+        gens = [np.asarray(g, dtype=self.dtype) for g in self.gens]
+        old = np.concatenate(self.blocks)
+        reps = []
+        self._add_coset(old, gens[-1], reps)
+        for r in reps:  # grows while it is walked
+            for g in gens:
+                x = g[r]
+                if x not in self:
+                    self._add_coset(old, x, reps)
+
+    def _add_coset(self, old, x, reps):
+        block = x[old]
+        raw = block.tobytes()
+        width = block.itemsize * block.shape[1]
+        self.keys.update(raw[k:k + width] for k in range(0, len(raw), width))
+        self.blocks.append(block)
+        reps.append(x)
+        if self.limit is not None and len(self) > self.limit:
+            raise RuntimeError("rows were not closed")
+
+
 def group_from_elements(rows, degree) -> PermGroup:
     """Subgroup generated (in fact constituted) by the given element rows.
 
-    Keeps only generators that grow the group, so the resulting generating
-    set is small; the rows are assumed to be closed under the group
-    operations (they come from masked element-table scans).
+    A row becomes a generator iff it is not in the group generated by the
+    earlier ones, so the resulting generating set is small; the rows must
+    be closed under the group operations (they come from masked
+    element-table scans).
     """
-    gens = []
-    cur = None
-    target = len(rows)
-    for r in np.asarray(rows):
-        p = tuple(int(x) for x in r)
-        if is_identity(p):
-            continue
-        if cur is None or p not in cur:
-            gens.append(p)
-            cur = PermGroup(gens, degree)
-            if cur.order == target:
-                break
-    if cur is None:
-        return PermGroup([], degree)
-    assert cur.order == target, "rows were not closed"
-    return cur
+    rows = _as_table(rows, degree)
+    elements = _ElementSet(degree, limit=len(rows))
+    for r in rows:
+        if len(elements) == len(rows):
+            break
+        if r not in elements:
+            elements.add_generator(r.tolist())
+    if len(elements) != len(rows):
+        raise RuntimeError("rows were not closed")
+    return PermGroup(elements.gens, degree)
 
 
 def normal_closure(ambient: PermGroup, seeds) -> PermGroup:
     """Smallest subgroup of ``ambient`` containing ``seeds`` and normal in it."""
-    seeds = [tuple(s) for s in seeds if not is_identity(s)]
-    if not seeds:
-        return PermGroup([], ambient.degree)
-    gens = []
-    cur = PermGroup([], ambient.degree)
-    queue = list(seeds)
+    elements = _ElementSet(ambient.degree)
+    queue = deque(tuple(s) for s in seeds if not is_identity(s))
+    conjugators = [(g, pinv(g)) for g in _generating_rows(ambient)]
     while queue:
-        x = queue.pop(0)
-        if x in cur:
-            continue
-        gens.append(x)
-        cur = PermGroup(gens, ambient.degree)
-        for g in _generating_rows(ambient):
-            queue.append(pconj(x, g))
-            queue.append(pconj(x, pinv(g)))
-    return cur
+        x = queue.popleft()
+        if x not in elements:
+            elements.add_generator(x)
+            for g, gi in conjugators:
+                queue.append(pconj(x, g))
+                queue.append(pconj(x, gi))
+    return PermGroup(elements.gens, ambient.degree)
 
 
 def orbits(gens, degree):
@@ -815,5 +806,6 @@ def abelian_invariants(group: PermGroup):
     pres = group.presentation()
     rel = pres.abelianized_relator_matrix()
     inv = intlinalg.quotient_invariants(pres.ngens, rel)
-    assert inv.free_rank == 0, "abelianisation of a finite group must be finite"
+    if inv.free_rank:
+        raise RuntimeError("abelianisation of a finite group must be finite")
     return inv

@@ -481,15 +481,16 @@ def _rank_mod3(a) -> int:
     return r
 
 
-def is_absolutely_irreducible(model: SymplecticModel, subgroup: PermGroup) -> bool:
-    """Does the subgroup of PSp4(3) act absolutely irreducibly on F3^4?
+def is_absolutely_irreducible(model: SymplecticModel, generators) -> bool:
+    """Does the subgroup of PSp4(3) with these generators act absolutely
+    irreducibly on F3^4?
 
     The preimage in Sp4(3) is used (invariant subspaces and the commutant
     do not depend on the sign of the lift).  Absolute irreducibility over
     an extension of F3 is equivalent to irreducibility over F3 together
     with a one-dimensional commutant.
     """
-    mats = [model.lift_to_sp(g) for g in subgroup.generators
+    mats = [model.lift_to_sp(g) for g in generators
             if not all(i == x for i, x in enumerate(g))]
     if not mats:
         return False

@@ -122,7 +122,6 @@ class _AmbientOps:
     def __init__(self, ambient: PermGroup):
         self.ambient = ambient
         self.et = ambient.element_table()
-        self.inv_rows = np.argsort(self.et.table, axis=1)
         ambient.conjugacy_classes()
         self.class_index = ambient._cache['class_index']
 
@@ -132,16 +131,9 @@ class _AmbientOps:
         return tuple(zip(vals.tolist(), counts.tolist()))
 
     def normalizer_rows(self, sub: PermGroup) -> np.ndarray:
-        st = sub.element_table()
-        mask = np.ones(len(self.et), dtype=bool)
-        for h in sub.generators:
-            if is_identity(h):
-                continue
-            harr = np.asarray(h, dtype=np.int64)
-            conj = np.take_along_axis(self.et.table, harr[self.inv_rows],
-                                      axis=1)
-            mask &= st.contains_rows(conj)
-        return self.et.table[mask]
+        gens = [h for h in sub.generators if not is_identity(h)]
+        return self.et.table[self.et.conjugators(gens,
+                                                 sub.element_table())]
 
 
 def _canonical_rows(group: PermGroup) -> np.ndarray:
@@ -396,9 +388,6 @@ class SubgroupLattice:
     def rep(self, class_id: int) -> PermGroup:
         return self.by_id(class_id).rep(self.ambient.degree)
 
-    def maximal_subgroups(self, class_id: int) -> tuple:
-        return self.by_id(class_id).maximal
-
     def classes_contained_in(self, class_id: int) -> frozenset:
         return self.by_id(class_id).contained_class_ids()
 
@@ -424,10 +413,19 @@ class SubgroupLattice:
         if d.get("format") != FORMAT_TAG:
             raise ValueError(f"unrecognised lattice cache format: "
                              f"{d.get('format')!r}")
-        ambient = PermGroup([tuple(g) for g in d["ambient_generators"]],
-                            d["degree"])
-        classes = [SubgroupClassInfo.from_json(c) for c in d["classes"]]
-        return cls(ambient, d["seed"], classes)
+        where = "top level"
+        try:
+            ambient = PermGroup([tuple(g) for g in d["ambient_generators"]],
+                                d["degree"])
+            seed = d["seed"]
+            classes = []
+            for c in d["classes"]:
+                where = f"class {c.get('class_id', len(classes) + 1)}"
+                classes.append(SubgroupClassInfo.from_json(c))
+        except KeyError as exc:
+            raise ValueError(f"{path}: {where}: missing key "
+                             f"{exc.args[0]!r}") from None
+        return cls(ambient, seed, classes)
 
 
 def _own_lattice_raws(rep: PermGroup, ambient_degree, seed, class_pos):

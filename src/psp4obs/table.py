@@ -139,8 +139,7 @@ def compute_table(config: TableConfig) -> list:
     for info in sorted(lattice.classes, key=lambda c: c.class_id):
         chi_h = burnside.restrict_classfn(chi, info.elem_fusion)
         b = burnside.burnside_order(info.perm_chars, chi_h, bound=info.order)
-        irred = sp4f3.is_absolutely_irreducible(
-            model, lattice.rep(info.class_id))
+        irred = sp4f3.is_absolutely_irreducible(model, info.generators)
         if h1 is None:
             lcm_val = h1_m = h1_md = None
         else:
@@ -272,18 +271,21 @@ def _refine_colors(key_of, partners, rounds=200):
     ``key_of`` maps node -> hashable color; ``partners`` maps node ->
     ``(direction, other)`` pairs (here: "dn" towards maximal subgroup
     classes and "up" back along those edges).  Nodes of both sides must
-    be refined together, so the caller passes merged dicts.
+    be refined together, so the caller passes merged dicts.  The colors
+    kept are those of the last round that split a class; a round that
+    splits none would only nest each color once more, keeping the
+    partition and the order of the colors' reprs.
     """
     for _ in range(rounds):
-        before = len(set(key_of.values()))
-        new = {}
-        for node, color in key_of.items():
-            nbh = tuple(sorted(
-                (d, repr(key_of[p])) for d, p in partners[node]))
-            new[node] = (color, nbh)
-        key_of.update(new)
-        if len(set(key_of.values())) == before:
+        # one repr per node, shared by every edge to it: the reprs nest
+        # and grow each round
+        text = {node: repr(color) for node, color in key_of.items()}
+        new = {node: (color, tuple(sorted((d, text[p])
+                                          for d, p in partners[node])))
+               for node, color in key_of.items()}
+        if len(set(new.values())) == len(set(key_of.values())):
             return
+        key_of.update(new)
     raise RuntimeError("color refinement failed to stabilise")
 
 

@@ -153,17 +153,17 @@ class TestChi24:
 
 class TestAbsoluteIrreducibility:
     def test_full_group(self, model):
-        assert sp4f3.is_absolutely_irreducible(model, model.psp)
+        assert sp4f3.is_absolutely_irreducible(model, model.psp.generators)
 
     def test_trivial_subgroup(self, model):
         triv = model.psp.subgroup([])
-        assert not sp4f3.is_absolutely_irreducible(model, triv)
+        assert not sp4f3.is_absolutely_irreducible(model, triv.generators)
 
     def test_cyclic_subgroups(self, model):
         # no cyclic subgroup acts absolutely irreducibly in dimension 4
         for rep, _ in model.psp.conjugacy_classes()[1:4]:
             sub = model.psp.subgroup([rep])
-            assert not sp4f3.is_absolutely_irreducible(model, sub)
+            assert not sp4f3.is_absolutely_irreducible(model, sub.generators)
 
     def test_matches_matrix_span(self, model):
         # Burnside's criterion: absolutely irreducible iff the preimage's
@@ -192,4 +192,4 @@ class TestAbsoluteIrreducibility:
                 frontier = nxt
             flat = np.array([np.array(m).reshape(16) for m in mats]) % 3
             spans = sp4f3._rank_mod3(flat) == 16
-            assert sp4f3.is_absolutely_irreducible(model, sub) == spans
+            assert sp4f3.is_absolutely_irreducible(model, sub.generators) == spans

@@ -5,10 +5,13 @@ Class counts are cross-checked against a brute-force closure enumeration
 feasible for ambient groups up to a few hundred elements.
 """
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
-from psp4obs import subgroups
+from psp4obs import cli, subgroups
 from psp4obs.permgroups import PermGroup, pconj
 
 C6 = PermGroup([(1, 2, 3, 4, 5, 0)], 6)
@@ -165,6 +168,49 @@ class TestPersistence:
         p.write_text('{"format": "something-else"}')
         with pytest.raises(ValueError):
             subgroups.SubgroupLattice.load(p)
+
+    @staticmethod
+    def _without_key(lattice_path, tmp_path, class_id, key):
+        d = json.loads(lattice_path.read_text())
+        del d["classes"][class_id - 1][key]
+        p = tmp_path / "broken.json"
+        p.write_text(json.dumps(d))
+        return p
+
+    def test_load_names_a_missing_key(self, lattice_path, tmp_path):
+        p = self._without_key(lattice_path, tmp_path, 60, "perm_chars")
+        with pytest.raises(ValueError) as err:
+            subgroups.SubgroupLattice.load(p)
+        assert str(p) in str(err.value)
+        assert "class 60" in str(err.value)
+        assert "'perm_chars'" in str(err.value)
+
+    def test_cli_rejects_a_missing_key(self, lattice_path, tmp_path,
+                                       capsys):
+        p = self._without_key(lattice_path, tmp_path, 60, "perm_chars")
+        code = cli.main(["table", "compute", "--lattice", str(p),
+                         "--out", str(tmp_path / "table.csv")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert [ln for ln in err.splitlines() if ln.startswith("error:")] \
+            == [f"error: {p}: class 60: missing key 'perm_chars'"]
+        assert "Traceback" not in err
+
+
+# sha256 of the lattice file that subgroup_classes(rep of class 110, seed 1)
+# saved before the Schreier-Sims build sifted without words and closures
+# used element sets; class 110 is A6, so the file also depends on the
+# perfect-subgroup search and random_element walking the chain
+A6_LATTICE_SHA256 = \
+    "f87662413f58ed70dc2c6d1097e00a1a105e983db590c3c5609909fc914beddb"
+
+
+def test_classification_is_byte_identical(lattice, tmp_path):
+    rep = lattice.rep(110)
+    assert rep.order == 360 and not rep.is_solvable()
+    path = tmp_path / "a6.json"
+    subgroups.subgroup_classes(rep, seed=1).save(path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == A6_LATTICE_SHA256
 
 
 class TestAmbientLattice:
