@@ -10,8 +10,10 @@ induction some multiple always works and the order divides |H|.
 
 All character values here are exact integers, functions on the conjugacy
 classes of H in the canonical order of
-:meth:`psp4obs.permgroups.PermGroup.conjugacy_classes`; fixed-point counts
-are obtained by vectorised membership scans over element tables.
+:meth:`psp4obs.permgroups.PermGroup.conjugacy_classes`.  Fixed-point counts
+come from class fusion: the permutation character of H on H/K takes the
+value |C_H(c)| |c^H n K| / |K| at c, and the counts |c^H n K| are read
+off the class index of K's elements in H.
 """
 
 from __future__ import annotations
@@ -22,40 +24,25 @@ from . import intlinalg
 from .permgroups import PermGroup
 
 
-def fixed_coset_counts(group: PermGroup, subgroup_rows) -> tuple:
-    """Fixed points of each conjugacy class of ``group`` on H/K.
-
-    ``subgroup_rows`` are the element rows of ``K``.  The count for a class
-    representative ``c`` is ``|{g in H : g c g^-1 in K}| / |K|``, the
-    number of cosets gK with c gK = gK.
-    """
-    return tuple(perm_characters(group, [subgroup_rows])[0].tolist())
-
-
 def perm_characters(group: PermGroup, class_rows) -> np.ndarray:
     """Matrix of permutation characters, one row per subgroup class.
 
     ``class_rows`` is a list of element-row arrays, one per conjugacy class
     of subgroups of ``group``; columns follow the conjugacy classes of
     ``group``.  The row for the trivial subgroup is the regular character,
-    the row for the whole group is constantly one.  The conjugate table of
-    each class representative is built once and scanned against every
-    subgroup.
+    the row for the whole group is constantly one.  Row K holds
+    |H| |c^H n K| / (|c^H| |K|) for each class c^H.
     """
-    from .permgroups import ElementTable
-    et = group.element_table()
-    tables = [ElementTable(np.asarray(rows), group.degree)
-              for rows in class_rows]
-    out = np.zeros((len(tables), len(group.conjugacy_classes())),
-                   dtype=np.int64)
-    for j, (rep, _size) in enumerate(group.conjugacy_classes()):
-        conj = et.conjugates(rep)
-        for i, kt in enumerate(tables):
-            hits = int(kt.contains_rows(conj).sum())
-            if hits % len(kt):
-                raise RuntimeError("fixed-point count is not a multiple "
-                                   "of the subgroup order")
-            out[i, j] = hits // len(kt)
+    classes = group.conjugacy_classes()
+    sizes = np.array([size for _, size in classes], dtype=np.int64)
+    out = np.zeros((len(class_rows), len(classes)), dtype=np.int64)
+    for i, rows in enumerate(class_rows):
+        rows = np.asarray(rows)
+        meets = np.bincount(group.class_indices(rows), minlength=len(classes))
+        fixed, rest = np.divmod(group.order * meets, sizes * len(rows))
+        if rest.any():
+            raise RuntimeError("fixed-point count is not an integer")
+        out[i] = fixed
     return out
 
 

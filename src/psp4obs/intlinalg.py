@@ -33,8 +33,6 @@ _INT64_SAFE = 2**62
 
 def as_int_array(data) -> np.ndarray:
     """Coerce ``data`` to a 2-d integer ndarray (int64 if it fits)."""
-    if isinstance(data, IntMatrix):
-        data = data.entries
     a = np.asarray(data)
     if a.ndim == 1:
         a = a.reshape(1, -1)
@@ -67,38 +65,6 @@ def mat_mul(a, b) -> np.ndarray:
 
 def identity(n: int, dtype=np.int64) -> np.ndarray:
     return np.eye(n, dtype=dtype)
-
-
-@dataclass(frozen=True)
-class IntMatrix:
-    """An immutable exact integer matrix (row-major entry tuple).
-
-    This is the exchange format used by file I/O and caches; computational
-    code converts to numpy via :func:`as_int_array` / :meth:`to_array`.
-    """
-
-    rows: int
-    cols: int
-    entries: tuple
-
-    def __post_init__(self):
-        if len(self.entries) != self.rows * self.cols:
-            raise ValueError("entry count does not match shape")
-        for e in self.entries:
-            if not isinstance(e, int) or isinstance(e, bool):
-                raise ValueError(f"non-integer entry {e!r}")
-
-    @classmethod
-    def from_array(cls, a) -> "IntMatrix":
-        a = as_int_array(a)
-        return cls(a.shape[0], a.shape[1], tuple(int(x) for x in a.ravel()))
-
-    def to_array(self) -> np.ndarray:
-        a = np.array(self.entries, dtype=object).reshape(self.rows, self.cols)
-        return a
-
-    def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        return IntMatrix.from_array(mat_mul(self.to_array(), other.to_array()))
 
 
 @dataclass(frozen=True)

@@ -14,10 +14,11 @@ can be rewritten as a word in the original generators
 generators can be read off the stabiliser chain
 (:meth:`PermGroup.presentation`).
 
-Closures (:func:`group_from_elements`, :func:`normal_closure`) test
-membership in an element set grown by Dimino's coset closure and build one
-:class:`PermGroup` at the end, from the same greedy generating set that a
-chain rebuilt after every accepted generator would give.
+Closures (:func:`closed_set`, :func:`normal_closure`) grow an
+:class:`ElementSet` by Dimino's coset closure, with the greedy generators
+that a chain rebuilt after every accepted generator would give.  The
+derived and lower central series compare the sizes of element sets; a
+chain is built only for a group that is kept (:meth:`ElementSet.group`).
 
 Heavier operations (conjugacy of subgroups, normalisers) work
 on the full element table of the group held as a numpy array; on groups of
@@ -221,7 +222,54 @@ class _Level:
         return inv
 
 
-class PermGroup:
+class _DerivedSeries:
+    """Derived and lower central series of anything with ``generators`` and
+    ``order``; every term is an :class:`ElementSet`, so no chain is built."""
+
+    def derived_subgroup(self) -> "ElementSet":
+        gens = [g for g in self.generators if not is_identity(g)]
+        return normal_closure(self, [pcommutator(a, b)
+                                     for a in gens for b in gens])
+
+    def solvable_residual(self) -> "ElementSet":
+        cur = self
+        while True:
+            nxt = cur.derived_subgroup()
+            if nxt.order == cur.order:
+                return nxt
+            cur = nxt
+
+    def derived_length(self):
+        cur, length = self, 0
+        while cur.order > 1:
+            nxt = cur.derived_subgroup()
+            if nxt.order == cur.order:
+                return None  # not solvable
+            cur = nxt
+            length += 1
+        return length
+
+    def is_perfect(self):
+        return self.order == self.derived_subgroup().order
+
+    def is_solvable(self):
+        return self.derived_length() is not None
+
+    def is_nilpotent(self):
+        """Definitional lower central series test."""
+        gens = [g for g in self.generators if not is_identity(g)]
+        cur = self
+        while cur.order > 1:
+            hgen = [h for h in cur.generators if not is_identity(h)]
+            nxt = normal_closure(self, [pcommutator(g, h)
+                                        for g in gens for h in hgen])
+            if nxt.order == cur.order:
+                return False
+            cur = nxt
+        return True
+
+
+class PermGroup(_DerivedSeries):
     """A permutation group with a deterministic base and strong generating set.
 
     ``generators`` may contain duplicates or identities; they keep their
@@ -483,17 +531,18 @@ class PermGroup:
             self._cache['class_index'] = relabel[cls]
         return self._cache['classes']
 
+    def class_indices(self, rows) -> np.ndarray:
+        """Indices into :meth:`conjugacy_classes` of the element rows."""
+        self.conjugacy_classes()
+        return self._cache['class_index'][
+            self.element_table().index_of(rows)]
+
     def class_index_of(self, p):
         """Index into :meth:`conjugacy_classes` of the class of ``p``."""
-        self.conjugacy_classes()
-        et = self.element_table()
-        return int(self._cache['class_index'][et.index_of(
-            np.asarray([p]))[0]])
+        return int(self.class_indices(np.asarray([p]))[0])
 
     def exponent(self):
         return lcm(*[porder(rep) for rep, _ in self.conjugacy_classes()])
-
-    # -- subgroup-level operations ----------------------------------------
 
     def normalizer(self, sub: "PermGroup") -> "PermGroup":
         """N_G(H) via a vectorised scan of the whole element table."""
@@ -501,122 +550,30 @@ class PermGroup:
         index = et.conjugators(_generating_rows(sub), sub.element_table())
         return group_from_elements(et.table[index], self.degree)
 
-    def conjugating_element(self, a: "PermGroup", b: "PermGroup"):
+    # -- subgroup-level operations: ``b`` is a group or the ElementTable of
+    # one, so a subgroup can be tested before its chain is built
+
+    def conjugating_element(self, a: "PermGroup", b):
         """Some g in G with a^g = b (as subgroups), or None."""
-        if a.order != b.order:
+        target = _table_of(b)
+        if a.order != len(target):
             return None
-        g = self._conjugate_into_scan(a, b)
-        return g
+        return self._conjugate_into_scan(a, target)
 
     def is_conjugate_subgroup(self, a, b):
         return self.conjugating_element(a, b) is not None
 
-    def conjugate_into(self, a: "PermGroup", b: "PermGroup"):
+    def conjugate_into(self, a: "PermGroup", b):
         """Some g in G with a^g a subgroup of b, or None."""
-        if b.order % a.order:
+        target = _table_of(b)
+        if len(target) % a.order:
             return None
-        return self._conjugate_into_scan(a, b)
+        return self._conjugate_into_scan(a, target)
 
-    def _conjugate_into_scan(self, a, b):
+    def _conjugate_into_scan(self, a, target: ElementTable):
         et = self.element_table()
-        index = et.conjugators(_generating_rows(a), b.element_table())
+        index = et.conjugators(_generating_rows(a), target)
         return et.perm(int(index[0])) if index.size else None
-
-    def is_conjugate_element(self, x, y) -> bool:
-        if cycle_type(x) != cycle_type(y):
-            return False
-        return self.class_index_of(x) == self.class_index_of(y)
-
-    # -- structure ---------------------------------------------------------
-
-    def derived_subgroup(self) -> "PermGroup":
-        gens = [g for g in self.generators if not is_identity(g)]
-        seeds = [pcommutator(a, b) for a in gens for b in gens]
-        return normal_closure(self, seeds)
-
-    def solvable_residual(self) -> "PermGroup":
-        cur = self
-        while True:
-            nxt = cur.derived_subgroup()
-            if nxt.order == cur.order:
-                return nxt
-            cur = nxt
-
-    def derived_length(self):
-        cur = self
-        length = 0
-        while cur.order > 1:
-            nxt = cur.derived_subgroup()
-            if nxt.order == cur.order:
-                return None  # not solvable
-            cur = nxt
-            length += 1
-        return length
-
-    def is_perfect(self):
-        return self.order == self.derived_subgroup().order
-
-    def is_solvable(self):
-        return self.derived_length() is not None
-
-    def is_nilpotent(self):
-        """Definitional lower central series test."""
-        cur = self
-        while cur.order > 1:
-            gens = [g for g in self.generators if not is_identity(g)]
-            hgen = [h for h in cur.generators if not is_identity(h)]
-            seeds = [pcommutator(g, h) for g in gens for h in hgen]
-            nxt = normal_closure(self, seeds)
-            if nxt.order == cur.order:
-                return False
-            cur = nxt
-        return True
-
-    # -- cosets ------------------------------------------------------------
-
-    def coset_action(self, sub: "PermGroup"):
-        """Action on right cosets of ``sub``; returns (PermGroup, labels).
-
-        ``labels`` maps each element-table index of G to a coset number;
-        coset 0 is the subgroup itself, numbering follows a breadth-first
-        sweep by the generators in order.
-        """
-        et = self.element_table()
-        index = self.order // sub.order
-        labels = np.full(len(et), -1, dtype=np.int64)
-        start = et.index_of(sub.element_table().table)
-        labels[start] = 0
-        reps = [self.identity]
-        frontier = [0]
-        coset_rows = {0: start}
-        ncoset = 1
-        gen_list = [g for g in self.generators if not is_identity(g)]
-        while frontier:
-            new = []
-            for c in frontier:
-                rows = et.table[coset_rows[c]]
-                for g in gen_list:
-                    shifted = np.asarray(g, dtype=et.table.dtype)[rows]
-                    idx = et.index_of(shifted)
-                    if labels[idx[0]] < 0:
-                        labels[idx] = ncoset
-                        coset_rows[ncoset] = idx
-                        reps.append(pmul(reps[c], g))
-                        new.append(ncoset)
-                        ncoset += 1
-            frontier = new
-        if ncoset != index:
-            raise RuntimeError("coset sweep did not reach every coset")
-        action_gens = []
-        for g in gen_list:
-            images = []
-            for c in range(ncoset):
-                i = coset_rows[c][0]
-                shifted = np.asarray(g, dtype=et.table.dtype)[
-                    et.table[i]][None, :]
-                images.append(int(labels[et.index_of(shifted)[0]]))
-            action_gens.append(tuple(images))
-        return PermGroup(action_gens, index), labels, reps
 
     # -- presentations -----------------------------------------------------
 
@@ -694,7 +651,11 @@ def _generating_rows(group: PermGroup):
     return gens if gens else [group.identity]
 
 
-class _ElementSet:
+def _table_of(group) -> ElementTable:
+    return group if isinstance(group, ElementTable) else group.element_table()
+
+
+class ElementSet(_DerivedSeries):
     """Elements of the group generated so far, as row bytes.
 
     Dimino's algorithm: a new generator adds right cosets Hx of the old
@@ -703,23 +664,32 @@ class _ElementSet:
     """
 
     def __init__(self, degree, limit=None):
+        self.degree = degree
         self.dtype = _dtype(degree)
         identity = np.arange(degree, dtype=self.dtype)
         self.blocks = [identity[None, :]]
         self.keys = {identity.tobytes()}
-        self.gens = []
+        self.generators = []
         self.limit = limit
 
-    def __len__(self):
+    @property
+    def order(self):
         return len(self.keys)
 
     def __contains__(self, p):
         return np.asarray(p, dtype=self.dtype).tobytes() in self.keys
 
+    def rows(self) -> np.ndarray:
+        return np.concatenate(self.blocks)
+
+    def group(self) -> PermGroup:
+        """The group of these elements, with its Schreier-Sims chain."""
+        return PermGroup(self.generators, self.degree)
+
     def add_generator(self, p):
-        self.gens.append(tuple(p))
-        gens = [np.asarray(g, dtype=self.dtype) for g in self.gens]
-        old = np.concatenate(self.blocks)
+        self.generators.append(tuple(p))
+        gens = [np.asarray(g, dtype=self.dtype) for g in self.generators]
+        old = self.rows()
         reps = []
         self._add_coset(old, gens[-1], reps)
         for r in reps:  # grows while it is walked
@@ -735,12 +705,12 @@ class _ElementSet:
         self.keys.update(raw[k:k + width] for k in range(0, len(raw), width))
         self.blocks.append(block)
         reps.append(x)
-        if self.limit is not None and len(self) > self.limit:
+        if self.limit is not None and self.order > self.limit:
             raise RuntimeError("rows were not closed")
 
 
-def group_from_elements(rows, degree) -> PermGroup:
-    """Subgroup generated (in fact constituted) by the given element rows.
+def closed_set(rows, degree) -> ElementSet:
+    """The element set constituted by the given rows.
 
     A row becomes a generator iff it is not in the group generated by the
     earlier ones, so the resulting generating set is small; the rows must
@@ -748,22 +718,29 @@ def group_from_elements(rows, degree) -> PermGroup:
     element-table scans).
     """
     rows = _as_table(rows, degree)
-    elements = _ElementSet(degree, limit=len(rows))
+    elements = ElementSet(degree, limit=len(rows))
     for r in rows:
-        if len(elements) == len(rows):
+        if elements.order == len(rows):
             break
         if r not in elements:
             elements.add_generator(r.tolist())
-    if len(elements) != len(rows):
+    if elements.order != len(rows):
         raise RuntimeError("rows were not closed")
-    return PermGroup(elements.gens, degree)
+    return elements
 
 
-def normal_closure(ambient: PermGroup, seeds) -> PermGroup:
-    """Smallest subgroup of ``ambient`` containing ``seeds`` and normal in it."""
-    elements = _ElementSet(ambient.degree)
+def group_from_elements(rows, degree) -> PermGroup:
+    """The group of :func:`closed_set` of the rows, with its chain."""
+    return closed_set(rows, degree).group()
+
+
+def normal_closure(ambient, seeds) -> ElementSet:
+    """Smallest subgroup of ``ambient`` (a group or an element set)
+    containing ``seeds`` and normal in it."""
+    elements = ElementSet(ambient.degree)
     queue = deque(tuple(s) for s in seeds if not is_identity(s))
-    conjugators = [(g, pinv(g)) for g in _generating_rows(ambient)]
+    conjugators = [(g, pinv(g)) for g in ambient.generators
+                   if not is_identity(g)]
     while queue:
         x = queue.popleft()
         if x not in elements:
@@ -771,7 +748,7 @@ def normal_closure(ambient: PermGroup, seeds) -> PermGroup:
             for g, gi in conjugators:
                 queue.append(pconj(x, g))
                 queue.append(pconj(x, gi))
-    return PermGroup(elements.gens, ambient.degree)
+    return elements
 
 
 def orbits(gens, degree):

@@ -30,7 +30,7 @@ adjacent) is strongly regular with parameters (40, 12, 2, 4) and
 eigenvalues 12, 2, -4 of multiplicities 1, 24, 15.  Projecting a
 permutation matrix onto the 24-dimensional eigenspace gives exact values
 of the irreducible degree-24 character; the projector has entries in
-(1/60) Z, and all traces come out integral, which is asserted.
+(1/60) Z, and all traces come out integral, which is checked.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import prod
 
 import numpy as np
@@ -46,6 +47,13 @@ from .permgroups import PermGroup, pident, word_evaluate
 
 SP4_ORDER = 51840
 PSP4_ORDER = 25920
+
+
+def _require(ok, what):
+    """Check an invariant; unlike an assert, it survives ``python -O``."""
+    if not ok:
+        raise RuntimeError(what)
+
 
 # Gram matrix of the form <x,y> = x1 y4 + x2 y3 - x3 y2 - x4 y1
 J_FORM = ((0, 0, 0, 1),
@@ -114,7 +122,7 @@ def normalize_point(v):
 
 POINTS = sorted({normalize_point(v) for v in NONZERO_VECS})
 POINT_INDEX = {v: i for i, v in enumerate(POINTS)}
-assert len(POINTS) == 40
+_require(len(POINTS) == 40, "F3^4 must have 40 projective points")
 
 
 def _span_points(v, w):
@@ -138,7 +146,7 @@ def _enumerate_planes():
 
 
 PLANES = _enumerate_planes()
-assert len(PLANES) == 130
+_require(len(PLANES) == 130, "F3^4 must have 130 planes")
 
 
 def _plane_is_isotropic(plane):
@@ -147,7 +155,7 @@ def _plane_is_isotropic(plane):
 
 
 ISOTROPIC_LINES = [p for p in PLANES if _plane_is_isotropic(p)]
-assert len(ISOTROPIC_LINES) == 40
+_require(len(ISOTROPIC_LINES) == 40, "there must be 40 isotropic lines")
 LINE_INDEX = {p: i for i, p in enumerate(ISOTROPIC_LINES)}
 
 
@@ -165,7 +173,8 @@ def _enumerate_pairs():
         if _plane_is_isotropic(p):
             continue
         q = _perp_plane(p)
-        assert len(q) == 4 and not _plane_is_isotropic(q)
+        _require(len(q) == 4 and not _plane_is_isotropic(q),
+                 "the perp of a nondegenerate plane must be one")
         key = tuple(sorted((p, q)))
         if key not in seen:
             seen.add(key)
@@ -174,7 +183,7 @@ def _enumerate_pairs():
 
 
 PERP_PAIRS = _enumerate_pairs()
-assert len(PERP_PAIRS) == 45
+_require(len(PERP_PAIRS) == 45, "there must be 45 perp pairs")
 PAIR_INDEX = {p: i for i, p in enumerate(PERP_PAIRS)}
 
 
@@ -212,14 +221,30 @@ def pair_perm_from_point_perm(pperm):
 
 @dataclass
 class SymplecticModel:
-    """Sp4(F3) with its standard actions, built by :func:`build_sp4`."""
+    """Sp4(F3) with its standard actions, built by :func:`build_sp4`.
+
+    Only ``psp`` keeps a Schreier-Sims chain; the other actions keep the
+    images of the same generators and build their chains on first use.
+    """
 
     gen_matrices: list
-    sp80: PermGroup
     psp: PermGroup            # canonical PSp4(3): action on projective points
-    line_action: PermGroup    # same generators acting on isotropic lines
-    pair_action: PermGroup    # same generators acting on perp pairs
+    vector_gens: list         # the generators on the 80 nonzero vectors
+    line_gens: list           # ... on the isotropic lines
+    pair_gens: list           # ... on the perp pairs
     _lift_cache: dict = field(default_factory=dict, repr=False)
+
+    @cached_property
+    def sp80(self) -> PermGroup:
+        return PermGroup(self.vector_gens, 80)
+
+    @cached_property
+    def line_action(self) -> PermGroup:
+        return PermGroup(self.line_gens, 40)
+
+    @cached_property
+    def pair_action(self) -> PermGroup:
+        return PermGroup(self.pair_gens, 45)
 
     def lift_to_sp(self, perm):
         """A symplectic matrix mapping to the given point permutation.
@@ -241,18 +266,18 @@ class SymplecticModel:
                 g = _mat_inv3(g)
             m = mat_mul3(m, g)
         m = _canonical_sign(m)
-        assert point_perm(m) == perm
+        _require(point_perm(m) == perm, "lift does not map to the permutation")
         self._lift_cache[perm] = m
         return m
 
     def to_line_action(self, perm):
         """Transport a point permutation to the isotropic-line action."""
         word = self.psp.express(tuple(perm))
-        return word_evaluate(word, self.line_action.generators)
+        return word_evaluate(word, self.line_gens)
 
     def to_pair_action(self, perm):
         word = self.psp.express(tuple(perm))
-        return word_evaluate(word, self.pair_action.generators)
+        return word_evaluate(word, self.pair_gens)
 
 
 def _mat_inv3(m):
@@ -266,7 +291,7 @@ def _mat_inv3(m):
             out = mat_mul3(out, cur)
         cur = mat_mul3(cur, cur)
         k >>= 1
-    assert mat_mul3(out, m) == MAT_ID
+    _require(mat_mul3(out, m) == MAT_ID, "matrix inverse failed")
     return out
 
 
@@ -284,7 +309,7 @@ def build_sp4() -> SymplecticModel:
     group = PermGroup([], 80)
     for v in POINTS:
         m = transvection(v)
-        assert is_symplectic(m)
+        _require(is_symplectic(m), "transvection is not symplectic")
         if vector_perm(m) in group:
             continue
         gens.append(m)
@@ -295,13 +320,14 @@ def build_sp4() -> SymplecticModel:
         raise RuntimeError("transvections failed to generate Sp4(3)")
     point_gens = [point_perm(g) for g in gens]
     psp = PermGroup(point_gens, 40)
-    assert psp.order == PSP4_ORDER
-    neg = vector_perm(mat_neg(MAT_ID))
-    assert neg in group
-    line = PermGroup([line_perm_from_point_perm(p) for p in point_gens], 40)
-    pair = PermGroup([pair_perm_from_point_perm(p) for p in point_gens], 45)
-    assert line.order == PSP4_ORDER and pair.order == PSP4_ORDER
-    return SymplecticModel(gens, group, psp, line, pair)
+    _require(psp.order == PSP4_ORDER, "point action is not PSp4(3)")
+    _require(vector_perm(mat_neg(MAT_ID)) in group, "-1 is not in Sp4(3)")
+    line = [line_perm_from_point_perm(p) for p in point_gens]
+    pair = [pair_perm_from_point_perm(p) for p in point_gens]
+    _require(PermGroup(line, 40).order == PSP4_ORDER
+             and PermGroup(pair, 45).order == PSP4_ORDER,
+             "line or pair action is not PSp4(3)")
+    return SymplecticModel(gens, psp, list(group.generators), line, pair)
 
 
 _MODEL = None
@@ -329,7 +355,7 @@ def srg_adjacency() -> np.ndarray:
         for j in range(40):
             if i != j and form(POINTS[i], POINTS[j]) == 0:
                 a[i, j] = 1
-    assert (a.sum(axis=1) == 12).all()
+    _require((a.sum(axis=1) == 12).all(), "graph is not 12-regular")
     return a
 
 
@@ -343,7 +369,8 @@ def _projector_numerator():
     a = srg_adjacency()
     i40 = np.eye(40, dtype=np.int64)
     b = (a - 12 * i40) @ (a + 4 * i40)
-    assert np.trace(b) == 24 * (2 - 12) * (2 + 4)
+    _require(np.trace(b) == 24 * (2 - 12) * (2 + 4),
+             "eigenvalue 2 must have multiplicity 24")
     return b
 
 
@@ -369,7 +396,7 @@ def chi24(model: SymplecticModel, perm) -> int:
     perm = np.asarray(perm, dtype=np.int64)
     t = int(b[perm, np.arange(40)].sum())
     num = -t  # divide by (2-12)(2+4) = -60
-    assert num % 60 == 0, "projector trace must be integral"
+    _require(num % 60 == 0, "projector trace must be integral")
     return num // 60
 
 

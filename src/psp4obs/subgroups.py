@@ -24,14 +24,17 @@ count for a given ambient group is checked by callers, not here.
 
 Classes are deduplicated by exact element-set, then by an invariant
 prescreen (order and fusion of element classes into the ambient group's),
-and finally by a vectorised subgroup-conjugacy test.  The final ordering
-is by (order, fingerprint, fusion) with construction order as the last
-tie-break, so a fixed seed reproduces identical output.
+and finally by a vectorised subgroup-conjugacy test, all on the
+candidate's element table: only a new class gets a Schreier-Sims chain.
+The final ordering is by (order, fingerprint, fusion) with construction
+order as the last tie-break, so a fixed seed reproduces identical output.
 
 For every class the module also computes its own subgroup-class lattice
 (with the representative as ambient), which yields in one sweep the
 maximal subgroup classes, the full containment order, and the permutation
-character matrix needed for Burnside-cokernel computations.
+character matrix needed for Burnside-cokernel computations.  The
+containment scan runs only where the larger class has at least as many
+elements in every ambient class as the smaller one.
 """
 
 from __future__ import annotations
@@ -45,8 +48,8 @@ import numpy as np
 
 from . import burnside
 from .permgroups import (ElementTable, PermGroup, abelian_invariants,
-                         group_from_elements, is_identity, pconj, pident,
-                         pmul, porder)
+                         closed_set, group_from_elements, is_identity, pconj,
+                         pident, pmul, porder)
 
 DEFAULT_SEED = 1
 
@@ -122,12 +125,10 @@ class _AmbientOps:
     def __init__(self, ambient: PermGroup):
         self.ambient = ambient
         self.et = ambient.element_table()
-        ambient.conjugacy_classes()
-        self.class_index = ambient._cache['class_index']
 
     def fusion_key(self, rows) -> tuple:
-        idx = self.class_index[self.et.index_of(rows)]
-        vals, counts = np.unique(idx, return_counts=True)
+        vals, counts = np.unique(self.ambient.class_indices(rows),
+                                 return_counts=True)
         return tuple(zip(vals.tolist(), counts.tolist()))
 
     def normalizer_rows(self, sub: PermGroup) -> np.ndarray:
@@ -150,25 +151,39 @@ class _ClassCollector:
         self.by_key: dict = {}
         self.queue: list[int] = []
 
-    def add(self, group: PermGroup) -> int:
-        """Register the class of ``group``; returns its raw index."""
-        rows = _canonical_rows(group)
+    def add(self, table: ElementTable, build) -> int:
+        """Register the class of the subgroup with this element table and
+        return its raw index; ``build()`` makes the group of a new class,
+        so a duplicate costs no Schreier-Sims chain."""
+        rows = table.table
         key_bytes = rows.tobytes()
         if key_bytes in self.by_bytes:
             return self.by_bytes[key_bytes]
         fusion = self.amb.fusion_key(rows)
-        key = (group.order, fusion)
+        key = (len(table), fusion)
         for idx in self.by_key.get(key, []):
             if self.amb.ambient.is_conjugate_subgroup(self.raws[idx].group,
-                                                      group):
+                                                      table):
                 self.by_bytes[key_bytes] = idx
                 return idx
+        group = build()
+        if group.order != len(table):
+            raise RuntimeError("built group and element table differ")
+        group._cache['table'] = table
         idx = len(self.raws)
         self.raws.append(_Raw(group, rows, group.order, fusion, idx))
         self.by_bytes[key_bytes] = idx
         self.by_key.setdefault(key, []).append(idx)
         self.queue.append(idx)
         return idx
+
+    def add_group(self, group: PermGroup) -> int:
+        return self.add(group.element_table(), lambda: group)
+
+    def add_closure(self, elements) -> int:
+        """Register the class of an :class:`ElementSet`."""
+        return self.add(ElementTable(elements.rows(), elements.degree),
+                        elements.group)
 
 
 def _quotient_order(z, sub_et: ElementTable) -> int:
@@ -228,7 +243,8 @@ def _prime_extensions(raw: _Raw, nrows: np.ndarray, degree,
             np.asarray(w, dtype=sub_et.table.dtype)[sub_et.table]
             for w in powers]
         k_rows = np.concatenate(blocks, axis=0)
-        collector.add(group_from_elements(k_rows, degree))
+        collector.add(ElementTable(k_rows, degree),
+                      lambda: group_from_elements(k_rows, degree))
 
 
 def _layer_closure(ambient: PermGroup, seeds) -> list[_Raw]:
@@ -240,7 +256,7 @@ def _layer_closure(ambient: PermGroup, seeds) -> list[_Raw]:
     amb = _AmbientOps(ambient)
     collector = _ClassCollector(amb)
     for s in seeds:
-        collector.add(s)
+        collector.add_group(s)
     qi = 0
     while qi < len(collector.queue):
         raw = collector.raws[collector.queue[qi]]
@@ -248,16 +264,15 @@ def _layer_closure(ambient: PermGroup, seeds) -> list[_Raw]:
         if raw.order == 1:
             for rep, _ in ambient.conjugacy_classes():
                 if _is_prime(porder(rep)):
-                    collector.add(PermGroup([rep], ambient.degree))
+                    collector.add_group(PermGroup([rep], ambient.degree))
             continue
         if raw.order == ambient.order:
             continue
         nrows = amb.normalizer_rows(raw.group)
         if len(nrows) < len(amb.et):
-            ngrp = group_from_elements(nrows, ambient.degree)
-            res = ngrp.solvable_residual()
+            res = closed_set(nrows, ambient.degree).solvable_residual()
             if res.order > 1:
-                collector.add(res)
+                collector.add_closure(res)
         _prime_extensions(raw, nrows, ambient.degree, collector)
     return collector.raws
 
@@ -281,7 +296,7 @@ def perfect_subgroup_classes(ambient: PermGroup, seed: int,
     collector = _ClassCollector(amb)
     whole = ambient.solvable_residual()
     if whole.order > 1:
-        collector.add(whole)
+        collector.add_closure(whole)
     reps = [rep for rep, _ in ambient.conjugacy_classes()
             if not is_identity(rep)]
     for i in range(len(reps)):
@@ -294,7 +309,7 @@ def perfect_subgroup_classes(ambient: PermGroup, seed: int,
                     continue
                 res = k.solvable_residual()
                 if res.order > 1:
-                    collector.add(res)
+                    collector.add_closure(res)
     out = [r.group for r in collector.raws]
     out.sort(key=lambda g: (g.order, _canonical_rows(g).tobytes()))
     return out
@@ -441,7 +456,11 @@ def _own_lattice_raws(rep: PermGroup, ambient_degree, seed, class_pos):
 
 def _containers(raws, ambient: PermGroup):
     """For each raw class, the set of raw indices of strictly larger
-    classes that contain it up to conjugacy in the ambient group."""
+    classes that contain it up to conjugacy in the ambient group.
+
+    A conjugate of A inside B has as many elements in each ambient class
+    as A, so the scan runs only where B's class counts dominate A's.
+    """
     order_desc = sorted(range(len(raws)), key=lambda i: -raws[i].order)
     containers = {i: set() for i in range(len(raws))}
     for pos, i in enumerate(order_desc):
@@ -450,7 +469,9 @@ def _containers(raws, ambient: PermGroup):
                   and raws[j].order % raws[i].order == 0]
         bigger.sort(key=lambda j: raws[j].order)
         for j in bigger:
-            if j in containers[i]:
+            counts = dict(raws[j].fusion)
+            if j in containers[i] or any(n > counts.get(c, 0)
+                                         for c, n in raws[i].fusion):
                 continue
             if ambient.conjugate_into(raws[i].group, raws[j].group) is not None:
                 containers[i].add(j)

@@ -35,6 +35,7 @@ from math import lcm
 from pathlib import Path
 
 from . import burnside, cohomology, sp4f3
+from .permgroups import PermGroup
 from .subgroups import Fingerprint, SubgroupLattice
 from .zmodules import GIntModule
 
@@ -87,10 +88,6 @@ class TableRow:
         return self.lcm_obstruction
 
 
-def not_rational_verdict(row: TableRow) -> bool | None:
-    return row.not_rational_verdict
-
-
 # ---------------------------------------------------------------------------
 # computing the table
 
@@ -122,6 +119,26 @@ def _h1_all(config: TableConfig) -> dict:
     return out
 
 
+def chi24_on_ambient_classes(lattice: SubgroupLattice, model) -> list:
+    """chi24 on the ambient classes that ``elem_fusion`` indexes, read
+    off the class representatives of the smallest lattice classes (every
+    ambient class meets a cyclic subgroup), with no ambient element table.
+    """
+    count = 1 + max(max(c.elem_fusion) for c in lattice.classes)
+    values = {}
+    for info in sorted(lattice.classes, key=lambda c: c.order):
+        if len(values) == count or info.order == lattice.ambient.order:
+            break
+        rep = PermGroup(info.generators, lattice.ambient.degree)
+        for (x, _), j in zip(rep.conjugacy_classes(), info.elem_fusion,
+                             strict=True):
+            values.setdefault(j, sp4f3.chi24(model, x))
+    if len(values) < count:
+        raise RuntimeError(f"the proper lattice classes meet only "
+                           f"{len(values)} of {count} ambient classes")
+    return [values[j] for j in range(count)]
+
+
 def compute_table(config: TableConfig) -> list:
     """One :class:`TableRow` per subgroup class, ordered by class id."""
     lattice = config.lattice
@@ -129,11 +146,7 @@ def compute_table(config: TableConfig) -> list:
     if lattice.ambient.generators != model.psp.generators:
         raise ValueError("lattice ambient group is not the canonical "
                          "degree-40 copy of PSp4(3)")
-    # chi24 on the classes that elem_fusion indexes, those of the
-    # lattice's own ambient copy: the element table this builds then goes
-    # with the lattice instead of staying on the process-wide model
-    chi = [sp4f3.chi24(model, rep)
-           for rep, _ in lattice.ambient.conjugacy_classes()]
+    chi = chi24_on_ambient_classes(lattice, model)
     h1 = _h1_all(config) if config.module is not None else None
     rows = []
     for info in sorted(lattice.classes, key=lambda c: c.class_id):

@@ -248,12 +248,30 @@ def _write_matrix(fh, mat):
         fh.write("\n")
 
 
-def _read_matrix(lines, pos, rank):
-    rows = []
-    for i in range(rank):
-        rows.append([int(x) for x in lines[pos + i].split()])
-        if len(rows[-1]) != rank:
-            raise ValueError(f"line {pos + i + 1}: expected {rank} entries")
+def _read_lines(path, kind, keys):
+    """The lines of a ``kind`` file and its integer header fields."""
+    with open(path) as fh:
+        lines = [ln.rstrip("\n") for ln in fh]
+    head = lines[0].split() if lines else [""]
+    try:
+        fields = {k: int(v) for k, v in (kv.split("=") for kv in head[1:])}
+        if head[0] != kind or set(keys) - set(fields):
+            raise ValueError
+    except ValueError:
+        raise ValueError(f"{path}: line 1: expected '{kind} "
+                         + " ".join(f"{k}=<n>" for k in keys) + "'") from None
+    return lines, fields
+
+
+def _read_matrix(path, lines, pos, rank):
+    if pos + rank > len(lines):
+        raise ValueError(f"{path}: line {len(lines) + 1}: the file ends "
+                         f"inside a matrix")
+    rows = [ln.split() for ln in lines[pos:pos + rank]]
+    for i, row in enumerate(rows):
+        if len(row) != rank or not all(x.lstrip("-").isdigit() for x in row):
+            raise ValueError(f"{path}: line {pos + i + 1}: expected {rank} "
+                             f"integers")
     return np.array(rows, dtype=np.int64), pos + rank
 
 
@@ -293,22 +311,18 @@ def load_module(path, group: PermGroup) -> GIntModule:
     modules over the canonical degree-40 copy of PSp4(3) must additionally
     have character pi_40 + pi_45 - chi_24.
     """
-    with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
-    head = lines[0].split()
-    if head[0] != "gmodule":
-        raise ValueError(f"not a gmodule file: {lines[0]!r}")
-    fields = dict(kv.split("=") for kv in head[1:])
-    rank, ngens = int(fields["rank"]), int(fields["gens"])
+    lines, fields = _read_lines(path, "gmodule", ("rank", "gens"))
+    rank, ngens = fields["rank"], fields["gens"]
     if ngens != len(group.generators):
         raise ValueError(f"file has {ngens} matrices but the group has "
                          f"{len(group.generators)} generators")
     mats = []
     pos = 1
     for i in range(ngens):
-        if lines[pos] != f"matrix {i + 1}":
-            raise ValueError(f"line {pos + 1}: expected 'matrix {i + 1}'")
-        m, pos = _read_matrix(lines, pos + 1, rank)
+        if pos >= len(lines) or lines[pos] != f"matrix {i + 1}":
+            raise ValueError(f"{path}: line {pos + 1}: expected "
+                             f"'matrix {i + 1}'")
+        m, pos = _read_matrix(path, lines, pos + 1, rank)
         mats.append(m)
     module = GIntModule(group, tuple(mats), rank)
     module.validate()
@@ -324,13 +338,8 @@ def save_pairing(pairing, path):
 
 
 def load_pairing(path) -> np.ndarray:
-    with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
-    head = lines[0].split()
-    if head[0] != "pairing":
-        raise ValueError(f"not a pairing file: {lines[0]!r}")
-    rank = int(dict(kv.split("=") for kv in head[1:])["rank"])
-    mat, _ = _read_matrix(lines, 1, rank)
+    lines, fields = _read_lines(path, "pairing", ("rank",))
+    mat, _ = _read_matrix(path, lines, 1, fields["rank"])
     if not np.array_equal(mat, mat.T):
         raise ValueError("pairing is not symmetric")
     return mat

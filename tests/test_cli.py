@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import pathlib
 
 import pytest
 
@@ -114,6 +115,23 @@ class TestModuleVerify:
                                "--module", str(path))
         assert code == 1
         assert "error:" in err
+
+    @pytest.mark.parametrize("keep", [0, 62])
+    def test_cut_module_file_is_one_error_line(self, lattice_path, tmp_path,
+                                               capsys, keep):
+        # an empty file, and `head -n 62 m61.gmodule`: the file ends
+        # inside the first matrix
+        shipped = pathlib.Path(cli.__file__).parent / "data" / "m61.gmodule"
+        path = tmp_path / "cut.gmodule"
+        path.write_text("".join(shipped.read_text().splitlines(True)[:keep]))
+        code, _, err = run_cli(capsys, "table", "compute", "--lattice",
+                               str(lattice_path), "--module", str(path),
+                               "--out", str(tmp_path / "t.csv"))
+        assert code == 1 and "Traceback" not in err
+        assert [ln for ln in err.splitlines() if "error" in ln] == [
+            f"error: {path}: line {keep + 1}: "
+            + ("expected 'gmodule rank=<n> gens=<n>'" if keep == 0
+               else "the file ends inside a matrix")]
 
 
 class TestParser:

@@ -214,18 +214,7 @@ class TestMinimalMultiplier:
             assert il.solve_in_lattice(b, k * t) is None
 
 
-class TestIntMatrix:
-    def test_roundtrip(self):
-        m = il.IntMatrix.from_array([[1, 2], [3, 4]])
-        assert m.rows == 2 and m.cols == 2
-        assert m.to_array().tolist() == [[1, 2], [3, 4]]
-
+class TestAsIntArray:
     def test_rejects_floats(self):
         with pytest.raises(ValueError):
-            il.IntMatrix(1, 2, (1.5, 2))
-        with pytest.raises(ValueError):
             il.as_int_array(np.array([[1.0, 2.0]]))
-
-    def test_matmul(self):
-        a = il.IntMatrix.from_array([[0, 1], [1, 0]])
-        assert (a @ a).to_array().tolist() == [[1, 0], [0, 1]]

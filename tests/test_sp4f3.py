@@ -6,6 +6,9 @@ ranks) rather than against hard-coded value lists, so every number is
 derived from an independent principle.
 """
 
+import ast
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -24,6 +27,26 @@ class TestConstruction:
         assert sp4f3.PSP4_ORDER == 25920
         assert model.psp.order == sp4f3.PSP4_ORDER
         assert model.sp80.order == sp4f3.SP4_ORDER
+
+    def test_model_keeps_only_the_psp_chain(self):
+        model = sp4f3.build_sp4()
+        lazy = {"sp80", "line_action", "pair_action"}
+        assert lazy.isdisjoint(vars(model))
+        # the transports use the generators alone
+        assert model.to_pair_action(model.psp.generators[0]) == \
+            model.pair_gens[0]
+        assert lazy.isdisjoint(vars(model))
+        assert model.pair_action.order == sp4f3.PSP4_ORDER
+        assert model.sp80.order == sp4f3.SP4_ORDER
+        assert {"sp80", "pair_action"} <= set(vars(model))
+
+    def test_library_has_no_asserts(self):
+        # python -O strips asserts, so invariants must raise instead
+        src = pathlib.Path(sp4f3.__file__).parent
+        for path in sorted(src.glob("*.py")):
+            tree = ast.parse(path.read_text())
+            assert not any(isinstance(node, ast.Assert)
+                           for node in ast.walk(tree)), path.name
 
     def test_generator_matrices_symplectic(self, model):
         j = np.asarray(sp4f3.J_FORM)

@@ -54,8 +54,8 @@ class TestTableRow:
             is False
         assert mk_row(1, 2, (), lcm=3, h1m=(3,),
                       h1md=()).not_rational_verdict is True
-        assert table.not_rational_verdict(
-            mk_row(1, 2, (), b=2, lcm=1, h1m=(), h1md=())) is True
+        assert mk_row(1, 2, (), b=2, lcm=1, h1m=(), h1md=()) \
+            .not_rational_verdict is True
 
     def test_cover_bound(self):
         assert mk_row(1, 2, ()).min_cover_degree_bound is None

@@ -1,5 +1,7 @@
 """Tests for integral representation modules."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -186,6 +188,36 @@ class TestPersistence:
         p.write_text("not-a-module rank=2 gens=1\n")
         with pytest.raises(ValueError):
             load_module(p, C2)
+
+    @pytest.mark.parametrize("keep", [0, 1, 3, 4])
+    def test_load_names_the_line_where_a_cut_file_ends(self, std_s3,
+                                                       tmp_path, keep):
+        # empty, header only, inside matrix 1, between the two matrices
+        p = tmp_path / "m.gmodule"
+        save_module(std_s3, p)
+        p.write_text("".join(p.read_text().splitlines(True)[:keep]))
+        with pytest.raises(ValueError,
+                           match=re.escape(f"{p}: line {keep + 1}:")):
+            load_module(p, S3)
+
+    @pytest.mark.parametrize("keep", [0, 2])
+    def test_pairing_names_the_line_where_a_cut_file_ends(self, tmp_path,
+                                                          keep):
+        p = tmp_path / "p.pairing"
+        save_pairing(np.array([[2, 1], [1, 2]]), p)
+        p.write_text("".join(p.read_text().splitlines(True)[:keep]))
+        with pytest.raises(ValueError,
+                           match=re.escape(f"{p}: line {keep + 1}:")):
+            load_pairing(p)
+
+    def test_load_names_a_line_that_is_not_integers(self, std_s3, tmp_path):
+        p = tmp_path / "m.gmodule"
+        save_module(std_s3, p)
+        lines = p.read_text().splitlines(True)
+        lines[3] = "0 x\n"
+        p.write_text("".join(lines))
+        with pytest.raises(ValueError, match=re.escape(f"{p}: line 4:")):
+            load_module(p, S3)
 
     def test_pairing_roundtrip(self, tmp_path):
         p = tmp_path / "p.pairing"
