@@ -43,7 +43,8 @@ def log(msg):
 
 def ambient_module(model):
     """Z[points] + Z[pairs] as one rank-85 module over the point group."""
-    pair_perms = [model.to_pair_action(g) for g in model.psp.generators]
+    pair_perms = [sp4f3.pair_perm_from_point_perm(g)
+                  for g in model.psp.generators]
     return direct_sum(perm_module(model.psp, model.psp.generators),
                       perm_module(model.psp, pair_perms))
 
@@ -64,7 +65,7 @@ def combined_perms(model):
     """Degree-85 permutations of the generators (points then pairs)."""
     out = []
     for g in model.psp.generators:
-        q = model.to_pair_action(g)
+        q = sp4f3.pair_perm_from_point_perm(g)
         out.append(tuple(list(g) + [40 + x for x in q]))
     return out
 

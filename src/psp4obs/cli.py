@@ -71,7 +71,8 @@ def cmd_group_info(args) -> int:
               f"{'transitive' if orb == 1 else f'{orb} orbits'}")
     print(f"chi24: degree {chi[0]}, <chi24, chi24> = {norm}")
     pi_pt = sp4f3.perm_classfunction(model, lambda p: p)
-    pi_ln = sp4f3.perm_classfunction(model, model.to_line_action)
+    pi_ln = sp4f3.perm_classfunction(model,
+                                     sp4f3.line_perm_from_point_perm)
     same = pi_pt.values == pi_ln.values
     print(f"point and line actions "
           f"{'equivalent' if same else 'inequivalent'} "

@@ -113,17 +113,6 @@ def word_free_reduce(word):
     return tuple(out)
 
 
-def word_evaluate(word, gens, inverses=None):
-    """Evaluate a word (pairs ``(index, +-1)``) in the given permutations."""
-    n = len(gens[0]) if gens else 0
-    out = pident(n)
-    for i, e in word:
-        g = gens[i] if e > 0 else (
-            inverses[i] if inverses is not None else pinv(gens[i]))
-        out = pmul(out, g)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # element tables
 

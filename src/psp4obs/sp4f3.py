@@ -31,19 +31,25 @@ eigenvalues 12, 2, -4 of multiplicities 1, 24, 15.  Projecting a
 permutation matrix onto the 24-dimensional eigenspace gives exact values
 of the irreducible degree-24 character; the projector has entries in
 (1/60) Z, and all traces come out integral, which is checked.
+
+Everything else is read straight off a point permutation, with no words in
+the generators: its images of lines and perp pairs are the images of their
+point sets; its symplectic lift, unique up to sign, has rows on the images
+of the basis points, scaled to sum to the image of (1, 1, 1, 1); and a
+subgroup acts absolutely irreducibly on F3^4 exactly when the lifts of its
+generators span the full matrix algebra M_4(F3) (Burnside's theorem).
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from math import prod
+from functools import cache, cached_property
 
 import numpy as np
 
-from .permgroups import PermGroup, pident, word_evaluate
+from .permgroups import PermGroup
 
 SP4_ORDER = 51840
 PSP4_ORDER = 25920
@@ -123,6 +129,8 @@ def normalize_point(v):
 POINTS = sorted({normalize_point(v) for v in NONZERO_VECS})
 POINT_INDEX = {v: i for i, v in enumerate(POINTS)}
 _require(len(POINTS) == 40, "F3^4 must have 40 projective points")
+# the basis points and (1, 1, 1, 1), whose images fix a matrix up to a scalar
+_FRAME = [POINT_INDEX[v] for v in (*MAT_ID, (1, 1, 1, 1))]
 
 
 def _span_points(v, w):
@@ -225,6 +233,8 @@ class SymplecticModel:
 
     Only ``psp`` keeps a Schreier-Sims chain; the other actions keep the
     images of the same generators and build their chains on first use.
+    The image of a point permutation on the lines or the pairs is
+    :func:`line_perm_from_point_perm` or :func:`pair_perm_from_point_perm`.
     """
 
     gen_matrices: list
@@ -232,7 +242,6 @@ class SymplecticModel:
     vector_gens: list         # the generators on the 80 nonzero vectors
     line_gens: list           # ... on the isotropic lines
     pair_gens: list           # ... on the perp pairs
-    _lift_cache: dict = field(default_factory=dict, repr=False)
 
     @cached_property
     def sp80(self) -> PermGroup:
@@ -246,53 +255,34 @@ class SymplecticModel:
     def pair_action(self) -> PermGroup:
         return PermGroup(self.pair_gens, 45)
 
-    def lift_to_sp(self, perm):
+    @staticmethod
+    def lift_to_sp(perm):
         """A symplectic matrix mapping to the given point permutation.
 
-        The lift is unique up to sign; the representative whose first
-        nonzero entry (row-major) equals 1 is returned, so the map is
-        deterministic.
+        Row i of the matrix is the image of the basis vector e_i, so it
+        lies on the image of the point of e_i.  The basis points and
+        (1, 1, 1, 1) form a projective frame: exactly one choice of row
+        scalars, up to a common sign, makes the rows sum to a vector on the
+        image of (1, 1, 1, 1).  The lift is unique up to sign; the
+        representative whose first nonzero entry (row-major) equals 1 is
+        returned, so the map is deterministic.  A permutation that no
+        symplectic matrix induces (an element of PGSp4(3) outside
+        PSp4(3), a permutation that moves the frame to dependent points,
+        one that is not projective at all) raises ``ValueError``.
         """
         perm = tuple(perm)
-        if perm in self._lift_cache:
-            return self._lift_cache[perm]
-        word = self.psp.express(perm)
-        if word is None:
-            raise ValueError("permutation is not in PSp4(3)")
-        m = MAT_ID
-        for i, e in word:
-            g = self.gen_matrices[i]
-            if e < 0:
-                g = _mat_inv3(g)
-            m = mat_mul3(m, g)
-        m = _canonical_sign(m)
-        _require(point_perm(m) == perm, "lift does not map to the permutation")
-        self._lift_cache[perm] = m
-        return m
-
-    def to_line_action(self, perm):
-        """Transport a point permutation to the isotropic-line action."""
-        word = self.psp.express(tuple(perm))
-        return word_evaluate(word, self.line_gens)
-
-    def to_pair_action(self, perm):
-        word = self.psp.express(tuple(perm))
-        return word_evaluate(word, self.pair_gens)
-
-
-def _mat_inv3(m):
-    # power trick: the matrix group has exponent dividing |Sp4(3)|
-    out = MAT_ID
-    cur = m
-    # order of any element divides 51840; use repeated squaring on order-1
-    k = SP4_ORDER - 1
-    while k:
-        if k & 1:
-            out = mat_mul3(out, cur)
-        cur = mat_mul3(cur, cur)
-        k >>= 1
-    _require(mat_mul3(out, m) == MAT_ID, "matrix inverse failed")
-    return out
+        *images, target = (POINTS[perm[i]] for i in _FRAME)
+        m = None
+        for scales in itertools.product((1, 2), repeat=4):
+            rows = tuple(tuple(c * x % 3 for x in v)
+                         for c, v in zip(scales, images))
+            total = tuple(sum(col) % 3 for col in zip(*rows))
+            if any(total) and normalize_point(total) == target:
+                m = rows
+                break
+        if m is None or not is_symplectic(m) or point_perm(m) != perm:
+            raise ValueError("permutation is not induced by Sp4(3)")
+        return _canonical_sign(m)
 
 
 def _canonical_sign(m):
@@ -330,15 +320,10 @@ def build_sp4() -> SymplecticModel:
     return SymplecticModel(gens, psp, list(group.generators), line, pair)
 
 
-_MODEL = None
-
-
+@cache
 def standard_model() -> SymplecticModel:
     """The process-wide shared model (build_sp4 is deterministic)."""
-    global _MODEL
-    if _MODEL is None:
-        _MODEL = build_sp4()
-    return _MODEL
+    return build_sp4()
 
 
 # ---------------------------------------------------------------------------
@@ -359,6 +344,7 @@ def srg_adjacency() -> np.ndarray:
     return a
 
 
+@cache
 def _projector_numerator():
     """60 * (projector onto the eigenvalue-2 eigenspace), an integer matrix.
 
@@ -392,22 +378,12 @@ class ClassFunction:
 
 def chi24(model: SymplecticModel, perm) -> int:
     """Value of the degree-24 irreducible character at a point permutation."""
-    b = _chi24_numerator_cached()
+    b = _projector_numerator()
     perm = np.asarray(perm, dtype=np.int64)
     t = int(b[perm, np.arange(40)].sum())
     num = -t  # divide by (2-12)(2+4) = -60
     _require(num % 60 == 0, "projector trace must be integral")
     return num // 60
-
-
-_CHI24_NUM = None
-
-
-def _chi24_numerator_cached():
-    global _CHI24_NUM
-    if _CHI24_NUM is None:
-        _CHI24_NUM = _projector_numerator()
-    return _CHI24_NUM
 
 
 def chi24_classfunction(model: SymplecticModel) -> ClassFunction:
@@ -432,7 +408,7 @@ def picard_character_at(model: SymplecticModel, perm) -> int:
     of the two natural permutation modules; any candidate for that module
     must match it classwise.
     """
-    return (fixed_points(perm) + fixed_points(model.to_pair_action(perm))
+    return (fixed_points(perm) + fixed_points(pair_perm_from_point_perm(perm))
             - chi24(model, perm))
 
 
@@ -445,86 +421,41 @@ def picard_character(model: SymplecticModel) -> ClassFunction:
 # absolute irreducibility of subgroups of PSp4(3) on F3^4
 
 
-def _invariant_line_exists(mats):
-    for v in POINTS:
-        if all(normalize_point(vec_mul3(v, m)) == v for m in mats):
-            return True
-    return False
+def _algebra_dimension(mats) -> int:
+    """F3-dimension of the matrix algebra generated by ``mats``.
 
-
-def _invariant_plane_exists(mats):
-    for plane in PLANES:
-        base = [POINTS[plane[0]], POINTS[plane[1]]]
-        ok = True
-        for m in mats:
-            for v in base:
-                if POINT_INDEX[normalize_point(vec_mul3(v, m))] not in plane:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            return True
-    return False
-
-
-def _endomorphism_dimension(mats) -> int:
-    """F3-dimension of the commutant {X : X M = M X for all M}."""
-    rows = []
-    for m in mats:
-        marr = np.array(m, dtype=np.int64)
-        for i in range(4):
-            for j in range(4):
-                # (X M - M X)[i, j] as a linear form in X entries
-                row = np.zeros((4, 4), dtype=np.int64)
-                row[i, :] += marr[:, j]
-                row[:, j] -= marr[i, :]
-                rows.append(row.reshape(16) % 3)
-    a = np.array(rows, dtype=np.int64) % 3
-    return 16 - _rank_mod3(a)
-
-
-def _rank_mod3(a) -> int:
-    a = a.copy() % 3
-    m, n = a.shape
-    r = 0
-    for c in range(n):
-        piv = None
-        for i in range(r, m):
-            if a[i, c] % 3:
-                piv = i
-                break
+    Spinning: every new basis matrix is multiplied by each generator, and
+    a product is kept when it is independent of the basis so far.  The
+    basis is an echelon form of the flattened matrices, each row with a
+    leading 1 at its pivot.
+    """
+    echelon = {}  # pivot -> row
+    todo = [MAT_ID]
+    while todo:
+        a = todo.pop()
+        v = [x for row in a for x in row]
+        for piv in sorted(echelon):
+            if v[piv]:
+                c = v[piv]
+                v = [(x - c * y) % 3 for x, y in zip(v, echelon[piv])]
+        piv = next((i for i, x in enumerate(v) if x), None)
         if piv is None:
             continue
-        a[[r, piv]] = a[[piv, r]]
-        inv = 1 if a[r, c] % 3 == 1 else 2
-        a[r] = (a[r] * inv) % 3
-        for i in range(m):
-            if i != r and a[i, c] % 3:
-                a[i] = (a[i] - a[i, c] * a[r]) % 3
-        r += 1
-        if r == m:
-            break
-    return r
+        echelon[piv] = [x * v[piv] % 3 for x in v]  # 1 and 2 are self-inverse
+        todo.extend(mat_mul3(a, m) for m in mats)
+    return len(echelon)
 
 
 def is_absolutely_irreducible(model: SymplecticModel, generators) -> bool:
     """Does the subgroup of PSp4(3) with these generators act absolutely
     irreducibly on F3^4?
 
-    The preimage in Sp4(3) is used (invariant subspaces and the commutant
-    do not depend on the sign of the lift).  Absolute irreducibility over
-    an extension of F3 is equivalent to irreducibility over F3 together
-    with a one-dimensional commutant.
+    The preimage in Sp4(3) is used; it spans the same F3-algebra as the
+    lifts of the generators, because -1 is a scalar.  By Burnside's theorem
+    on matrix algebras, the criterion behind the MeatAxe (Holt, Eick and
+    O'Brien, *Handbook of Computational Group Theory*, 2005), a group of
+    matrices over a field acts absolutely irreducibly on K^4 if and only
+    if its matrices span all of M_4(K), of dimension 16.
     """
-    mats = [model.lift_to_sp(g) for g in generators
-            if not all(i == x for i, x in enumerate(g))]
-    if not mats:
-        return False
-    if _invariant_line_exists(mats) or _invariant_plane_exists(mats):
-        return False
-    # invariant 3-spaces correspond to invariant lines of the dual action
-    duals = [mat_transpose(_mat_inv3(m)) for m in mats]
-    if _invariant_line_exists(duals):
-        return False
-    return _endomorphism_dimension(mats) == 1
+    return _algebra_dimension(
+        [model.lift_to_sp(g) for g in generators]) == 16

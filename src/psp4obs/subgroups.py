@@ -440,6 +440,11 @@ class SubgroupLattice:
         except KeyError as exc:
             raise ValueError(f"{path}: {where}: missing key "
                              f"{exc.args[0]!r}") from None
+        for pos, c in enumerate(classes, 1):
+            if c.class_id != pos:
+                raise ValueError(f"{path}: class ids must run 1.."
+                                 f"{len(classes)} in order, but position "
+                                 f"{pos} holds id {c.class_id!r}")
         return cls(ambient, seed, classes)
 
 

@@ -500,18 +500,24 @@ def load_table_json(path) -> list:
     if doc.get("format") != TABLE_FORMAT_TAG:
         raise ValueError(f"unrecognised table format: {doc.get('format')!r}")
     rows = []
-    for d in doc["rows"]:
-        rows.append(TableRow(
-            class_id=d["class_id"],
-            order=d["order"],
-            fingerprint=Fingerprint.from_json(d["fingerprint"]),
-            burnside_order=d["burnside"],
-            lcm_obstruction=d["lcm"],
-            h1_m=None if d["h1_m"] is None else tuple(d["h1_m"]),
-            h1_mdual=None if d["h1_md"] is None else tuple(d["h1_md"]),
-            absolutely_irreducible=d["irred"],
-            maximal=tuple(d["maximal"]),
-        ))
+    where = "top level"
+    try:
+        for d in doc["rows"]:
+            where = f"row {d.get('class_id', len(rows) + 1)}"
+            rows.append(TableRow(
+                class_id=d["class_id"],
+                order=d["order"],
+                fingerprint=Fingerprint.from_json(d["fingerprint"]),
+                burnside_order=d["burnside"],
+                lcm_obstruction=d["lcm"],
+                h1_m=None if d["h1_m"] is None else tuple(d["h1_m"]),
+                h1_mdual=None if d["h1_md"] is None else tuple(d["h1_md"]),
+                absolutely_irreducible=d["irred"],
+                maximal=tuple(d["maximal"]),
+            ))
+    except KeyError as exc:
+        raise ValueError(f"{path}: {where}: missing key "
+                         f"{exc.args[0]!r}") from None
     return rows
 
 

@@ -11,14 +11,26 @@ production paths, kept as oracles for the faster ones:
   term, where :class:`psp4obs.permgroups.PermGroup` compares the sizes of
   element sets;
 * ``scan_containers`` runs every conjugacy scan that
-  ``subgroups._containers`` skips by its class-count prescreen.
+  ``subgroups._containers`` skips by its class-count prescreen;
+* ``word_evaluate`` multiplies out a word in the generators, which
+  :meth:`psp4obs.permgroups.PermGroup.express` and presentations return;
+* ``subspace_irreducible`` searches invariant lines, planes and
+  hyperplanes and measures the commutant, where
+  :func:`psp4obs.sp4f3.is_absolutely_irreducible` measures the span of the
+  matrices (Burnside's theorem);
+* ``brute_subgroups``, ``brute_perm_characters`` and ``snf_order`` find a
+  Burnside-cokernel order from every subgroup of a small group and
+  sympy's Smith normal form, where :mod:`psp4obs.burnside` uses the
+  lattice's data and :mod:`psp4obs.intlinalg`.
 """
 
 from collections import deque
+from math import prod
 
 import numpy as np
 
 from psp4obs import permgroups as pg
+from psp4obs import sp4f3
 from psp4obs.permgroups import ElementTable, PermGroup
 
 
@@ -160,3 +172,158 @@ def scan_containers(raws, ambient: PermGroup) -> dict:
                 containers[i].add(j)
                 containers[i] |= containers[j]
     return containers
+
+
+def word_evaluate(word, gens):
+    """Evaluate a word (pairs ``(index, +-1)``) in the given permutations."""
+    out = pg.pident(len(gens[0]) if gens else 0)
+    for i, e in word:
+        out = pg.pmul(out, gens[i] if e > 0 else pg.pinv(gens[i]))
+    return out
+
+
+# -- absolute irreducibility on F3^4, the long way round ------------------
+
+
+def invariant_line_exists(mats):
+    for v in sp4f3.POINTS:
+        if all(sp4f3.normalize_point(sp4f3.vec_mul3(v, m)) == v
+               for m in mats):
+            return True
+    return False
+
+
+def invariant_plane_exists(mats):
+    for plane in sp4f3.PLANES:
+        base = [sp4f3.POINTS[plane[0]], sp4f3.POINTS[plane[1]]]
+        if all(sp4f3.POINT_INDEX[sp4f3.normalize_point(
+                   sp4f3.vec_mul3(v, m))] in plane
+               for m in mats for v in base):
+            return True
+    return False
+
+
+def rank_mod3(a) -> int:
+    a = np.array(a, dtype=np.int64) % 3
+    m, n = a.shape
+    r = 0
+    for c in range(n):
+        piv = next((i for i in range(r, m) if a[i, c]), None)
+        if piv is None:
+            continue
+        a[[r, piv]] = a[[piv, r]]
+        a[r] = (a[r] * a[r, c]) % 3  # 1 and 2 are their own inverses
+        for i in range(m):
+            if i != r and a[i, c]:
+                a[i] = (a[i] - a[i, c] * a[r]) % 3
+        r += 1
+        if r == m:
+            break
+    return r
+
+
+def endomorphism_dimension(mats) -> int:
+    """F3-dimension of the commutant {X : X M = M X for all M}."""
+    rows = []
+    for m in mats:
+        marr = np.array(m, dtype=np.int64)
+        for i in range(4):
+            for j in range(4):
+                # (X M - M X)[i, j] as a linear form in the entries of X
+                row = np.zeros((4, 4), dtype=np.int64)
+                row[i, :] += marr[:, j]
+                row[:, j] -= marr[i, :]
+                rows.append(row.reshape(16))
+    return 16 - rank_mod3(rows)
+
+
+def subspace_irreducible(mats) -> bool:
+    """Irreducible over F3 (no invariant line, plane or hyperplane) with a
+    one-dimensional commutant, which together mean absolutely irreducible.
+    """
+    if invariant_line_exists(mats) or invariant_plane_exists(mats):
+        return False
+    # the hyperplane {x : x c = 0} is invariant under M exactly when the
+    # line of c^T is invariant under M^T
+    if invariant_line_exists([sp4f3.mat_transpose(m) for m in mats]):
+        return False
+    return endomorphism_dimension(mats) == 1
+
+
+def closure(gens, mul, identity):
+    """Every product of ``gens``, breadth first."""
+    out = {identity}
+    frontier = [identity]
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for g in gens:
+                b = mul(a, g)
+                if b not in out:
+                    out.add(b)
+                    nxt.append(b)
+        frontier = nxt
+    return out
+
+
+# -- Burnside-cokernel orders by brute force --------------------------------
+
+
+def brute_subgroups(elements):
+    """Every subgroup of the finite permutation group ``elements``.
+
+    Each subgroup is reached by adding one element at a time to the
+    trivial group, so none is missed.
+    """
+    identity = pg.pident(len(next(iter(elements))))
+    found = {frozenset([identity])}
+    frontier = list(found)
+    while frontier:
+        nxt = []
+        for sub in frontier:
+            for x in elements:
+                if x in sub:
+                    continue
+                big = frozenset(closure(list(sub) + [x], pg.pmul, identity))
+                if big not in found:
+                    found.add(big)
+                    nxt.append(big)
+        frontier = nxt
+    return found
+
+
+def brute_perm_characters(elements, subgroup_reps, class_reps):
+    """Row K, column c: |{x : x c x^-1 in K}| / |K|, the fixed cosets."""
+    rows = []
+    for sub in subgroup_reps:
+        row = []
+        for c in class_reps:
+            hits = sum(1 for x in elements
+                       if pg.pconj(c, pg.pinv(x)) in sub)
+            if hits % len(sub):
+                raise RuntimeError("fixed-coset count is not an integer")
+            row.append(hits // len(sub))
+        rows.append(row)
+    return rows
+
+
+def snf_order(rows, chi) -> int:
+    """Order of ``chi`` modulo the integer span of ``rows``.
+
+    With L the row lattice and L' = L + Z chi of the same rank, the order
+    is [L' : L], the ratio of the products of their Smith invariants.
+    """
+    from sympy import Matrix, ZZ
+    from sympy.matrices.normalforms import smith_normal_form
+
+    def invariants(m):
+        d = smith_normal_form(Matrix(m), domain=ZZ)
+        return [abs(d[i, i]) for i in range(min(d.shape)) if d[i, i]]
+
+    lat, ext = invariants(rows), invariants(list(rows) + [list(chi)])
+    if len(lat) != len(ext):
+        raise ValueError("chi is outside the rational span of the rows")
+    num, den = prod(lat), prod(ext)
+    if num % den:
+        raise RuntimeError("index of lattices is not an integer")
+    return num // den

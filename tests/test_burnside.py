@@ -9,8 +9,9 @@ order 8 are a genuine difference of permutation characters (order 1).
 import numpy as np
 import pytest
 
-from psp4obs import burnside, subgroups
-from psp4obs.permgroups import PermGroup, porder
+import oracles
+from psp4obs import burnside, sp4f3, subgroups, table
+from psp4obs.permgroups import PermGroup, pconj, pident, pmul, porder
 
 D4 = PermGroup([(1, 2, 3, 0), (3, 2, 1, 0)], 4)
 Q8 = PermGroup([(1, 2, 3, 0, 5, 6, 7, 4), (4, 7, 6, 5, 2, 1, 0, 3)], 8)
@@ -127,3 +128,39 @@ class TestBurnsideOrder:
         pc = np.array([[1, 0]])
         with pytest.raises(ValueError):
             burnside.burnside_order(pc, (0, 1), bound=10)
+
+
+class TestClass60:
+    """The reference table gives class 60 (C3 x Q8) Burnside order 1; the
+    computed 2 is recomputed here from every subgroup by brute force."""
+
+    def test_brute_force_order_is_two(self, model, lattice):
+        info = lattice.classes[59]
+        assert info.class_id == 60 and info.order == 24
+        elements = oracles.closure([tuple(g) for g in info.generators],
+                                   pmul, pident(40))
+        assert len(elements) == 24
+        # one involution: C3 x Q8, the reference label <24 11>, not C3 x D4
+        assert sum(1 for x in elements if porder(x) == 2) == 1
+        subs = oracles.brute_subgroups(elements)
+        assert len(subs) == 12
+        classes, sub_classes = [], []
+        for x in sorted(elements):
+            if not any(x in c for c in classes):
+                classes.append({pconj(x, g) for g in elements})
+        for sub in sorted(subs, key=len):
+            if not any(sub in c for c in sub_classes):
+                sub_classes.append({frozenset(pconj(x, g) for x in sub)
+                                    for g in elements})
+        reps = [min(c) for c in classes]
+        marks = oracles.brute_perm_characters(
+            elements, [min(c, key=sorted) for c in sub_classes], reps)
+        chi = [sp4f3.chi24(model, x) for x in reps]
+        order = oracles.snf_order(marks, chi)
+        assert order == 2
+        ambient = table.chi24_on_ambient_classes(lattice, model)
+        computed = burnside.burnside_order(
+            info.perm_chars, burnside.restrict_classfn(ambient,
+                                                       info.elem_fusion),
+            bound=info.order)
+        assert computed == order

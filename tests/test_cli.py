@@ -94,6 +94,20 @@ class TestTableCheck:
         assert code == 1
         assert "either --table or --lattice" in err
 
+    def test_row_without_irred_is_one_error_line(self, lattice_path,
+                                                 tmp_path, capsys):
+        path = tmp_path / "table.json"
+        run_cli(capsys, "table", "compute", "--lattice", str(lattice_path),
+                "--format", "json", "--out", str(path))
+        doc = json.loads(path.read_text())
+        del doc["rows"][6]["irred"]
+        path.write_text(json.dumps(doc))
+        code, _, err = run_cli(capsys, "table", "check", "--table", str(path))
+        assert code == 1
+        assert [ln for ln in err.splitlines() if ln.startswith("error:")] \
+            == [f"error: {path}: row 7: missing key 'irred'"]
+        assert "Traceback" not in err
+
 
 class TestModuleVerify:
     def test_verifies_saved_perm_module(self, model, tmp_path, capsys):

@@ -12,6 +12,7 @@ import pathlib
 import numpy as np
 import pytest
 
+import oracles
 from psp4obs import intlinalg, sp4f3
 from psp4obs.permgroups import PermGroup, orbits, pmul, porder
 
@@ -33,7 +34,7 @@ class TestConstruction:
         lazy = {"sp80", "line_action", "pair_action"}
         assert lazy.isdisjoint(vars(model))
         # the transports use the generators alone
-        assert model.to_pair_action(model.psp.generators[0]) == \
+        assert sp4f3.pair_perm_from_point_perm(model.psp.generators[0]) == \
             model.pair_gens[0]
         assert lazy.isdisjoint(vars(model))
         assert model.pair_action.order == sp4f3.PSP4_ORDER
@@ -92,10 +93,36 @@ class TestConstruction:
         assert lifted in (model.lift_to_sp(ab),
                           sp4f3.mat_neg(model.lift_to_sp(ab)))
 
+    def test_lift_rejects_the_similitude(self, model):
+        # diag(1, 1, 2, 2) doubles the form: it lies in PGSp4(3), not PSp4(3)
+        sim = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 2, 0), (0, 0, 0, 2))
+        perm = sp4f3.point_perm(sim)
+        assert sorted(perm) == list(range(40)) and perm not in model.psp
+        with pytest.raises(ValueError):
+            model.lift_to_sp(perm)
+
+    def test_lift_rejects_a_transposition(self, model):
+        for i, j in ((0, 1), (38, 39)):
+            perm = list(range(40))
+            perm[i], perm[j] = j, i
+            with pytest.raises(ValueError):
+                model.lift_to_sp(perm)
+
+    def test_lift_rejects_dependent_basis_images(self, model):
+        # e3 -> e1 + e2: no scaling of the images sums onto (1, 1, 1, 1);
+        # e4 -> e1 + e2 + e3: a scaling of the images sums to zero
+        for basis, image in (((0, 0, 1, 0), (1, 1, 0, 0)),
+                             ((0, 0, 0, 1), (1, 1, 1, 0))):
+            perm = list(range(40))
+            i, j = sp4f3.POINT_INDEX[basis], sp4f3.POINT_INDEX[image]
+            perm[i], perm[j] = j, i
+            with pytest.raises(ValueError):
+                model.lift_to_sp(perm)
+
     def test_line_point_actions_not_isomorphic(self, model, classes):
         # same degree, different permutation character
         point_fix = [sp4f3.fixed_points(rep) for rep, _ in classes]
-        line_fix = [sp4f3.fixed_points(model.to_line_action(rep))
+        line_fix = [sp4f3.fixed_points(sp4f3.line_perm_from_point_perm(rep))
                     for rep, _ in classes]
         assert point_fix != line_fix
 
@@ -148,7 +175,7 @@ class TestChi24:
         pi40 = sp4f3.ClassFunction(tuple(
             sp4f3.fixed_points(rep) for rep, _ in classes))
         pi45 = sp4f3.ClassFunction(tuple(
-            sp4f3.fixed_points(model.to_pair_action(rep))
+            sp4f3.fixed_points(sp4f3.pair_perm_from_point_perm(rep))
             for rep, _ in classes))
         # rank-3 graph: <pi40, pi40> = 3, and chi24 appears once
         assert pi40.inner(pi40, sizes, sp4f3.PSP4_ORDER) == 3
@@ -200,19 +227,37 @@ class TestAbsoluteIrreducibility:
         for sub in subs:
             if sub.order > 400:
                 continue
-            mats = {sp4f3.MAT_ID}
             gens = [sp4f3.mat_neg(sp4f3.MAT_ID)] + [
                 model.lift_to_sp(g) for g in sub.generators]
-            frontier = [sp4f3.MAT_ID]
-            while frontier:
-                nxt = []
-                for a in frontier:
-                    for g in gens:
-                        b = sp4f3.mat_mul3(a, g)
-                        if b not in mats:
-                            mats.add(b)
-                            nxt.append(b)
-                frontier = nxt
+            mats = oracles.closure(gens, sp4f3.mat_mul3, sp4f3.MAT_ID)
             flat = np.array([np.array(m).reshape(16) for m in mats]) % 3
-            spans = sp4f3._rank_mod3(flat) == 16
+            spans = oracles.rank_mod3(flat) == 16
             assert sp4f3.is_absolutely_irreducible(model, sub.generators) == spans
+
+    def test_agrees_with_the_subspace_oracle(self, model, lattice):
+        # no invariant line, plane or hyperplane and a one-dimensional
+        # commutant, on every class of the lattice
+        flags = []
+        for info in lattice.classes:
+            mats = [model.lift_to_sp(g) for g in info.generators]
+            irred = sp4f3.is_absolutely_irreducible(model, info.generators)
+            assert oracles.subspace_irreducible(mats) == irred, info.class_id
+            flags.append(irred)
+        assert len(flags) == 116 and 0 < sum(flags) < 116
+
+    @pytest.mark.parametrize("class_id, dim",
+                             [(43, 8), (46, 16), (77, 16), (81, 6)])
+    def test_span_of_disputed_classes(self, model, lattice, class_id, dim):
+        # the reference table crosses the irred flags of 43/46 and 77/81;
+        # the span of the whole preimage settles them
+        info = lattice.classes[class_id - 1]
+        assert info.class_id == class_id
+        lifts = [model.lift_to_sp(g) for g in info.generators]
+        preimage = oracles.closure([sp4f3.mat_neg(sp4f3.MAT_ID)] + lifts,
+                                   sp4f3.mat_mul3, sp4f3.MAT_ID)
+        assert len(preimage) == 2 * info.order
+        flat = np.array([np.array(m).reshape(16) for m in preimage])
+        assert oracles.rank_mod3(flat) == dim
+        assert sp4f3._algebra_dimension(lifts) == dim
+        assert sp4f3.is_absolutely_irreducible(model, info.generators) == \
+            (dim == 16)

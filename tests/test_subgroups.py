@@ -185,6 +185,18 @@ class TestPersistence:
         assert "class 60" in str(err.value)
         assert "'perm_chars'" in str(err.value)
 
+    def test_load_rejects_a_duplicated_class_id(self, lattice_path,
+                                                tmp_path):
+        # class 5 written twice: the ids run 1..5, 5, 7..116
+        d = json.loads(lattice_path.read_text())
+        d["classes"][5] = d["classes"][4]
+        p = tmp_path / "duplicated.json"
+        p.write_text(json.dumps(d))
+        with pytest.raises(ValueError) as err:
+            subgroups.SubgroupLattice.load(p)
+        assert str(p) in str(err.value)
+        assert "position 6 holds id 5" in str(err.value)
+
     def test_cli_rejects_a_missing_key(self, lattice_path, tmp_path,
                                        capsys):
         p = self._without_key(lattice_path, tmp_path, 60, "perm_chars")
