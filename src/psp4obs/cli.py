@@ -13,15 +13,13 @@ Subcommands mirror the pipeline stages::
     psp4obs cohomology one --class ID --lattice lattice.json
                            --module m61.gmodule
 
-The seed for the lattice search defaults to the ``OBSTRUCTION_SEED``
-environment variable when set.  Results go to stdout, progress chatter
-to stderr; the exit status is 0 only when every requested check passed.
+Results go to stdout, progress chatter to stderr; the exit status is 0
+only when every requested check passed.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -30,11 +28,6 @@ from . import cohomology, permgroups, sp4f3, subgroups, table, zmodules
 
 def _say(msg):
     print(msg, file=sys.stderr, flush=True)
-
-
-def default_seed() -> int:
-    env = os.environ.get("OBSTRUCTION_SEED")
-    return int(env) if env else subgroups.DEFAULT_SEED
 
 
 def _load_lattice(path) -> subgroups.SubgroupLattice:
@@ -84,23 +77,21 @@ def cmd_group_info(args) -> int:
 
 
 def cmd_lattice_compute(args) -> int:
-    seed = args.seed if args.seed is not None else default_seed()
     model = sp4f3.standard_model()
-    _say(f"classifying subgroups of PSp4(3), seed {seed} ...")
-    lat = subgroups.subgroup_classes(model.psp, seed=seed, progress=_say)
+    _say(f"classifying subgroups of PSp4(3), seed {args.seed} ...")
+    lat = subgroups.subgroup_classes(model.psp, seed=args.seed,
+                                     progress=_say)
     lat.save(args.cache)
-    print(f"{len(lat)} subgroup classes -> {args.cache} (seed {seed})")
+    print(f"{len(lat)} subgroup classes -> {args.cache} (seed {args.seed})")
     return 0
 
 
-def _computed_rows(args, need_module) -> list:
+def _computed_rows(args) -> list:
     model = sp4f3.standard_model()
     lat = _load_lattice(args.lattice)
     module = None
     if args.module is not None:
         module = _load_module(args.module, model)
-    elif need_module:
-        raise ValueError("this check needs --module")
 
     def progress(done, total, cid):
         _say(f"  h1 {done}/{total} (class {cid})")
@@ -111,7 +102,7 @@ def _computed_rows(args, need_module) -> list:
 
 
 def cmd_table_compute(args) -> int:
-    rows = _computed_rows(args, need_module=False)
+    rows = _computed_rows(args)
     table.emit(rows, args.format, args.out)
     nontrivial = sum(1 for r in rows if r.burnside_order > 1)
     print(f"{len(rows)} rows -> {args.out} [{args.format}]")
@@ -128,7 +119,7 @@ def cmd_table_check(args) -> int:
     if args.table is not None:
         rows = table.load_table_json(args.table)
     elif args.lattice is not None:
-        rows = _computed_rows(args, need_module=False)
+        rows = _computed_rows(args)
     else:
         raise ValueError("pass either --table or --lattice")
     report = table.compare_fixture(rows, fixture,
@@ -148,11 +139,7 @@ def cmd_module_verify(args) -> int:
 
 def cmd_cohomology_one(args) -> int:
     model = sp4f3.standard_model()
-    if args.lattice is not None:
-        lat = _load_lattice(args.lattice)
-    else:
-        _say("no --lattice given; classifying subgroups in memory ...")
-        lat = subgroups.subgroup_classes(model.psp, seed=default_seed())
+    lat = _load_lattice(args.lattice)
     module = _load_module(args.module, model)
     info = lat.by_id(args.class_id)
     rep = lat.rep(args.class_id)
@@ -188,9 +175,9 @@ def build_parser() -> argparse.ArgumentParser:
                                help="classify all subgroup classes")
     lcompute.add_argument("--cache", required=True,
                           help="where to write the lattice JSON")
-    lcompute.add_argument("--seed", type=int, default=None,
-                          help="search seed (default: OBSTRUCTION_SEED "
-                               "or 1)")
+    lcompute.add_argument("--seed", type=int,
+                          default=subgroups.DEFAULT_SEED,
+                          help="search seed (default: %(default)s)")
     lcompute.set_defaults(func=cmd_lattice_compute)
 
     tab = top.add_parser("table", help="the obstruction table")
@@ -230,8 +217,8 @@ def build_parser() -> argparse.ArgumentParser:
     csub = coh.add_subparsers(dest="subcommand", required=True)
     cone = csub.add_parser("one", help="H^1 of a single subgroup class")
     cone.add_argument("--class", dest="class_id", type=int, required=True)
-    cone.add_argument("--lattice", default=None,
-                      help="lattice JSON (default: classify in memory)")
+    cone.add_argument("--lattice", required=True,
+                      help="lattice JSON from `lattice compute`")
     cone.add_argument("--module", required=True)
     cone.set_defaults(func=cmd_cohomology_one)
 

@@ -21,25 +21,15 @@ rank M^H of them, n minus the rank of A over F_l for the least prime l
 not dividing e.  That is exact by Maschke's theorem: M^H (x) Z_(l) is
 the direct summand of M (x) Z_(l) cut out by the averaging idempotent,
 so the fixed points of M / l M have dimension rank M^H.
-
-A bar-resolution brute force (unknowns indexed by all nontrivial group
-elements) is provided for cross-checking on very small inputs.
 """
 
 from __future__ import annotations
 
-from itertools import zip_longest
-from math import prod
-
 import numpy as np
 
 from . import intlinalg
-from .intlinalg import AbelianInvariants, TRIVIAL_GROUP
-from .permgroups import pmul
+from .intlinalg import AbelianInvariants, TRIVIAL_GROUP, prime_powers
 from .zmodules import GIntModule
-
-BRUTE_FORCE_MAX_ORDER = 16
-BRUTE_FORCE_MAX_CELLS = 200_000
 
 # entries are reduced below the modulus q, so a product of two stays
 # below q^2 <= 2^62 and an int64 elimination step cannot overflow
@@ -57,20 +47,6 @@ def _augmentation_matrix(module: GIntModule) -> np.ndarray:
     """A = [M(g_1) - 1 | ... | M(g_k) - 1], an n x kn matrix."""
     ident = intlinalg.identity(module.rank)
     return np.hstack([np.asarray(g) - ident for g in module.gens])
-
-
-def _prime_powers(e: int) -> list:
-    """(p, a) for each prime power p^a exactly dividing e."""
-    out, p = [], 2
-    while e > 1:
-        a = 0
-        while e % p == 0:
-            e //= p
-            a += 1
-        if a:
-            out.append((p, a))
-        p += 1
-    return out
 
 
 def _least_prime_not_dividing(e: int) -> int:
@@ -135,69 +111,14 @@ def h1(module: GIntModule) -> AbelianInvariants:
         return TRIVIAL_GROUP
     a = _augmentation_matrix(module).T
     zeros = h0(module)
-    chains = []  # per prime, the elementary divisors, largest first
-    for p, exp in _prime_powers(e):
+    chains = []  # per prime, the elementary divisors
+    for p, exp in prime_powers(e):
         vals = _smith_valuations(a, p, exp)
         full = vals.count(exp) - zeros
         if full < 0:
             raise RuntimeError(
                 f"{vals.count(exp)} Smith invariants vanish mod {p}^{exp}, "
                 f"fewer than the rank {zeros} of the invariants")
-        chains.append([p ** exp] * full + sorted(
-            (p ** v for v in vals if 0 < v < exp), reverse=True))
-    factors = [prod(ds) for ds in zip_longest(*chains, fillvalue=1)]
-    return AbelianInvariants(0, tuple(reversed(factors)))
-
-
-def _quotient_mod_coboundaries(z1, cob_rows) -> AbelianInvariants:
-    if len(z1) == 0:
-        return TRIVIAL_GROUP
-    coords = []
-    for row in cob_rows:
-        c = intlinalg.solve_in_lattice(z1, row)
-        if c is None:
-            raise RuntimeError("coboundary outside the cocycle lattice")
-        coords.append(c)
-    inv = intlinalg.quotient_invariants(len(z1), np.array(coords,
-                                                          dtype=object))
-    if inv.free_rank:
-        raise RuntimeError(f"H^1 of a finite group has free rank "
-                           f"{inv.free_rank}")
-    return inv
-
-
-def h1_bruteforce(module: GIntModule) -> AbelianInvariants:
-    """H^1 from the bar resolution; only for very small groups.
-
-    Unknowns are c(h) for every nontrivial h, and every pair (g, h) gives
-    the equation c(gh) = c(g) M(h) + c(h).  Serves as an oracle for
-    :func:`h1`.
-    """
-    group = module.group
-    n = module.rank
-    m = group.order
-    if m > BRUTE_FORCE_MAX_ORDER or n * m * m > BRUTE_FORCE_MAX_CELLS:
-        raise ValueError("group or module too large for the brute force")
-    if m == 1 or n == 0:
-        return TRIVIAL_GROUP
-    elems = [tuple(r) for r in group.element_table().table]
-    nontriv = elems[1:]
-    pos = {h: i for i, h in enumerate(nontriv)}
-    mats = {h: np.asarray(module.matrix_of(h)) for h in elems}
-    ident = np.eye(n, dtype=np.int64)
-    acc = intlinalg.KernelAccumulator((m - 1) * n)
-    for g in nontriv:
-        for h in nontriv:
-            gh = pmul(g, h)
-            block = np.zeros(((m - 1) * n, n), dtype=np.int64)
-            if gh in pos:
-                i = pos[gh]
-                block[i * n:(i + 1) * n] += ident
-            i = pos[g]
-            block[i * n:(i + 1) * n] -= mats[h]
-            i = pos[h]
-            block[i * n:(i + 1) * n] -= ident
-            acc.add_block(block)
-    z1 = acc.kernel()
-    cob = np.hstack([mats[h] - ident for h in nontriv])
-    return _quotient_mod_coboundaries(z1, list(cob))
+        chains.append([p ** exp] * full
+                      + [p ** v for v in vals if 0 < v < exp])
+    return AbelianInvariants.from_elementary_divisors(chains)

@@ -22,7 +22,8 @@ vector in their rational span is an integer combination of them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, lcm
+from itertools import zip_longest
+from math import gcd, lcm, prod
 
 import numpy as np
 
@@ -77,6 +78,14 @@ class AbelianInvariants:
     free_rank: int
     torsion: tuple
 
+    @classmethod
+    def from_elementary_divisors(cls, chains) -> "AbelianInvariants":
+        """The finite group sum Z/q over the prime powers q of ``chains``,
+        one list for each prime."""
+        chains = [sorted(ds, reverse=True) for ds in chains]
+        factors = [prod(ds) for ds in zip_longest(*chains, fillvalue=1)]
+        return cls(0, tuple(reversed(factors)))
+
     def __post_init__(self):
         for a, b in zip(self.torsion, self.torsion[1:]):
             if b % a:
@@ -107,6 +116,20 @@ class AbelianInvariants:
 
 
 TRIVIAL_GROUP = AbelianInvariants(0, ())
+
+
+def prime_powers(n: int) -> list:
+    """(p, a) for each prime power p^a exactly dividing n, p ascending."""
+    out, p = [], 2
+    while n > 1:
+        a = 0
+        while n % p == 0:
+            n //= p
+            a += 1
+        if a:
+            out.append((p, a))
+        p += 1
+    return out
 
 
 def _promote(w: np.ndarray) -> np.ndarray:
@@ -219,12 +242,6 @@ def hnf(a) -> tuple:
     _echelon(ws, 0, n, 0, reduce_above=True)
     w = ws.w
     return w[:, :n], w[:, n:]
-
-
-def rank(a) -> int:
-    a = as_int_array(a)
-    h, _ = hnf(a)
-    return int(sum(1 for i in range(h.shape[0]) if any(x != 0 for x in h[i])))
 
 
 def det(a) -> int:

@@ -17,8 +17,13 @@ generators can be read off the stabiliser chain
 Closures (:func:`closed_set`, :func:`normal_closure`) grow an
 :class:`ElementSet` by Dimino's coset closure, with the greedy generators
 that a chain rebuilt after every accepted generator would give.  The
-derived and lower central series compare the sizes of element sets; a
-chain is built only for a group that is kept (:meth:`ElementSet.group`).
+derived series compares the sizes of element sets; a chain is built only
+for a group that is kept (:meth:`ElementSet.group`).
+
+The exponent, nilpotency (every Sylow subgroup normal) and the
+abelianisation G/G' (:func:`abelian_invariants`, from how many elements
+have a p^k-th power in G') are counted off the conjugacy classes, with
+no presentation or Smith form.
 
 Heavier operations (conjugacy of subgroups, normalisers) work
 on the full element table of the group held as a numpy array; on groups of
@@ -31,12 +36,14 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, reduce
 from math import lcm
 from operator import itemgetter
 from random import Random
 
 import numpy as np
+
+from .intlinalg import AbelianInvariants, prime_powers
 
 # ---------------------------------------------------------------------------
 # permutations as tuples
@@ -212,50 +219,34 @@ class _Level:
 
 
 class _DerivedSeries:
-    """Derived and lower central series of anything with ``generators`` and
-    ``order``; every term is an :class:`ElementSet`, so no chain is built."""
+    """Derived series of anything with ``generators`` and ``order``; every
+    term is an :class:`ElementSet`, so no chain is built."""
 
     def derived_subgroup(self) -> "ElementSet":
         gens = [g for g in self.generators if not is_identity(g)]
         return normal_closure(self, [pcommutator(a, b)
                                      for a in gens for b in gens])
 
-    def solvable_residual(self) -> "ElementSet":
-        cur = self
+    def _derived_walk(self):
+        """(l, D): the series drops l times, then D = G^(l+1) = G^(l); D's
+        generators, not G^(l)'s, are those of the solvable residual."""
+        cur, length = self, 0
         while True:
             nxt = cur.derived_subgroup()
             if nxt.order == cur.order:
-                return nxt
-            cur = nxt
+                return length, nxt
+            cur, length = nxt, length + 1
+
+    def solvable_residual(self) -> "ElementSet":
+        return self._derived_walk()[1]
 
     def derived_length(self):
-        cur, length = self, 0
-        while cur.order > 1:
-            nxt = cur.derived_subgroup()
-            if nxt.order == cur.order:
-                return None  # not solvable
-            cur = nxt
-            length += 1
-        return length
-
-    def is_perfect(self):
-        return self.order == self.derived_subgroup().order
+        """Length of the derived series, or None if it stops above 1."""
+        length, residual = self._derived_walk()
+        return length if residual.order == 1 else None
 
     def is_solvable(self):
         return self.derived_length() is not None
-
-    def is_nilpotent(self):
-        """Definitional lower central series test."""
-        gens = [g for g in self.generators if not is_identity(g)]
-        cur = self
-        while cur.order > 1:
-            hgen = [h for h in cur.generators if not is_identity(h)]
-            nxt = normal_closure(self, [pcommutator(g, h)
-                                        for g in gens for h in hgen])
-            if nxt.order == cur.order:
-                return False
-            cur = nxt
-        return True
 
 
 class PermGroup(_DerivedSeries):
@@ -533,6 +524,13 @@ class PermGroup(_DerivedSeries):
     def exponent(self):
         return lcm(*[porder(rep) for rep, _ in self.conjugacy_classes()])
 
+    def is_nilpotent(self):
+        """Is every Sylow subgroup normal?  That is, for each p^a exactly
+        dividing |G|, do exactly p^a elements have order dividing p^a?"""
+        orders = [(porder(r), size) for r, size in self.conjugacy_classes()]
+        return all(sum(size for k, size in orders if p ** a % k == 0) == p ** a
+                   for p, a in prime_powers(self.order))
+
     def normalizer(self, sub: "PermGroup") -> "PermGroup":
         """N_G(H) via a vectorised scan of the whole element table."""
         et = self.element_table()
@@ -619,16 +617,6 @@ class Presentation:
     ngens: int
     gen_words: tuple
     relators: tuple
-
-    def abelianized_relator_matrix(self):
-        """Exponent-sum matrix of the relators (rows) in the generators."""
-        rows = []
-        for w in self.relators:
-            row = [0] * self.ngens
-            for i, e in w:
-                row[i] += e
-            rows.append(row)
-        return np.array(rows, dtype=np.int64).reshape(len(rows), self.ngens)
 
 
 # ---------------------------------------------------------------------------
@@ -764,14 +752,26 @@ def orbits(gens, degree):
     return out
 
 
-def abelian_invariants(group: PermGroup):
-    """Invariant factors of G/[G,G] via the abelianised presentation."""
-    from . import intlinalg
-    if group.order == 1:
-        return intlinalg.TRIVIAL_GROUP
-    pres = group.presentation()
-    rel = pres.abelianized_relator_matrix()
-    inv = intlinalg.quotient_invariants(pres.ngens, rel)
-    if inv.free_rank:
-        raise RuntimeError("abelianisation of a finite group must be finite")
-    return inv
+def abelian_invariants(group: PermGroup) -> AbelianInvariants:
+    """Invariant factors of G/G', by counting over the conjugacy classes.
+
+    For p^a exactly dividing |G/G'|, the x with x^(p^k) in G' number
+    |G'| p^(s_k), where s_k sums min(e, k) over the cyclic factors Z/p^e
+    of G/G'.  So r_k = s_k - s_(k-1) factors have order p^k or more, and
+    the i-th largest has order p^e with e the number of k with r_k > i.
+    """
+    derived = group.derived_subgroup()
+    classes = group.conjugacy_classes()
+    chains = []
+    for p, a in prime_powers(group.order // derived.order):
+        powers, ranks, s = [rep for rep, _ in classes], [], 0
+        while s < a:
+            powers = [reduce(pmul, (x,) * p) for x in powers]
+            killed = sum(size for x, (_, size) in zip(powers, classes)
+                         if x in derived)
+            s_k = dict(prime_powers(killed // derived.order)).get(p, 0)
+            ranks.append(s_k - s)
+            s = s_k
+        chains.append([p ** sum(r > i for r in ranks)
+                       for i in range(ranks[0])])
+    return AbelianInvariants.from_elementary_divisors(chains)

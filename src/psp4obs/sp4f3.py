@@ -412,11 +412,6 @@ def picard_character_at(model: SymplecticModel, perm) -> int:
             - chi24(model, perm))
 
 
-def picard_character(model: SymplecticModel) -> ClassFunction:
-    reps = [rep for rep, _ in model.psp.conjugacy_classes()]
-    return ClassFunction(tuple(picard_character_at(model, r) for r in reps))
-
-
 # ---------------------------------------------------------------------------
 # absolute irreducibility of subgroups of PSp4(3) on F3^4
 

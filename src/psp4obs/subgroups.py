@@ -26,8 +26,10 @@ Classes are deduplicated by exact element-set, then by an invariant
 prescreen (order and fusion of element classes into the ambient group's),
 and finally by a vectorised subgroup-conjugacy test, all on the
 candidate's element table: only a new class gets a Schreier-Sims chain.
-The final ordering is by (order, fingerprint, fusion) with construction
-order as the last tie-break, so a fixed seed reproduces identical output.
+The same lookup maps the subgroup classes of each representative to
+ambient class ids.  The final ordering is by (order, fingerprint, fusion)
+with construction order as the last tie-break, so a fixed seed
+reproduces identical output.
 
 For every class the module also computes its own subgroup-class lattice
 (with the representative as ambient), which yields in one sweep the
@@ -41,17 +43,18 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from math import lcm
 from random import Random
 
 import numpy as np
 
 from . import burnside
+from .intlinalg import prime_powers
 from .permgroups import (ElementTable, PermGroup, abelian_invariants,
                          closed_set, group_from_elements, is_identity, pconj,
                          pident, pmul, porder)
 
 DEFAULT_SEED = 1
+_TRIALS_PER_PAIR = 6  # random conjugate pairs per pair of element classes
 
 
 # ---------------------------------------------------------------------------
@@ -63,7 +66,8 @@ class Fingerprint:
     """Cheap conjugacy-invariant data of a subgroup class.
 
     ``derived_length`` is -1 for non-solvable groups; ``abelianization``
-    lists the invariant factors of H/[H,H].
+    lists the invariant factors of H/[H,H].  All of it is read off the
+    element table, the conjugacy classes and the derived series.
     """
 
     order: int
@@ -92,13 +96,10 @@ class Fingerprint:
 
 
 def fingerprint_of(group: PermGroup) -> Fingerprint:
-    if group.order == 1:
-        return Fingerprint(1, (), 1, 1, 0, True)
-    ab = abelian_invariants(group)
     dl = group.derived_length()
     return Fingerprint(
         order=group.order,
-        abelianization=ab.torsion,
+        abelianization=abelian_invariants(group).torsion,
         exponent=group.exponent(),
         class_count=len(group.conjugacy_classes()),
         derived_length=-1 if dl is None else dl,
@@ -119,33 +120,13 @@ class _Raw:
     seq: int
 
 
-class _AmbientOps:
-    """Vectorised subgroup operations against a fixed ambient group."""
+class _ClassCollector:
+    """Deduplicated list of subgroup classes of one ambient group, and the
+    vectorised subgroup operations against that group."""
 
     def __init__(self, ambient: PermGroup):
         self.ambient = ambient
         self.et = ambient.element_table()
-
-    def fusion_key(self, rows) -> tuple:
-        vals, counts = np.unique(self.ambient.class_indices(rows),
-                                 return_counts=True)
-        return tuple(zip(vals.tolist(), counts.tolist()))
-
-    def normalizer_rows(self, sub: PermGroup) -> np.ndarray:
-        gens = [h for h in sub.generators if not is_identity(h)]
-        return self.et.table[self.et.conjugators(gens,
-                                                 sub.element_table())]
-
-
-def _canonical_rows(group: PermGroup) -> np.ndarray:
-    return group.element_table().table
-
-
-class _ClassCollector:
-    """Deduplicated list of subgroup classes of one ambient group."""
-
-    def __init__(self, amb: _AmbientOps):
-        self.amb = amb
         self.raws: list[_Raw] = []
         self.by_bytes: dict = {}
         self.by_key: dict = {}
@@ -154,16 +135,18 @@ class _ClassCollector:
     def add(self, table: ElementTable, build) -> int:
         """Register the class of the subgroup with this element table and
         return its raw index; ``build()`` makes the group of a new class,
-        so a duplicate costs no Schreier-Sims chain."""
+        so a duplicate costs no Schreier-Sims chain, or raises where the
+        class must be known.  The lookup tries the exact element set, then
+        order and fusion, then a conjugacy scan."""
         rows = table.table
         key_bytes = rows.tobytes()
         if key_bytes in self.by_bytes:
             return self.by_bytes[key_bytes]
-        fusion = self.amb.fusion_key(rows)
+        fusion = self.fusion_key(rows)
         key = (len(table), fusion)
         for idx in self.by_key.get(key, []):
-            if self.amb.ambient.is_conjugate_subgroup(self.raws[idx].group,
-                                                      table):
+            if self.ambient.is_conjugate_subgroup(self.raws[idx].group,
+                                                  table):
                 self.by_bytes[key_bytes] = idx
                 return idx
         group = build()
@@ -185,6 +168,16 @@ class _ClassCollector:
         return self.add(ElementTable(elements.rows(), elements.degree),
                         elements.group)
 
+    def fusion_key(self, rows) -> tuple:
+        vals, counts = np.unique(self.ambient.class_indices(rows),
+                                 return_counts=True)
+        return tuple(zip(vals.tolist(), counts.tolist()))
+
+    def normalizer_rows(self, sub: PermGroup) -> np.ndarray:
+        gens = [h for h in sub.generators if not is_identity(h)]
+        return self.et.table[self.et.conjugators(gens,
+                                                 sub.element_table())]
+
 
 def _quotient_order(z, sub_et: ElementTable) -> int:
     """Order of the coset zH in N/H (H normal in N)."""
@@ -194,17 +187,6 @@ def _quotient_order(z, sub_et: ElementTable) -> int:
         cur = pmul(cur, z)
         k += 1
     return k
-
-
-def _is_prime(n):
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 def _prime_extensions(raw: _Raw, nrows: np.ndarray, degree,
@@ -227,7 +209,7 @@ def _prime_extensions(raw: _Raw, nrows: np.ndarray, degree,
     seen_subquot = set()
     for z in reps[1:]:
         p = _quotient_order(z, sub_et)
-        if not _is_prime(p):
+        if prime_powers(p) != [(p, 1)]:
             continue
         powers = [z]
         cur = z
@@ -247,14 +229,13 @@ def _prime_extensions(raw: _Raw, nrows: np.ndarray, degree,
                       lambda: group_from_elements(k_rows, degree))
 
 
-def _layer_closure(ambient: PermGroup, seeds) -> list[_Raw]:
+def _layer_closure(ambient: PermGroup, seeds) -> _ClassCollector:
     """Close a seed list of subgroups under prime extensions.
 
     Also adds the solvable residual of every normaliser encountered, which
     recovers perfect classes reachable from solvable ones.
     """
-    amb = _AmbientOps(ambient)
-    collector = _ClassCollector(amb)
+    collector = _ClassCollector(ambient)
     for s in seeds:
         collector.add_group(s)
     qi = 0
@@ -263,26 +244,26 @@ def _layer_closure(ambient: PermGroup, seeds) -> list[_Raw]:
         qi += 1
         if raw.order == 1:
             for rep, _ in ambient.conjugacy_classes():
-                if _is_prime(porder(rep)):
+                p = porder(rep)
+                if prime_powers(p) == [(p, 1)]:
                     collector.add_group(PermGroup([rep], ambient.degree))
             continue
         if raw.order == ambient.order:
             continue
-        nrows = amb.normalizer_rows(raw.group)
-        if len(nrows) < len(amb.et):
+        nrows = collector.normalizer_rows(raw.group)
+        if len(nrows) < len(collector.et):
             res = closed_set(nrows, ambient.degree).solvable_residual()
             if res.order > 1:
                 collector.add_closure(res)
         _prime_extensions(raw, nrows, ambient.degree, collector)
-    return collector.raws
+    return collector
 
 
 # ---------------------------------------------------------------------------
 # perfect classes
 
 
-def perfect_subgroup_classes(ambient: PermGroup, seed: int,
-                             trials_per_pair: int = 6) -> list:
+def perfect_subgroup_classes(ambient: PermGroup, seed: int) -> list:
     """Classes of nontrivial perfect subgroups, by seeded random search.
 
     For every pair of element conjugacy classes, a few random conjugate
@@ -292,8 +273,7 @@ def perfect_subgroup_classes(ambient: PermGroup, seed: int,
     counts and the normaliser-residual closure in the layering).
     """
     rng = Random(seed)
-    amb = _AmbientOps(ambient)
-    collector = _ClassCollector(amb)
+    collector = _ClassCollector(ambient)
     whole = ambient.solvable_residual()
     if whole.order > 1:
         collector.add_closure(whole)
@@ -301,7 +281,7 @@ def perfect_subgroup_classes(ambient: PermGroup, seed: int,
             if not is_identity(rep)]
     for i in range(len(reps)):
         for j in range(i, len(reps)):
-            for _ in range(trials_per_pair):
+            for _ in range(_TRIALS_PER_PAIR):
                 x = pconj(reps[i], ambient.random_element(rng))
                 y = pconj(reps[j], ambient.random_element(rng))
                 k = PermGroup([x, y], ambient.degree)
@@ -311,7 +291,7 @@ def perfect_subgroup_classes(ambient: PermGroup, seed: int,
                 if res.order > 1:
                     collector.add_closure(res)
     out = [r.group for r in collector.raws]
-    out.sort(key=lambda g: (g.order, _canonical_rows(g).tobytes()))
+    out.sort(key=lambda g: (g.order, g.element_table().table.tobytes()))
     return out
 
 
@@ -403,9 +383,6 @@ class SubgroupLattice:
     def rep(self, class_id: int) -> PermGroup:
         return self.by_id(class_id).rep(self.ambient.degree)
 
-    def classes_contained_in(self, class_id: int) -> frozenset:
-        return self.by_id(class_id).contained_class_ids()
-
     def to_json(self):
         return {
             "format": FORMAT_TAG,
@@ -440,23 +417,32 @@ class SubgroupLattice:
         except KeyError as exc:
             raise ValueError(f"{path}: {where}: missing key "
                              f"{exc.args[0]!r}") from None
+        n = len(classes)
         for pos, c in enumerate(classes, 1):
             if c.class_id != pos:
-                raise ValueError(f"{path}: class ids must run 1.."
-                                 f"{len(classes)} in order, but position "
-                                 f"{pos} holds id {c.class_id!r}")
+                raise ValueError(f"{path}: class ids must run 1..{n} in "
+                                 f"order, but position {pos} holds id "
+                                 f"{c.class_id!r}")
+            for name in ("own_gclass", "maximal"):
+                bad = [i for i in getattr(c, name) if not 1 <= i <= n]
+                if bad:
+                    raise ValueError(f"{path}: class {pos}: {name} id "
+                                     f"{bad[0]!r} is not in 1..{n}")
+        if not classes or classes[-1].order != ambient.order:
+            raise ValueError(f"{path}: the last class must be the whole "
+                             f"group, of order {ambient.order}")
         return cls(ambient, seed, classes)
 
 
 def _own_lattice_raws(rep: PermGroup, ambient_degree, seed, class_pos):
     """Subgroup classes of ``rep`` (as its own ambient)."""
     if rep.order == 1:
-        return [_Raw(rep, _canonical_rows(rep), 1, (), 0)]
+        return [_Raw(rep, rep.element_table().table, 1, (), 0)]
     seeds = [PermGroup([], ambient_degree)]
     if not rep.is_solvable():
         sub_seed = (seed * 1000003 + class_pos) % (2**63)
         seeds += perfect_subgroup_classes(rep, sub_seed)
-    return _layer_closure(rep, seeds)
+    return _layer_closure(rep, seeds).raws
 
 
 def _containers(raws, ambient: PermGroup):
@@ -498,37 +484,21 @@ def subgroup_classes(ambient: PermGroup, seed: int = DEFAULT_SEED,
     seeds = [PermGroup([], ambient.degree)]
     seeds += perfect_subgroup_classes(ambient, seed)
     log(f"layering from {len(seeds)} seed classes")
-    raws = _layer_closure(ambient, seeds)
+    collector = _layer_closure(ambient, seeds)
+    raws = collector.raws
     log(f"found {len(raws)} classes; fingerprinting")
 
-    amb = _AmbientOps(ambient)
     fps = [fingerprint_of(r.group) for r in raws]
     sorted_idx = sorted(range(len(raws)),
                         key=lambda i: (raws[i].order, fps[i].as_tuple(),
                                        raws[i].fusion, raws[i].seq))
     id_of_raw = {old: new + 1 for new, old in enumerate(sorted_idx)}
 
-    # map arbitrary subgroups to class ids: exact-set cache, then an
-    # invariant prescreen, then the conjugacy scan
-    set_cache = {raws[i].rows.tobytes(): id_of_raw[i] for i in range(len(raws))}
-    key_index = {}
-    for i in range(len(raws)):
-        key_index.setdefault((raws[i].order, raws[i].fusion),
-                             []).append(i)
-
     def gclass_of(group: PermGroup) -> int:
-        rows = _canonical_rows(group)
-        b = rows.tobytes()
-        if b in set_cache:
-            return set_cache[b]
-        key = (group.order, amb.fusion_key(rows))
-        for i in key_index.get(key, []):
-            if ambient.is_conjugate_subgroup(raws[i].group, group):
-                set_cache[b] = id_of_raw[i]
-                return id_of_raw[i]
-        raise LookupError(
-            f"subgroup of order {group.order} matches no class; "
-            f"the lattice is incomplete")
+        def unknown():
+            raise LookupError(f"subgroup of order {group.order} matches no "
+                              f"class; the lattice is incomplete")
+        return id_of_raw[collector.add(group.element_table(), unknown)]
 
     infos = []
     for pos, i in enumerate(sorted_idx):
@@ -573,7 +543,7 @@ def subgroup_classes(ambient: PermGroup, seed: int = DEFAULT_SEED,
             pc = burnside.perm_characters(rep, perm_rows)
             elem_fusion = tuple(ambient.class_index_of(crep)
                                 for crep, _ in rep.conjugacy_classes())
-            norm_order = len(amb.normalizer_rows(rep))
+            norm_order = len(collector.normalizer_rows(rep))
         infos.append(SubgroupClassInfo(
             class_id=cid,
             order=raw.order,

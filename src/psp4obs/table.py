@@ -278,7 +278,10 @@ class MatchReport:
         return "\n".join(lines)
 
 
-def _refine_colors(key_of, partners, rounds=200):
+_MAX_ROUNDS = 200  # every refinement round but the last splits a color
+
+
+def _refine_colors(key_of, partners):
     """Refine a coloring by the multiset of partner colors (in place).
 
     ``key_of`` maps node -> hashable color; ``partners`` maps node ->
@@ -289,7 +292,7 @@ def _refine_colors(key_of, partners, rounds=200):
     splits none would only nest each color once more, keeping the
     partition and the order of the colors' reprs.
     """
-    for _ in range(rounds):
+    for _ in range(_MAX_ROUNDS):
         # one repr per node, shared by every edge to it: the reprs nest
         # and grow each round
         text = {node: repr(color) for node, color in key_of.items()}

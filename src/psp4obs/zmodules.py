@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import intlinalg
-from .permgroups import PermGroup, is_identity, porder
+from .permgroups import PermGroup, porder
 
 
 def _as_matrix(m, rank):
@@ -81,10 +81,6 @@ class GIntModule:
         if key not in cache:
             cache[key] = self.evaluate_word(self.group.express(key))
         return cache[key]
-
-    def act(self, vectors, p):
-        return intlinalg.mat_mul(np.atleast_2d(intlinalg.as_int_array(
-            np.asarray(vectors))), self.matrix_of(p))
 
     # -- derived modules ---------------------------------------------------
 
@@ -335,11 +331,3 @@ def save_pairing(pairing, path):
     with open(path, "w") as fh:
         fh.write(f"pairing rank={pairing.shape[0]}\n")
         _write_matrix(fh, pairing)
-
-
-def load_pairing(path) -> np.ndarray:
-    lines, fields = _read_lines(path, "pairing", ("rank",))
-    mat, _ = _read_matrix(path, lines, 1, fields["rank"])
-    if not np.array_equal(mat, mat.T):
-        raise ValueError("pairing is not symmetric")
-    return mat

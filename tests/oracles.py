@@ -9,7 +9,7 @@ production paths, kept as oracles for the faster ones:
 * ``chain_*`` run the derived and lower central series with a
   Schreier-Sims chain rebuilt for every accepted generator of every
   term, where :class:`psp4obs.permgroups.PermGroup` compares the sizes of
-  element sets;
+  element sets and counts the elements of p-power order;
 * ``scan_containers`` runs every conjugacy scan that
   ``subgroups._containers`` skips by its class-count prescreen;
 * ``word_evaluate`` multiplies out a word in the generators, which
@@ -21,7 +21,15 @@ production paths, kept as oracles for the faster ones:
 * ``brute_subgroups``, ``brute_perm_characters`` and ``snf_order`` find a
   Burnside-cokernel order from every subgroup of a small group and
   sympy's Smith normal form, where :mod:`psp4obs.burnside` uses the
-  lattice's data and :mod:`psp4obs.intlinalg`.
+  lattice's data and :mod:`psp4obs.intlinalg`;
+* ``relator_matrix`` and ``presentation_abelian_invariants`` read G/G'
+  off the Smith form of the abelianised relators of the chain's
+  presentation, where :func:`psp4obs.permgroups.abelian_invariants`
+  counts the elements whose p^k-th powers lie in G';
+* ``h1_bruteforce`` solves the bar-resolution cocycle equations, where
+  :func:`psp4obs.cohomology.h1` reads H^1 off the generator matrices;
+* ``load_pairing`` reads the pairing file that ``scripts/build_module.py``
+  writes.
 """
 
 from collections import deque
@@ -29,8 +37,9 @@ from math import prod
 
 import numpy as np
 
+from psp4obs import intlinalg, sp4f3, zmodules
 from psp4obs import permgroups as pg
-from psp4obs import sp4f3
+from psp4obs.intlinalg import AbelianInvariants, TRIVIAL_GROUP
 from psp4obs.permgroups import ElementTable, PermGroup
 
 
@@ -327,3 +336,95 @@ def snf_order(rows, chi) -> int:
     if num % den:
         raise RuntimeError("index of lattices is not an integer")
     return num // den
+
+
+# -- abelianisation from a presentation ------------------------------------
+
+
+def relator_matrix(pres) -> np.ndarray:
+    """Exponent-sum matrix of the relators (rows) in the generators."""
+    rows = []
+    for w in pres.relators:
+        row = [0] * pres.ngens
+        for i, e in w:
+            row[i] += e
+        rows.append(row)
+    return np.array(rows, dtype=np.int64).reshape(len(rows), pres.ngens)
+
+
+def presentation_abelian_invariants(group: PermGroup) -> AbelianInvariants:
+    """Invariant factors of G/[G,G] via the abelianised presentation."""
+    if group.order == 1:
+        return TRIVIAL_GROUP
+    pres = group.presentation()
+    inv = intlinalg.quotient_invariants(pres.ngens, relator_matrix(pres))
+    if inv.free_rank:
+        raise RuntimeError("abelianisation of a finite group must be finite")
+    return inv
+
+
+# -- H^1 from the bar resolution --------------------------------------------
+
+BRUTE_FORCE_MAX_ORDER = 16
+BRUTE_FORCE_MAX_CELLS = 200_000
+
+
+def quotient_mod_coboundaries(z1, cob_rows) -> AbelianInvariants:
+    if len(z1) == 0:
+        return TRIVIAL_GROUP
+    coords = []
+    for row in cob_rows:
+        c = intlinalg.solve_in_lattice(z1, row)
+        if c is None:
+            raise RuntimeError("coboundary outside the cocycle lattice")
+        coords.append(c)
+    inv = intlinalg.quotient_invariants(len(z1), np.array(coords,
+                                                          dtype=object))
+    if inv.free_rank:
+        raise RuntimeError(f"H^1 of a finite group has free rank "
+                           f"{inv.free_rank}")
+    return inv
+
+
+def h1_bruteforce(module: zmodules.GIntModule) -> AbelianInvariants:
+    """H^1 from the bar resolution; only for very small groups.
+
+    Unknowns are c(h) for every nontrivial h, and every pair (g, h) gives
+    the equation c(gh) = c(g) M(h) + c(h).
+    """
+    group = module.group
+    n = module.rank
+    m = group.order
+    if m > BRUTE_FORCE_MAX_ORDER or n * m * m > BRUTE_FORCE_MAX_CELLS:
+        raise ValueError("group or module too large for the brute force")
+    if m == 1 or n == 0:
+        return TRIVIAL_GROUP
+    elems = [tuple(r) for r in group.element_table().table]
+    nontriv = elems[1:]
+    pos = {h: i for i, h in enumerate(nontriv)}
+    mats = {h: np.asarray(module.matrix_of(h)) for h in elems}
+    ident = np.eye(n, dtype=np.int64)
+    acc = intlinalg.KernelAccumulator((m - 1) * n)
+    for g in nontriv:
+        for h in nontriv:
+            gh = pg.pmul(g, h)
+            block = np.zeros(((m - 1) * n, n), dtype=np.int64)
+            if gh in pos:
+                i = pos[gh]
+                block[i * n:(i + 1) * n] += ident
+            i = pos[g]
+            block[i * n:(i + 1) * n] -= mats[h]
+            i = pos[h]
+            block[i * n:(i + 1) * n] -= ident
+            acc.add_block(block)
+    z1 = acc.kernel()
+    cob = np.hstack([mats[h] - ident for h in nontriv])
+    return quotient_mod_coboundaries(z1, list(cob))
+
+
+def load_pairing(path) -> np.ndarray:
+    lines, fields = zmodules._read_lines(path, "pairing", ("rank",))
+    mat, _ = zmodules._read_matrix(path, lines, 1, fields["rank"])
+    if not np.array_equal(mat, mat.T):
+        raise ValueError("pairing is not symmetric")
+    return mat

@@ -26,16 +26,6 @@ class TestGroupInfo:
         assert "inequivalent" in out
 
 
-class TestSeedHandling:
-    def test_default_seed(self, monkeypatch):
-        monkeypatch.delenv("OBSTRUCTION_SEED", raising=False)
-        assert cli.default_seed() == subgroups.DEFAULT_SEED
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("OBSTRUCTION_SEED", "42")
-        assert cli.default_seed() == 42
-
-
 class TestTableCompute:
     def test_csv_from_cached_lattice(self, lattice_path, tmp_path, capsys):
         out_path = tmp_path / "table.csv"
@@ -64,6 +54,39 @@ class TestTableCompute:
                                "--out", str(tmp_path / "t.csv"))
         assert code == 1
         assert "no lattice cache" in err
+
+
+def _drop_the_whole_group(doc):
+    del doc["classes"][-1]
+
+
+def _own_gclass_117(doc):
+    doc["classes"][9]["own_gclass"][-1] = 117
+
+
+def _maximal_999(doc):
+    doc["classes"][-1]["maximal"][0] = 999
+
+
+class TestBadLatticeFile:
+    @pytest.mark.parametrize("edit,message", [
+        (_drop_the_whole_group,
+         "the last class must be the whole group, of order 25920"),
+        (_own_gclass_117, "class 10: own_gclass id 117 is not in 1..116"),
+        (_maximal_999, "class 116: maximal id 999 is not in 1..116"),
+    ], ids=["without-class-116", "own-gclass-117", "maximal-999"])
+    def test_one_error_line(self, lattice_path, tmp_path, capsys, edit,
+                            message):
+        doc = json.loads(pathlib.Path(lattice_path).read_text())
+        edit(doc)
+        path = tmp_path / "lattice.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "table", "compute", "--lattice",
+                                 str(path), "--out", str(tmp_path / "t.csv"))
+        assert code == 1 and out == ""
+        assert [ln for ln in err.splitlines() if ln.startswith("error:")] \
+            == [f"error: {path}: {message}"]
+        assert "Traceback" not in err
 
 
 class TestTableCheck:
@@ -153,6 +176,18 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             cli.main(["frobnicate"])
         assert exc.value.code == 2
+
+    def test_seed_defaults_to_the_cached_lattice_seed(self):
+        args = cli.build_parser().parse_args(
+            ["lattice", "compute", "--cache", "x.json"])
+        assert args.seed == subgroups.DEFAULT_SEED
+
+    def test_cohomology_one_needs_a_lattice(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["cohomology", "one", "--class", "6",
+                      "--module", "m61.gmodule"])
+        assert exc.value.code == 2
+        assert "--lattice" in capsys.readouterr().err
 
     def test_check_structural_flag_parsed(self):
         parser = cli.build_parser()

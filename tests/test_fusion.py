@@ -1,9 +1,11 @@
 """Class-fusion and element-set shortcuts against their former code paths.
 
 The classification reads permutation characters off class fusion, runs
-the derived series on element sets, and skips a containment scan when
+the derived series on element sets, counts the abelianisation and
+nilpotency off the conjugacy classes, and skips a containment scan when
 the class counts rule it out.  The former code paths, kept in
-``oracles``, must give equal matrices, generators and containers.
+``oracles``, must give equal matrices, generators, invariants and
+containers.
 """
 
 import pytest
@@ -11,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from psp4obs import burnside, sp4f3, subgroups, table
-from psp4obs.permgroups import PermGroup
+from psp4obs.permgroups import PermGroup, abelian_invariants
 
 S4 = PermGroup([(1, 0, 2, 3), (1, 2, 3, 0)], 4)
 D4 = PermGroup([(1, 2, 3, 0), (3, 2, 1, 0)], 4)
@@ -96,6 +98,20 @@ class TestLatticeClasses:
     def test_containers(self, lattice_raws):
         for g, raws in lattice_raws:
             check_containers(g, raws)
+
+
+class TestEveryLatticeClass:
+    def test_abelian_invariants(self, lattice):
+        for c in lattice.classes:
+            rep = lattice.rep(c.class_id)
+            assert abelian_invariants(rep) == \
+                oracles.presentation_abelian_invariants(rep), c.class_id
+
+    def test_nilpotent(self, lattice):
+        for c in lattice.classes:
+            rep = lattice.rep(c.class_id)
+            assert rep.is_nilpotent() == oracles.chain_is_nilpotent(rep), \
+                c.class_id
 
 
 class TestChi24:

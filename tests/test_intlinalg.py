@@ -122,7 +122,7 @@ class TestKernel:
             inv = il.quotient_invariants(a.shape[0], k)
             assert inv.torsion == ()
         # rank check: kernel rank + row rank = m
-        assert k.shape[0] + il.rank(a) == a.shape[0]
+        assert k.shape[0] + len(il.hnf_basis(a)) == a.shape[0]
 
     @given(int_matrices(max_dim=6))
     @settings(max_examples=60, deadline=None)
@@ -132,7 +132,7 @@ class TestKernel:
         for j in range(0, a.shape[1], 2):
             acc.add_block(a[:, j:j + 2])
         assert acc.kernel().tolist() == il.kernel_saturated(a).tolist()
-        assert acc.corank == a.shape[0] - il.rank(a)
+        assert acc.corank == a.shape[0] - len(il.hnf_basis(a))
 
 
 class TestQuotient:
@@ -152,6 +152,21 @@ class TestQuotient:
         assert inv.torsion == (2, 6)
         assert inv.exponent() == 6
         assert inv.order() == 12
+
+    @given(st.lists(st.sampled_from([2, 4, 8, 3, 9, 5]), max_size=6))
+    @settings(max_examples=60, deadline=None)
+    def test_elementary_divisors_match_smith(self, qs):
+        # per-prime lists in no particular order, against the Smith form
+        # of the diagonal matrix
+        chains = [[q for q in qs if q % p == 0] for p in (2, 3, 5)]
+        want = il.quotient_invariants(len(qs),
+                                      np.diag(np.array(qs, dtype=np.int64)))
+        assert il.AbelianInvariants.from_elementary_divisors(chains) == want
+
+    def test_prime_powers(self):
+        assert il.prime_powers(1) == []
+        assert il.prime_powers(7) == [(7, 1)]
+        assert il.prime_powers(25920) == [(2, 6), (3, 4), (5, 1)]
 
     @given(int_matrices(max_dim=4, max_entry=6))
     @settings(max_examples=80, deadline=None)

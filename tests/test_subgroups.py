@@ -128,11 +128,11 @@ class TestS4Structure:
     def test_maximal_is_antichain(self, lat):
         for c in lat.classes:
             for m in c.maximal:
-                below = lat.classes_contained_in(m)
+                below = lat.by_id(m).contained_class_ids()
                 others = set(c.maximal) - {m}
                 assert not (others & {m}), "self-containment"
                 for o in others:
-                    assert m not in lat.classes_contained_in(o) or \
+                    assert m not in lat.by_id(o).contained_class_ids() or \
                         lat.by_id(o).order == lat.by_id(m).order
 
     def test_fingerprints(self, lat):
