@@ -133,13 +133,18 @@ def cmd_module_verify(args) -> int:
     module = _load_module(args.module, model)
     print(f"module {args.module}: rank {module.rank}, "
           f"{len(module.gens)} generator matrices")
-    print("unimodularity, relators and character identity all hold")
+    print("unimodularity, Schreier relations and character identity "
+          "all hold")
     return 0
 
 
 def cmd_cohomology_one(args) -> int:
     model = sp4f3.standard_model()
     lat = _load_lattice(args.lattice)
+    table.check_ambient(lat, model)
+    if not 1 <= args.class_id <= len(lat):
+        raise ValueError(f"{args.lattice} has no class {args.class_id}; "
+                         f"its class ids run 1..{len(lat)}")
     module = _load_module(args.module, model)
     info = lat.by_id(args.class_id)
     rep = lat.rep(args.class_id)

@@ -30,6 +30,9 @@ import numpy as np
 # largest magnitude we allow inside an int64 working matrix; one more
 # elimination step starting below this bound cannot overflow 2**63 - 1
 _INT64_SAFE = 2**62
+# a float64 product whose exact partial sums all stay below this bound in
+# magnitude is computed exactly: every integer below 2**53 is a double
+_FLOAT_EXACT = 2**53
 
 
 def as_int_array(data) -> np.ndarray:
@@ -50,17 +53,29 @@ def maxabs(a: np.ndarray) -> int:
     """Largest absolute value of an entry (0 for an empty array)."""
     if a.size == 0:
         return 0
-    return int(np.abs(a).max())
+    return max(int(a.max()), -int(a.min()))
+
+
+def narrow(a: np.ndarray) -> np.ndarray:
+    """``a`` in the smallest signed integer dtype that holds its entries."""
+    return a.astype(np.min_scalar_type(-1 - maxabs(a)))
 
 
 def mat_mul(a, b) -> np.ndarray:
-    """Exact matrix product, using int64 when provably overflow-free."""
+    """Exact matrix product: int64, or object once int64 could overflow.
+
+    With ``maxabs(a) * maxabs(b) * inner < 2**53`` every partial sum is an
+    integer below 2**53, so a float64 (BLAS) product is exact.
+    """
     a = as_int_array(a)
     b = as_int_array(b)
-    inner = a.shape[1]
     if a.dtype != object and b.dtype != object:
-        if inner == 0 or maxabs(a) * maxabs(b) * inner < _INT64_SAFE:
-            return (a.astype(np.int64) @ b.astype(np.int64)).astype(a.dtype)
+        bound = maxabs(a) * maxabs(b) * a.shape[1]
+        if bound < _FLOAT_EXACT:
+            return (a.astype(np.float64) @ b.astype(np.float64)).astype(
+                np.int64)
+        if bound < _INT64_SAFE:
+            return a.astype(np.int64) @ b.astype(np.int64)
     return a.astype(object) @ b.astype(object)
 
 
@@ -93,17 +108,10 @@ class AbelianInvariants:
         if any(d <= 1 for d in self.torsion):
             raise ValueError("torsion coefficients must exceed 1")
 
-    @property
-    def is_trivial(self) -> bool:
-        return self.free_rank == 0 and not self.torsion
-
     def order(self) -> int:
         if self.free_rank:
             raise ValueError("infinite group")
-        out = 1
-        for d in self.torsion:
-            out *= d
-        return out
+        return prod(self.torsion)
 
     def exponent(self) -> int:
         if self.free_rank:
@@ -244,41 +252,10 @@ def hnf(a) -> tuple:
     return w[:, :n], w[:, n:]
 
 
-def det(a) -> int:
-    """Exact determinant via fraction-free Bareiss elimination."""
-    a = as_int_array(a)
-    m, n = a.shape
-    if m != n:
-        raise ValueError("determinant of a non-square matrix")
-    if n == 0:
-        return 1
-    w = [[int(x) for x in row] for row in a]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if w[k][k] == 0:
-            for i in range(k + 1, n):
-                if w[i][k] != 0:
-                    w[k], w[i] = w[i], w[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pkk = w[k][k]
-        for i in range(k + 1, n):
-            wik = w[i][k]
-            for j in range(k + 1, n):
-                w[i][j] = (pkk * w[i][j] - wik * w[k][j]) // prev
-            w[i][k] = 0
-        prev = pkk
-    return sign * w[n - 1][n - 1]
-
-
 def hnf_basis(a) -> np.ndarray:
     """Nonzero rows of the HNF of ``a``: a canonical basis of the row space."""
     h, _ = hnf(a)
-    nz = [i for i in range(h.shape[0]) if any(x != 0 for x in h[i])]
-    return h[nz]
+    return h[(h != 0).any(axis=1)]
 
 
 def kernel_saturated(a) -> np.ndarray:
@@ -287,12 +264,10 @@ def kernel_saturated(a) -> np.ndarray:
     The returned lattice is saturated in Z^m (the quotient is torsion-free),
     because its rows extend to a unimodular basis.  Rows are in HNF.
     """
-    a = as_int_array(a)
-    m, n = a.shape
     h, u = hnf(a)
-    zero = [i for i in range(m) if all(x == 0 for x in h[i])]
-    if not zero:
-        return np.zeros((0, m), dtype=np.int64)
+    zero = ~(h != 0).any(axis=1)
+    if not zero.any():
+        return np.zeros((0, len(h)), dtype=np.int64)
     return hnf_basis(u[zero])
 
 
@@ -364,12 +339,7 @@ def snf(a) -> tuple:
 
 
 def _has_offdiag(block: np.ndarray) -> bool:
-    m, n = block.shape
-    for i in range(m):
-        for j in range(n):
-            if i != j and block[i, j] != 0:
-                return True
-    return False
+    return np.count_nonzero(block) > np.count_nonzero(block.diagonal())
 
 
 def _smith_fixup(ws: _Workspace, v: np.ndarray, m: int, n: int):
@@ -532,9 +502,7 @@ def unimodular_inverse(a) -> np.ndarray:
     """Exact inverse of a unimodular integer matrix."""
     a = as_int_array(a)
     h, u = hnf(a)
-    n = a.shape[0]
-    if a.shape[0] != a.shape[1] or any(
-            int(h[i, j]) != (1 if i == j else 0) for i in range(n) for j in range(n)):
+    if h.shape[0] != h.shape[1] or not np.array_equal(h, identity(len(h))):
         raise ValueError("matrix is not unimodular")
     return u
 

@@ -283,10 +283,6 @@ class PermGroup(_DerivedSeries):
                 return i
         return len(self.base)
 
-    def _add_base_point(self, moved):
-        self.base.append(moved)
-        self.levels.append(_Level(moved, [], {}, {}))
-
     def _rebuild_orbit(self, i):
         level = self.levels[i]
         gen_indices = [j for j, s in enumerate(self.sgens)
@@ -314,21 +310,12 @@ class PermGroup(_DerivedSeries):
                         new.append(img)
             frontier = new
 
-    def _strip(self, p, start=0):
-        """Return (level, residue) of sifting from the given level down."""
-        for i in range(start, len(self.levels)):
-            level = self.levels[i]
-            img = p[level.point]
-            if img not in level.orbit:
-                return i, p
-            p = pmul(p, level.inverse(img))
-        return len(self.levels), p
-
     def _add_sgen(self, p, word):
         lvl = self._sgen_level(p)
         if lvl == len(self.base):
             moved = min(i for i in range(self.degree) if p[i] != i)
-            self._add_base_point(moved)
+            self.base.append(moved)
+            self.levels.append(_Level(moved, [], {}, {}))
         self.sgens.append(p)
         self.sgen_words.append(tuple(word))
         return self._sgen_level(p)
@@ -373,7 +360,7 @@ class PermGroup(_DerivedSeries):
                     if ts == level.orbit[img]:
                         continue  # trivial Schreier generator
                     schreier = pmul(ts, level.inverse(img))
-                    if is_identity(self._strip(schreier, i + 1)[1]):
+                    if self.sift(schreier, i + 1) is not None:
                         continue
                     # a new strong generator: sift again, with its word
                     word = level.orbit_words[pt] + ((j, 1),) + word_inverse(
@@ -419,18 +406,48 @@ class PermGroup(_DerivedSeries):
         return pident(self.degree)
 
     def __contains__(self, p):
-        _, res = self._strip(tuple(p))
-        return is_identity(res)
+        return self.sift(tuple(p)) is not None
+
+    def sift(self, p, start=0):
+        """[(i, pt), ...] for the levels i >= start at which sifting ``p``
+        meets a point pt other than the base point, so that p = t_last ...
+        t_first for their transversal elements t; None for non-members."""
+        out = []
+        for i in range(start, len(self.levels)):
+            level = self.levels[i]
+            pt = p[level.point]
+            if pt != level.point:
+                if pt not in level.orbit:
+                    return None
+                p = pmul(p, level.inverse(pt))
+                out.append((i, pt))
+        return out if is_identity(p) else None
+
+    def schreier_relations(self):
+        """(i, pt, j, sift) for each level i, orbit point pt and strong
+        generator j of the level: t_pt s_j = h t_img, where ``sift`` is
+        :meth:`sift` of h = t_pt s_j t_img^-1 from level i + 1 on."""
+        for i, level in enumerate(self.levels):
+            for pt in sorted(level.orbit):
+                for j in level.gen_indices:
+                    s = self.sgens[j]
+                    h = pmul(pmul(level.orbit[pt], s), level.inverse(s[pt]))
+                    rest = self.sift(h, i + 1)
+                    if rest is None:
+                        raise RuntimeError("chain failed to sift")
+                    yield i, pt, j, rest
 
     def express(self, p):
         """A word in the original generators evaluating to ``p``.
 
         Returns ``None`` for non-members.
         """
-        _, res, word = self._strip_with_word(tuple(p), (), 0)
-        if not is_identity(res):
+        points = self.sift(tuple(p))
+        if points is None:
             return None
-        return self._expand_sgen_word(word_inverse(word))
+        return self._expand_sgen_word(tuple(
+            x for i, pt in reversed(points)
+            for x in self.levels[i].orbit_words[pt]))
 
     def random_element(self, rng: Random):
         """Uniformly random element (product of random transversal picks)."""
@@ -569,39 +586,21 @@ class PermGroup(_DerivedSeries):
 
         Relators come from the stabiliser chain: for every level, orbit
         point and level generator, the Schreier element ``t s t'^-1`` is
-        rewritten through the deeper levels; the resulting relation words
-        evaluate to the identity and present the group.
+        rewritten through the deeper levels (:meth:`schreier_relations`);
+        the resulting relation words evaluate to the identity and present
+        the group.
         """
-        relators = []
-        for i, level in enumerate(self.levels):
-            for pt in sorted(level.orbit):
-                t = level.orbit[pt]
-                tw = level.orbit_words[pt]
-                for j in level.gen_indices:
-                    s = self.sgens[j]
-                    img = s[pt]
-                    schreier = pmul(pmul(t, s), level.inverse(img))
-                    word = tw + ((j, 1),) + word_inverse(
-                        level.orbit_words[img])
-                    rest = schreier
-                    for k in range(i + 1, len(self.levels)):
-                        lv = self.levels[k]
-                        ipt = rest[lv.point]
-                        word = word + word_inverse(lv.orbit_words[ipt])
-                        rest = pmul(rest, lv.inverse(ipt))
-                    if not is_identity(rest):
-                        raise RuntimeError("chain failed to sift")
-                    word = word_free_reduce(word)
-                    if word:
-                        relators.append(word)
-        seen = set()
-        unique = []
-        for w in relators:
-            if w not in seen:
-                seen.add(w)
-                unique.append(w)
+        relators = {}  # an ordered set
+        for i, pt, j, rest in self.schreier_relations():
+            words = self.levels[i].orbit_words
+            word = words[pt] + ((j, 1),) + word_inverse(
+                words[self.sgens[j][pt]])
+            for k, q in rest:
+                word += word_inverse(self.levels[k].orbit_words[q])
+            relators[word_free_reduce(word)] = None
+        relators.pop((), None)
         return Presentation(len(self.sgens), tuple(self.sgen_words),
-                            tuple(unique))
+                            tuple(relators))
 
 
 @dataclass(frozen=True)

@@ -139,13 +139,18 @@ def chi24_on_ambient_classes(lattice: SubgroupLattice, model) -> list:
     return [values[j] for j in range(count)]
 
 
+def check_ambient(lattice: SubgroupLattice, model):
+    """Raise ValueError unless the lattice is of the model's PSp4(3)."""
+    if lattice.ambient.generators != model.psp.generators:
+        raise ValueError("lattice ambient group is not the canonical "
+                         "degree-40 copy of PSp4(3)")
+
+
 def compute_table(config: TableConfig) -> list:
     """One :class:`TableRow` per subgroup class, ordered by class id."""
     lattice = config.lattice
     model = sp4f3.standard_model()
-    if lattice.ambient.generators != model.psp.generators:
-        raise ValueError("lattice ambient group is not the canonical "
-                         "degree-40 copy of PSp4(3)")
+    check_ambient(lattice, model)
     chi = chi24_on_ambient_classes(lattice, model)
     h1 = _h1_all(config) if config.module is not None else None
     rows = []

@@ -2,10 +2,12 @@
 
 A module is given by one integer matrix per group generator, acting on row
 vectors from the right, so the matrix of a product ``g h`` (first ``g``,
-then ``h``) is ``M(g) M(h)``.  Matrices for arbitrary elements are
-obtained by expressing the element as a word in the generators through the
-group's stabiliser chain; since the group is finite, all such products
-land in a fixed finite set of matrices and never overflow.
+then ``h``) is ``M(g) M(h)``.  The module keeps one matrix per transversal
+element of the group's stabiliser chain (66 for PSp4(3) on 40 points); an
+element sifts into one transversal element per level, so its matrix is a
+product of at most base-length of these, and the dual module reads the
+same matrices.  Since the group is finite, all such products land in a
+fixed finite set of matrices and never overflow.
 
 The module file format is line-oriented plain text:
 
@@ -24,11 +26,13 @@ by one symmetric block.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
 from . import intlinalg
-from .permgroups import PermGroup, porder
+from .intlinalg import mat_mul, narrow
+from .permgroups import PermGroup, pinv, porder
 
 
 def _as_matrix(m, rank):
@@ -38,14 +42,31 @@ def _as_matrix(m, rank):
     return intlinalg.as_int_array(a)
 
 
+def _product(mats, rank):
+    """M_1 M_2 ... M_k as a new int64 (or object) matrix."""
+    if not mats:
+        return intlinalg.identity(rank)
+    return reduce(mat_mul, mats[1:],
+                  mats[0].astype(np.result_type(mats[0], np.int64)))
+
+
 @dataclass
 class GIntModule:
-    """An integral representation of ``group`` on row vectors of Z^rank."""
+    """An integral representation of ``group`` on row vectors of Z^rank.
+
+    ``_chain``, made on first use, holds the strong generators' matrices
+    (from their words, M(g^-1) = M(g)^(k-1) for g of order k) and per
+    level the transversal matrices by orbit point, each one product from
+    its parent in the chain's orbit tree, in the narrowest integer dtype.
+    A dual module reads those of the module ``_dual_of``.
+    """
 
     group: PermGroup
     gens: tuple
     rank: int
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _dual_of: GIntModule | None = field(default=None, repr=False,
+                                        compare=False)
+    _chain: tuple | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.gens) != len(self.group.generators):
@@ -54,33 +75,40 @@ class GIntModule:
                 f"{len(self.group.generators)} group generators")
         self.gens = tuple(_as_matrix(g, self.rank) for g in self.gens)
 
-    # -- evaluation --------------------------------------------------------
-
-    def _gen_inverses(self):
-        if 'gen_invs' not in self._cache:
-            self._cache['gen_invs'] = tuple(
-                intlinalg.unimodular_inverse(g) for g in self.gens)
-        return self._cache['gen_invs']
-
-    def identity_matrix(self):
-        return intlinalg.identity(self.rank)
-
-    def evaluate_word(self, word):
-        """Matrix of a word ((gen_index, +-1), ...) over the generators."""
-        invs = self._gen_inverses()
-        out = self.identity_matrix()
-        for idx, e in word:
-            factor = self.gens[idx] if e == 1 else invs[idx]
-            out = intlinalg.mat_mul(out, factor)
-        return out
+    def _matrices(self) -> tuple:
+        """(strong generator matrices, transversal matrices per level)."""
+        if self._chain is not None:
+            return self._chain
+        group, rank = self.group, self.rank
+        inverses = [_product([m] * (porder(g) - 1), rank)
+                    for g, m in zip(group.generators, self.gens)]
+        sgens = [narrow(_product([self.gens[i] if e == 1 else inverses[i]
+                                  for i, e in word], rank))
+                 for word in group.sgen_words]
+        levels = []
+        for level in group.levels:
+            mats = {level.point: narrow(intlinalg.identity(rank))}
+            for pt in level.orbit:  # in the order the chain found them
+                for j in level.gen_indices:
+                    img = group.sgens[j][pt]
+                    if img not in mats:
+                        mats[img] = narrow(mat_mul(mats[pt], sgens[j]))
+            levels.append(mats)
+        self._chain = (sgens, levels)
+        return self._chain
 
     def matrix_of(self, p):
-        """Matrix of a group element, via its word in the generators."""
-        key = tuple(p)
-        cache = self._cache.setdefault('mats', {})
-        if key not in cache:
-            cache[key] = self.evaluate_word(self.group.express(key))
-        return cache[key]
+        """Matrix of a group element, the product of its transversal
+        factors; ValueError for a non-member."""
+        p = tuple(p)
+        if self._dual_of is not None:
+            return np.ascontiguousarray(self._dual_of.matrix_of(pinv(p)).T)
+        points = self.group.sift(p)
+        if points is None:
+            raise ValueError(f"{p} is not an element of the group")
+        levels = self._matrices()[1]
+        return _product([levels[i][pt] for i, pt in reversed(points)],
+                        self.rank)
 
     # -- derived modules ---------------------------------------------------
 
@@ -90,10 +118,12 @@ class GIntModule:
                      for rep, _ in self.group.conjugacy_classes())
 
     def dual(self) -> "GIntModule":
-        """The contragredient module (inverse-transpose matrices)."""
-        mats = tuple(np.ascontiguousarray(inv.T)
-                     for inv in self._gen_inverses())
-        return GIntModule(self.group, mats, self.rank)
+        """The contragredient module, M~(g) = M(g^-1)^T."""
+        if self._dual_of is not None:
+            return self._dual_of
+        mats = tuple(np.ascontiguousarray(self.matrix_of(pinv(g)).T)
+                     for g in self.group.generators)
+        return GIntModule(self.group, mats, self.rank, _dual_of=self)
 
     def restrict(self, subgroup: PermGroup) -> "GIntModule":
         """The same space as a module over a subgroup."""
@@ -105,26 +135,33 @@ class GIntModule:
     def validate(self):
         """Raise ValueError unless the matrices define a homomorphism.
 
-        Checks that every generator matrix is unimodular and that every
-        relator of the group's presentation evaluates to the identity,
-        which certifies the assignment extends to the whole group.
+        Each generator g of order k needs M(g)^k = 1, so the matrices are
+        unimodular.  Then, level by level, each Schreier relation t_pt s =
+        h t_img of the chain (:meth:`PermGroup.schreier_relations`) must
+        hold for the matrices.  These relators present the group on its
+        strong generators (Holt, Eick and O'Brien, *Handbook of
+        Computational Group Theory*, 2005), so they certify that the
+        assignment extends to the whole group.  A dual module is checked
+        through the module it is the dual of.
         """
-        for i, g in enumerate(self.gens):
-            d = intlinalg.det(g)
-            if d not in (1, -1):
-                raise ValueError(f"generator {i} has determinant {d}")
-        pres = self.group.presentation()
-        sgen_mats = [self.evaluate_word(w) for w in pres.gen_words]
-        sgen_invs = [intlinalg.unimodular_inverse(m) for m in sgen_mats]
-        ident = self.identity_matrix()
-        for r, rel in enumerate(pres.relators):
-            out = ident
-            for idx, e in rel:
-                out = intlinalg.mat_mul(
-                    out, sgen_mats[idx] if e == 1 else sgen_invs[idx])
-            if not np.array_equal(np.asarray(out, dtype=object),
-                                  np.asarray(ident, dtype=object)):
-                raise ValueError(f"relator {r} does not act trivially")
+        if self._dual_of is not None:
+            return self._dual_of.validate()
+        sgens, levels = self._matrices()
+        for i, (g, m) in enumerate(zip(self.group.generators, self.gens)):
+            if not np.array_equal(_product([m] * porder(g), self.rank),
+                                  intlinalg.identity(self.rank)):
+                raise ValueError(f"generator {i} has order {porder(g)}, "
+                                 f"but its matrix to that power is not 1")
+        for i, pt, j, rest in self.group.schreier_relations():
+            img = self.group.sgens[j][pt]
+            if not np.array_equal(
+                    mat_mul(levels[i][pt], sgens[j]),
+                    _product([levels[k][q] for k, q in reversed(rest)]
+                             + [levels[i][img]], self.rank)):
+                raise ValueError(
+                    f"Schreier relation at level {i} (base point "
+                    f"{self.group.base[i]}) fails for orbit point {pt} "
+                    f"and strong generator {j}")
 
 
 def perm_module(group: PermGroup, action_perms) -> GIntModule:
@@ -156,17 +193,6 @@ def direct_sum(a: GIntModule, b: GIntModule) -> GIntModule:
         m[a.rank:, a.rank:] = gb
         mats.append(m)
     return GIntModule(a.group, tuple(mats), a.rank + b.rank)
-
-
-def invariant_kernel(module: GIntModule, pairing) -> np.ndarray:
-    """Saturated sublattice pairing to zero with everything.
-
-    ``pairing`` is a symmetric integer matrix; the result is an HNF basis
-    of ``{v : v . pairing = 0}``, which is a submodule whenever the pairing
-    is invariant.
-    """
-    p = _as_matrix(pairing, module.rank)
-    return intlinalg.kernel_saturated(p)
 
 
 def quotient_by_radical(module: GIntModule, radical) -> GIntModule:
@@ -228,10 +254,7 @@ def quotient_by_pairing(module: GIntModule, pairing) -> GIntModule:
         if not np.array_equal(np.asarray(lhs, dtype=object),
                               np.asarray(p, dtype=object)):
             raise ValueError(f"pairing is not invariant under generator {i}")
-    radical = intlinalg.kernel_saturated(p)
-    if len(radical) == 0:
-        return module
-    return quotient_by_radical(module, radical)
+    return quotient_by_radical(module, intlinalg.kernel_saturated(p))
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +316,7 @@ def check_character(module: GIntModule):
     model = sp4f3.standard_model()
     for j, (rep, size) in enumerate(module.group.conjugacy_classes()):
         want = sp4f3.picard_character_at(model, rep)
-        got = int(np.trace(np.asarray(module.matrix_of(rep))))
+        got = int(np.trace(module.matrix_of(rep)))
         if got != want:
             raise ValueError(
                 f"character mismatch at class {j} (element order "
@@ -303,9 +326,9 @@ def check_character(module: GIntModule):
 def load_module(path, group: PermGroup) -> GIntModule:
     """Load and fully validate a module file.
 
-    Validation covers unimodularity and the group relators; rank-61
-    modules over the canonical degree-40 copy of PSp4(3) must additionally
-    have character pi_40 + pi_45 - chi_24.
+    Validation covers unimodularity and the Schreier relations of the
+    group's chain; rank-61 modules over the canonical degree-40 copy of
+    PSp4(3) must additionally have character pi_40 + pi_45 - chi_24.
     """
     lines, fields = _read_lines(path, "gmodule", ("rank", "gens"))
     rank, ngens = fields["rank"], fields["gens"]

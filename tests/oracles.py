@@ -14,6 +14,11 @@ production paths, kept as oracles for the faster ones:
   ``subgroups._containers`` skips by its class-count prescreen;
 * ``word_evaluate`` multiplies out a word in the generators, which
   :meth:`psp4obs.permgroups.PermGroup.express` and presentations return;
+* ``express_matrices`` and ``inverse_transposes`` give a module's matrix
+  of an element as the product over its word in the generators, inverse
+  letters and the dual's generators inverted by a Hermite normal form,
+  where :meth:`psp4obs.zmodules.GIntModule.matrix_of` multiplies the
+  matrices of the element's transversal factors;
 * ``subspace_irreducible`` searches invariant lines, planes and
   hyperplanes and measures the commutant, where
   :func:`psp4obs.sp4f3.is_absolutely_irreducible` measures the span of the
@@ -29,7 +34,9 @@ production paths, kept as oracles for the faster ones:
 * ``h1_bruteforce`` solves the bar-resolution cocycle equations, where
   :func:`psp4obs.cohomology.h1` reads H^1 off the generator matrices;
 * ``load_pairing`` reads the pairing file that ``scripts/build_module.py``
-  writes.
+  writes;
+* ``det`` is a fraction-free (Bareiss) determinant, which the tests use
+  to check that transforms are unimodular.
 """
 
 from collections import deque
@@ -189,6 +196,28 @@ def word_evaluate(word, gens):
     for i, e in word:
         out = pg.pmul(out, gens[i] if e > 0 else pg.pinv(gens[i]))
     return out
+
+
+def express_matrices(group: PermGroup, mats):
+    """The function p -> the product of ``mats[i]`` or its inverse over
+    the letters ``(i, +-1)`` of ``group.express(p)``."""
+    inverses = [intlinalg.unimodular_inverse(m) for m in mats]
+
+    def matrix(p):
+        word = group.express(p)
+        if word is None:
+            raise ValueError(f"{p} is not an element of the group")
+        out = np.eye(len(mats[0]), dtype=np.int64)
+        for i, e in word:
+            out = intlinalg.mat_mul(out, mats[i] if e == 1 else inverses[i])
+        return out
+    return matrix
+
+
+def inverse_transposes(mats) -> list:
+    """The generators of the dual module, M(g)^-T, by Hermite forms."""
+    return [np.ascontiguousarray(intlinalg.unimodular_inverse(m).T)
+            for m in mats]
 
 
 # -- absolute irreducibility on F3^4, the long way round ------------------
@@ -428,3 +457,32 @@ def load_pairing(path) -> np.ndarray:
     if not np.array_equal(mat, mat.T):
         raise ValueError("pairing is not symmetric")
     return mat
+
+
+def det(a) -> int:
+    """Exact determinant via fraction-free Bareiss elimination."""
+    w = [[int(x) for x in row] for row in intlinalg.as_int_array(a)]
+    n = len(w)
+    if any(len(row) != n for row in w):
+        raise ValueError("determinant of a non-square matrix")
+    if n == 0:
+        return 1
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if w[k][k] == 0:
+            for i in range(k + 1, n):
+                if w[i][k] != 0:
+                    w[k], w[i] = w[i], w[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        pkk = w[k][k]
+        for i in range(k + 1, n):
+            wik = w[i][k]
+            for j in range(k + 1, n):
+                w[i][j] = (pkk * w[i][j] - wik * w[k][j]) // prev
+            w[i][k] = 0
+        prev = pkk
+    return sign * w[n - 1][n - 1]

@@ -89,6 +89,55 @@ class TestBadLatticeFile:
         assert "Traceback" not in err
 
 
+def _conjugate_by_0_1(doc):
+    """Relabel points 0 and 1 in every generator of the lattice file."""
+    def relabel(g):
+        swap = {0: 1, 1: 0}
+        g = [swap.get(x, x) for x in g]
+        g[0], g[1] = g[1], g[0]
+        return g
+    doc["ambient_generators"] = [relabel(g)
+                                 for g in doc["ambient_generators"]]
+    for c in doc["classes"]:
+        c["generators"] = [relabel(g) for g in c["generators"]]
+
+
+class TestCohomologyOne:
+    MODULE = str(table.default_fixture_path().parent / "m61.gmodule")
+
+    def test_one_class(self, lattice_path, capsys):
+        code, out, _ = run_cli(capsys, "cohomology", "one", "--class", "6",
+                               "--lattice", str(lattice_path),
+                               "--module", self.MODULE)
+        assert code == 0
+        assert out.startswith("class 6: order ")
+
+    def test_unknown_class_is_one_error_line(self, lattice_path, capsys):
+        code, out, err = run_cli(capsys, "cohomology", "one", "--class",
+                                 "999", "--lattice", str(lattice_path),
+                                 "--module", self.MODULE)
+        assert code == 1 and out == "" and "Traceback" not in err
+        assert [ln for ln in err.splitlines() if ln.startswith("error:")] \
+            == [f"error: {lattice_path} has no class 999; its class ids "
+                f"run 1..116"]
+
+    @pytest.mark.parametrize("class_id", ["5", "60"])
+    def test_conjugated_lattice_is_one_error_line(self, lattice_path,
+                                                  tmp_path, capsys, class_id):
+        # (0 1) fixes the generators of class 5 and moves those of class 60
+        doc = json.loads(pathlib.Path(lattice_path).read_text())
+        _conjugate_by_0_1(doc)
+        path = tmp_path / "lattice.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "cohomology", "one", "--class",
+                                 class_id, "--lattice", str(path),
+                                 "--module", self.MODULE)
+        assert code == 1 and out == "" and "Traceback" not in err
+        assert [ln for ln in err.splitlines() if ln.startswith("error:")] \
+            == ["error: lattice ambient group is not the canonical "
+                "degree-40 copy of PSp4(3)"]
+
+
 class TestTableCheck:
     def test_structural_check_passes(self, lattice_path, capsys):
         code, out, _ = run_cli(capsys, "table", "check",

@@ -11,6 +11,7 @@ import sympy
 from hypothesis import given, settings, strategies as st
 from sympy.matrices.normalforms import smith_normal_form
 
+from oracles import det
 from psp4obs import intlinalg as il
 
 
@@ -24,7 +25,7 @@ def int_matrices(max_dim=5, max_entry=9):
 
 
 def assert_unimodular(u):
-    assert abs(il.det(u)) == 1
+    assert abs(det(u)) == 1
 
 
 class TestHnf:
@@ -139,7 +140,8 @@ class TestQuotient:
     def test_examples(self):
         assert str(il.quotient_invariants(2, [[2, 0], [0, 3]])) == "Z/6"
         assert str(il.quotient_invariants(3, [[1, 0, 0], [0, 2, 0]])) == "Z + Z/2"
-        assert il.quotient_invariants(2, [[1, 0], [0, 1]]).is_trivial
+        assert (il.quotient_invariants(2, [[1, 0], [0, 1]])
+                == il.TRIVIAL_GROUP)
 
     def test_divisor_chain_enforced(self):
         with pytest.raises(ValueError):
@@ -233,3 +235,63 @@ class TestAsIntArray:
     def test_rejects_floats(self):
         with pytest.raises(ValueError):
             il.as_int_array(np.array([[1.0, 2.0]]))
+
+
+def object_product(a, b):
+    return np.asarray(a, dtype=object) @ np.asarray(b, dtype=object)
+
+
+class TestMatMul:
+    @pytest.mark.parametrize("a, b, want", [
+        (np.array([[200]], dtype=np.uint8), np.array([[2]], dtype=np.uint8),
+         400),
+        (np.array([[100]], dtype=np.int8), np.array([[3]], dtype=np.int8),
+         300),
+        (np.array([[2**31 - 1]], dtype=np.int32),
+         np.array([[4]], dtype=np.int32), 4 * (2**31 - 1)),
+    ])
+    def test_narrow_inputs_give_the_exact_product(self, a, b, want):
+        out = il.mat_mul(a, b)
+        assert out.dtype == np.int64
+        assert out.tolist() == [[want]]
+
+    def test_most_negative_int8_counts_as_128(self):
+        assert il.maxabs(np.array([[-128, 5]], dtype=np.int8)) == 128
+
+    @pytest.mark.parametrize("a, b", [
+        # bound 2^26 (2^26 - 1) 2 = 2^53 - 2^27, just below: the float
+        # path, with an odd result 2^53 - 3 * 2^26 + 1
+        ([[2**26, 2**26 - 1]], [[2**26 - 1], [2**26 - 1]]),
+        ([[-2**26, 2**26 - 1]], [[2**26 - 1], [-(2**26 - 1)]]),
+        # bound 2 (2^26 + 1)^2 > 2^53, just above: an odd result
+        # 2^53 + 3 * 2^26 + 1 that a double would round
+        ([[2**26 + 1, 2**26]], [[2**26 + 1], [2**26 + 1]]),
+        ([[-(2**26 + 1), -2**26]], [[2**26 + 1], [2**26 + 1]]),
+        # bound exactly 2^53
+        ([[2**26, 2**26]], [[2**26 - 1], [2**26 + 1]]),
+    ])
+    def test_float_bound_edges_are_exact(self, a, b):
+        a, b = np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)
+        want = object_product(a, b)
+        out = il.mat_mul(a, b)
+        assert out.dtype == np.int64
+        assert out.tolist() == want.tolist()
+
+    def test_beyond_int64_is_object(self):
+        a = np.array([[2**40, 2**40]], dtype=np.int64)
+        out = il.mat_mul(a, a.T)
+        assert out.dtype == object
+        assert out.tolist() == [[2**81]]
+
+    @given(int_matrices(max_entry=2**31))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_object_product(self, a):
+        a = np.array(a, dtype=np.int64)
+        assert il.mat_mul(a, a.T).tolist() == object_product(a, a.T).tolist()
+
+    def test_narrow(self):
+        rot = np.array([[0, 1], [-1, -1]])
+        assert il.narrow(rot).dtype == np.int8
+        assert il.narrow(np.array([[128]])).dtype == np.int16
+        assert il.narrow(np.array([[2**40]])).dtype == np.int64
+        assert il.narrow(np.array([[2**70]], dtype=object)).dtype == object

@@ -5,11 +5,11 @@ import re
 import numpy as np
 import pytest
 
-from oracles import load_pairing
-from psp4obs import intlinalg, zmodules
+from oracles import express_matrices, inverse_transposes, load_pairing
+from psp4obs import intlinalg, table, zmodules
 from psp4obs.permgroups import PermGroup
-from psp4obs.zmodules import (GIntModule, direct_sum, invariant_kernel,
-                              load_module, perm_module,
+from psp4obs.zmodules import (GIntModule, direct_sum, load_module,
+                              perm_module,
                               quotient_by_pairing, quotient_by_radical,
                               save_module, save_pairing)
 
@@ -56,6 +56,31 @@ class TestBasics:
         bad = GIntModule(C2, [ROT], 2)
         with pytest.raises(ValueError):
             bad.validate()
+
+    def test_validate_names_the_level_of_a_broken_relation(self):
+        # C2^3 on 6 points, base 0, 2, 4: M(b) and M(d) have order 2 but
+        # do not commute, and b d = d b is a relation of level 1
+        a, b, d = (1, 0, 2, 3, 4, 5), (0, 1, 3, 2, 4, 5), (0, 1, 2, 3, 5, 4)
+        group = PermGroup([a, b, d], 6)
+        assert group.base == [0, 2, 4]
+        bad = GIntModule(group, [np.eye(2, dtype=int), SWAP,
+                                 np.diag([-1, 1])], 2)
+        with pytest.raises(ValueError, match="Schreier relation at level 1 "):
+            bad.validate()
+        GIntModule(group, [np.eye(2, dtype=int), SWAP, -SWAP], 2).validate()
+
+    def test_validate_rejects_a_generator_of_the_wrong_order(self):
+        with pytest.raises(ValueError, match="generator 0 has order 2"):
+            GIntModule(C2, [ROT], 2).validate()
+
+    def test_validate_rejects_a_nontrivial_identity_generator(self):
+        group = PermGroup([(1, 0, 2), (0, 1, 2)], 3)
+        with pytest.raises(ValueError, match="generator 1 has order 1"):
+            GIntModule(group, [SWAP, SWAP], 2).validate()
+
+    def test_matrix_of_a_non_member_is_an_error(self, std_s3):
+        with pytest.raises(ValueError, match="not an element"):
+            GIntModule(C3, [ROT], 2).matrix_of((1, 0, 2))
 
     def test_act_on_rows(self, std_s3):
         v = np.array([[1, 0], [0, 1]])
@@ -105,6 +130,61 @@ class TestConstructions:
         assert s.character() == (3, -1, 0)
 
 
+M61_PATH = table.default_fixture_path().parent / "m61.gmodule"
+
+
+@pytest.fixture(scope="module")
+def m61(model):
+    return load_module(M61_PATH, model.psp)
+
+
+class TestTransversalMatrices:
+    """``matrix_of`` against the product over the element's word."""
+
+    def test_class_representatives_and_transversals(self, model, m61):
+        psp = model.psp
+        dual = m61.dual()
+        oracle = express_matrices(psp, m61.gens)
+        dual_oracle = express_matrices(psp, inverse_transposes(m61.gens))
+        elements = [rep for rep, _ in psp.conjugacy_classes()]
+        elements += [t for level in psp.levels for t in level.orbit.values()]
+        assert len(elements) == 20 + 66
+        for p in elements:
+            assert np.array_equal(m61.matrix_of(p), oracle(p))
+            assert np.array_equal(dual.matrix_of(p), dual_oracle(p))
+
+    def test_generators_of_every_restriction(self, model, m61, lattice):
+        psp = model.psp
+        dual = m61.dual()
+        oracle = express_matrices(psp, m61.gens)
+        dual_oracle = express_matrices(psp, inverse_transposes(m61.gens))
+        pairs = 0
+        for info in lattice.classes:
+            rep = lattice.rep(info.class_id)
+            for module, want in ((m61, oracle), (dual, dual_oracle)):
+                got = module.restrict(rep).gens
+                assert len(got) == len(rep.generators)
+                for g, m in zip(rep.generators, got):
+                    assert np.array_equal(m, want(g)), info.class_id
+                pairs += 1
+        assert pairs == 232
+
+    def test_non_member_is_an_error(self, m61):
+        swap = (1, 0) + tuple(range(2, 40))
+        with pytest.raises(ValueError, match="not an element"):
+            m61.matrix_of(swap)
+
+    def test_a_conjugated_generator_breaks_a_schreier_relation(self, model,
+                                                               m61):
+        # a basis permutation keeps M(g) unimodular and of order 3
+        perm = np.roll(np.eye(61, dtype=np.int64), 1, axis=0)
+        gens = list(m61.gens)
+        gens[2] = perm @ gens[2] @ perm.T
+        bad = GIntModule(model.psp, gens, 61)
+        with pytest.raises(ValueError, match=r"Schreier relation at level \d"):
+            bad.validate()
+
+
 class TestQuotients:
     def test_quotient_by_radical_regular_c2(self):
         reg = perm_module(C2, C2.generators)
@@ -141,7 +221,7 @@ class TestQuotients:
         # J pairing has the augmentation line as radical complement:
         # radical of all-ones pairing = augmentation sublattice
         p = np.ones((3, 3), dtype=int)
-        rad = invariant_kernel(reg, p)
+        rad = intlinalg.kernel_saturated(p)
         assert rad.shape == (2, 3)
         quo = quotient_by_pairing(reg, p)
         assert quo.rank == 1
