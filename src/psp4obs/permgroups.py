@@ -227,22 +227,23 @@ class _DerivedSeries:
         return normal_closure(self, [pcommutator(a, b)
                                      for a in gens for b in gens])
 
-    def _derived_walk(self):
+    def _derived_walk(self, derived=None):
         """(l, D): the series drops l times, then D = G^(l+1) = G^(l); D's
-        generators, not G^(l)'s, are those of the solvable residual."""
+        generators, not G^(l)'s, are those of the solvable residual.
+        ``derived`` is G' when the caller has it already."""
         cur, length = self, 0
-        while True:
-            nxt = cur.derived_subgroup()
-            if nxt.order == cur.order:
-                return length, nxt
+        nxt = self.derived_subgroup() if derived is None else derived
+        while nxt.order != cur.order:
             cur, length = nxt, length + 1
+            nxt = cur.derived_subgroup()
+        return length, nxt
 
     def solvable_residual(self) -> "ElementSet":
         return self._derived_walk()[1]
 
-    def derived_length(self):
+    def derived_length(self, derived=None):
         """Length of the derived series, or None if it stops above 1."""
-        length, residual = self._derived_walk()
+        length, residual = self._derived_walk(derived)
         return length if residual.order == 1 else None
 
     def is_solvable(self):
@@ -751,15 +752,16 @@ def orbits(gens, degree):
     return out
 
 
-def abelian_invariants(group: PermGroup) -> AbelianInvariants:
-    """Invariant factors of G/G', by counting over the conjugacy classes.
+def abelian_invariants(group: PermGroup, derived=None) -> AbelianInvariants:
+    """Invariant factors of G/G', by counting over the conjugacy classes;
+    ``derived`` is G' when the caller has it already.
 
     For p^a exactly dividing |G/G'|, the x with x^(p^k) in G' number
     |G'| p^(s_k), where s_k sums min(e, k) over the cyclic factors Z/p^e
     of G/G'.  So r_k = s_k - s_(k-1) factors have order p^k or more, and
     the i-th largest has order p^e with e the number of k with r_k > i.
     """
-    derived = group.derived_subgroup()
+    derived = group.derived_subgroup() if derived is None else derived
     classes = group.conjugacy_classes()
     chains = []
     for p, a in prime_powers(group.order // derived.order):

@@ -96,10 +96,11 @@ class Fingerprint:
 
 
 def fingerprint_of(group: PermGroup) -> Fingerprint:
-    dl = group.derived_length()
+    derived = group.derived_subgroup()  # one G' for both of its uses
+    dl = group.derived_length(derived)
     return Fingerprint(
         order=group.order,
-        abelianization=abelian_invariants(group).torsion,
+        abelianization=abelian_invariants(group, derived).torsion,
         exponent=group.exponent(),
         class_count=len(group.conjugacy_classes()),
         derived_length=-1 if dl is None else dl,

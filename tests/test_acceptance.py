@@ -3,8 +3,9 @@
 Computes every column for all 116 subgroup classes, H^1 of M and of its
 dual included, and checks it against the bundled reference table under
 the structural alignment.  The reference table disagrees with the
-computed one in exactly five cells outside the module columns; each is
-named here, so any other difference fails.
+computed one in exactly five cells outside the module columns, the
+``table.DISPUTED_CELLS`` that oracle tests back; any other difference
+fails.
 """
 
 import re
@@ -15,13 +16,7 @@ from psp4obs import cohomology, table, zmodules
 
 MODULE_PATH = table.default_fixture_path().parent / "m61.gmodule"
 
-# the five cells where the bundled reference table disagrees with the
-# computed one; the checks independent of this code recorded in
-# ROADMAP.md (the F3-span of the preimage's matrices for irreducibility,
-# a brute force over the subgroups of class 60) side with the computed
-# values
-KNOWN_CELLS = {(43, "irred"), (46, "irred"), (77, "irred"), (81, "irred"),
-               (60, "burnside")}
+KNOWN_CELLS = set(table.DISPUTED_CELLS)
 _CELL = re.compile(r"^class (\d+) ~ fixture row \d+: (\w+) ")
 
 
@@ -65,6 +60,10 @@ def test_full_comparison_reports_only_known_cells(rows, fixture):
         cells.add((int(hit.group(1)), hit.group(2)))
     assert cells == KNOWN_CELLS
     assert len(full.mismatches) == len(KNOWN_CELLS)
+    summary = full.summary()
+    assert summary.count(
+        "[disputed: an oracle confirms the computed value]") == 5
+    assert "unexplained" not in summary
 
 
 def test_verdict_counts(rows):
@@ -74,8 +73,9 @@ def test_verdict_counts(rows):
 
 
 def test_invariant_rank_mod_ell_matches_hnf(lattice, module):
-    # h0 ranks M^H over F_l (l the least prime not dividing |H|); the HNF
-    # kernel over Z is the independent check, on M and its dual
+    # h0 counts the Smith invariants of valuation a+1 mod p^(a+1), p^a
+    # exactly dividing |H|; the HNF kernel over Z is the independent
+    # check, on M and its dual
     dual = module.dual()
     for info in lattice.classes:
         rep = lattice.rep(info.class_id)

@@ -135,6 +135,9 @@ class TestClass60:
     computed 2 is recomputed here from every subgroup by brute force."""
 
     def test_brute_force_order_is_two(self, model, lattice):
+        # the one disputed Burnside cell, which this oracle backs
+        assert [c for c, col in table.DISPUTED_CELLS
+                if col == "burnside"] == [60]
         info = lattice.classes[59]
         assert info.class_id == 60 and info.order == 24
         elements = oracles.closure([tuple(g) for g in info.generators],

@@ -102,6 +102,26 @@ def _conjugate_by_0_1(doc):
         c["generators"] = [relabel(g) for g in c["generators"]]
 
 
+class TestLatticeOfAnotherCopy:
+    @pytest.mark.parametrize("command,extra", [("compute", ["--out", "t.csv"]),
+                                               ("check", [])],
+                             ids=["table-compute", "table-check"])
+    def test_one_error_line(self, lattice_path, tmp_path, monkeypatch,
+                            capsys, command, extra):
+        doc = json.loads(pathlib.Path(lattice_path).read_text())
+        _conjugate_by_0_1(doc)
+        path = tmp_path / "lattice.json"
+        path.write_text(json.dumps(doc))
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, "table", command, "--lattice",
+                                 str(path), *extra)
+        assert code == 1 and out == "" and "Traceback" not in err
+        assert [ln for ln in err.splitlines() if ln.startswith("error:")] \
+            == ["error: lattice ambient group is not the canonical "
+                "degree-40 copy of PSp4(3)"]
+        assert not (tmp_path / "t.csv").exists()
+
+
 class TestCohomologyOne:
     MODULE = str(table.default_fixture_path().parent / "m61.gmodule")
 

@@ -10,6 +10,9 @@ from random import Random
 
 import numpy as np
 import pytest
+import sympy
+from hypothesis import given, settings, strategies as st
+from sympy.matrices.normalforms import smith_normal_form
 
 from oracles import coset_action, h1_bruteforce, quotient_mod_coboundaries
 from psp4obs import cohomology, intlinalg
@@ -74,8 +77,17 @@ KNOWN = [
     ("Q8 regular", perm_module(Q8, Q8.generators), ()),
     # |H| = 4 kills H^1 here and the exponent 2 does not
     ("V4 augmentation ideal", augmentation_ideal(V4), (4,)),
-    # a prime outside 2, 3, 5; invariants ranked over F_2
+    # a prime outside 2, 3, 5; the invariants counted mod 7^2
     ("C7 augmentation ideal", augmentation_ideal(C7), (7,)),
+    # a Smith invariant of valuation exactly a (|H| = 2^a) beside a zero
+    # one, which only the valuation a+1 tells apart
+    ("C4 trivial + sign + augmentation ideal",
+     direct_sum(direct_sum(GIntModule(C4, [np.array([[1]])], 1),
+                           GIntModule(C4, [np.array([[-1]])], 1)),
+                augmentation_ideal(C4)), (2, 4)),
+    ("V4 augmentation ideal + trivial Z",
+     direct_sum(augmentation_ideal(V4),
+                GIntModule(V4, [np.array([[1]])] * 2, 1)), (4,)),
 ]
 
 
@@ -228,13 +240,49 @@ class TestBruteForceGuards:
             h1_bruteforce(perm_module(big, big.generators))
 
 
+@st.composite
+def smith_cases(draw):
+    """(m x n integer matrix with m >= n, prime p, capped valuation)."""
+    n = draw(st.integers(1, 5))
+    m = draw(st.integers(n, 6))
+    rows = draw(st.lists(st.lists(st.integers(-12, 12), min_size=n,
+                                  max_size=n), min_size=m, max_size=m))
+    return np.array(rows), draw(st.sampled_from((2, 3, 5))), \
+        draw(st.integers(1, 4))
+
+
+def _valuation(d, p, cap):
+    v = 0
+    while d and d % p == 0 and v < cap:
+        d, v = d // p, v + 1
+    return cap if d == 0 else v
+
+
+class TestSmithValuations:
+    @given(smith_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_sympy(self, case):
+        a, p, exp = case
+        ref = smith_normal_form(sympy.Matrix(a.tolist()))
+        want = sorted(_valuation(int(ref[i, i]), p, exp)
+                      for i in range(a.shape[1]))
+        assert cohomology._smith_valuations(a, p, exp) == want
+
+
 class TestInvariantChecks:
-    def test_invariant_rank_above_vanishing_invariants_raises(
+    def test_primes_disagreeing_on_vanishing_invariants_raises(
             self, monkeypatch):
-        # more invariants than Smith invariants vanishing mod p^a is a
-        # contradiction, reported even under python -O
-        module = GIntModule(C4, [J], 2)
-        monkeypatch.setattr(cohomology, "h0", lambda m: m.rank)
+        # every prime of |H| counts rank M^H as the invariants of valuation
+        # a+1; a disagreement is reported even under python -O
+        real = cohomology._smith_valuations
+
+        def skewed(a, p, exp):
+            vals = real(a, p, exp)
+            return vals if p == 2 else [0 if v == exp else v for v in vals]
+
+        module = perm_module(S3, S3.generators)
+        assert cohomology.h1(module) == intlinalg.TRIVIAL_GROUP
+        monkeypatch.setattr(cohomology, "_smith_valuations", skewed)
         with pytest.raises(RuntimeError):
             cohomology.h1(module)
 

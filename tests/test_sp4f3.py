@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import oracles
-from psp4obs import intlinalg, sp4f3
+from psp4obs import intlinalg, sp4f3, table
 from psp4obs.permgroups import PermGroup, orbits, pmul, porder
 
 
@@ -202,6 +202,10 @@ class TestChi24:
         assert pic.inner(one, sizes, sp4f3.PSP4_ORDER) == 2
 
 
+# F3-dimension of the span of each disputed class's Sp4(3) preimage
+SPAN_DIMS = {43: 8, 46: 16, 77: 16, 81: 6}
+
+
 class TestAbsoluteIrreducibility:
     def test_full_group(self, model):
         assert sp4f3.is_absolutely_irreducible(model, model.psp.generators)
@@ -246,8 +250,9 @@ class TestAbsoluteIrreducibility:
             flags.append(irred)
         assert len(flags) == 116 and 0 < sum(flags) < 116
 
-    @pytest.mark.parametrize("class_id, dim",
-                             [(43, 8), (46, 16), (77, 16), (81, 6)])
+    @pytest.mark.parametrize("class_id, dim", [
+        (c, SPAN_DIMS[c]) for c, col in table.DISPUTED_CELLS
+        if col == "irred"])
     def test_span_of_disputed_classes(self, model, lattice, class_id, dim):
         # the reference table crosses the irred flags of 43/46 and 77/81;
         # the span of the whole preimage settles them

@@ -163,6 +163,21 @@ class TestCompare:
         assert not rep.ok
         assert any("fixture row 4" in m for m in rep.mismatches)
 
+    def test_summary_labels_each_mismatch(self):
+        mismatches = ["class 60 ~ fixture row 61: burnside 2 != 1",
+                      "class 61 ~ fixture row 60: burnside 2 != 1",
+                      "class 43 ~ fixture row 44: burnside 1 != 2",
+                      "classes [2, 3] ~ fixture rows [2, 3]: column data "
+                      "differs: [] != []",
+                      "unmatched fixture row 4: order 4"]
+        rep = table.MatchReport({}, [], list(mismatches))
+        lines = rep.summary().splitlines()[-5:]
+        disputed = "disputed: an oracle confirms the computed value"
+        assert lines == [f"  {mismatches[0]}  [{disputed}]"] + [
+            f"  {m}  [unexplained]" for m in mismatches[1:]]
+        # the labels add no "!=" to the count of differing cells
+        assert "!=" not in disputed + "unexplained"
+
     def test_summary_mentions_groups(self):
         rep = compare_fixture(CHAIN_ROWS, CHAIN_FIX)
         text = rep.summary()
