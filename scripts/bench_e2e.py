@@ -9,7 +9,10 @@ BLAS thread:
 * ``lattice_cold_s``: ``lattice compute --seed 1`` into a new file;
 * ``table_s``: ``table compute`` without a module, on that lattice;
 * ``table_module_s``: ``table compute --module`` with the bundled
-  ``m61.gmodule``.
+  ``m61.gmodule``;
+* ``module_verify_s``: ``module verify --module`` on the same file, that
+  is start-up, the symplectic model and ``load_module``; its output is
+  its stdout.
 
 Each stage runs three times.  ``bench/BENCH_<label>.json`` holds the
 median and every raw wall time of each stage, the sha256 of each stage's
@@ -60,16 +63,18 @@ def _sha256(path):
     return hashlib.sha256(pathlib.Path(path).read_bytes()).hexdigest()
 
 
-def run_stage(root, cpu, argv):
-    """Wall seconds of one ``psp4obs`` process on one CPU."""
+def run_stage(root, cpu, argv, stdout_path=None):
+    """Wall seconds of one ``psp4obs`` process on one CPU; its stdout goes
+    to ``stdout_path`` if given."""
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     env.update({k: "1" for k in ONE_THREAD})
-    t0 = time.perf_counter()
-    subprocess.run([sys.executable, "-m", "psp4obs.cli", *argv], cwd=root,
-                   env=env, check=True, stdout=subprocess.DEVNULL,
-                   stderr=subprocess.DEVNULL,
-                   preexec_fn=lambda: os.sched_setaffinity(0, {cpu}))
-    return time.perf_counter() - t0
+    with open(stdout_path or os.devnull, "w") as sink:
+        t0 = time.perf_counter()
+        subprocess.run([sys.executable, "-m", "psp4obs.cli", *argv],
+                       cwd=root, env=env, check=True, stdout=sink,
+                       stderr=subprocess.DEVNULL,
+                       preexec_fn=lambda: os.sched_setaffinity(0, {cpu}))
+        return time.perf_counter() - t0
 
 
 def main(argv=None):
@@ -79,28 +84,35 @@ def main(argv=None):
                         help="checkout whose src/ is timed")
     args = parser.parse_args(argv)
     root = args.root.resolve()
-    module = root / "src" / "psp4obs" / "data" / "m61.gmodule"
+    # relative to the checkout, so that module verify prints the same path
+    module = pathlib.Path("src", "psp4obs", "data", "m61.gmodule")
     cpu = min(os.sched_getaffinity(0))
-    times = {"lattice_cold_s": [], "table_s": [], "table_module_s": []}
+    times = {"lattice_cold_s": [], "table_s": [], "table_module_s": [],
+             "module_verify_s": []}
     outputs = {}
     with tempfile.TemporaryDirectory() as tmp:
         tmp = pathlib.Path(tmp)
         lattice = tmp / "lattice.json"
+        # name: (argv, output file, whether that file is the stdout)
         stages = {
             "lattice_cold_s": (["lattice", "compute", "--cache", str(lattice),
-                                "--seed", "1"], lattice),
+                                "--seed", "1"], lattice, False),
             "table_s": (["table", "compute", "--lattice", str(lattice),
-                         "--out", str(tmp / "table.csv")], tmp / "table.csv"),
+                         "--out", str(tmp / "table.csv")], tmp / "table.csv",
+                        False),
             "table_module_s": (["table", "compute", "--lattice", str(lattice),
                                 "--module", str(module),
                                 "--out", str(tmp / "table-module.csv")],
-                               tmp / "table-module.csv"),
+                               tmp / "table-module.csv", False),
+            "module_verify_s": (["module", "verify", "--module", str(module)],
+                                tmp / "verify.txt", True),
         }
         for rep in range(REPEATS):
-            for name, (stage_argv, out) in stages.items():
+            for name, (stage_argv, out, stdout) in stages.items():
                 if name == "lattice_cold_s":
                     lattice.unlink(missing_ok=True)
-                seconds = run_stage(root, cpu, stage_argv)
+                seconds = run_stage(root, cpu, stage_argv,
+                                    out if stdout else None)
                 times[name].append(seconds)
                 digest = _sha256(out)
                 if outputs.setdefault(name, digest) != digest:

@@ -1,35 +1,28 @@
-"""Permutation groups with stabiliser chains, words and presentations.
+"""Permutation groups: stabiliser chains, element tables and classes.
 
 Permutations on ``{0, ..., n-1}`` are tuples of images; composition is
 left-to-right, so ``(p * q)(i) = q[p[i]]`` and points are acted on from the
 right: ``i ^ (pq) = (i ^ p) ^ q``.
 
 :class:`PermGroup` keeps a base and strong generating set built by a
-deterministic Schreier-Sims procedure.  Schreier generators are sifted
-without words; only a residue that becomes a new strong generator is sifted
-again to build its word in the original generators.  Every transversal
-element carries a word in the strong generators, so that any group element
-can be rewritten as a word in the original generators
-(:meth:`PermGroup.express`) and a finite presentation on the strong
-generators can be read off the stabiliser chain
-(:meth:`PermGroup.presentation`).
+deterministic Schreier-Sims procedure.  Only a Schreier generator that
+becomes a new strong generator is sifted again for its word, and every
+transversal element carries a word, so any element can be written in the
+original generators (:meth:`PermGroup.express`) and a presentation read
+off the chain (:meth:`PermGroup.presentation`).
+
+Whole-group operations run on the element table: all elements as one
+numpy array in lexicographic order.  Conjugacy classes are the orbits of
+the generators acting on the rows by conjugation, labelled in one
+vectorised pass over keys made of the base images, which determine an
+element (Holt, Eick and O'Brien, *Handbook of Computational Group
+Theory*, 2005, ch. 4); the exponent, nilpotency and G/G' are counted off
+them.  Subgroup conjugacy and normalisers scan all rows at once.
 
 Closures (:func:`closed_set`, :func:`normal_closure`) grow an
-:class:`ElementSet` by Dimino's coset closure, with the greedy generators
-that a chain rebuilt after every accepted generator would give.  The
-derived series compares the sizes of element sets; a chain is built only
-for a group that is kept (:meth:`ElementSet.group`).
-
-The exponent, nilpotency (every Sylow subgroup normal) and the
-abelianisation G/G' (:func:`abelian_invariants`, from how many elements
-have a p^k-th power in G') are counted off the conjugacy classes, with
-no presentation or Smith form.
-
-Heavier operations (conjugacy of subgroups, normalisers) work
-on the full element table of the group held as a numpy array; on groups of
-the sizes treated here (up to tens of thousands of elements of small
-degree) a vectorised scan over all elements beats a backtrack search by a
-wide margin and has no tuning knobs.
+:class:`ElementSet` by Dimino's coset closure; the derived series compares
+the sizes of element sets, and a chain is built only for a group that is
+kept (:meth:`ElementSet.group`).
 """
 
 from __future__ import annotations
@@ -130,6 +123,35 @@ def _dtype(degree):
 
 def _as_table(rows, degree):
     return np.asarray(rows, dtype=_dtype(degree)).reshape(-1, degree)
+
+
+def _row_keys(rows, radix):
+    """One int64 key per row of entries in ``range(radix)``, equal exactly
+    for equal rows: the columns in base ``radix``, with the keys re-ranked
+    to ``0..distinct - 1`` before a column would take them to 2^63."""
+    keys = np.zeros(len(rows), dtype=np.int64)
+    bound = 1  # every key lies in range(bound)
+    for col in rows.T:
+        if bound * radix >= 2 ** 63:
+            uniq, keys = np.unique(keys, return_inverse=True)
+            bound = len(uniq)
+        keys *= radix
+        keys += col
+        bound *= radix
+    return keys
+
+
+def orbit_minima(acts, n):
+    """For each of 0..n-1, the least point of its orbit under the
+    permutations ``acts`` (index arrays) of a finite group: every point
+    takes the least label the maps reach until no label changes."""
+    label, old = np.arange(n), None
+    while not np.array_equal(label, old):
+        old = label
+        for act in acts:
+            label = np.minimum(label, label[act])
+        label = label[label]
+    return label
 
 
 class ElementTable:
@@ -479,47 +501,45 @@ class PermGroup(_DerivedSeries):
 
     # -- conjugacy of elements --------------------------------------------
 
+    def _conjugation_maps(self):
+        """Row k: the table index of g^-1 x g for the row x at each index,
+        for the k-th nontrivial generator g.  Rows are found by their
+        keys, their images of the base points (:func:`_row_keys`)."""
+        table = self.element_table().table
+        base = np.asarray(self.base, dtype=np.intp)
+        gens = [g for g in self.generators if not is_identity(g)]
+        # g^-1 x g sends b to g[x[g^-1[b]]]: only base columns matter
+        keys = _row_keys(np.concatenate([table[:, base]] + [
+            np.asarray(g, table.dtype)[table[:, np.asarray(pinv(g))[base]]]
+            for g in gens]), self.degree).reshape(-1, len(table))
+        by_key = np.argsort(keys[0])
+        sorted_keys = keys[0][by_key]
+        if (sorted_keys[1:] == sorted_keys[:-1]).any():
+            raise RuntimeError("base images do not determine elements")
+        for k in keys[1:]:  # conjugation by g permutes G's rows
+            pos = np.argsort(k)
+            if not np.array_equal(k[pos], sorted_keys):
+                raise RuntimeError("a conjugate is not in the table")
+            k[pos] = by_key
+        return keys[1:]
+
     def conjugacy_classes(self):
         """List of (representative, size); canonical deterministic order.
 
-        Representatives are the lexicographically smallest class members;
-        classes are sorted by (element order, class size, representative).
+        Classes are the orbits of the generators acting on the table rows
+        by conjugation (:meth:`_conjugation_maps`), labelled by their least
+        rows (:func:`orbit_minima`), so each representative is the
+        lexicographically least member.  Classes are sorted by (element
+        order, class size, representative).
         """
         if 'classes' not in self._cache:
             et = self.element_table()
-            n = len(et)
-            cls = np.full(n, -1, dtype=np.int64)
-            gens = [g for g in self.generators if not is_identity(g)]
-            conj_tables = []
-            for g in gens:
-                gi = pinv(g)
-                garr = np.asarray(g, dtype=et.table.dtype)
-                giarr = np.asarray(gi)
-                conj_tables.append((garr, giarr))
-            nclass = 0
-            classes = []
-            for start in range(n):
-                if cls[start] >= 0:
-                    continue
-                members = [start]
-                cls[start] = nclass
-                frontier = np.array([start])
-                while frontier.size:
-                    rows = et.table[frontier]
-                    new = []
-                    for garr, giarr in conj_tables:
-                        conj = garr[rows[:, giarr]]
-                        idx = et.index_of(conj)
-                        fresh = idx[cls[idx] < 0]
-                        if fresh.size:
-                            fresh = np.unique(fresh)
-                            cls[fresh] = nclass
-                            new.append(fresh)
-                            members.extend(fresh.tolist())
-                    frontier = np.concatenate(new) if new else np.array([])
-                rep = et.perm(min(members))
-                classes.append((rep, len(members)))
-                nclass += 1
+            first, cls, sizes = np.unique(
+                orbit_minima(self._conjugation_maps(), len(et)),
+                return_inverse=True, return_counts=True)
+            classes = [(et.perm(i), int(size))
+                       for i, size in zip(first, sizes)]
+            nclass = len(classes)
             order = sorted(range(nclass),
                            key=lambda i: (porder(classes[i][0]),
                                           classes[i][1], classes[i][0]))
@@ -730,26 +750,8 @@ def normal_closure(ambient, seeds) -> ElementSet:
 
 def orbits(gens, degree):
     """Orbits of the group generated by ``gens`` on points."""
-    seen = [False] * degree
-    out = []
-    for i in range(degree):
-        if seen[i]:
-            continue
-        orb = [i]
-        seen[i] = True
-        frontier = [i]
-        while frontier:
-            new = []
-            for pt in frontier:
-                for g in gens:
-                    img = g[pt]
-                    if not seen[img]:
-                        seen[img] = True
-                        orb.append(img)
-                        new.append(img)
-            frontier = new
-        out.append(sorted(orb))
-    return out
+    label = orbit_minima([np.asarray(g) for g in gens], degree)
+    return [np.flatnonzero(label == x).tolist() for x in np.unique(label)]
 
 
 def abelian_invariants(group: PermGroup, derived=None) -> AbelianInvariants:

@@ -134,22 +134,23 @@ _FRAME = [POINT_INDEX[v] for v in (*MAT_ID, (1, 1, 1, 1))]
 
 
 def _span_points(v, w):
-    """All projective points of the plane spanned by independent v, w."""
-    pts = set()
-    for a in range(3):
-        for b in range(3):
-            x = tuple((a * v[i] + b * w[i]) % 3 for i in range(4))
-            if any(x):
-                pts.add(POINT_INDEX[normalize_point(x)])
-    return tuple(sorted(pts))
+    """The four points <v>, <w>, <v + w>, <v - w> of the plane spanned by
+    independent v, w, ascending."""
+    return tuple(sorted(
+        POINT_INDEX[normalize_point(tuple((a * x + b * y) % 3
+                                          for x, y in zip(v, w)))]
+        for a, b in ((1, 0), (0, 1), (1, 1), (1, 2))))
 
 
 def _enumerate_planes():
-    planes = {}
-    for i, j in itertools.combinations(range(40), 2):
-        key = _span_points(POINTS[i], POINTS[j])
-        if len(key) == 4 and key not in planes:
-            planes[key] = None
+    """The 130 planes, each spanned once: two distinct points span a plane
+    of four, and a pair on a plane found already is skipped."""
+    planes, covered = [], set()
+    for pair in itertools.combinations(range(40), 2):
+        if pair not in covered:
+            key = _span_points(*(POINTS[i] for i in pair))
+            planes.append(key)
+            covered.update(itertools.combinations(key, 2))
     return sorted(planes)
 
 
@@ -157,40 +158,20 @@ PLANES = _enumerate_planes()
 _require(len(PLANES) == 130, "F3^4 must have 130 planes")
 
 
-def _plane_is_isotropic(plane):
-    pts = [POINTS[i] for i in plane]
-    return all(form(x, y) == 0 for x, y in itertools.combinations(pts, 2))
+# ORTHOGONAL[i, j]: <x, y> = 0 for points x, y (every point is isotropic)
+ORTHOGONAL = np.array(POINTS) @ np.array(J_FORM) @ np.array(POINTS).T % 3 == 0
 
 
-ISOTROPIC_LINES = [p for p in PLANES if _plane_is_isotropic(p)]
+# each plane's perp, the points orthogonal to all of its points.  The form
+# has even rank on a plane, so a plane is its own perp (an isotropic line)
+# or nondegenerate, with a nondegenerate perp
+_PERPS = {p: tuple(np.flatnonzero(ORTHOGONAL[list(p)].all(axis=0)).tolist())
+          for p in PLANES}
+ISOTROPIC_LINES = [p for p in PLANES if _PERPS[p] == p]
 _require(len(ISOTROPIC_LINES) == 40, "there must be 40 isotropic lines")
 LINE_INDEX = {p: i for i, p in enumerate(ISOTROPIC_LINES)}
-
-
-def _perp_plane(plane):
-    basis = [POINTS[plane[0]], POINTS[plane[1]]]
-    perp = tuple(sorted(i for i in range(40)
-                        if all(form(POINTS[i], b) == 0 for b in basis)))
-    return perp
-
-
-def _enumerate_pairs():
-    pairs = []
-    seen = set()
-    for p in PLANES:
-        if _plane_is_isotropic(p):
-            continue
-        q = _perp_plane(p)
-        _require(len(q) == 4 and not _plane_is_isotropic(q),
-                 "the perp of a nondegenerate plane must be one")
-        key = tuple(sorted((p, q)))
-        if key not in seen:
-            seen.add(key)
-            pairs.append(key)
-    return pairs
-
-
-PERP_PAIRS = _enumerate_pairs()
+PERP_PAIRS = sorted({tuple(sorted((p, q))) for p, q in _PERPS.items()
+                     if p != q})
 _require(len(PERP_PAIRS) == 45, "there must be 45 perp pairs")
 PAIR_INDEX = {p: i for i, p in enumerate(PERP_PAIRS)}
 
@@ -300,10 +281,11 @@ def build_sp4() -> SymplecticModel:
     for v in POINTS:
         m = transvection(v)
         _require(is_symplectic(m), "transvection is not symplectic")
-        if vector_perm(m) in group:
+        vp = vector_perm(m)
+        if vp in group:
             continue
         gens.append(m)
-        group = PermGroup([vector_perm(g) for g in gens], 80)
+        group = PermGroup(group.generators + [vp], 80)
         if group.order == SP4_ORDER:
             break
     else:  # pragma: no cover
@@ -335,11 +317,7 @@ def srg_adjacency() -> np.ndarray:
 
     Strongly regular with parameters (40, 12, 2, 4).
     """
-    a = np.zeros((40, 40), dtype=np.int64)
-    for i in range(40):
-        for j in range(40):
-            if i != j and form(POINTS[i], POINTS[j]) == 0:
-                a[i, j] = 1
+    a = ORTHOGONAL.astype(np.int64) - np.eye(40, dtype=np.int64)
     _require((a.sum(axis=1) == 12).all(), "graph is not 12-regular")
     return a
 

@@ -50,8 +50,8 @@ import numpy as np
 from . import burnside
 from .intlinalg import prime_powers
 from .permgroups import (ElementTable, PermGroup, abelian_invariants,
-                         closed_set, group_from_elements, is_identity, pconj,
-                         pident, pmul, porder)
+                         closed_set, group_from_elements, is_identity,
+                         orbit_minima, pconj, pident, pmul, porder)
 
 DEFAULT_SEED = 1
 _TRIALS_PER_PAIR = 6  # random conjugate pairs per pair of element classes
@@ -197,16 +197,13 @@ def _prime_extensions(raw: _Raw, nrows: np.ndarray, degree,
         return
     n_et = ElementTable(nrows, degree)
     sub_et = raw.group.element_table()
-    coset_of = np.full(len(n_et), -1, dtype=np.int64)
-    reps = []
-    for i in range(len(n_et)):
-        if coset_of[i] >= 0:
-            continue
-        z = n_et.perm(i)
-        zarr = np.asarray(z, dtype=n_et.table.dtype)
-        coset_rows = zarr[sub_et.table]
-        coset_of[n_et.index_of(coset_rows)] = len(reps)
-        reps.append(z)
+    # the cosets xH are the orbits of right multiplication by H's
+    # generators, numbered by their least rows
+    acts = [n_et.index_of(np.asarray(h, n_et.table.dtype)[n_et.table])
+            for h in raw.group.generators if not is_identity(h)]
+    firsts, coset_of = np.unique(orbit_minima(acts, len(n_et)),
+                                 return_inverse=True)
+    reps = [n_et.perm(i) for i in firsts]
     seen_subquot = set()
     for z in reps[1:]:
         p = _quotient_order(z, sub_et)
@@ -351,14 +348,18 @@ class SubgroupClassInfo:
 
     @classmethod
     def from_json(cls, d):
+        chars = d["perm_chars"]
+        shape = (len(d["own_orders"]), len(d["elem_fusion"]))
+        if len(chars) != shape[0] or any(len(r) != shape[1] for r in chars):
+            raise ValueError(f"perm_chars must be {shape[0]} rows (one per "
+                             f"own_orders entry) of {shape[1]} values")
         return cls(d["class_id"], d["order"],
                    [tuple(g) for g in d["generators"]],
                    Fingerprint.from_json(d["fingerprint"]),
                    d["normalizer_order"], tuple(d["maximal"]),
                    tuple(d["elem_fusion"]), tuple(d["own_orders"]),
                    tuple(d["own_gclass"]),
-                   np.array(d["perm_chars"], dtype=np.int64).reshape(
-                       len(d["own_orders"]), -1))
+                   np.array(chars, dtype=np.int64).reshape(shape))
 
 
 FORMAT_TAG = "psp4obs-lattice/1"
@@ -418,20 +419,28 @@ class SubgroupLattice:
         except KeyError as exc:
             raise ValueError(f"{path}: {where}: missing key "
                              f"{exc.args[0]!r}") from None
+        except ValueError as exc:
+            raise ValueError(f"{path}: {where}: {exc}") from None
         n = len(classes)
+        if not classes or classes[-1].order != ambient.order:
+            raise ValueError(f"{path}: the last class must be the whole "
+                             f"group, of order {ambient.order}")
+        # the whole group's element classes are the ambient classes
+        k = len(classes[-1].elem_fusion)
+        if classes[-1].elem_fusion != tuple(range(k)):
+            raise ValueError(f"{path}: class {n}: elem_fusion must be "
+                             f"0..{k - 1}, the ambient classes in order")
         for pos, c in enumerate(classes, 1):
             if c.class_id != pos:
                 raise ValueError(f"{path}: class ids must run 1..{n} in "
                                  f"order, but position {pos} holds id "
                                  f"{c.class_id!r}")
-            for name in ("own_gclass", "maximal"):
-                bad = [i for i in getattr(c, name) if not 1 <= i <= n]
+            for name, lo, hi in (("own_gclass", 1, n), ("maximal", 1, n),
+                                 ("elem_fusion", 0, k - 1)):
+                bad = [i for i in getattr(c, name) if not lo <= i <= hi]
                 if bad:
                     raise ValueError(f"{path}: class {pos}: {name} id "
-                                     f"{bad[0]!r} is not in 1..{n}")
-        if not classes or classes[-1].order != ambient.order:
-            raise ValueError(f"{path}: the last class must be the whole "
-                             f"group, of order {ambient.order}")
+                                     f"{bad[0]!r} is not in {lo}..{hi}")
         return cls(ambient, seed, classes)
 
 

@@ -204,6 +204,12 @@ def _ints(text) -> tuple:
     return tuple(int(x) for x in text.split())
 
 
+_FIXTURE_COLUMNS = (("row", int), ("order", int), ("label", str),
+                    ("burnside", int), ("lcm", int),
+                    ("irred", lambda text: text == "yes"), ("maximal", _ints),
+                    ("h1_m", _ints), ("h1_md", _ints))
+
+
 @dataclass
 class Fixture:
     """The transcribed reference table.
@@ -223,20 +229,25 @@ class Fixture:
 
     @classmethod
     def load(cls, path) -> "Fixture":
+        """Read the CSV; a missing column or a cell that does not parse
+        raises ValueError naming the path, the line and the column."""
         rows = []
         with open(path, newline="") as fh:
-            for rec in csv.DictReader(fh):
-                rows.append(FixtureRow(
-                    row=int(rec["row"]),
-                    order=int(rec["order"]),
-                    label=rec["label"],
-                    burnside=int(rec["burnside"]),
-                    lcm=int(rec["lcm"]),
-                    irred=rec["irred"] == "yes",
-                    maximal=_ints(rec["maximal"]),
-                    h1_m=_ints(rec["h1_m"]),
-                    h1_md=_ints(rec["h1_md"]),
-                ))
+            reader = csv.DictReader(fh)
+            for rec in reader:
+                fields = {}
+                for name, parse in _FIXTURE_COLUMNS:
+                    text = rec.get(name)
+                    try:
+                        if text is None:
+                            raise ValueError
+                        fields[name] = parse(text)
+                    except ValueError:
+                        raise ValueError(
+                            f"{path}: line {reader.line_num}: column "
+                            f"{name!r} " + ("is missing" if text is None
+                                            else f"holds {text!r}")) from None
+                rows.append(FixtureRow(**fields))
         if sorted(f.row for f in rows) != list(range(1, len(rows) + 1)):
             raise ValueError("fixture row numbers are not 1..n")
         return cls(rows)

@@ -3,6 +3,9 @@
 ``coset_action`` serves the tests that need it; the rest are the former
 production paths, kept as oracles for the faster ones:
 
+* ``brute_conjugacy_classes`` closes every element under ``pconj`` by
+  every element, where :meth:`psp4obs.permgroups.PermGroup.conjugacy_classes`
+  labels the orbits of the generators on base-image keys;
 * ``scan_perm_characters`` counts fixed cosets by conjugating each class
   representative over the whole element table, where
   :func:`psp4obs.burnside.perm_characters` reads them off class fusion;
@@ -93,6 +96,43 @@ def coset_action(group: PermGroup, sub: PermGroup):
             images.append(int(labels[et.index_of(shifted)[0]]))
         action_gens.append(tuple(images))
     return PermGroup(action_gens, index), labels, reps
+
+
+def brute_conjugacy_classes(group: PermGroup, conjugators=None):
+    """``conjugacy_classes()`` and the class index of every element-table
+    row, by brute force.
+
+    The elements are partitioned by closing each under ``pconj`` by every
+    element (or by ``conjugators``, which must generate the group); each
+    class is represented by its least table index, and the classes take
+    the canonical order (element order, class size, representative).
+    """
+    et = group.element_table()
+    elems = [et.perm(i) for i in range(len(et))]
+    index = {x: i for i, x in enumerate(elems)}
+    conjugators = elems if conjugators is None else list(conjugators)
+    label = [-1] * len(elems)
+    found = []
+    for i in range(len(elems)):
+        if label[i] >= 0:
+            continue
+        label[i] = len(found)
+        members, frontier = [i], [i]
+        while frontier:
+            new = []
+            for k in frontier:
+                for g in conjugators:
+                    j = index[pg.pconj(elems[k], g)]
+                    if label[j] < 0:
+                        label[j] = len(found)
+                        members.append(j)
+                        new.append(j)
+            frontier = new
+        found.append((elems[min(members)], len(members)))
+    order = sorted(range(len(found)), key=lambda c: (
+        pg.porder(found[c][0]), found[c][1], found[c][0]))
+    rank = {c: pos for pos, c in enumerate(order)}
+    return [found[c] for c in order], [rank[c] for c in label]
 
 
 def scan_perm_characters(group: PermGroup, class_rows) -> np.ndarray:

@@ -68,13 +68,32 @@ def _maximal_999(doc):
     doc["classes"][-1]["maximal"][0] = 999
 
 
+def _elem_fusion_99(doc):
+    doc["classes"][9]["elem_fusion"][-1] = 99
+
+
+def _whole_group_fusion_reversed(doc):
+    doc["classes"][-1]["elem_fusion"].reverse()
+
+
+def _perm_chars_row_dropped(doc):
+    del doc["classes"][9]["perm_chars"][-1]
+
+
 class TestBadLatticeFile:
     @pytest.mark.parametrize("edit,message", [
         (_drop_the_whole_group,
          "the last class must be the whole group, of order 25920"),
         (_own_gclass_117, "class 10: own_gclass id 117 is not in 1..116"),
         (_maximal_999, "class 116: maximal id 999 is not in 1..116"),
-    ], ids=["without-class-116", "own-gclass-117", "maximal-999"])
+        (_elem_fusion_99, "class 10: elem_fusion id 99 is not in 0..19"),
+        (_whole_group_fusion_reversed, "class 116: elem_fusion must be "
+         "0..19, the ambient classes in order"),
+        (_perm_chars_row_dropped, "class 10: perm_chars must be 5 rows "
+         "(one per own_orders entry) of 4 values"),
+    ], ids=["without-class-116", "own-gclass-117", "maximal-999",
+            "elem-fusion-99", "whole-group-fusion-reversed",
+            "perm-chars-row-dropped"])
     def test_one_error_line(self, lattice_path, tmp_path, capsys, edit,
                             message):
         doc = json.loads(pathlib.Path(lattice_path).read_text())
@@ -199,6 +218,31 @@ class TestTableCheck:
         assert [ln for ln in err.splitlines() if ln.startswith("error:")] \
             == [f"error: {path}: row 7: missing key 'irred'"]
         assert "Traceback" not in err
+
+
+def _cut_mid_row(lines):
+    return lines[:12] + [lines[12][:lines[12].index(",", 3)] + "\n"]
+
+
+def _drop_burnside(lines):
+    return [",".join(ln.split(",")[:3] + ln.split(",")[4:]) for ln in lines]
+
+
+class TestBadFixture:
+    @pytest.mark.parametrize("edit,message", [
+        (_cut_mid_row, "line 13: column 'label' is missing"),
+        (_drop_burnside, "line 2: column 'burnside' is missing"),
+    ], ids=["truncated", "without-burnside"])
+    def test_one_error_line(self, lattice_path, tmp_path, capsys, edit,
+                            message):
+        shipped = table.default_fixture_path().read_text()
+        path = tmp_path / "fixture.csv"
+        path.write_text("".join(edit(shipped.splitlines(True))))
+        code, out, err = run_cli(capsys, "table", "check", "--fixture",
+                                 str(path), "--lattice", str(lattice_path))
+        assert code == 1 and out == "" and "Traceback" not in err
+        assert [ln for ln in err.splitlines() if ln.startswith("error:")] \
+            == [f"error: {path}: {message}"]
 
 
 class TestModuleVerify:

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from sympy.combinatorics import Permutation, PermutationGroup
 
-from oracles import coset_action, relator_matrix, word_evaluate
+from oracles import (brute_conjugacy_classes, coset_action,
+                     relator_matrix, word_evaluate)
 from psp4obs import permgroups as pg
 from psp4obs.permgroups import PermGroup
 
@@ -36,6 +37,12 @@ def random_perm_groups(max_degree=7, max_gens=3):
         return st.lists(perm, min_size=1, max_size=max_gens).map(
             lambda gens: PermGroup(gens, degree))
     return st.integers(2, max_degree).flatmap(build)
+
+
+def assert_classes_match_brute_force(g, conjugators=None):
+    classes, index = brute_conjugacy_classes(g, conjugators)
+    assert g.conjugacy_classes() == classes
+    assert g.class_indices(g.element_table().table).tolist() == index
 
 
 class TestElementary:
@@ -115,6 +122,59 @@ class TestConjugacyClasses:
             for i in range(g.order):
                 counts[g.class_index_of(g.element_table().perm(i))] += 1
             assert counts == [size for _, size in classes]
+
+    @pytest.mark.parametrize("g", [S4, Q8, A5, C6],
+                             ids=["S4", "Q8", "A5", "C6"])
+    def test_matches_brute_force(self, g):
+        assert_classes_match_brute_force(g)
+
+    @given(random_perm_groups(max_degree=5))
+    @settings(max_examples=40, deadline=None)
+    def test_random_groups_match_brute_force(self, g):
+        assert_classes_match_brute_force(g)
+
+    def test_identity_and_duplicate_generators(self):
+        e, t, c = (0, 1, 2, 3), (1, 0, 2, 3), (1, 2, 3, 0)
+        g = PermGroup([e, t, c, t, e, c], 4)
+        assert_classes_match_brute_force(g)
+        assert g.conjugacy_classes() == S4.conjugacy_classes()
+
+    def test_trivial_group(self):
+        g = PermGroup([], 3)
+        assert_classes_match_brute_force(g)
+        assert g.conjugacy_classes() == [((0, 1, 2), 1)]
+
+    def test_keys_are_reranked_before_they_wrap(self):
+        # C2^14 on 28 points: 14 base points, and 28^14 > 2^63
+        gens = [tuple(k ^ 1 if k // 2 == i else k for k in range(28))
+                for i in range(14)]
+        g = PermGroup(gens, 28)
+        assert g.order == 2 ** 14 and len(g.base) == 14
+        assert 28 ** 14 >= 2 ** 63
+        # abelian, so every class is one element; conjugating by the
+        # generators keeps the oracle at 14 x 2^14 conjugations
+        assert_classes_match_brute_force(g, g.generators)
+        assert len(g.conjugacy_classes()) == 2 ** 14
+
+    def test_row_keys_are_exact(self):
+        rng = np.random.default_rng(3)
+        rows = rng.integers(0, 2 ** 20, size=(500, 5))
+        rows[250:] = rows[:250]  # every row twice
+        keys = pg._row_keys(rows, 2 ** 20)
+        _, by_row = np.unique(rows, axis=0, return_inverse=True)
+        _, by_key = np.unique(keys, return_inverse=True)
+        assert np.array_equal(by_row.ravel(), by_key.ravel())
+
+    def test_base_that_does_not_determine_elements_raises(self):
+        g = PermGroup(S4.generators, 4)
+        g.base = g.base[:-1]
+        with pytest.raises(RuntimeError, match="base images"):
+            g.conjugacy_classes()
+
+    def test_psp4_3(self, model):
+        classes = model.psp.conjugacy_classes()
+        assert len(classes) == 20
+        assert sum(size for _, size in classes) == 25920
 
     def test_exponent(self):
         assert C6.exponent() == 6
