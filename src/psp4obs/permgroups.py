@@ -19,6 +19,16 @@ element (Holt, Eick and O'Brien, *Handbook of Computational Group
 Theory*, 2005, ch. 4); the exponent, nilpotency and G/G' are counted off
 them.  Subgroup conjugacy and normalisers scan all rows at once.
 
+A build stops early when the caller knows an upper bound on the order:
+:meth:`PermGroup.subgroup` passes the order of the group the generators
+lie in, :meth:`ElementSet.group` the exact order of its elements.  The
+product of the basic orbit lengths is a lower bound on the order, so once
+it reaches the bound the base and strong generating set is complete
+(Holt, Eick and O'Brien, ch. 4): every Schreier generator left to verify
+would sift, and no strong generator can appear.  Each orbit is a function
+of its level's strong generators, so rebuilding every level then gives
+the chain of the fully verified build, field for field.
+
 Closures (:func:`closed_set`, :func:`normal_closure`) grow an
 :class:`ElementSet` by Dimino's coset closure; the derived series compares
 the sizes of element sets, and a chain is built only for a group that is
@@ -245,9 +255,12 @@ class _DerivedSeries:
     term is an :class:`ElementSet`, so no chain is built."""
 
     def derived_subgroup(self) -> "ElementSet":
+        # [b, a] = [a, b]^-1 is in the closure by the time it would be
+        # popped, so only the pairs i < j are seeds
         gens = [g for g in self.generators if not is_identity(g)]
         return normal_closure(self, [pcommutator(a, b)
-                                     for a in gens for b in gens])
+                                     for i, a in enumerate(gens)
+                                     for b in gens[i + 1:]])
 
     def _derived_walk(self, derived=None):
         """(l, D): the series drops l times, then D = G^(l+1) = G^(l); D's
@@ -277,9 +290,11 @@ class PermGroup(_DerivedSeries):
 
     ``generators`` may contain duplicates or identities; they keep their
     indices for purposes of words, but only nontrivial ones enter the chain.
+    ``order_bound``, an upper bound on the order of the group generated,
+    ends the build once the chain reaches it; the chain is the same.
     """
 
-    def __init__(self, generators, degree=None):
+    def __init__(self, generators, degree=None, *, order_bound=None):
         generators = [tuple(g) for g in generators]
         if degree is None:
             if not generators:
@@ -294,6 +309,7 @@ class PermGroup(_DerivedSeries):
         self.sgens = []            # strong generators (permutations)
         self.sgen_words = []       # words in original generators
         self.levels = []
+        self._order_bound = order_bound
         self._build()
         self._cache = {}
 
@@ -368,9 +384,13 @@ class PermGroup(_DerivedSeries):
             self._rebuild_orbit(i)
         # verify levels bottom-up; a new strong generator at level l sends
         # the scan back down to l (deeper levels keep their generator sets
-        # and stay verified)
+        # and stay verified).  Stop once the orbits reach the bound on the
+        # order: shallower levels may be stale, but a new strong generator
+        # lies in the group of each one's generators, so their orbits keep
+        # their size.
+        bound = self._order_bound
         i = len(self.levels) - 1
-        while i >= 0:
+        while i >= 0 and (bound is None or self.order < bound):
             self._rebuild_orbit(i)
             level = self.levels[i]
             restart = None
@@ -402,6 +422,9 @@ class PermGroup(_DerivedSeries):
                 i = restart
             else:
                 i -= 1
+        if i >= 0:  # stopped at the bound: rebuild the levels left stale
+            for k in range(len(self.levels)):
+                self._rebuild_orbit(k)
         # the inverses serve the sifts of the build; a built chain keeps
         # only its transversals, as groups are kept by the thousand
         for level in self.levels:
@@ -481,7 +504,13 @@ class PermGroup(_DerivedSeries):
         return out
 
     def subgroup(self, gens):
-        return PermGroup(list(gens), self.degree)
+        """The subgroup generated by ``gens``, which must lie in this group
+        (``ValueError`` otherwise), as its order bounds the build."""
+        gens = [tuple(g) for g in gens]
+        for g in gens:
+            if len(g) != self.degree or g not in self:
+                raise ValueError(f"not an element of the group: {g}")
+        return PermGroup(gens, self.degree, order_bound=self.order)
 
     # -- element enumeration ----------------------------------------------
 
@@ -681,7 +710,7 @@ class ElementSet(_DerivedSeries):
 
     def group(self) -> PermGroup:
         """The group of these elements, with its Schreier-Sims chain."""
-        return PermGroup(self.generators, self.degree)
+        return PermGroup(self.generators, self.degree, order_bound=self.order)
 
     def add_generator(self, p):
         self.generators.append(tuple(p))

@@ -16,11 +16,18 @@ elementary abelian.  Consequently the class list of G is generated by
    N_G(H)/H, giving K = H u Hz u ... u Hz^{p-1} of order p |H|.
 
 Step 2 is exhaustive given the seeds: every K with H normal of prime index
-arises from every element of K \\ H.  Step 1 uses a seeded random search
-over generator pairs (drawn from conjugacy classes of elements), plus a
-deterministic safety net: whenever a normaliser N_G(H) is computed, its
-solvable residual is added if its class is missing.  The expected class
-count for a given ambient group is checked by callers, not here.
+arises from every element of K \\ H.  It raises the least element z of
+every coset of H in N_G(H) to its powers all at once, one gather and one
+table lookup per power, and reads the order of zH where the powers first
+reach H, and the cosets of z, ..., z^{p-1}, off the same lookups.
+
+Step 1 uses a seeded random search over generator pairs (drawn from
+conjugacy classes of elements), plus a deterministic safety net: whenever
+a normaliser N_G(H) is computed, its solvable residual is added if its
+class is missing.  A pair's chain is built with the ambient order as a
+bound (:meth:`PermGroup.subgroup`), so a pair that generates the whole
+group stops as soon as the chain has its order.  The expected class count
+for a given ambient group is checked by callers, not here.
 
 Classes are deduplicated by exact element-set, then by an invariant
 prescreen (order and fusion of element classes into the ambient group's),
@@ -51,7 +58,7 @@ from . import burnside
 from .intlinalg import prime_powers
 from .permgroups import (ElementTable, PermGroup, abelian_invariants,
                          closed_set, group_from_elements, is_identity,
-                         orbit_minima, pconj, pident, pmul, porder)
+                         orbit_minima, pconj, pident, porder)
 
 DEFAULT_SEED = 1
 _TRIALS_PER_PAIR = 6  # random conjugate pairs per pair of element classes
@@ -180,14 +187,32 @@ class _ClassCollector:
                                                  sub.element_table())]
 
 
-def _quotient_order(z, sub_et: ElementTable) -> int:
-    """Order of the coset zH in N/H (H normal in N)."""
-    k = 1
-    cur = z
-    while not sub_et.contains_rows(np.asarray([cur]))[0]:
-        cur = pmul(cur, z)
-        k += 1
-    return k
+def _coset_powers(sub: PermGroup, n_et: ElementTable):
+    """The right cosets of ``sub`` (H) in N, which normalises it, and the
+    powers of their representatives.
+
+    Returns ``(coset_of, order, powers)``: the coset id of each row of
+    ``n_et``, the cosets numbered by their least rows, so that coset 0 is
+    H; and for each other coset c, with z its least row, the order of zH
+    in N/H at ``order[c - 1]`` and the row of z^k at ``powers[k - 1, c -
+    1]``.  All representatives are raised a power at a time, one gather
+    and one lookup per power, until each has reached coset 0.
+    """
+    # the cosets xH are the orbits of right multiplication by H's
+    # generators, numbered by their least rows
+    acts = [n_et.index_of(np.asarray(h, n_et.table.dtype)[n_et.table])
+            for h in sub.generators if not is_identity(h)]
+    firsts, coset_of = np.unique(orbit_minima(acts, len(n_et)),
+                                 return_inverse=True)
+    z = cur = n_et.table[firsts[1:]]
+    order = np.zeros(len(z), dtype=np.intp)
+    powers = []
+    while True:
+        powers.append(n_et.index_of(cur))
+        order[(order == 0) & (coset_of[powers[-1]] == 0)] = len(powers)
+        if order.all():
+            return coset_of, order, np.array(powers)
+        cur = np.take_along_axis(z, cur, axis=1)  # z^(k+1): z^k, then z
 
 
 def _prime_extensions(raw: _Raw, nrows: np.ndarray, degree,
@@ -196,33 +221,20 @@ def _prime_extensions(raw: _Raw, nrows: np.ndarray, degree,
     if len(nrows) == raw.order:
         return
     n_et = ElementTable(nrows, degree)
-    sub_et = raw.group.element_table()
-    # the cosets xH are the orbits of right multiplication by H's
-    # generators, numbered by their least rows
-    acts = [n_et.index_of(np.asarray(h, n_et.table.dtype)[n_et.table])
-            for h in raw.group.generators if not is_identity(h)]
-    firsts, coset_of = np.unique(orbit_minima(acts, len(n_et)),
-                                 return_inverse=True)
-    reps = [n_et.perm(i) for i in firsts]
+    h_rows = raw.group.element_table().table
+    coset_of, order, powers = _coset_powers(raw.group, n_et)
     seen_subquot = set()
-    for z in reps[1:]:
-        p = _quotient_order(z, sub_et)
+    for c, p in enumerate(order.tolist()):
         if prime_powers(p) != [(p, 1)]:
             continue
-        powers = [z]
-        cur = z
-        for _ in range(p - 2):
-            cur = pmul(cur, z)
-            powers.append(cur)
-        ids = frozenset(
-            int(coset_of[n_et.index_of(np.asarray([w]))[0]]) for w in powers)
+        # one K = H u Hz u ... u Hz^(p-1) per subgroup <zH> of N/H
+        index = powers[:p - 1, c]
+        ids = frozenset(coset_of[index].tolist())
         if ids in seen_subquot:
             continue
         seen_subquot.add(ids)
-        blocks = [sub_et.table] + [
-            np.asarray(w, dtype=sub_et.table.dtype)[sub_et.table]
-            for w in powers]
-        k_rows = np.concatenate(blocks, axis=0)
+        k_rows = np.concatenate(
+            [h_rows, n_et.table[index][:, h_rows].reshape(-1, degree)])
         collector.add(ElementTable(k_rows, degree),
                       lambda: group_from_elements(k_rows, degree))
 
@@ -282,7 +294,7 @@ def perfect_subgroup_classes(ambient: PermGroup, seed: int) -> list:
             for _ in range(_TRIALS_PER_PAIR):
                 x = pconj(reps[i], ambient.random_element(rng))
                 y = pconj(reps[j], ambient.random_element(rng))
-                k = PermGroup([x, y], ambient.degree)
+                k = ambient.subgroup([x, y])
                 if k.order == ambient.order:
                     continue
                 res = k.solvable_residual()
@@ -350,6 +362,8 @@ class SubgroupClassInfo:
     def from_json(cls, d):
         chars = d["perm_chars"]
         shape = (len(d["own_orders"]), len(d["elem_fusion"]))
+        if 0 in shape:
+            raise ValueError("own_orders and elem_fusion must not be empty")
         if len(chars) != shape[0] or any(len(r) != shape[1] for r in chars):
             raise ValueError(f"perm_chars must be {shape[0]} rows (one per "
                              f"own_orders entry) of {shape[1]} values")
@@ -441,6 +455,23 @@ class SubgroupLattice:
                 if bad:
                     raise ValueError(f"{path}: class {pos}: {name} id "
                                      f"{bad[0]!r} is not in {lo}..{hi}")
+            if not c.order == c.fingerprint.order == c.own_orders[-1]:
+                raise ValueError(f"{path}: class {pos}: order {c.order!r}, "
+                                 f"fingerprint order {c.fingerprint.order!r} "
+                                 f"and the last own_orders entry "
+                                 f"{c.own_orders[-1]!r} must be equal")
+            # column 0 is the identity's class: the number of cosets
+            for r, (cosets, own) in enumerate(zip(c.perm_chars[:, 0].tolist(),
+                                                  c.own_orders), 1):
+                if cosets * own != c.order:
+                    raise ValueError(f"{path}: class {pos}: perm_chars row "
+                                     f"{r}: {cosets} cosets of a subgroup of "
+                                     f"order {own} do not make the order "
+                                     f"{c.order}")
+            for i, g in enumerate(c.generators, 1):
+                if len(g) != ambient.degree or g not in ambient:
+                    raise ValueError(f"{path}: class {pos}: generator {i} "
+                                     f"is not in the ambient group")
         return cls(ambient, seed, classes)
 
 

@@ -15,6 +15,9 @@ production paths, kept as oracles for the faster ones:
   element sets and counts the elements of p-power order;
 * ``scan_containers`` runs every conjugacy scan that
   ``subgroups._containers`` skips by its class-count prescreen;
+* ``quotient_order`` multiplies a coset representative z by itself until
+  z^k lies in H, one membership test per power, where
+  ``subgroups._coset_powers`` raises all representatives at once;
 * ``word_evaluate`` multiplies out a word in the generators, which
   :meth:`psp4obs.permgroups.PermGroup.express` and presentations return;
 * ``express_matrices`` and ``inverse_transposes`` give a module's matrix
@@ -228,6 +231,16 @@ def scan_containers(raws, ambient: PermGroup) -> dict:
                 containers[i].add(j)
                 containers[i] |= containers[j]
     return containers
+
+
+def quotient_order(z, sub_et: ElementTable) -> int:
+    """Order of the coset zH in N/H (H normal in N)."""
+    k = 1
+    cur = z
+    while not sub_et.contains_rows(np.asarray([cur]))[0]:
+        cur = pg.pmul(cur, z)
+        k += 1
+    return k
 
 
 def word_evaluate(word, gens):

@@ -80,6 +80,27 @@ def _perm_chars_row_dropped(doc):
     del doc["classes"][9]["perm_chars"][-1]
 
 
+def _order_5(doc):
+    doc["classes"][9]["order"] = 5
+
+
+def _fingerprint_order_5(doc):
+    doc["classes"][9]["fingerprint"]["order"] = 5
+
+
+def _identity_character_3(doc):
+    doc["classes"][9]["perm_chars"][1][0] = 3
+
+
+def _own_orders_empty(doc):
+    doc["classes"][9]["own_orders"] = []
+    doc["classes"][9]["perm_chars"] = []
+
+
+def _generator_0_1(doc):
+    doc["classes"][9]["generators"][0] = [1, 0] + list(range(2, 40))
+
+
 class TestBadLatticeFile:
     @pytest.mark.parametrize("edit,message", [
         (_drop_the_whole_group,
@@ -91,9 +112,20 @@ class TestBadLatticeFile:
          "0..19, the ambient classes in order"),
         (_perm_chars_row_dropped, "class 10: perm_chars must be 5 rows "
          "(one per own_orders entry) of 4 values"),
+        (_order_5, "class 10: order 5, fingerprint order 4 and the last "
+         "own_orders entry 4 must be equal"),
+        (_fingerprint_order_5, "class 10: order 4, fingerprint order 5 and "
+         "the last own_orders entry 4 must be equal"),
+        (_identity_character_3, "class 10: perm_chars row 2: 3 cosets of "
+         "a subgroup of order 2 do not make the order 4"),
+        (_own_orders_empty, "class 10: own_orders and elem_fusion must "
+         "not be empty"),
+        (_generator_0_1, "class 10: generator 1 is not in the ambient "
+         "group"),
     ], ids=["without-class-116", "own-gclass-117", "maximal-999",
             "elem-fusion-99", "whole-group-fusion-reversed",
-            "perm-chars-row-dropped"])
+            "perm-chars-row-dropped", "order-5", "fingerprint-order-5",
+            "identity-character-3", "own-orders-empty", "generator-0-1"])
     def test_one_error_line(self, lattice_path, tmp_path, capsys, edit,
                             message):
         doc = json.loads(pathlib.Path(lattice_path).read_text())

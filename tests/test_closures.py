@@ -1,7 +1,8 @@
 """Closures and Schreier-Sims builds against their incremental references.
 
 ``ReferenceChain`` is the Schreier-Sims build that sifts every Schreier
-generator with its word and rebuilds every orbit on each pass;
+generator with its word and rebuilds every orbit on each pass, and never
+stops at a known order;
 ``reference_group_from_elements`` and ``reference_normal_closure`` build
 one chain per accepted generator.  The production code must give the same
 generators, base, strong generators, words and transversals, because saved
@@ -13,6 +14,7 @@ import os
 import pathlib
 import subprocess
 import sys
+from random import Random
 
 import numpy as np
 import pytest
@@ -160,6 +162,34 @@ def check_closures(group, ambient):
         assert chain(got) == chain(reference_normal_closure(ambient, seeds))
 
 
+def random_pairs(group, count, seed=0):
+    rng = Random(seed)
+    return [[group.random_element(rng), group.random_element(rng)]
+            for _ in range(count)]
+
+
+def involution_pairs(group, count, seed=0):
+    """Pairs of conjugate involutions: they generate dihedral groups."""
+    rng = Random(seed)
+    t = next(rep for rep, _ in group.conjugacy_classes()
+             if pg.porder(rep) == 2)
+    return [[pg.pconj(t, group.random_element(rng)),
+             pg.pconj(t, group.random_element(rng))] for _ in range(count)]
+
+
+def check_bounded_pairs(group, pairs):
+    """Each pair's chain built under ``group``'s order as a bound is the
+    unbounded one; returns which pairs generate the whole group."""
+    whole = set()
+    for pair in pairs:
+        bounded = group.subgroup(pair)
+        unbounded = PermGroup(pair, group.degree)
+        assert chain(bounded) == chain(unbounded) == chain(
+            ReferenceChain(pair, group.degree))
+        whole.add(bounded.order == group.order)
+    return whole
+
+
 class TestChainsMatchReference:
     @pytest.mark.parametrize("g", SMALL)
     def test_small(self, g):
@@ -176,6 +206,45 @@ class TestChainsMatchReference:
     def test_random(self, gens):
         g = PermGroup(gens)
         assert chain(g) == chain(ReferenceChain(gens))
+
+    @pytest.mark.parametrize("g", [S4, A5])
+    def test_bounded_small_pairs(self, g):
+        pairs = random_pairs(g, 20) + involution_pairs(g, 5)
+        assert check_bounded_pairs(g, pairs) == {True, False}
+
+    def test_bounded_ambient_pairs(self, lattice):
+        ambient = lattice.ambient
+        pairs = random_pairs(ambient, 3) + involution_pairs(ambient, 3)
+        assert check_bounded_pairs(ambient, pairs) == {True, False}
+
+    def test_bounded_element_sets(self, lattice):
+        for g in lattice_groups(lattice) + [lattice.ambient]:
+            elements = pg.closed_set(g.element_table().table, g.degree)
+            gens = elements.generators
+            assert chain(elements.group()) == chain(
+                PermGroup(gens, g.degree)) == chain(
+                ReferenceChain(gens, g.degree))
+
+    def test_the_bound_saves_sifts(self, monkeypatch):
+        calls = []
+        sift = PermGroup.sift
+
+        def counted(self, p, start=0):
+            calls.append(p)
+            return sift(self, p, start)
+
+        monkeypatch.setattr(PermGroup, "sift", counted)
+        PermGroup(S5.generators, 5)
+        unbounded = len(calls)
+        calls.clear()
+        S5.subgroup(S5.generators)  # two membership tests, then the build
+        assert len(calls) - 2 < unbounded
+
+    def test_subgroup_rejects_a_foreign_generator(self):
+        with pytest.raises(ValueError):
+            A5.subgroup([(1, 2, 0, 3, 4), (1, 0, 2, 3, 4)])
+        with pytest.raises(ValueError):
+            S4.subgroup([(1, 0, 2, 3, 4)])
 
 
 class TestClosuresMatchReference:

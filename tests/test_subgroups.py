@@ -11,8 +11,9 @@ import json
 import numpy as np
 import pytest
 
+from oracles import quotient_order
 from psp4obs import cli, subgroups
-from psp4obs.permgroups import PermGroup, pconj
+from psp4obs.permgroups import ElementTable, PermGroup, pconj, pmul
 
 C6 = PermGroup([(1, 2, 3, 4, 5, 0)], 6)
 A4 = PermGroup([(1, 2, 0, 3), (0, 2, 3, 1)], 4)
@@ -145,6 +146,41 @@ class TestS4Structure:
         assert not fp.nilpotent
         rt = subgroups.Fingerprint.from_json(fp.to_json())
         assert rt == fp
+
+
+def check_coset_powers(sub, ambient):
+    """Batched coset orders and power cosets of ``sub`` in its normaliser
+    agree with one multiplication and one lookup per power."""
+    n_rows = subgroups._ClassCollector(ambient).normalizer_rows(sub)
+    n_et = ElementTable(n_rows, ambient.degree)
+    coset_of, order, powers = subgroups._coset_powers(sub, n_et)
+    assert len(order) == coset_of.max() == len(n_et) // sub.order - 1
+    sub_et = sub.element_table()
+    for c in range(1, len(order) + 1):
+        z = n_et.perm(int(np.flatnonzero(coset_of == c)[0]))
+        assert order[c - 1] == quotient_order(z, sub_et)
+        w = z
+        for k in range(1, order[c - 1]):
+            assert powers[k - 1, c - 1] == n_et.index_of([w])[0]
+            w = pmul(w, z)
+    return len(order)
+
+
+class TestCosetPowers:
+    @pytest.mark.parametrize("gens", [
+        [(1, 0, 3, 2), (2, 3, 0, 1)],   # V4, normal in S4
+        [(1, 0, 2, 3)],                 # C2, normaliser C2 x C2
+        [(1, 2, 0, 3)],                 # C3, normaliser S3
+        [(1, 2, 3, 0)],                 # C4, normaliser D8
+        [],                             # the trivial group
+    ], ids=["V4", "C2", "C3", "C4", "trivial"])
+    def test_s4(self, gens):
+        assert check_coset_powers(S4.subgroup(gens), S4) > 0
+
+    def test_lattice_classes(self, lattice):
+        # |N/H| = 288, 216, 24, 60 (A5), 18 and 2
+        for cid in (2, 4, 10, 45, 71, 110):
+            assert check_coset_powers(lattice.rep(cid), lattice.ambient) > 0
 
 
 class TestPersistence:
