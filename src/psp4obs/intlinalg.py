@@ -6,7 +6,9 @@ entries and unimodular row/column transforms.  The two normal forms are
 * row Hermite normal form:  U * A = H  with U unimodular, H in row echelon
   form with positive pivots and reduced entries above each pivot;
 * Smith normal form:  U * A * V = S  with S diagonal and each diagonal
-  entry dividing the next.
+  entry dividing the next.  Row Hermite forms of A and of its transpose
+  alternate until A is diagonal; one pass of closed-form Bezout steps,
+  (d_i, d_j) -> (gcd, lcm), then makes the divisor chain.
 
 Matrices are numpy 2-d arrays.  Computations run on dtype ``int64`` while a
 certified bound guarantees no overflow, and are promoted to dtype ``object``
@@ -36,12 +38,22 @@ _FLOAT_EXACT = 2**53
 
 
 def as_int_array(data) -> np.ndarray:
-    """Coerce ``data`` to a 2-d integer ndarray (int64 if it fits)."""
+    """Coerce ``data`` to a 2-d integer ndarray.
+
+    Integer data beyond int64 becomes an object array of exact Python
+    ints: numpy would store it as uint64, or as float64 next to small ints.
+    """
     a = np.asarray(data)
+    if a.dtype.kind == "f" and not isinstance(data, np.ndarray):
+        a = np.asarray(data, dtype=object)
+        if not all(isinstance(x, (int, np.integer)) for x in a.flat):
+            raise ValueError("refusing float input for exact arithmetic")
     if a.ndim == 1:
         a = a.reshape(1, -1)
     if a.ndim != 2:
         raise ValueError(f"expected a matrix, got ndim={a.ndim}")
+    if a.dtype == np.uint64 and a.size and a.max() >= 2**63:
+        return a.astype(object)
     if a.dtype == object or np.issubdtype(a.dtype, np.integer):
         return a
     if np.issubdtype(a.dtype, np.floating):
@@ -197,18 +209,16 @@ class _Workspace:
         self.w[rows] -= np.outer(q, self.w[pivot_row])
 
 
-def _echelon(ws: _Workspace, col_lo: int, col_hi: int, row_start: int,
-             reduce_above: bool) -> int:
-    """Row-reduce columns ``[col_lo, col_hi)`` to echelon form.
+def _echelon(ws: _Workspace, ncols: int, reduce_above: bool) -> int:
+    """Row-reduce the first ``ncols`` columns to echelon form.
 
-    Returns the number of pivots found.  Rows below ``row_start + pivots``
-    end up zero throughout the column range.  With ``reduce_above`` the
-    result is genuine HNF on that range (positive pivots, entries above
-    reduced); otherwise rows above ``row_start`` are never touched.
+    Returns the number of pivots found.  Rows below the pivots end up zero
+    throughout those columns.  With ``reduce_above`` the result is genuine
+    HNF on them (positive pivots, entries above reduced).
     """
     m = ws.w.shape[0]
-    r = row_start
-    for c in range(col_lo, col_hi):
+    r = 0
+    for c in range(ncols):
         if r >= m:
             break
         while True:
@@ -228,7 +238,7 @@ def _echelon(ws: _Workspace, col_lo: int, col_hi: int, row_start: int,
             if reduce_above and r > 0:
                 ws.reduce_rows(np.arange(r), c, r)
             r += 1
-    return r - row_start
+    return r
 
 
 def hnf(a) -> tuple:
@@ -244,10 +254,8 @@ def hnf(a) -> tuple:
     """
     a = as_int_array(a)
     m, n = a.shape
-    ws = _Workspace(np.concatenate([a, identity(m)], axis=1, dtype=a.dtype)
-                    if a.dtype == object else
-                    np.concatenate([a.astype(np.int64), identity(m)], axis=1))
-    _echelon(ws, 0, n, 0, reduce_above=True)
+    ws = _Workspace(np.concatenate([a, identity(m, a.dtype)], axis=1))
+    _echelon(ws, n, reduce_above=True)
     w = ws.w
     return w[:, :n], w[:, n:]
 
@@ -292,123 +300,56 @@ def snf(a) -> tuple:
     unimodular, ``S`` diagonal with nonnegative entries forming a
     divisibility chain ``S[0,0] | S[1,1] | ...``.
 
+    Row and column Hermite forms alternate until the matrix is diagonal:
+    the row steps run on the workspace ``[A | U]``, a column step is the
+    HNF of the transpose, ``Q @ A.T == H``, so ``A @ Q.T == H.T`` and ``V``
+    gains the factor ``Q.T``.  A diagonal echelon form has its zeros last.
+    One pass of Bezout steps then makes the divisor chain: for ``i < j``
+    with ``d_i`` not dividing ``d_j`` and ``p d_i + q d_j = g``, the row
+    step ``[[p, q], [-d_j/g, d_i/g]]`` and the column step
+    ``[[1, -q d_j/g], [1, p d_i/g]]`` turn ``(d_i, d_j)`` into
+    ``(g, lcm)``; after its pass ``d_i`` divides every later entry.
+
     >>> S, U, V = snf([[2, 0], [0, 3]])
     >>> [int(S[i, i]) for i in range(2)]
     [1, 6]
     """
     a = as_int_array(a)
     m, n = a.shape
-    # row workspace [A | I_m], column workspace tracked separately
-    ws = _Workspace(np.concatenate(
-        [a if a.dtype == object else a.astype(np.int64),
-         identity(m, a.dtype if a.dtype == object else np.int64)], axis=1))
-    v = identity(n).astype(object)
-
-    def col_ops():
-        nonlocal v
-        # transpose the A-part, reduce, transpose back; update V alongside
-        block = ws.w[:, :n]
-        wst = _Workspace(np.concatenate(
-            [block.T, identity(n, block.dtype if block.dtype == object else np.int64)],
-            axis=1))
-        _echelon(wst, 0, m, 0, reduce_above=True)
-        newat = wst.w[:, :m]
-        q = wst.w[:, m:]
-        if ws.w.dtype != object and (wst.w.dtype == object or
-                                     maxabs(newat) >= _INT64_SAFE):
-            ws.w = _promote(ws.w)
-        ws.w[:, :n] = newat.T
-        ws.bound = max(ws.bound, maxabs(ws.w))
-        v = mat_mul(v, q.T).astype(object)
-
+    ws = _Workspace(np.concatenate([a, identity(m, a.dtype)], axis=1))
+    v = identity(n)
     for _ in range(200):
-        _echelon(ws, 0, n, 0, reduce_above=True)
+        _echelon(ws, n, reduce_above=True)
         if not _has_offdiag(ws.w[:, :n]):
             break
-        col_ops()
+        h, q = hnf(ws.w[:, :n].T)
+        ws = _Workspace(np.concatenate([h.T, ws.w[:, n:]], axis=1))
+        v = mat_mul(v, q.T)
         if not _has_offdiag(ws.w[:, :n]):
             break
     else:  # pragma: no cover
         raise RuntimeError("Smith reduction failed to converge")
 
-    # sort the diagonal (zeros last) and repair divisibility
-    ws.w = _promote(ws.w)
-    _smith_fixup(ws, v, m, n)
-    w = ws.w
-    return w[:, :n], w[:, n:], np.asarray(v)
+    w, v = _promote(ws.w), _promote(v)
+    s, u = w[:, :n], w[:, n:]
+    d = [int(x) for x in s.diagonal() if x]
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            if d[j] % d[i]:
+                g = gcd(d[i], d[j])
+                x, y = d[i] // g, d[j] // g
+                p = pow(x, -1, y)
+                q = (1 - p * x) // y
+                u[i], u[j] = p * u[i] + q * u[j], x * u[j] - y * u[i]
+                v[:, i], v[:, j] = (v[:, i] + v[:, j],
+                                    p * x * v[:, j] - q * y * v[:, i])
+                d[i], d[j] = g, d[i] * y
+    s[range(len(d)), range(len(d))] = d
+    return s, u, v
 
 
 def _has_offdiag(block: np.ndarray) -> bool:
     return np.count_nonzero(block) > np.count_nonzero(block.diagonal())
-
-
-def _smith_fixup(ws: _Workspace, v: np.ndarray, m: int, n: int):
-    """Given diagonal ``ws.w[:, :n]``, enforce the divisor chain in place."""
-    k = min(m, n)
-
-    def swap_diag(i):
-        ws.swap(i, i + 1)
-        ws.w[:, [i, i + 1]] = ws.w[:, [i + 1, i]]
-        v[:, [i, i + 1]] = v[:, [i + 1, i]]
-
-    for i in range(k):
-        if ws.w[i, i] < 0:
-            ws.negate(i)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(k - 1):
-            a, b = int(ws.w[i, i]), int(ws.w[i + 1, i + 1])
-            if a == 0 and b != 0:
-                swap_diag(i)
-                changed = True
-                break
-            if a and b and b % a:
-                # merge columns, then locally rediagonalise:
-                # [[a,0],[0,b]] -> [[gcd,0],[0,lcm]]
-                ws.w[:, i] += ws.w[:, i + 1]
-                v[:, i] = v[:, i] + v[:, i + 1]
-                _two_by_two(ws, v, i)
-                changed = True
-                break
-
-
-def _two_by_two(ws: _Workspace, v: np.ndarray, i: int):
-    """Smith-reduce the 2x2 block at rows/columns (i, i+1) in place.
-
-    Assumes rows i, i+1 vanish outside columns i, i+1 within the matrix
-    part (and vice versa), which holds after a diagonal column merge.
-    """
-    j = i + 1
-
-    def row_clear():
-        while ws.w[j, i] != 0:
-            if ws.w[i, i] == 0 or abs(ws.w[j, i]) < abs(ws.w[i, i]):
-                ws.swap(i, j)
-                continue
-            q = ws.w[j, i] // ws.w[i, i]
-            ws.w[j] = ws.w[j] - q * ws.w[i]
-
-    def col_clear():
-        while ws.w[i, j] != 0:
-            if ws.w[i, i] == 0 or abs(ws.w[i, j]) < abs(ws.w[i, i]):
-                ws.w[:, [i, j]] = ws.w[:, [j, i]]
-                v[:, [i, j]] = v[:, [j, i]]
-                continue
-            q = ws.w[i, j] // ws.w[i, i]
-            ws.w[:, j] = ws.w[:, j] - q * ws.w[:, i]
-            v[:, j] = v[:, j] - q * v[:, i]
-
-    for _ in range(200):
-        row_clear()
-        col_clear()
-        if ws.w[j, i] == 0 and ws.w[i, j] == 0:
-            break
-    else:  # pragma: no cover
-        raise RuntimeError("2x2 Smith step failed to converge")
-    for r in (i, j):
-        if ws.w[r, r] < 0:
-            ws.negate(r)
 
 
 def smith_diagonal(a) -> list:
@@ -546,7 +487,7 @@ class KernelAccumulator:
         else:
             w = np.concatenate([c, free], axis=1)
         ws = _Workspace(w)
-        npiv = _echelon(ws, 0, q, 0, reduce_above=False)
+        npiv = _echelon(ws, q, reduce_above=False)
         newu = ws.w[:, q:]
         if newu.dtype != self.u.dtype and self.u.dtype != object:
             self.u = self.u.astype(object)

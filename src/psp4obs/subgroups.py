@@ -98,8 +98,34 @@ class Fingerprint:
 
     @classmethod
     def from_json(cls, d):
-        return cls(d["order"], tuple(d["abelianization"]), d["exponent"],
-                   d["class_count"], d["derived_length"], d["nilpotent"])
+        d = checked(d, dict, "fingerprint")
+        return cls(checked(d["order"], int, "fingerprint order"),
+                   int_list(d["abelianization"], "abelianization"),
+                   *(checked(d[k], int, k) for k in ("exponent", "class_count",
+                                                     "derived_length")),
+                   checked(d["nilpotent"], bool, "nilpotent"))
+
+
+_JSON_KINDS = {int: "an integer", bool: "true or false", list: "a list",
+               dict: "an object"}
+
+
+def checked(value, kind, what):
+    """``value`` if its type is exactly ``kind`` (so a bool is no int, nor
+    a float), else a ValueError naming ``what``."""
+    if type(value) is not kind:
+        got = (_JSON_KINDS[type(value)] if isinstance(value, (list, dict))
+               else json.dumps(value))
+        raise ValueError(f"{what} must be {_JSON_KINDS[kind]}, not {got}")
+    return value
+
+
+def int_list(value, what) -> tuple:
+    """A JSON list of integers as a tuple."""
+    for x in checked(value, list, what):
+        if type(x) is not int:
+            checked(x, int, f"{what} entry")
+    return tuple(value)
 
 
 def fingerprint_of(group: PermGroup) -> Fingerprint:
@@ -126,6 +152,7 @@ class _Raw:
     order: int
     fusion: tuple
     seq: int
+    normalizer_order: int = 0  # set by _layer_closure
 
 
 class _ClassCollector:
@@ -257,10 +284,11 @@ def _layer_closure(ambient: PermGroup, seeds) -> _ClassCollector:
                 p = porder(rep)
                 if prime_powers(p) == [(p, 1)]:
                     collector.add_group(PermGroup([rep], ambient.degree))
-            continue
-        if raw.order == ambient.order:
+        if raw.order in (1, ambient.order):
+            raw.normalizer_order = ambient.order
             continue
         nrows = collector.normalizer_rows(raw.group)
+        raw.normalizer_order = len(nrows)
         if len(nrows) < len(collector.et):
             res = closed_set(nrows, ambient.degree).solvable_residual()
             if res.order > 1:
@@ -360,19 +388,24 @@ class SubgroupClassInfo:
 
     @classmethod
     def from_json(cls, d):
-        chars = d["perm_chars"]
-        shape = (len(d["own_orders"]), len(d["elem_fusion"]))
+        lists = {k: int_list(d[k], k) for k in ("maximal", "elem_fusion",
+                                                "own_orders", "own_gclass")}
+        chars = [int_list(r, "perm_chars row")
+                 for r in checked(d["perm_chars"], list, "perm_chars")]
+        shape = (len(lists["own_orders"]), len(lists["elem_fusion"]))
         if 0 in shape:
             raise ValueError("own_orders and elem_fusion must not be empty")
         if len(chars) != shape[0] or any(len(r) != shape[1] for r in chars):
             raise ValueError(f"perm_chars must be {shape[0]} rows (one per "
                              f"own_orders entry) of {shape[1]} values")
-        return cls(d["class_id"], d["order"],
-                   [tuple(g) for g in d["generators"]],
+        return cls(checked(d["class_id"], int, "class_id"),
+                   checked(d["order"], int, "order"),
+                   [int_list(g, "generator")
+                    for g in checked(d["generators"], list, "generators")],
                    Fingerprint.from_json(d["fingerprint"]),
-                   d["normalizer_order"], tuple(d["maximal"]),
-                   tuple(d["elem_fusion"]), tuple(d["own_orders"]),
-                   tuple(d["own_gclass"]),
+                   checked(d["normalizer_order"], int, "normalizer_order"),
+                   lists["maximal"], lists["elem_fusion"],
+                   lists["own_orders"], lists["own_gclass"],
                    np.array(chars, dtype=np.int64).reshape(shape))
 
 
@@ -418,22 +451,26 @@ class SubgroupLattice:
     def load(cls, path) -> "SubgroupLattice":
         with open(path) as fh:
             d = json.load(fh)
-        if d.get("format") != FORMAT_TAG:
-            raise ValueError(f"unrecognised lattice cache format: "
-                             f"{d.get('format')!r}")
         where = "top level"
         try:
-            ambient = PermGroup([tuple(g) for g in d["ambient_generators"]],
-                                d["degree"])
-            seed = d["seed"]
+            if checked(d, dict, "the file").get("format") != FORMAT_TAG:
+                raise ValueError(f"unrecognised lattice cache format: "
+                                 f"{d.get('format')!r}")
+            ambient = PermGroup(
+                [int_list(g, "ambient generator")
+                 for g in checked(d["ambient_generators"], list,
+                                  "ambient_generators")],
+                checked(d["degree"], int, "degree"))
+            seed = checked(d["seed"], int, "seed")
             classes = []
-            for c in d["classes"]:
-                where = f"class {c.get('class_id', len(classes) + 1)}"
-                classes.append(SubgroupClassInfo.from_json(c))
+            for c in checked(d["classes"], list, "classes"):
+                where = f"class {len(classes) + 1}"
+                classes.append(SubgroupClassInfo.from_json(
+                    checked(c, dict, "class")))
         except KeyError as exc:
             raise ValueError(f"{path}: {where}: missing key "
                              f"{exc.args[0]!r}") from None
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:
             raise ValueError(f"{path}: {where}: {exc}") from None
         n = len(classes)
         if not classes or classes[-1].order != ambient.order:
@@ -460,6 +497,13 @@ class SubgroupLattice:
                                  f"fingerprint order {c.fingerprint.order!r} "
                                  f"and the last own_orders entry "
                                  f"{c.own_orders[-1]!r} must be equal")
+            if not (0 < c.order and 0 < c.normalizer_order
+                    and c.normalizer_order % c.order == 0
+                    and ambient.order % c.normalizer_order == 0):
+                raise ValueError(f"{path}: class {pos}: normalizer order "
+                                 f"{c.normalizer_order} must be a multiple "
+                                 f"of the order {c.order} and divide "
+                                 f"{ambient.order}")
             # column 0 is the identity's class: the number of cosets
             for r, (cosets, own) in enumerate(zip(c.perm_chars[:, 0].tolist(),
                                                   c.own_orders), 1):
@@ -477,8 +521,6 @@ class SubgroupLattice:
 
 def _own_lattice_raws(rep: PermGroup, ambient_degree, seed, class_pos):
     """Subgroup classes of ``rep`` (as its own ambient)."""
-    if rep.order == 1:
-        return [_Raw(rep, rep.element_table().table, 1, (), 0)]
     seeds = [PermGroup([], ambient_degree)]
     if not rep.is_solvable():
         sub_seed = (seed * 1000003 + class_pos) % (2**63)
@@ -547,14 +589,7 @@ def subgroup_classes(ambient: PermGroup, seed: int = DEFAULT_SEED,
         rep = raw.group
         cid = pos + 1
         log(f"class {cid}/{len(raws)}: order {raw.order}")
-        if raw.order == 1:
-            own_pairs = [(1, cid)]
-            perm_rows = [raw.rows]
-            pc = np.ones((1, 1), dtype=np.int64)
-            maximal = ()
-            elem_fusion = (0,)
-            norm_order = ambient.order
-        elif raw.order == ambient.order:
+        if raw.order == ambient.order:
             # the whole group, always last in the canonical order: its
             # containment data is the union of the proper classes' lattices
             own_ids = [id_of_raw[k] for k in range(len(raws))]
@@ -568,7 +603,6 @@ def subgroup_classes(ambient: PermGroup, seed: int = DEFAULT_SEED,
                 nonmax |= d.contained_class_ids() - {d.class_id}
             maximal = tuple(sorted(set(own_ids) - nonmax - {cid}))
             elem_fusion = tuple(range(len(ambient.conjugacy_classes())))
-            norm_order = ambient.order
         else:
             own_raws = _own_lattice_raws(rep, ambient.degree, seed, pos)
             containers = _containers(own_raws, rep)
@@ -584,14 +618,13 @@ def subgroup_classes(ambient: PermGroup, seed: int = DEFAULT_SEED,
             pc = burnside.perm_characters(rep, perm_rows)
             elem_fusion = tuple(ambient.class_index_of(crep)
                                 for crep, _ in rep.conjugacy_classes())
-            norm_order = len(collector.normalizer_rows(rep))
         infos.append(SubgroupClassInfo(
             class_id=cid,
             order=raw.order,
             generators=[tuple(g) for g in rep.generators
                         if not is_identity(g)] or [pident(ambient.degree)],
             fingerprint=fps[i],
-            normalizer_order=norm_order,
+            normalizer_order=raw.normalizer_order,
             maximal=maximal,
             elem_fusion=elem_fusion,
             own_orders=tuple(p[0] for p in own_pairs),

@@ -37,7 +37,7 @@ from pathlib import Path
 
 from . import burnside, cohomology, sp4f3
 from .permgroups import PermGroup
-from .subgroups import Fingerprint, SubgroupLattice
+from .subgroups import Fingerprint, SubgroupLattice, checked, int_list
 from .zmodules import GIntModule
 
 TABLE_FORMAT_TAG = "psp4obs-table/1"
@@ -529,27 +529,34 @@ def load_table_json(path) -> list:
     """Importer for :func:`render_json` output; round-trips losslessly."""
     with open(path) as fh:
         doc = json.load(fh)
-    if doc.get("format") != TABLE_FORMAT_TAG:
-        raise ValueError(f"unrecognised table format: {doc.get('format')!r}")
     rows = []
     where = "top level"
     try:
-        for d in doc["rows"]:
-            where = f"row {d.get('class_id', len(rows) + 1)}"
+        if checked(doc, dict, "the file").get("format") != TABLE_FORMAT_TAG:
+            raise ValueError(f"unrecognised table format: "
+                             f"{doc.get('format')!r}")
+        for d in checked(doc["rows"], list, "rows"):
+            where = f"row {len(rows) + 1}"
+            d = checked(d, dict, "the row")
+            h1 = [None if d[k] is None else int_list(d[k], k)
+                  for k in ("h1_m", "h1_md")]
             rows.append(TableRow(
-                class_id=d["class_id"],
-                order=d["order"],
+                class_id=checked(d["class_id"], int, "class_id"),
+                order=checked(d["order"], int, "order"),
                 fingerprint=Fingerprint.from_json(d["fingerprint"]),
-                burnside_order=d["burnside"],
-                lcm_obstruction=d["lcm"],
-                h1_m=None if d["h1_m"] is None else tuple(d["h1_m"]),
-                h1_mdual=None if d["h1_md"] is None else tuple(d["h1_md"]),
-                absolutely_irreducible=d["irred"],
-                maximal=tuple(d["maximal"]),
+                burnside_order=checked(d["burnside"], int, "burnside"),
+                lcm_obstruction=(None if d["lcm"] is None
+                                 else checked(d["lcm"], int, "lcm")),
+                h1_m=h1[0],
+                h1_mdual=h1[1],
+                absolutely_irreducible=checked(d["irred"], bool, "irred"),
+                maximal=int_list(d["maximal"], "maximal"),
             ))
     except KeyError as exc:
         raise ValueError(f"{path}: {where}: missing key "
                          f"{exc.args[0]!r}") from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: {where}: {exc}") from None
     return rows
 
 

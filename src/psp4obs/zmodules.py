@@ -208,7 +208,7 @@ def quotient_by_radical(module: GIntModule, radical) -> GIntModule:
     if k == 0:
         return module
     s, _u, v = intlinalg.snf(radical)
-    diag = intlinalg.smith_diagonal(s)
+    diag = [int(x) for x in s.diagonal()]
     if len(diag) != k or any(d != 1 for d in diag):
         raise ValueError("radical rows are dependent or not saturated")
     # S = U R V with S = [I_k | 0], so the radical spans the top k rows
@@ -291,7 +291,13 @@ def _read_matrix(path, lines, pos, rank):
         if len(row) != rank or not all(x.lstrip("-").isdigit() for x in row):
             raise ValueError(f"{path}: line {pos + i + 1}: expected {rank} "
                              f"integers")
-    return np.array(rows, dtype=np.int64), pos + rank
+    try:
+        return np.array(rows, dtype=np.int64), pos + rank
+    except OverflowError:
+        i = next(i for i, row in enumerate(rows)
+                 if any(not -2**63 <= int(x) < 2**63 for x in row))
+        raise ValueError(f"{path}: line {pos + i + 1}: an entry is beyond "
+                         f"int64") from None
 
 
 def save_module(module: GIntModule, path):
@@ -343,6 +349,10 @@ def load_module(path, group: PermGroup) -> GIntModule:
                              f"'matrix {i + 1}'")
         m, pos = _read_matrix(path, lines, pos + 1, rank)
         mats.append(m)
+    extra = [i for i in range(pos, len(lines)) if lines[i].strip()]
+    if extra:
+        raise ValueError(f"{path}: line {extra[0] + 1}: text after the last "
+                         f"matrix")
     module = GIntModule(group, tuple(mats), rank)
     module.validate()
     check_character(module)

@@ -101,6 +101,36 @@ def _generator_0_1(doc):
     doc["classes"][9]["generators"][0] = [1, 0] + list(range(2, 40))
 
 
+def _elem_fusion_string(doc):
+    doc["classes"][9]["elem_fusion"][-1] = "3"
+
+
+def _own_gclass_true(doc):
+    doc["classes"][9]["own_gclass"][0] = True
+
+
+def _generators_null(doc):
+    doc["classes"][9]["generators"] = None
+
+
+def _abelianization_int(doc):
+    doc["classes"][9]["fingerprint"]["abelianization"] = 4
+
+
+def _degree_string(doc):
+    doc["degree"] = "40"
+
+
+def _maximal_float(doc):
+    doc["classes"][9]["maximal"] = [1.5]
+
+
+def _normalizer_order(n):
+    def edit(doc):
+        doc["classes"][9]["normalizer_order"] = n
+    return edit
+
+
 class TestBadLatticeFile:
     @pytest.mark.parametrize("edit,message", [
         (_drop_the_whole_group,
@@ -122,14 +152,33 @@ class TestBadLatticeFile:
          "not be empty"),
         (_generator_0_1, "class 10: generator 1 is not in the ambient "
          "group"),
+        (_elem_fusion_string, 'class 10: elem_fusion entry must be an '
+         'integer, not "3"'),
+        (_own_gclass_true, "class 10: own_gclass entry must be an integer, "
+         "not true"),
+        (_generators_null, "class 10: generators must be a list, not null"),
+        (_abelianization_int, "class 10: abelianization must be a list, "
+         "not 4"),
+        (_degree_string, 'top level: degree must be an integer, not "40"'),
+        (lambda doc: doc["classes"], "top level: the file must be an "
+         "object, not a list"),
+        (_maximal_float, "class 10: maximal entry must be an integer, "
+         "not 1.5"),
+        (_normalizer_order(0), "class 10: normalizer order 0 must be a "
+         "multiple of the order 4 and divide 25920"),
+        (_normalizer_order(6), "class 10: normalizer order 6 must be a "
+         "multiple of the order 4 and divide 25920"),
     ], ids=["without-class-116", "own-gclass-117", "maximal-999",
             "elem-fusion-99", "whole-group-fusion-reversed",
             "perm-chars-row-dropped", "order-5", "fingerprint-order-5",
-            "identity-character-3", "own-orders-empty", "generator-0-1"])
+            "identity-character-3", "own-orders-empty", "generator-0-1",
+            "elem-fusion-string", "own-gclass-true", "generators-null",
+            "abelianization-int", "degree-string", "top-level-list",
+            "maximal-1.5", "normalizer-order-0", "normalizer-order-6"])
     def test_one_error_line(self, lattice_path, tmp_path, capsys, edit,
                             message):
         doc = json.loads(pathlib.Path(lattice_path).read_text())
-        edit(doc)
+        doc = edit(doc) or doc
         path = tmp_path / "lattice.json"
         path.write_text(json.dumps(doc))
         code, out, err = run_cli(capsys, "table", "compute", "--lattice",
@@ -251,6 +300,28 @@ class TestTableCheck:
             == [f"error: {path}: row 7: missing key 'irred'"]
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("edit,message", [
+        (lambda doc: doc.update(rows=5), "top level: rows must be a list, "
+         "not 5"),
+        (lambda doc: doc["rows"].__setitem__(6, [7]), "row 7: the row must "
+         "be an object, not a list"),
+        (lambda doc: doc["rows"][6].update(maximal=None), "row 7: maximal "
+         "must be a list, not null"),
+    ], ids=["rows-5", "row-list", "maximal-null"])
+    def test_bad_table_file_is_one_error_line(self, lattice_path, tmp_path,
+                                              capsys, edit, message):
+        path = tmp_path / "table.json"
+        run_cli(capsys, "table", "compute", "--lattice", str(lattice_path),
+                "--format", "json", "--out", str(path))
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "table", "check", "--table",
+                                 str(path))
+        assert code == 1 and out == "" and "Traceback" not in err
+        assert [ln for ln in err.splitlines() if ln.startswith("error:")] \
+            == [f"error: {path}: {message}"]
+
 
 def _cut_mid_row(lines):
     return lines[:12] + [lines[12][:lines[12].index(",", 3)] + "\n"]
@@ -298,22 +369,31 @@ class TestModuleVerify:
         assert code == 1
         assert "error:" in err
 
-    @pytest.mark.parametrize("keep", [0, 62])
-    def test_cut_module_file_is_one_error_line(self, lattice_path, tmp_path,
-                                               capsys, keep):
+    @pytest.mark.parametrize("edit,message", [
         # an empty file, and `head -n 62 m61.gmodule`: the file ends
         # inside the first matrix
+        (lambda lines: [], "line 1: expected 'gmodule rank=<n> gens=<n>'"),
+        (lambda lines: lines[:62], "line 63: the file ends inside a matrix"),
+        # line 3 is the first row of the first matrix
+        (lambda lines: lines[:2] + ["9223372036854775808"
+                                    + lines[2][lines[2].index(" "):]]
+         + lines[3:], "line 3: an entry is beyond int64"),
+        # the shipped file has 311 lines: a header, then 5 matrices of 62
+        (lambda lines: lines + ["0 0\n"], "line 312: text after the last "
+         "matrix"),
+    ], ids=["0", "62", "entry-2-63", "trailing-line"])
+    def test_cut_module_file_is_one_error_line(self, lattice_path, tmp_path,
+                                               capsys, edit, message):
+        """A cut module file, and one with a bad entry or extra text."""
         shipped = pathlib.Path(cli.__file__).parent / "data" / "m61.gmodule"
         path = tmp_path / "cut.gmodule"
-        path.write_text("".join(shipped.read_text().splitlines(True)[:keep]))
-        code, _, err = run_cli(capsys, "table", "compute", "--lattice",
-                               str(lattice_path), "--module", str(path),
-                               "--out", str(tmp_path / "t.csv"))
-        assert code == 1 and "Traceback" not in err
+        path.write_text("".join(edit(shipped.read_text().splitlines(True))))
+        code, out, err = run_cli(capsys, "table", "compute", "--lattice",
+                                 str(lattice_path), "--module", str(path),
+                                 "--out", str(tmp_path / "t.csv"))
+        assert code == 1 and out == "" and "Traceback" not in err
         assert [ln for ln in err.splitlines() if "error" in ln] == [
-            f"error: {path}: line {keep + 1}: "
-            + ("expected 'gmodule rank=<n> gens=<n>'" if keep == 0
-               else "the file ends inside a matrix")]
+            f"error: {path}: {message}"]
 
 
 class TestParser:

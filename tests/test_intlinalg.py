@@ -98,6 +98,32 @@ class TestSnf:
         assert (il.mat_mul(il.mat_mul(u, a), v) == s).all()
         assert int(s[1, 1]) == 2**80 - 1
 
+    @pytest.mark.parametrize("a, want", [
+        # one Bezout step: (4, 6) -> (gcd, lcm)
+        ([[4, 0], [0, 6]], [2, 12]),
+        # a zero comes out last
+        ([[0, 0], [0, 3]], [3, 0]),
+        # (6, 4, 2) -> (2, 12, 2) -> (2, 2, 12): two Bezout steps
+        ([[6, 0, 0], [0, 4, 0], [0, 0, 2]], [2, 2, 12]),
+        # tall and wide
+        ([[2, 4], [6, 8], [10, 12]], [2, 4]),
+        ([[2, 0, 3], [0, 4, 5]], [1, 2]),
+        ([[6, 0, 0], [0, 10, 0]], [2, 30]),
+        # a step whose gcd and lcm leave int64: 2 and 2^40 (2^40 + 2) / 2
+        ([[2**40, 0], [0, 2**40 + 2]], [2, 2**79 + 2**40]),
+    ], ids=["4-6", "0-3", "6-4-2", "tall", "wide", "wide-6-10",
+            "near-2-40"])
+    def test_divisor_chain_cases(self, a, want):
+        s, u, v = il.snf(a)
+        assert (il.mat_mul(il.mat_mul(u, a), v) == s).all()
+        assert_unimodular(u)
+        assert_unimodular(v)
+        assert not il._has_offdiag(s)
+        k = min(s.shape)
+        assert [int(s[i, i]) for i in range(k)] == want
+        ref = smith_normal_form(sympy.Matrix(a))
+        assert [abs(int(ref[i, i])) for i in range(k)] == want
+
 
 class TestKernel:
     def test_dependent_rows(self):
@@ -235,6 +261,33 @@ class TestAsIntArray:
     def test_rejects_floats(self):
         with pytest.raises(ValueError):
             il.as_int_array(np.array([[1.0, 2.0]]))
+
+    def test_rejects_floats_next_to_a_large_int(self):
+        with pytest.raises(ValueError):
+            il.as_int_array([[2**63, 1.5]])
+
+    # numpy stores these as uint64, float64, object and uint64
+    @pytest.mark.parametrize("a", [
+        [[2**63]], [[2**63, 1]], [[-2**63, 2**64]],
+        np.array([[2**63]], dtype=np.uint64),
+    ], ids=["uint64", "float64", "object", "uint64-array"])
+    def test_ints_beyond_int64_stay_exact(self, a):
+        want = [[int(x) for x in row] for row in np.asarray(a, dtype=object)]
+        got = il.as_int_array(a)
+        assert got.dtype == object and got.tolist() == want
+        h, u = il.hnf(a)
+        assert (il.mat_mul(u, got) == h).all()
+        assert int(h[0, 0]) == abs(want[0][0])
+
+    @pytest.mark.parametrize("a, want", [
+        ([[2**63]], [2**63]),
+        ([[2**63, 1]], [1]),
+        ([[2**63, 0], [0, 6]], [2, 3 * 2**63]),
+    ], ids=["2-63", "2-63-1", "2-63-6"])
+    def test_snf_beyond_int64(self, a, want):
+        s, u, v = il.snf(a)
+        assert (il.mat_mul(il.mat_mul(u, a), v) == s).all()
+        assert [int(s[i, i]) for i in range(min(s.shape))] == want
 
 
 def object_product(a, b):
