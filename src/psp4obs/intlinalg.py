@@ -42,23 +42,23 @@ def as_int_array(data) -> np.ndarray:
 
     Integer data beyond int64 becomes an object array of exact Python
     ints: numpy would store it as uint64, or as float64 next to small ints.
+    Any entry that is not an integer raises ``ValueError``.
     """
     a = np.asarray(data)
     if a.dtype.kind == "f" and not isinstance(data, np.ndarray):
         a = np.asarray(data, dtype=object)
-        if not all(isinstance(x, (int, np.integer)) for x in a.flat):
-            raise ValueError("refusing float input for exact arithmetic")
     if a.ndim == 1:
         a = a.reshape(1, -1)
     if a.ndim != 2:
         raise ValueError(f"expected a matrix, got ndim={a.ndim}")
     if a.dtype == np.uint64 and a.size and a.max() >= 2**63:
         return a.astype(object)
-    if a.dtype == object or np.issubdtype(a.dtype, np.integer):
+    if np.issubdtype(a.dtype, np.integer):
         return a
-    if np.issubdtype(a.dtype, np.floating):
-        raise ValueError("refusing float input for exact arithmetic")
-    return a.astype(object)
+    a = a.astype(object, copy=False)
+    if not all(isinstance(x, (int, np.integer)) for x in a.flat):
+        raise ValueError("refusing non-integer input for exact arithmetic")
+    return a
 
 
 def maxabs(a: np.ndarray) -> int:

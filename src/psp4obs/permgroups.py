@@ -598,11 +598,16 @@ class PermGroup(_DerivedSeries):
         return all(sum(size for k, size in orders if p ** a % k == 0) == p ** a
                    for p, a in prime_powers(self.order))
 
-    def normalizer(self, sub: "PermGroup") -> "PermGroup":
-        """N_G(H) via a vectorised scan of the whole element table."""
+    def normalizer_rows(self, sub: "PermGroup") -> np.ndarray:
+        """The element rows of N_G(H), by a vectorised scan of the whole
+        element table."""
         et = self.element_table()
-        index = et.conjugators(_generating_rows(sub), sub.element_table())
-        return group_from_elements(et.table[index], self.degree)
+        return et.table[et.conjugators(_generating_rows(sub),
+                                       sub.element_table())]
+
+    def normalizer(self, sub: "PermGroup") -> "PermGroup":
+        """N_G(H) as a group."""
+        return group_from_elements(self.normalizer_rows(sub), self.degree)
 
     # -- subgroup-level operations: ``b`` is a group or the ElementTable of
     # one, so a subgroup can be tested before its chain is built

@@ -40,10 +40,11 @@ reproduces identical output.
 
 For every class the module also computes its own subgroup-class lattice
 (with the representative as ambient), which yields in one sweep the
-maximal subgroup classes, the full containment order, and the permutation
-character matrix needed for Burnside-cokernel computations.  The
-containment scan runs only where the larger class has at least as many
-elements in every ambient class as the smaller one.
+maximal subgroup classes and the permutation character matrix needed for
+Burnside-cokernel computations.  Walking the own classes by descending
+order, a class is maximal unless a maximal class found before it contains
+a conjugate of it; that scan runs only where the larger class has at
+least as many elements in every ambient class as the smaller one.
 """
 
 from __future__ import annotations
@@ -68,13 +69,14 @@ _TRIALS_PER_PAIR = 6  # random conjugate pairs per pair of element classes
 # fingerprints
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class Fingerprint:
     """Cheap conjugacy-invariant data of a subgroup class.
 
     ``derived_length`` is -1 for non-solvable groups; ``abelianization``
     lists the invariant factors of H/[H,H].  All of it is read off the
-    element table, the conjugacy classes and the derived series.
+    element table, the conjugacy classes and the derived series.  The
+    field order is the canonical sort order of the classes.
     """
 
     order: int
@@ -83,10 +85,6 @@ class Fingerprint:
     class_count: int
     derived_length: int
     nilpotent: bool
-
-    def as_tuple(self):
-        return (self.order, self.abelianization, self.exponent,
-                self.class_count, self.derived_length, self.nilpotent)
 
     def to_json(self):
         return {"order": self.order,
@@ -151,7 +149,6 @@ class _Raw:
     rows: np.ndarray
     order: int
     fusion: tuple
-    seq: int
     normalizer_order: int = 0  # set by _layer_closure
 
 
@@ -161,11 +158,9 @@ class _ClassCollector:
 
     def __init__(self, ambient: PermGroup):
         self.ambient = ambient
-        self.et = ambient.element_table()
         self.raws: list[_Raw] = []
         self.by_bytes: dict = {}
         self.by_key: dict = {}
-        self.queue: list[int] = []
 
     def add(self, table: ElementTable, build) -> int:
         """Register the class of the subgroup with this element table and
@@ -189,10 +184,9 @@ class _ClassCollector:
             raise RuntimeError("built group and element table differ")
         group._cache['table'] = table
         idx = len(self.raws)
-        self.raws.append(_Raw(group, rows, group.order, fusion, idx))
+        self.raws.append(_Raw(group, rows, group.order, fusion))
         self.by_bytes[key_bytes] = idx
         self.by_key.setdefault(key, []).append(idx)
-        self.queue.append(idx)
         return idx
 
     def add_group(self, group: PermGroup) -> int:
@@ -207,11 +201,6 @@ class _ClassCollector:
         vals, counts = np.unique(self.ambient.class_indices(rows),
                                  return_counts=True)
         return tuple(zip(vals.tolist(), counts.tolist()))
-
-    def normalizer_rows(self, sub: PermGroup) -> np.ndarray:
-        gens = [h for h in sub.generators if not is_identity(h)]
-        return self.et.table[self.et.conjugators(gens,
-                                                 sub.element_table())]
 
 
 def _coset_powers(sub: PermGroup, n_et: ElementTable):
@@ -275,10 +264,7 @@ def _layer_closure(ambient: PermGroup, seeds) -> _ClassCollector:
     collector = _ClassCollector(ambient)
     for s in seeds:
         collector.add_group(s)
-    qi = 0
-    while qi < len(collector.queue):
-        raw = collector.raws[collector.queue[qi]]
-        qi += 1
+    for raw in collector.raws:  # visits the classes added on the way
         if raw.order == 1:
             for rep, _ in ambient.conjugacy_classes():
                 p = porder(rep)
@@ -287,9 +273,9 @@ def _layer_closure(ambient: PermGroup, seeds) -> _ClassCollector:
         if raw.order in (1, ambient.order):
             raw.normalizer_order = ambient.order
             continue
-        nrows = collector.normalizer_rows(raw.group)
+        nrows = ambient.normalizer_rows(raw.group)
         raw.normalizer_order = len(nrows)
-        if len(nrows) < len(collector.et):
+        if len(nrows) < ambient.order:
             res = closed_set(nrows, ambient.degree).solvable_residual()
             if res.order > 1:
                 collector.add_closure(res)
@@ -449,10 +435,10 @@ class SubgroupLattice:
 
     @classmethod
     def load(cls, path) -> "SubgroupLattice":
-        with open(path) as fh:
-            d = json.load(fh)
         where = "top level"
         try:
+            with open(path) as fh:
+                d = json.load(fh)
             if checked(d, dict, "the file").get("format") != FORMAT_TAG:
                 raise ValueError(f"unrecognised lattice cache format: "
                                  f"{d.get('format')!r}")
@@ -528,29 +514,28 @@ def _own_lattice_raws(rep: PermGroup, ambient_degree, seed, class_pos):
     return _layer_closure(rep, seeds).raws
 
 
-def _containers(raws, ambient: PermGroup):
-    """For each raw class, the set of raw indices of strictly larger
-    classes that contain it up to conjugacy in the ambient group.
+def _maximal(raws, ambient: PermGroup) -> list:
+    """Raw indices of the maximal proper classes among ``raws``, the
+    subgroup classes of ``ambient``.
 
+    Every proper subgroup lies in a maximal one, which is larger.  So,
+    walking the classes by descending order, a proper class is maximal
+    unless a maximal class found before it contains a conjugate of it.
     A conjugate of A inside B has as many elements in each ambient class
     as A, so the scan runs only where B's class counts dominate A's.
     """
-    order_desc = sorted(range(len(raws)), key=lambda i: -raws[i].order)
-    containers = {i: set() for i in range(len(raws))}
-    for pos, i in enumerate(order_desc):
-        bigger = [j for j in order_desc[:pos]
-                  if raws[j].order > raws[i].order
-                  and raws[j].order % raws[i].order == 0]
-        bigger.sort(key=lambda j: raws[j].order)
-        for j in bigger:
-            counts = dict(raws[j].fusion)
-            if j in containers[i] or any(n > counts.get(c, 0)
-                                         for c, n in raws[i].fusion):
-                continue
-            if ambient.conjugate_into(raws[i].group, raws[j].group) is not None:
-                containers[i].add(j)
-                containers[i] |= containers[j]
-    return containers
+    def inside(a, b):
+        counts = dict(b.fusion)
+        return (b.order > a.order and b.order % a.order == 0
+                and all(n <= counts.get(c, 0) for c, n in a.fusion)
+                and ambient.conjugate_into(a.group, b.group) is not None)
+
+    maximal = []
+    for i in sorted(range(len(raws)), key=lambda i: -raws[i].order):
+        if raws[i].order < ambient.order and not any(
+                inside(raws[i], raws[j]) for j in maximal):
+            maximal.append(i)
+    return maximal
 
 
 def subgroup_classes(ambient: PermGroup, seed: int = DEFAULT_SEED,
@@ -573,8 +558,8 @@ def subgroup_classes(ambient: PermGroup, seed: int = DEFAULT_SEED,
 
     fps = [fingerprint_of(r.group) for r in raws]
     sorted_idx = sorted(range(len(raws)),
-                        key=lambda i: (raws[i].order, fps[i].as_tuple(),
-                                       raws[i].fusion, raws[i].seq))
+                        key=lambda i: (raws[i].order, fps[i], raws[i].fusion,
+                                       i))
     id_of_raw = {old: new + 1 for new, old in enumerate(sorted_idx)}
 
     def gclass_of(group: PermGroup) -> int:
@@ -589,35 +574,25 @@ def subgroup_classes(ambient: PermGroup, seed: int = DEFAULT_SEED,
         rep = raw.group
         cid = pos + 1
         log(f"class {cid}/{len(raws)}: order {raw.order}")
-        if raw.order == ambient.order:
-            # the whole group, always last in the canonical order: its
-            # containment data is the union of the proper classes' lattices
-            own_ids = [id_of_raw[k] for k in range(len(raws))]
-            ksort = sorted(range(len(raws)),
-                           key=lambda k: (raws[k].order, own_ids[k]))
-            own_pairs = [(raws[k].order, own_ids[k]) for k in ksort]
-            perm_rows = [raws[k].rows for k in ksort]
-            pc = burnside.perm_characters(ambient, perm_rows)
-            nonmax = set()
-            for d in infos:
-                nonmax |= d.contained_class_ids() - {d.class_id}
+        whole = raw.order == ambient.order
+        own_raws = (raws if whole
+                    else _own_lattice_raws(rep, ambient.degree, seed, pos))
+        own_ids = [gclass_of(r.group) for r in own_raws]
+        if whole:
+            # always last in the canonical order, so the proper classes'
+            # own lattices give its maximal classes without a scan
+            nonmax = {k for d in infos for k in d.own_gclass
+                      if k != d.class_id}
             maximal = tuple(sorted(set(own_ids) - nonmax - {cid}))
-            elem_fusion = tuple(range(len(ambient.conjugacy_classes())))
         else:
-            own_raws = _own_lattice_raws(rep, ambient.degree, seed, pos)
-            containers = _containers(own_raws, rep)
-            top = next(k for k, r in enumerate(own_raws)
-                       if r.order == rep.order)
-            own_ids = [gclass_of(r.group) for r in own_raws]
-            maximal = tuple(sorted({own_ids[k] for k in range(len(own_raws))
-                                    if containers[k] == {top}}))
-            ksort = sorted(range(len(own_raws)),
-                           key=lambda k: (own_raws[k].order, own_ids[k]))
-            own_pairs = [(own_raws[k].order, own_ids[k]) for k in ksort]
-            perm_rows = [own_raws[k].rows for k in ksort]
-            pc = burnside.perm_characters(rep, perm_rows)
-            elem_fusion = tuple(ambient.class_index_of(crep)
-                                for crep, _ in rep.conjugacy_classes())
+            maximal = tuple(sorted({own_ids[k]
+                                    for k in _maximal(own_raws, rep)}))
+        ksort = sorted(range(len(own_raws)),
+                       key=lambda k: (own_raws[k].order, own_ids[k]))
+        own_pairs = [(own_raws[k].order, own_ids[k]) for k in ksort]
+        pc = burnside.perm_characters(rep, [own_raws[k].rows for k in ksort])
+        elem_fusion = tuple(ambient.class_index_of(crep)
+                            for crep, _ in rep.conjugacy_classes())
         infos.append(SubgroupClassInfo(
             class_id=cid,
             order=raw.order,

@@ -527,11 +527,11 @@ def render_json(rows) -> str:
 
 def load_table_json(path) -> list:
     """Importer for :func:`render_json` output; round-trips losslessly."""
-    with open(path) as fh:
-        doc = json.load(fh)
     rows = []
     where = "top level"
     try:
+        with open(path) as fh:
+            doc = json.load(fh)
         if checked(doc, dict, "the file").get("format") != TABLE_FORMAT_TAG:
             raise ValueError(f"unrecognised table format: "
                              f"{doc.get('format')!r}")

@@ -13,8 +13,10 @@ production paths, kept as oracles for the faster ones:
   Schreier-Sims chain rebuilt for every accepted generator of every
   term, where :class:`psp4obs.permgroups.PermGroup` compares the sizes of
   element sets and counts the elements of p-power order;
-* ``scan_containers`` runs every conjugacy scan that
-  ``subgroups._containers`` skips by its class-count prescreen;
+* ``scan_containers`` builds the full containment order with a
+  conjugacy scan for every pair of classes, where
+  ``subgroups._maximal`` scans each class only against the maximal
+  classes found before it, after a class-count prescreen;
 * ``quotient_order`` multiplies a coset representative z by itself until
   z^k lies in H, one membership test per power, where
   ``subgroups._coset_powers`` raises all representatives at once;
@@ -215,7 +217,9 @@ def chain_is_nilpotent(group) -> bool:
 
 
 def scan_containers(raws, ambient: PermGroup) -> dict:
-    """``subgroups._containers`` with a conjugacy scan for every pair."""
+    """For each raw class, the raw indices of the strictly larger classes
+    that contain a conjugate of it, with a conjugacy scan for every
+    pair."""
     order_desc = sorted(range(len(raws)), key=lambda i: -raws[i].order)
     containers = {i: set() for i in range(len(raws))}
     for pos, i in enumerate(order_desc):
@@ -364,23 +368,28 @@ def brute_subgroups(elements):
     """Every subgroup of the finite permutation group ``elements``.
 
     Each subgroup is reached by adding one element at a time to the
-    trivial group, so none is missed.
+    trivial group, so none is missed.  The elements of one coset of a
+    subgroup H add the same subgroup, so one element per coset is tried,
+    and each subgroup keeps the elements that made it as its generators.
     """
     identity = pg.pident(len(next(iter(elements))))
-    found = {frozenset([identity])}
+    found = {frozenset([identity]): []}  # subgroup -> its generators
     frontier = list(found)
     while frontier:
         nxt = []
         for sub in frontier:
+            tried = set(sub)
             for x in elements:
-                if x in sub:
+                if x in tried:
                     continue
-                big = frozenset(closure(list(sub) + [x], pg.pmul, identity))
+                tried.update(pg.pmul(h, x) for h in sub)
+                gens = found[sub] + [x]
+                big = frozenset(closure(gens, pg.pmul, identity))
                 if big not in found:
-                    found.add(big)
+                    found[big] = gens
                     nxt.append(big)
         frontier = nxt
-    return found
+    return set(found)
 
 
 def brute_perm_characters(elements, subgroup_reps, class_reps):

@@ -72,7 +72,7 @@ def test_verdict_counts(rows):
     assert verdicts.count(False) == 26
 
 
-def test_invariant_rank_mod_ell_matches_hnf(lattice, module):
+def test_count_of_valuation_a_plus_1_matches_hnf(lattice, module):
     # h0 counts the Smith invariants of valuation a+1 mod p^(a+1), p^a
     # exactly dividing |H|; the HNF kernel over Z is the independent
     # check, on M and its dual

@@ -168,19 +168,22 @@ class TestBadLatticeFile:
          "multiple of the order 4 and divide 25920"),
         (_normalizer_order(6), "class 10: normalizer order 6 must be a "
          "multiple of the order 4 and divide 25920"),
+        (lambda doc: "[1,\n", "top level: Expecting value: line 2 column 1 "
+         "(char 4)"),
     ], ids=["without-class-116", "own-gclass-117", "maximal-999",
             "elem-fusion-99", "whole-group-fusion-reversed",
             "perm-chars-row-dropped", "order-5", "fingerprint-order-5",
             "identity-character-3", "own-orders-empty", "generator-0-1",
             "elem-fusion-string", "own-gclass-true", "generators-null",
             "abelianization-int", "degree-string", "top-level-list",
-            "maximal-1.5", "normalizer-order-0", "normalizer-order-6"])
+            "maximal-1.5", "normalizer-order-0", "normalizer-order-6",
+            "not-json"])
     def test_one_error_line(self, lattice_path, tmp_path, capsys, edit,
                             message):
         doc = json.loads(pathlib.Path(lattice_path).read_text())
         doc = edit(doc) or doc
         path = tmp_path / "lattice.json"
-        path.write_text(json.dumps(doc))
+        path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
         code, out, err = run_cli(capsys, "table", "compute", "--lattice",
                                  str(path), "--out", str(tmp_path / "t.csv"))
         assert code == 1 and out == ""
@@ -307,15 +310,17 @@ class TestTableCheck:
          "be an object, not a list"),
         (lambda doc: doc["rows"][6].update(maximal=None), "row 7: maximal "
          "must be a list, not null"),
-    ], ids=["rows-5", "row-list", "maximal-null"])
+        (lambda doc: "[1,\n", "top level: Expecting value: line 2 column 1 "
+         "(char 4)"),
+    ], ids=["rows-5", "row-list", "maximal-null", "not-json"])
     def test_bad_table_file_is_one_error_line(self, lattice_path, tmp_path,
                                               capsys, edit, message):
         path = tmp_path / "table.json"
         run_cli(capsys, "table", "compute", "--lattice", str(lattice_path),
                 "--format", "json", "--out", str(path))
         doc = json.loads(path.read_text())
-        edit(doc)
-        path.write_text(json.dumps(doc))
+        doc = edit(doc) or doc
+        path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
         code, out, err = run_cli(capsys, "table", "check", "--table",
                                  str(path))
         assert code == 1 and out == "" and "Traceback" not in err

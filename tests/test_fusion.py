@@ -2,10 +2,11 @@
 
 The classification reads permutation characters off class fusion, runs
 the derived series on element sets, counts the abelianisation and
-nilpotency off the conjugacy classes, and skips a containment scan when
-the class counts rule it out.  The former code paths, kept in
-``oracles``, must give equal matrices, generators, invariants and
-containers.
+nilpotency off the conjugacy classes, and finds the maximal classes by
+scanning each class only against the maximal classes found before it,
+and only where the class counts allow a containment.  The former code
+paths, kept in ``oracles``, must give equal matrices, generators,
+invariants and maximal classes.
 """
 
 import pytest
@@ -53,9 +54,13 @@ def check_series(group):
     assert group.is_nilpotent() == oracles.chain_is_nilpotent(group)
 
 
-def check_containers(group, raws):
-    assert subgroups._containers(raws, group) == oracles.scan_containers(
-        raws, group)
+def check_maximal(group, raws):
+    """The maximal classes are those whose only container in the full
+    containment order is the top class."""
+    containers = oracles.scan_containers(raws, group)
+    top = {k for k, r in enumerate(raws) if r.order == group.order}
+    assert sorted(subgroups._maximal(raws, group)) == sorted(
+        k for k, c in containers.items() if c == top)
 
 
 class TestSmallGroups:
@@ -70,7 +75,7 @@ class TestSmallGroups:
 
     @pytest.mark.parametrize("g", SMALL)
     def test_containers(self, g):
-        check_containers(g, own_raws(g))
+        check_maximal(g, own_raws(g))
 
     @given(st.integers(2, 5).flatmap(
         lambda n: st.lists(st.permutations(tuple(range(n))).map(tuple),
@@ -81,7 +86,7 @@ class TestSmallGroups:
         raws = own_raws(g)
         check_series(g)
         check_perm_characters(g, raws)
-        check_containers(g, raws)
+        check_maximal(g, raws)
 
 
 class TestLatticeClasses:
@@ -97,7 +102,7 @@ class TestLatticeClasses:
 
     def test_containers(self, lattice_raws):
         for g, raws in lattice_raws:
-            check_containers(g, raws)
+            check_maximal(g, raws)
 
 
 class TestEveryLatticeClass:

@@ -266,6 +266,14 @@ class TestAsIntArray:
         with pytest.raises(ValueError):
             il.as_int_array([[2**63, 1.5]])
 
+    @pytest.mark.parametrize("run, a", [
+        (il.snf, [[1.5, 0], [0, 2]]),
+        (il.hnf, [[1.5, 1], [3, 2]]),
+    ], ids=["snf", "hnf"])
+    def test_rejects_floats_in_an_object_array(self, run, a):
+        with pytest.raises(ValueError):
+            run(np.array(a, dtype=object))
+
     # numpy stores these as uint64, float64, object and uint64
     @pytest.mark.parametrize("a", [
         [[2**63]], [[2**63, 1]], [[-2**63, 2**64]],

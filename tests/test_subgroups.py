@@ -11,7 +11,7 @@ import json
 import numpy as np
 import pytest
 
-from oracles import quotient_order
+from oracles import brute_subgroups, quotient_order
 from psp4obs import cli, subgroups
 from psp4obs.permgroups import ElementTable, PermGroup, pconj, pmul
 
@@ -58,6 +58,25 @@ def brute_class_count(g):
     return classes
 
 
+def brute_maximal(lat):
+    """For each class, the ids of the classes of its maximal subgroups,
+    read off every subgroup of the ambient group."""
+    elements = [tuple(r) for r in lat.ambient.element_table().table.tolist()]
+
+    def members(class_id):
+        return frozenset(map(tuple, lat.rep(class_id).element_table()
+                             .table.tolist()))
+    class_of = {frozenset(pconj(h, x) for h in members(c.class_id)):
+                c.class_id for c in lat.classes for x in elements}
+    subs = brute_subgroups(elements)
+    out = []
+    for c in lat.classes:
+        below = [s for s in subs if s < members(c.class_id)]
+        out.append(tuple(sorted({class_of[s] for s in below
+                                 if not any(s < t for t in below)})))
+    return out
+
+
 class TestClassification:
     @pytest.mark.parametrize("g,expected", [
         (C6, 4), (A4, 5), (S4, 11), (D4, 8), (Q8, 6), (A5, 9), (S5, 19)])
@@ -65,6 +84,11 @@ class TestClassification:
         lat = subgroups.subgroup_classes(g, seed=1)
         assert len(lat) == expected
         assert brute_class_count(g) == expected
+
+    @pytest.mark.parametrize("g", [S4, A5, S5], ids=["S4", "A5", "S5"])
+    def test_maximal_vs_brute_force(self, g):
+        lat = subgroups.subgroup_classes(g, seed=1)
+        assert [c.maximal for c in lat.classes] == brute_maximal(lat)
 
     def test_ids_sequential_and_sorted(self):
         lat = subgroups.subgroup_classes(S4, seed=1)
@@ -76,7 +100,7 @@ class TestClassification:
     def test_seed_invariance(self):
         a = subgroups.subgroup_classes(S4, seed=1)
         b = subgroups.subgroup_classes(S4, seed=77)
-        sig = lambda lat: [(c.order, c.fingerprint.as_tuple(), c.maximal,
+        sig = lambda lat: [(c.order, c.fingerprint, c.maximal,
                             c.own_gclass, c.normalizer_order)
                            for c in lat.classes]
         assert sig(a) == sig(b)
@@ -151,7 +175,7 @@ class TestS4Structure:
 def check_coset_powers(sub, ambient):
     """Batched coset orders and power cosets of ``sub`` in its normaliser
     agree with one multiplication and one lookup per power."""
-    n_rows = subgroups._ClassCollector(ambient).normalizer_rows(sub)
+    n_rows = ambient.normalizer_rows(sub)
     n_et = ElementTable(n_rows, ambient.degree)
     coset_of, order, powers = subgroups._coset_powers(sub, n_et)
     assert len(order) == coset_of.max() == len(n_et) // sub.order - 1
