@@ -14,9 +14,14 @@ BLAS thread:
   is start-up, the symplectic model and ``load_module``; its output is
   its stdout.
 
-Each stage runs three times.  ``bench/BENCH_<label>.json`` holds the
-median and every raw wall time of each stage, the sha256 of each stage's
-output file (equal hashes mean byte-identical output), the git sha of the
+Each stage runs three times.  Then, untimed and once each, ``table
+compute --format json`` with and without the module, and ``table check``
+on the lattice with the module and on the JSON table with the module
+columns, record the sha256 of their output and their exit status (the
+check exits 1 while the computed table and the fixture differ in some
+cell).  ``bench/BENCH_<label>.json`` holds the median and every raw wall
+time of each stage, the sha256 of each stage's and each check's output
+file (equal hashes mean byte-identical output), the git sha of the
 checkout and whether its tree had uncommitted changes, and the Python and
 numpy versions, the CPU model and nproc.
 """
@@ -64,17 +69,18 @@ def _sha256(path):
 
 
 def run_stage(root, cpu, argv, stdout_path=None):
-    """Wall seconds of one ``psp4obs`` process on one CPU; its stdout goes
-    to ``stdout_path`` if given."""
+    """Wall seconds and exit status of one ``psp4obs`` process on one CPU;
+    its stdout goes to ``stdout_path`` if given."""
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     env.update({k: "1" for k in ONE_THREAD})
     with open(stdout_path or os.devnull, "w") as sink:
         t0 = time.perf_counter()
-        subprocess.run([sys.executable, "-m", "psp4obs.cli", *argv],
-                       cwd=root, env=env, check=True, stdout=sink,
-                       stderr=subprocess.DEVNULL,
-                       preexec_fn=lambda: os.sched_setaffinity(0, {cpu}))
-        return time.perf_counter() - t0
+        code = subprocess.run([sys.executable, "-m", "psp4obs.cli", *argv],
+                              cwd=root, env=env, stdout=sink,
+                              stderr=subprocess.DEVNULL,
+                              preexec_fn=lambda: os.sched_setaffinity(
+                                  0, {cpu})).returncode
+        return time.perf_counter() - t0, code
 
 
 def main(argv=None):
@@ -111,19 +117,44 @@ def main(argv=None):
             for name, (stage_argv, out, stdout) in stages.items():
                 if name == "lattice_cold_s":
                     lattice.unlink(missing_ok=True)
-                seconds = run_stage(root, cpu, stage_argv,
-                                    out if stdout else None)
+                seconds, code = run_stage(root, cpu, stage_argv,
+                                          out if stdout else None)
+                if code:
+                    raise RuntimeError(f"{name}: exit status {code}")
                 times[name].append(seconds)
                 digest = _sha256(out)
                 if outputs.setdefault(name, digest) != digest:
                     raise RuntimeError(f"{name}: output differs between "
                                        f"repeats")
                 print(f"{name} run {rep + 1}: {seconds:.2f} s", flush=True)
+        table_json = tmp / "table-module.json"
+        untimed = {
+            "table_json": (["table", "compute", "--lattice", str(lattice),
+                            "--format", "json", "--out",
+                            str(tmp / "table.json")], tmp / "table.json",
+                           False),
+            "table_module_json": (["table", "compute", "--lattice",
+                                   str(lattice), "--module", str(module),
+                                   "--format", "json", "--out",
+                                   str(table_json)], table_json, False),
+            "check_lattice_module": (["table", "check", "--lattice",
+                                      str(lattice), "--module", str(module)],
+                                     tmp / "check-lattice.txt", True),
+            "check_table_module": (["table", "check", "--table",
+                                    str(table_json)],
+                                   tmp / "check-table.txt", True),
+        }
+        checks = {}
+        for name, (check_argv, out, stdout) in untimed.items():
+            _, code = run_stage(root, cpu, check_argv, out if stdout else None)
+            checks[name] = {"exit": code, "output_sha256": _sha256(out)}
+            print(f"{name}: exit {code}", flush=True)
     report = {
         "label": args.label,
         "stages": {name: {"median_s": statistics.median(ts), "raw_s": ts,
                           "output_sha256": outputs[name]}
                    for name, ts in times.items()},
+        "checks": checks,
         "git_sha": _git(root, "rev-parse", "HEAD"),
         "git_dirty": bool(_git(root, "status", "--porcelain",
                                "--untracked-files=no")),

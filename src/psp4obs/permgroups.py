@@ -281,9 +281,6 @@ class _DerivedSeries:
         length, residual = self._derived_walk(derived)
         return length if residual.order == 1 else None
 
-    def is_solvable(self):
-        return self.derived_length() is not None
-
 
 class PermGroup(_DerivedSeries):
     """A permutation group with a deterministic base and strong generating set.
@@ -583,10 +580,6 @@ class PermGroup(_DerivedSeries):
         self.conjugacy_classes()
         return self._cache['class_index'][
             self.element_table().index_of(rows)]
-
-    def class_index_of(self, p):
-        """Index into :meth:`conjugacy_classes` of the class of ``p``."""
-        return int(self.class_indices(np.asarray([p]))[0])
 
     def exponent(self):
         return lcm(*[porder(rep) for rep, _ in self.conjugacy_classes()])

@@ -26,8 +26,10 @@ conjugacy classes of elements), plus a deterministic safety net: whenever
 a normaliser N_G(H) is computed, its solvable residual is added if its
 class is missing.  A pair's chain is built with the ambient order as a
 bound (:meth:`PermGroup.subgroup`), so a pair that generates the whole
-group stops as soon as the chain has its order.  The expected class count
-for a given ambient group is checked by callers, not here.
+group stops as soon as the chain has its order.  A solvable group (its
+solvable residual is 1) has no perfect subgroup but 1, so it gets neither
+the search nor the net.  The expected class count for a given ambient
+group is checked by callers, not here.
 
 Classes are deduplicated by exact element-set, then by an invariant
 prescreen (order and fusion of element classes into the ambient group's),
@@ -39,12 +41,13 @@ with construction order as the last tie-break, so a fixed seed
 reproduces identical output.
 
 For every class the module also computes its own subgroup-class lattice
-(with the representative as ambient), which yields in one sweep the
-maximal subgroup classes and the permutation character matrix needed for
-Burnside-cokernel computations.  Walking the own classes by descending
-order, a class is maximal unless a maximal class found before it contains
-a conjugate of it; that scan runs only where the larger class has at
-least as many elements in every ambient class as the smaller one.
+by the same search, with the representative as ambient and a seed derived
+from the class's position.  That yields in one sweep the maximal subgroup
+classes and the permutation character matrix needed for Burnside-cokernel
+computations.  Walking the own classes by descending order, a class is
+maximal unless a maximal class found before it contains a conjugate of
+it; that scan runs only where the larger class has at least as many
+elements in every ambient class as the smaller one.
 """
 
 from __future__ import annotations
@@ -255,14 +258,19 @@ def _prime_extensions(raw: _Raw, nrows: np.ndarray, degree,
                       lambda: group_from_elements(k_rows, degree))
 
 
-def _layer_closure(ambient: PermGroup, seeds) -> _ClassCollector:
-    """Close a seed list of subgroups under prime extensions.
+def _layer_closure(ambient: PermGroup, seed: int) -> _ClassCollector:
+    """All subgroup classes of ``ambient``: the trivial class and the
+    perfect classes of :func:`perfect_subgroup_classes`, closed under
+    prime extensions.
 
-    Also adds the solvable residual of every normaliser encountered, which
-    recovers perfect classes reachable from solvable ones.
+    Where there are perfect classes, it also adds the solvable residual of
+    every normaliser encountered, which recovers perfect classes reachable
+    from solvable ones.  A solvable group has no perfect subgroup but 1, so
+    it gets neither the perfect search nor this net.
     """
     collector = _ClassCollector(ambient)
-    for s in seeds:
+    perfect = perfect_subgroup_classes(ambient, seed)
+    for s in [PermGroup([], ambient.degree)] + perfect:
         collector.add_group(s)
     for raw in collector.raws:  # visits the classes added on the way
         if raw.order == 1:
@@ -275,7 +283,7 @@ def _layer_closure(ambient: PermGroup, seeds) -> _ClassCollector:
             continue
         nrows = ambient.normalizer_rows(raw.group)
         raw.normalizer_order = len(nrows)
-        if len(nrows) < ambient.order:
+        if perfect and len(nrows) < ambient.order:
             res = closed_set(nrows, ambient.degree).solvable_residual()
             if res.order > 1:
                 collector.add_closure(res)
@@ -292,15 +300,18 @@ def perfect_subgroup_classes(ambient: PermGroup, seed: int) -> list:
 
     For every pair of element conjugacy classes, a few random conjugate
     pairs are drawn and the solvable residual of the generated subgroup is
-    recorded.  The trivial group is not included.  Deterministic for a
-    fixed seed; completeness is certified downstream (expected class
-    counts and the normaliser-residual closure in the layering).
+    recorded.  The trivial group is not included, so a solvable group,
+    whose solvable residual is trivial, gets ``[]`` and draws no pairs.
+    Deterministic for a fixed seed; completeness is certified downstream
+    (expected class counts and the normaliser-residual closure in the
+    layering).
     """
+    whole = ambient.solvable_residual()
+    if whole.order == 1:
+        return []
     rng = Random(seed)
     collector = _ClassCollector(ambient)
-    whole = ambient.solvable_residual()
-    if whole.order > 1:
-        collector.add_closure(whole)
+    collector.add_closure(whole)
     reps = [rep for rep, _ in ambient.conjugacy_classes()
             if not is_identity(rep)]
     for i in range(len(reps)):
@@ -354,9 +365,6 @@ class SubgroupClassInfo:
             self._rep_cache = PermGroup(
                 [tuple(g) for g in self.generators], degree)
         return self._rep_cache
-
-    def contained_class_ids(self) -> frozenset:
-        return frozenset(self.own_gclass)
 
     def to_json(self):
         return {
@@ -505,15 +513,6 @@ class SubgroupLattice:
         return cls(ambient, seed, classes)
 
 
-def _own_lattice_raws(rep: PermGroup, ambient_degree, seed, class_pos):
-    """Subgroup classes of ``rep`` (as its own ambient)."""
-    seeds = [PermGroup([], ambient_degree)]
-    if not rep.is_solvable():
-        sub_seed = (seed * 1000003 + class_pos) % (2**63)
-        seeds += perfect_subgroup_classes(rep, sub_seed)
-    return _layer_closure(rep, seeds).raws
-
-
 def _maximal(raws, ambient: PermGroup) -> list:
     """Raw indices of the maximal proper classes among ``raws``, the
     subgroup classes of ``ambient``.
@@ -548,11 +547,8 @@ def subgroup_classes(ambient: PermGroup, seed: int = DEFAULT_SEED,
         if progress:
             progress(msg)
 
-    log("searching for perfect subgroup classes")
-    seeds = [PermGroup([], ambient.degree)]
-    seeds += perfect_subgroup_classes(ambient, seed)
-    log(f"layering from {len(seeds)} seed classes")
-    collector = _layer_closure(ambient, seeds)
+    log("searching for subgroup classes")
+    collector = _layer_closure(ambient, seed)
     raws = collector.raws
     log(f"found {len(raws)} classes; fingerprinting")
 
@@ -575,8 +571,8 @@ def subgroup_classes(ambient: PermGroup, seed: int = DEFAULT_SEED,
         cid = pos + 1
         log(f"class {cid}/{len(raws)}: order {raw.order}")
         whole = raw.order == ambient.order
-        own_raws = (raws if whole
-                    else _own_lattice_raws(rep, ambient.degree, seed, pos))
+        own_raws = (raws if whole else _layer_closure(
+            rep, (seed * 1000003 + pos) % 2**63).raws)
         own_ids = [gclass_of(r.group) for r in own_raws]
         if whole:
             # always last in the canonical order, so the proper classes'
@@ -591,8 +587,8 @@ def subgroup_classes(ambient: PermGroup, seed: int = DEFAULT_SEED,
                        key=lambda k: (own_raws[k].order, own_ids[k]))
         own_pairs = [(own_raws[k].order, own_ids[k]) for k in ksort]
         pc = burnside.perm_characters(rep, [own_raws[k].rows for k in ksort])
-        elem_fusion = tuple(ambient.class_index_of(crep)
-                            for crep, _ in rep.conjugacy_classes())
+        elem_fusion = tuple(ambient.class_indices(np.asarray(
+            [crep for crep, _ in rep.conjugacy_classes()])).tolist())
         infos.append(SubgroupClassInfo(
             class_id=cid,
             order=raw.order,

@@ -229,9 +229,10 @@ class Fixture:
 
     @classmethod
     def load(cls, path) -> "Fixture":
-        """Read the CSV; a missing column or a cell that does not parse
-        raises ValueError naming the path, the line and the column."""
-        rows = []
+        """Read the CSV; a missing column, a cell that does not parse, a
+        row number out of 1..n order or a ``maximal`` entry that names no
+        row raises ValueError naming the path and the line."""
+        rows, line_of = [], []
         with open(path, newline="") as fh:
             reader = csv.DictReader(fh)
             for rec in reader:
@@ -248,8 +249,16 @@ class Fixture:
                             f"{name!r} " + ("is missing" if text is None
                                             else f"holds {text!r}")) from None
                 rows.append(FixtureRow(**fields))
-        if sorted(f.row for f in rows) != list(range(1, len(rows) + 1)):
-            raise ValueError("fixture row numbers are not 1..n")
+                line_of.append(reader.line_num)
+        n = len(rows)
+        for pos, (f, line) in enumerate(zip(rows, line_of), 1):
+            if f.row != pos:
+                raise ValueError(f"{path}: line {line}: row number {f.row} "
+                                 f"should be {pos}: rows run 1..{n} in order")
+            bad = [j for j in f.maximal if not 1 <= j <= n]
+            if bad:
+                raise ValueError(f"{path}: line {line}: maximal row {bad[0]} "
+                                 f"is not in 1..{n}")
         return cls(rows)
 
 
@@ -526,7 +535,8 @@ def render_json(rows) -> str:
 
 
 def load_table_json(path) -> list:
-    """Importer for :func:`render_json` output; round-trips losslessly."""
+    """Importer for :func:`render_json` output; round-trips losslessly.
+    Class ids must run 1..n in order and every ``maximal`` id name a row."""
     rows = []
     where = "top level"
     try:
@@ -552,6 +562,15 @@ def load_table_json(path) -> list:
                 absolutely_irreducible=checked(d["irred"], bool, "irred"),
                 maximal=int_list(d["maximal"], "maximal"),
             ))
+            if rows[-1].class_id != len(rows):
+                raise ValueError(f"class_id {rows[-1].class_id} should be "
+                                 f"{len(rows)}: ids run 1..n in order")
+        for r in rows:
+            where = f"row {r.class_id}"
+            bad = [j for j in r.maximal if not 1 <= j <= len(rows)]
+            if bad:
+                raise ValueError(f"maximal id {bad[0]} is not in "
+                                 f"1..{len(rows)}")
     except KeyError as exc:
         raise ValueError(f"{path}: {where}: missing key "
                          f"{exc.args[0]!r}") from None

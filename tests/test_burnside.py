@@ -88,11 +88,10 @@ class TestBurnsideOrder:
         classes = C6.conjugacy_classes()
         # the rational character of the primitive 6th roots: values
         # (2, 1, -1, -2, -1, 1) ordered by powers; build it by orders
-        by_order = {porder(rep): i for i, (rep, _) in enumerate(classes)}
         chi = [0] * 6
-        for rep, _ in classes:
-            chi[C6.class_index_of(rep)] = {1: 2, 2: -2, 3: -1, 6: 1}[
-                porder(rep)]
+        index = C6.class_indices(np.asarray([rep for rep, _ in classes]))
+        for (rep, _), i in zip(classes, index.tolist()):
+            chi[i] = {1: 2, 2: -2, 3: -1, 6: 1}[porder(rep)]
         assert burnside.burnside_order(pc, tuple(chi), bound=6) == 1
 
     def test_s4_standard_character(self):

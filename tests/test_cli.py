@@ -312,7 +312,12 @@ class TestTableCheck:
          "must be a list, not null"),
         (lambda doc: "[1,\n", "top level: Expecting value: line 2 column 1 "
          "(char 4)"),
-    ], ids=["rows-5", "row-list", "maximal-null", "not-json"])
+        (lambda doc: doc["rows"][6].update(maximal=[999]), "row 7: maximal "
+         "id 999 is not in 1..116"),
+        (lambda doc: doc["rows"][6].update(class_id=6), "row 7: class_id 6 "
+         "should be 7: ids run 1..n in order"),
+    ], ids=["rows-5", "row-list", "maximal-null", "not-json", "maximal-999",
+            "class-id-repeated"])
     def test_bad_table_file_is_one_error_line(self, lattice_path, tmp_path,
                                               capsys, edit, message):
         path = tmp_path / "table.json"
@@ -340,7 +345,12 @@ class TestBadFixture:
     @pytest.mark.parametrize("edit,message", [
         (_cut_mid_row, "line 13: column 'label' is missing"),
         (_drop_burnside, "line 2: column 'burnside' is missing"),
-    ], ids=["truncated", "without-burnside"])
+        # line 3 is row 2, whose maximal cell is "1"; line 6 is row 5
+        (lambda lines: lines[:2] + [lines[2].replace(",no,1,", ",no,999,")]
+         + lines[3:], "line 3: maximal row 999 is not in 1..116"),
+        (lambda lines: lines[:5] + ["4" + lines[5][1:]] + lines[6:],
+         "line 6: row number 4 should be 5: rows run 1..116 in order"),
+    ], ids=["truncated", "without-burnside", "maximal-999", "row-repeated"])
     def test_one_error_line(self, lattice_path, tmp_path, capsys, edit,
                             message):
         shipped = table.default_fixture_path().read_text()

@@ -27,7 +27,7 @@ LATTICE_IDS = [60, 110, 115]
 
 
 def own_raws(group):
-    return subgroups._own_lattice_raws(group, group.degree, 1, 0)
+    return subgroups._layer_closure(group, 1000003).raws
 
 
 @pytest.fixture(scope="module")

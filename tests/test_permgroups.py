@@ -115,13 +115,14 @@ class TestConjugacyClasses:
     def test_class_index_consistent(self):
         for g in (S4, Q8, A5):
             classes = g.conjugacy_classes()
-            for j, (rep, size) in enumerate(classes):
-                assert g.class_index_of(rep) == j
+            reps = np.asarray([rep for rep, _ in classes])
+            assert g.class_indices(reps).tolist() == list(range(len(classes)))
             # every element lands in a class of the right total size
-            counts = [0] * len(classes)
-            for i in range(g.order):
-                counts[g.class_index_of(g.element_table().perm(i))] += 1
-            assert counts == [size for _, size in classes]
+            et = g.element_table()
+            elements = np.asarray([et.perm(i) for i in range(g.order)])
+            counts = np.bincount(g.class_indices(elements),
+                                 minlength=len(classes))
+            assert counts.tolist() == [size for _, size in classes]
 
     @pytest.mark.parametrize("g", [S4, Q8, A5, C6],
                              ids=["S4", "Q8", "A5", "C6"])
@@ -190,7 +191,7 @@ class TestStructure:
         d2 = d1.derived_subgroup()
         assert d2.order == 4
         assert S4.derived_length() == 3
-        assert S4.is_solvable() and not S4.is_nilpotent()
+        assert S4.derived_length() is not None and not S4.is_nilpotent()
         assert D4.is_nilpotent()
 
     def test_solvable_residual(self):

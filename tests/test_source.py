@@ -1,9 +1,9 @@
 """The package holds no code that only the tests use.
 
-Every top-level function and class of ``src/psp4obs`` must be named in
-``src/``, ``scripts/`` or ``perfbench/`` outside its own definition.
-Reference implementations that only the tests need live in
-``tests/oracles.py``.
+Every top-level function and class of ``src/psp4obs``, and every method
+of such a class but the dunders, must be named in ``src/``, ``scripts/``
+or ``perfbench/`` outside its own definition.  Reference implementations
+that only the tests need live in ``tests/oracles.py``.
 """
 
 import ast
@@ -21,7 +21,12 @@ def test_every_top_level_name_is_used_outside_the_tests():
     unused = []
     for path in sorted(PACKAGE.glob("*.py")):
         lines = texts[path].splitlines(True)
-        for node in ast.parse(texts[path]).body:
+        top = ast.parse(texts[path]).body
+        methods = [node for cls in top if isinstance(cls, ast.ClassDef)
+                   for node in cls.body
+                   if isinstance(node, ast.FunctionDef)
+                   and not node.name.startswith("__")]
+        for node in top + methods:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
             start = min([node.lineno] + [d.lineno

@@ -116,7 +116,7 @@ class TestS4Structure:
         top = lat.classes[-1]
         assert top.order == 24
         assert sorted(lat.by_id(m).order for m in top.maximal) == [6, 8, 12]
-        assert top.contained_class_ids() == set(range(1, 12))
+        assert frozenset(top.own_gclass) == set(range(1, 12))
 
     def test_perm_chars(self, lat):
         top = lat.classes[-1]
@@ -153,11 +153,11 @@ class TestS4Structure:
     def test_maximal_is_antichain(self, lat):
         for c in lat.classes:
             for m in c.maximal:
-                below = lat.by_id(m).contained_class_ids()
+                below = frozenset(lat.by_id(m).own_gclass)
                 others = set(c.maximal) - {m}
                 assert not (others & {m}), "self-containment"
                 for o in others:
-                    assert m not in lat.by_id(o).contained_class_ids() or \
+                    assert m not in frozenset(lat.by_id(o).own_gclass) or \
                         lat.by_id(o).order == lat.by_id(m).order
 
     def test_fingerprints(self, lat):
@@ -279,10 +279,38 @@ A6_LATTICE_SHA256 = \
 
 def test_classification_is_byte_identical(lattice, tmp_path):
     rep = lattice.rep(110)
-    assert rep.order == 360 and not rep.is_solvable()
+    assert rep.order == 360 and rep.derived_length() is None
     path = tmp_path / "a6.json"
     subgroups.subgroup_classes(rep, seed=1).save(path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == A6_LATTICE_SHA256
+
+
+# sha256 of the lattice file that subgroup_classes(rep of class 112, seed 1)
+# saved while a solvable group still ran the perfect-subgroup search and
+# the normaliser-residual net; class 112 has order 648 and is solvable
+SOLVABLE_648_LATTICE_SHA256 = \
+    "382f4616de65382e6dee45678591cb8b346b43c0261b741436ac4587928cfcd3"
+
+
+def test_solvable_classification_is_byte_identical(lattice, tmp_path):
+    rep = lattice.rep(112)
+    assert rep.order == 648 and rep.derived_length() is not None
+    path = tmp_path / "c112.json"
+    subgroups.subgroup_classes(rep, seed=1).save(path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+        SOLVABLE_648_LATTICE_SHA256
+
+
+def test_solvable_groups_draw_no_random_pairs(lattice, monkeypatch):
+    """A solvable group and all its subgroups have no perfect subgroup
+    but 1, so neither level of the search draws a random element."""
+    calls = []
+    draw = PermGroup.random_element
+    monkeypatch.setattr(PermGroup, "random_element",
+                        lambda self, rng: calls.append(1) or draw(self, rng))
+    for group in (S4, lattice.rep(112)):
+        subgroups.subgroup_classes(group, seed=1)
+    assert calls == []
 
 
 class TestAmbientLattice:
