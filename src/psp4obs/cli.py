@@ -117,6 +117,9 @@ def cmd_table_compute(args) -> int:
 def cmd_table_check(args) -> int:
     fixture = table.Fixture.load(args.fixture)
     if args.table is not None:
+        if args.lattice is not None or args.module is not None:
+            raise ValueError("--table checks the table as it was computed; "
+                             "it takes no --lattice or --module")
         rows = table.load_table_json(args.table)
     elif args.lattice is not None:
         rows = _computed_rows(args)

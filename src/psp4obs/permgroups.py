@@ -12,12 +12,13 @@ original generators (:meth:`PermGroup.express`) and a presentation read
 off the chain (:meth:`PermGroup.presentation`).
 
 Whole-group operations run on the element table: all elements as one
-numpy array in lexicographic order.  Conjugacy classes are the orbits of
-the generators acting on the rows by conjugation, labelled in one
-vectorised pass over keys made of the base images, which determine an
-element (Holt, Eick and O'Brien, *Handbook of Computational Group
-Theory*, 2005, ch. 4); the exponent, nilpotency and G/G' are counted off
-them.  Subgroup conjugacy and normalisers scan all rows at once.
+numpy array in lexicographic order.  A row is found by its key, one int64
+made of its images of the base points, which determine an element (Holt,
+Eick and O'Brien, *Handbook of Computational Group Theory*, 2005, ch. 4).
+Conjugacy classes are the orbits of the generators acting on the rows by
+conjugation, labelled in one vectorised pass; the exponent, nilpotency and
+G/G' are counted off them.  Subgroup conjugacy and normalisers conjugate
+by all rows at once, gathering only the base columns.
 
 A build stops early when the caller knows an upper bound on the order:
 :meth:`PermGroup.subgroup` passes the order of the group the generators
@@ -135,20 +136,16 @@ def _as_table(rows, degree):
     return np.asarray(rows, dtype=_dtype(degree)).reshape(-1, degree)
 
 
-def _row_keys(rows, radix):
-    """One int64 key per row of entries in ``range(radix)``, equal exactly
-    for equal rows: the columns in base ``radix``, with the keys re-ranked
-    to ``0..distinct - 1`` before a column would take them to 2^63."""
-    keys = np.zeros(len(rows), dtype=np.int64)
-    bound = 1  # every key lies in range(bound)
-    for col in rows.T:
-        if bound * radix >= 2 ** 63:
-            uniq, keys = np.unique(keys, return_inverse=True)
-            bound = len(uniq)
-        keys *= radix
-        keys += col
-        bound *= radix
-    return keys
+def _keys(columns, degree):
+    """One key per row of ``columns``, whose entries lie in ``range(degree)``,
+    equal exactly for equal rows: the row as an int64 number in base
+    ``degree`` while ``degree ** width < 2^63``, else its bytes."""
+    width = columns.shape[1]
+    if degree ** width < 2 ** 63:
+        return columns @ degree ** np.arange(width - 1, -1, -1,
+                                             dtype=np.int64)
+    columns = np.ascontiguousarray(columns)
+    return columns.view(np.dtype((np.void, columns.itemsize * width))).ravel()
 
 
 def orbit_minima(acts, n):
@@ -167,64 +164,63 @@ def orbit_minima(acts, n):
 class ElementTable:
     """All elements of a group as a lexicographically sorted numpy array.
 
-    Provides O(log n) membership via a void view over contiguous rows, and
-    vectorised conjugation over the whole table through a cached table of
-    row inverses.
+    ``base``: points whose images determine every row, a base of the group
+    or of one containing it.  A lookup is a binary search among the rows'
+    keys (:func:`_keys` of their base images).  A key is exact only among
+    members, so :meth:`index_of` checks each hit's full row and
+    :meth:`conjugators` looks up by key only conjugates of members.
     """
 
-    def __init__(self, rows, degree):
+    def __init__(self, rows, degree, base):
         t = _as_table(rows, degree)
         order = np.lexsort(t.T[::-1])
         self.table = np.ascontiguousarray(t[order])
         self.degree = degree
-        self._void = self.table.view(
-            np.dtype((np.void, self.table.dtype.itemsize * degree))).ravel()
-        self._inverses = None
+        self.base = np.asarray(base, dtype=np.intp)
+        keys = _keys(self.table[:, self.base], degree)
+        self.by_key = np.argsort(keys)
+        self.sorted_keys = keys[self.by_key]
+        if (self.sorted_keys[1:] == self.sorted_keys[:-1]).any():
+            raise RuntimeError("base images do not determine elements")
+        self._preimages = None  # [k, j]: the point row k sends to base[j]
 
     def __len__(self):
         return self.table.shape[0]
 
-    def _rows_void(self, rows):
-        rows = np.ascontiguousarray(rows, dtype=self.table.dtype)
-        return rows.view(
-            np.dtype((np.void, rows.dtype.itemsize * rows.shape[1]))).ravel()
+    def _lookup(self, images):
+        """For each row of base images, the index of the table row with its
+        key if there is one, else of some row."""
+        pos = np.searchsorted(self.sorted_keys, _keys(images, self.degree))
+        return self.by_key[np.minimum(pos, len(self) - 1)]
 
     def index_of(self, rows):
-        """Sorted-table indices of the given rows (must all be members)."""
-        v = self._rows_void(np.atleast_2d(np.asarray(rows)))
-        idx = np.searchsorted(self._void, v)
-        if (idx >= len(self)).any() or (self._void[idx] != v).any():
-            raise KeyError("row is not an element of the group")
+        """Sorted-table indices of the given rows, which must all be
+        members (``ValueError`` otherwise)."""
+        rows = np.atleast_2d(np.asarray(rows, dtype=self.table.dtype))
+        idx = self._lookup(rows[:, self.base])
+        if (self.table[idx] != rows).any():
+            raise ValueError("a row is not an element of the group")
         return idx
-
-    def contains_rows(self, rows):
-        v = self._rows_void(np.atleast_2d(np.asarray(rows)))
-        idx = np.searchsorted(self._void, v)
-        ok = idx < len(self)
-        ok[ok] = self._void[idx[ok]] == v[ok]
-        return ok
 
     def perm(self, i):
         return tuple(int(x) for x in self.table[i])
 
-    def conjugates(self, p, index=None):
-        """Rows g^-1 p g for every row g, or for the rows at ``index``."""
-        if self._inverses is None:
-            self._inverses = np.argsort(self.table, axis=1).astype(
-                self.table.dtype)
-        table, inverses = self.table, self._inverses
-        if index is not None:
-            table, inverses = table[index], inverses[index]
-        # row k holds g[p[g^-1[i]]]: gather from the flat table
-        offsets = np.arange(0, table.size, self.degree)[:, None]
-        p = np.asarray(p, dtype=self.table.dtype)
-        return table.ravel()[p[inverses] + offsets]
-
     def conjugators(self, gens, target: "ElementTable"):
-        """Indices of the rows g with g^-1 h g in ``target`` for every h."""
+        """Indices of the rows g with g^-1 h g in ``target`` for every h;
+        each h must lie in this group (``ValueError`` otherwise)."""
+        gens = np.asarray(gens, dtype=self.table.dtype)
+        self.index_of(gens)
+        # the rows of this group that target holds, checked on all columns
+        idx = self._lookup(target.table[:, self.base])
+        held = np.zeros(len(self), dtype=bool)
+        held[idx[(self.table[idx] == target.table).all(1)]] = True
+        if self._preimages is None:
+            self._preimages = (self.table[:, :, None] == self.base).argmax(1)
         index = np.arange(len(self))
         for h in gens:
-            index = index[target.contains_rows(self.conjugates(h, index))]
+            # g^-1 h g sends b to g[h[g^-1[b]]], a member found by its key
+            flat = index[:, None] * self.degree + h[self._preimages[index]]
+            index = index[held[self._lookup(self.table.ravel()[flat])]]
             if not index.size:
                 break
         return index
@@ -522,32 +518,29 @@ class PermGroup(_DerivedSeries):
                     np.take(np.asarray(level.orbit[pt], rows.dtype), rows,
                             out=out[k])
                 rows = out.reshape(-1, self.degree)
-            self._cache['table'] = ElementTable(rows, self.degree)
+            self._cache['table'] = ElementTable(rows, self.degree, self.base)
         return self._cache['table']
 
     # -- conjugacy of elements --------------------------------------------
 
     def _conjugation_maps(self):
         """Row k: the table index of g^-1 x g for the row x at each index,
-        for the k-th nontrivial generator g.  Rows are found by their
-        keys, their images of the base points (:func:`_row_keys`)."""
-        table = self.element_table().table
-        base = np.asarray(self.base, dtype=np.intp)
-        gens = [g for g in self.generators if not is_identity(g)]
-        # g^-1 x g sends b to g[x[g^-1[b]]]: only base columns matter
-        keys = _row_keys(np.concatenate([table[:, base]] + [
-            np.asarray(g, table.dtype)[table[:, np.asarray(pinv(g))[base]]]
-            for g in gens]), self.degree).reshape(-1, len(table))
-        by_key = np.argsort(keys[0])
-        sorted_keys = keys[0][by_key]
-        if (sorted_keys[1:] == sorted_keys[:-1]).any():
-            raise RuntimeError("base images do not determine elements")
-        for k in keys[1:]:  # conjugation by g permutes G's rows
-            pos = np.argsort(k)
-            if not np.array_equal(k[pos], sorted_keys):
+        for the k-th nontrivial generator g: the conjugates' keys, sorted,
+        are the table's."""
+        et = self.element_table()
+        maps = []
+        for g in self.generators:
+            if is_identity(g):
+                continue
+            g = np.asarray(g, dtype=et.table.dtype)
+            # g^-1 x g sends b to g[x[g^-1[b]]]: only base columns matter
+            keys = _keys(g[et.table[:, np.argsort(g)[et.base]]], et.degree)
+            pos = np.argsort(keys)
+            if not np.array_equal(keys[pos], et.sorted_keys):
                 raise RuntimeError("a conjugate is not in the table")
-            k[pos] = by_key
-        return keys[1:]
+            maps.append(np.empty(len(et), dtype=np.intp))
+            maps[-1][pos] = et.by_key
+        return maps
 
     def conjugacy_classes(self):
         """List of (representative, size); canonical deterministic order.

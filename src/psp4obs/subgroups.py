@@ -161,6 +161,7 @@ class _ClassCollector:
 
     def __init__(self, ambient: PermGroup):
         self.ambient = ambient
+        self.base = ambient.element_table().base  # keys every table here
         self.raws: list[_Raw] = []
         self.by_bytes: dict = {}
         self.by_key: dict = {}
@@ -197,7 +198,8 @@ class _ClassCollector:
 
     def add_closure(self, elements) -> int:
         """Register the class of an :class:`ElementSet`."""
-        return self.add(ElementTable(elements.rows(), elements.degree),
+        return self.add(ElementTable(elements.rows(), elements.degree,
+                                     self.base),
                         elements.group)
 
     def fusion_key(self, rows) -> tuple:
@@ -239,7 +241,7 @@ def _prime_extensions(raw: _Raw, nrows: np.ndarray, degree,
     """All K with raw.group normal of prime index, up to local dedupe."""
     if len(nrows) == raw.order:
         return
-    n_et = ElementTable(nrows, degree)
+    n_et = ElementTable(nrows, degree, collector.base)
     h_rows = raw.group.element_table().table
     coset_of, order, powers = _coset_powers(raw.group, n_et)
     seen_subquot = set()
@@ -254,7 +256,7 @@ def _prime_extensions(raw: _Raw, nrows: np.ndarray, degree,
         seen_subquot.add(ids)
         k_rows = np.concatenate(
             [h_rows, n_et.table[index][:, h_rows].reshape(-1, degree)])
-        collector.add(ElementTable(k_rows, degree),
+        collector.add(ElementTable(k_rows, degree, collector.base),
                       lambda: group_from_elements(k_rows, degree))
 
 

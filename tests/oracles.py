@@ -47,7 +47,7 @@ production paths, kept as oracles for the faster ones:
   to check that transforms are unimodular.
 """
 
-from collections import deque
+from collections import Counter, deque
 from math import prod
 
 import numpy as np
@@ -55,7 +55,7 @@ import numpy as np
 from psp4obs import intlinalg, sp4f3, zmodules
 from psp4obs import permgroups as pg
 from psp4obs.intlinalg import AbelianInvariants, TRIVIAL_GROUP
-from psp4obs.permgroups import ElementTable, PermGroup
+from psp4obs.permgroups import PermGroup
 
 
 def coset_action(group: PermGroup, sub: PermGroup):
@@ -141,18 +141,23 @@ def brute_conjugacy_classes(group: PermGroup, conjugators=None):
 
 
 def scan_perm_characters(group: PermGroup, class_rows) -> np.ndarray:
-    """Fixed cosets |{g : g^-1 c g in K}| / |K| by full-table scans."""
-    et = group.element_table()
-    tables = [ElementTable(np.asarray(rows), group.degree)
-              for rows in class_rows]
-    out = np.zeros((len(tables), len(group.conjugacy_classes())),
+    """Fixed cosets |{g : g^-1 c g in K}| / |K| by conjugating each class
+    representative c by every element and counting the conjugates, as row
+    bytes, that lie in each K."""
+    elems = group.element_table().table
+    inverses = np.argsort(elems, axis=1)
+    out = np.zeros((len(class_rows), len(group.conjugacy_classes())),
                    dtype=np.int64)
     for j, (rep, _size) in enumerate(group.conjugacy_classes()):
-        conj = et.conjugates(rep)
-        for i, kt in enumerate(tables):
-            hits = int(kt.contains_rows(conj).sum())
-            assert hits % len(kt) == 0
-            out[i, j] = hits // len(kt)
+        # g^-1 c g sends i to g[c[g^-1[i]]]
+        conj = np.take_along_axis(
+            elems, np.asarray(rep)[inverses], axis=1)
+        counts = Counter(row.tobytes() for row in conj)
+        for i, rows in enumerate(class_rows):
+            rows = np.asarray(rows, dtype=elems.dtype)
+            hits = sum(counts[row.tobytes()] for row in rows)
+            assert hits % len(rows) == 0
+            out[i, j] = hits // len(rows)
     return out
 
 
@@ -237,11 +242,13 @@ def scan_containers(raws, ambient: PermGroup) -> dict:
     return containers
 
 
-def quotient_order(z, sub_et: ElementTable) -> int:
-    """Order of the coset zH in N/H (H normal in N)."""
+def quotient_order(z, sub_rows) -> int:
+    """Order of the coset zH in N/H (H normal in N, its element rows
+    ``sub_rows``)."""
+    members = {tuple(r) for r in np.asarray(sub_rows).tolist()}
     k = 1
-    cur = z
-    while not sub_et.contains_rows(np.asarray([cur]))[0]:
+    cur = tuple(z)
+    while cur not in members:
         cur = pg.pmul(cur, z)
         k += 1
     return k

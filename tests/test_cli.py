@@ -289,6 +289,21 @@ class TestTableCheck:
         assert code == 1
         assert "either --table or --lattice" in err
 
+    def test_table_excludes_lattice_and_module(self, lattice_path, tmp_path,
+                                               capsys):
+        path = tmp_path / "table.json"
+        run_cli(capsys, "table", "compute", "--lattice", str(lattice_path),
+                "--format", "json", "--out", str(path))
+        module = str(table.default_fixture_path().parent / "m61.gmodule")
+        for extra in (["--lattice", str(lattice_path)], ["--module", module],
+                      ["--lattice", str(lattice_path), "--module", module]):
+            code, out, err = run_cli(capsys, "table", "check",
+                                     "--table", str(path), *extra)
+            assert code == 1 and out == ""
+            assert err.splitlines() == [
+                "error: --table checks the table as it was computed; it "
+                "takes no --lattice or --module"]
+
     def test_row_without_irred_is_one_error_line(self, lattice_path,
                                                  tmp_path, capsys):
         path = tmp_path / "table.json"

@@ -45,6 +45,14 @@ def assert_classes_match_brute_force(g, conjugators=None):
     assert g.class_indices(g.element_table().table).tolist() == index
 
 
+def assert_same_partition(rows, keys):
+    """Rows are equal exactly where their keys are."""
+    _, by_row = np.unique(rows, axis=0, return_inverse=True)
+    _, by_key = np.unique(keys, return_inverse=True)
+    pairs = np.unique(np.stack([by_row.ravel(), by_key.ravel()]), axis=1)
+    assert pairs.shape[1] == by_row.max() + 1 == by_key.max() + 1
+
+
 class TestElementary:
     def test_mul_convention(self):
         # pmul(p, q) applies p first, then q
@@ -161,10 +169,23 @@ class TestConjugacyClasses:
         rng = np.random.default_rng(3)
         rows = rng.integers(0, 2 ** 20, size=(500, 5))
         rows[250:] = rows[:250]  # every row twice
-        keys = pg._row_keys(rows, 2 ** 20)
-        _, by_row = np.unique(rows, axis=0, return_inverse=True)
-        _, by_key = np.unique(keys, return_inverse=True)
-        assert np.array_equal(by_row.ravel(), by_key.ravel())
+        keys = pg._keys(rows, 2 ** 20)
+        assert_same_partition(rows, keys)
+
+    @pytest.mark.parametrize("degree,width,kind", [
+        (40, 5, np.int64),   # PSp4(3): 5 base points of 40
+        (40, 11, np.int64),  # 40^11 < 2^63
+        (28, 14, np.void),   # the C2^14 below: 28^14 >= 2^63
+    ])
+    def test_keys_equal_exactly_for_equal_rows(self, degree, width, kind):
+        rng = np.random.default_rng(7)
+        rows = rng.integers(0, degree, size=(400, width)).astype(np.uint8)
+        rows[200:300] = rows[:100]
+        rows[300:, 1:] = rows[:100, 1:]  # equal but for the first column
+        rows[300:, 0] = (rows[:100, 0] + 1) % degree
+        keys = pg._keys(rows, degree)
+        assert keys.dtype.type is kind
+        assert_same_partition(rows, keys)
 
     def test_base_that_does_not_determine_elements_raises(self):
         g = PermGroup(S4.generators, 4)
@@ -215,13 +236,9 @@ class TestStructure:
         assert n.order == 8
         # brute-force check
         et = S4.element_table()
-        sub = c4.element_table()
-        brute = sum(
-            1 for i in range(len(et))
-            if all(sub.contains_rows(
-                np.array(pg.pconj(sub.perm(j), et.perm(i)),
-                         dtype=sub.table.dtype).reshape(1, -1)).all()
-                for j in range(len(sub))))
+        sub = {tuple(r) for r in c4.element_table().table.tolist()}
+        brute = sum(1 for i in range(len(et))
+                    if all(pg.pconj(h, et.perm(i)) in sub for h in sub))
         assert n.order == brute
 
     def test_normal_closure(self):
@@ -235,15 +252,56 @@ class TestStructure:
         assert S4.is_conjugate_subgroup(a, b)
         g = S4.conjugate_into(a, b)
         assert g is not None
-        bt = b.element_table()
+        b_rows = {tuple(r) for r in b.element_table().table.tolist()}
         for i in range(len(a.element_table())):
-            q = pg.pconj(a.element_table().perm(i), g)
-            assert bt.contains_rows(
-                np.array(q, dtype=bt.table.dtype).reshape(1, -1)).all()
+            assert pg.pconj(a.element_table().perm(i), g) in b_rows
         # the normal Klein four vs a non-normal C2xC2 are not conjugate
         vn = S4.subgroup([(1, 0, 3, 2), (2, 3, 0, 1)])
         vo = S4.subgroup([(1, 0, 2, 3), (0, 1, 3, 2)])
         assert not S4.is_conjugate_subgroup(vn, vo)
+
+    def test_conjugate_into_a_non_subgroup_is_exact(self):
+        # A4 has base [0, 1]: (0 1) has the key of (0 1)(2 3), so a key
+        # lookup of the target's rows in A4 would call (0 1) a member
+        v = A4.subgroup([(1, 0, 3, 2)])
+        t = S4.subgroup([(1, 0, 2, 3)])
+        assert A4.base == [0, 1]
+        assert A4.conjugate_into(v, t) is None
+        assert A4.conjugating_element(v, t) is None
+
+    def test_scans_match_brute_force(self):
+        """First conjugators and normalisers in A4, for targets of S4 that
+        are not subgroups of A4 too."""
+        et = A4.element_table()
+        elems = [et.perm(i) for i in range(len(et))]
+        subs = [A4.subgroup([g]) for g in elems] + [A4]
+        targets = [S4.subgroup([g]) for g in S4.element_table().table.tolist()]
+        targets += [S4.subgroup([(1, 0, 2, 3), (0, 1, 3, 2)]), S4]
+
+        def conjugators(a, b):
+            rows = {tuple(r) for r in b.element_table().table.tolist()}
+            return [g for g in elems if all(
+                pg.pconj(h, g) in rows for h in pg._generating_rows(a))]
+
+        for a in subs:
+            for b in targets:
+                found = conjugators(a, b) if b.order % a.order == 0 else []
+                want = found[0] if found else None
+                assert A4.conjugate_into(a, b) == want
+                want = want if b.order == a.order else None
+                assert A4.conjugating_element(a, b) == want
+            assert A4.normalizer_rows(a).tolist() == [
+                list(g) for g in conjugators(a, a)]
+
+    def test_generator_outside_the_group_raises(self):
+        t = S4.subgroup([(1, 0, 2, 3)])
+        v = A4.subgroup([(1, 0, 3, 2)])
+        with pytest.raises(ValueError, match="not an element of the group"):
+            A4.normalizer_rows(t)
+        with pytest.raises(ValueError, match="not an element of the group"):
+            A4.conjugate_into(t, v)
+        with pytest.raises(ValueError, match="not an element of the group"):
+            A4.element_table().conjugators([(1, 0, 2, 3)], v.element_table())
 
     def test_coset_action(self):
         c4 = S4.subgroup([(1, 2, 3, 0)])
@@ -291,7 +349,7 @@ class TestElementTable:
         assert len(et) == 24
         rows = [tuple(r) for r in et.table]
         assert rows == sorted(rows)
-        assert et.contains_rows(et.table).all()
+        assert et.index_of(et.table).tolist() == list(range(len(et)))
 
     def test_group_from_elements_roundtrip(self):
         et = A4.element_table()

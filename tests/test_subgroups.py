@@ -176,13 +176,14 @@ def check_coset_powers(sub, ambient):
     """Batched coset orders and power cosets of ``sub`` in its normaliser
     agree with one multiplication and one lookup per power."""
     n_rows = ambient.normalizer_rows(sub)
-    n_et = ElementTable(n_rows, ambient.degree)
+    n_et = ElementTable(n_rows, ambient.degree,
+                        ambient.element_table().base)
     coset_of, order, powers = subgroups._coset_powers(sub, n_et)
     assert len(order) == coset_of.max() == len(n_et) // sub.order - 1
-    sub_et = sub.element_table()
+    sub_rows = sub.element_table().table
     for c in range(1, len(order) + 1):
         z = n_et.perm(int(np.flatnonzero(coset_of == c)[0]))
-        assert order[c - 1] == quotient_order(z, sub_et)
+        assert order[c - 1] == quotient_order(z, sub_rows)
         w = z
         for k in range(1, order[c - 1]):
             assert powers[k - 1, c - 1] == n_et.index_of([w])[0]
