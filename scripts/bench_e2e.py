@@ -6,7 +6,7 @@ Each stage runs as its own ``python -m psp4obs.cli`` process, from the
 source of ``--root`` (default: this checkout), pinned to one CPU with one
 BLAS thread:
 
-* ``lattice_cold_s``: ``lattice compute --seed 1`` into a new file;
+* ``lattice_cold_s``: ``lattice compute`` into a new file;
 * ``table_s``: ``table compute`` without a module, on that lattice;
 * ``table_module_s``: ``table compute --module`` with the bundled
   ``m61.gmodule``;
@@ -101,8 +101,8 @@ def main(argv=None):
         lattice = tmp / "lattice.json"
         # name: (argv, output file, whether that file is the stdout)
         stages = {
-            "lattice_cold_s": (["lattice", "compute", "--cache", str(lattice),
-                                "--seed", "1"], lattice, False),
+            "lattice_cold_s": (["lattice", "compute", "--cache", str(lattice)],
+                               lattice, False),
             "table_s": (["table", "compute", "--lattice", str(lattice),
                          "--out", str(tmp / "table.csv")], tmp / "table.csv",
                         False),

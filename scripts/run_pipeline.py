@@ -44,7 +44,6 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--work-dir", default=".cache",
                         help="where lattice and table files go")
-    parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--module", default=str(DATA / "m61.gmodule"),
                         help="gmodule file ('' skips the H^1 columns)")
     args = parser.parse_args(argv)
@@ -52,11 +51,9 @@ def main(argv=None):
     work = pathlib.Path(args.work_dir)
     work.mkdir(parents=True, exist_ok=True)
     lattice = work / "lattice.json"
-    seed_args = ["--seed", str(args.seed)] if args.seed is not None else []
     module_args = ["--module", args.module] if args.module else []
 
-    if stage("lattice", ["lattice", "compute", "--cache", str(lattice)]
-             + seed_args):
+    if stage("lattice", ["lattice", "compute", "--cache", str(lattice)]):
         return 1
     if stage("table", ["table", "compute", "--lattice", str(lattice),
                        "--format", "csv", "--out", str(work / "table.csv")]

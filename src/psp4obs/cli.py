@@ -3,7 +3,7 @@
 Subcommands mirror the pipeline stages::
 
     psp4obs group info
-    psp4obs lattice compute --cache lattice.json [--seed N]
+    psp4obs lattice compute --cache lattice.json
     psp4obs table compute --lattice lattice.json [--module m61.gmodule]
                           [--format csv|json|markdown] --out table.csv
     psp4obs table check [--fixture fixture.csv]
@@ -78,11 +78,10 @@ def cmd_group_info(args) -> int:
 
 def cmd_lattice_compute(args) -> int:
     model = sp4f3.standard_model()
-    _say(f"classifying subgroups of PSp4(3), seed {args.seed} ...")
-    lat = subgroups.subgroup_classes(model.psp, seed=args.seed,
-                                     progress=_say)
+    _say("classifying subgroups of PSp4(3) ...")
+    lat = subgroups.subgroup_classes(model.psp, progress=_say)
     lat.save(args.cache)
-    print(f"{len(lat)} subgroup classes -> {args.cache} (seed {args.seed})")
+    print(f"{len(lat)} subgroup classes -> {args.cache}")
     return 0
 
 
@@ -183,9 +182,8 @@ def build_parser() -> argparse.ArgumentParser:
                                help="classify all subgroup classes")
     lcompute.add_argument("--cache", required=True,
                           help="where to write the lattice JSON")
-    lcompute.add_argument("--seed", type=int,
-                          default=subgroups.DEFAULT_SEED,
-                          help="search seed (default: %(default)s)")
+    # ignored: perfbench/run.py still passes --seed 1 (ROADMAP item 6)
+    lcompute.add_argument("--seed", type=int, help=argparse.SUPPRESS)
     lcompute.set_defaults(func=cmd_lattice_compute)
 
     tab = top.add_parser("table", help="the obstruction table")

@@ -43,7 +43,6 @@ from dataclasses import dataclass, field
 from functools import cache, reduce
 from math import lcm
 from operator import itemgetter
-from random import Random
 
 import numpy as np
 
@@ -488,14 +487,6 @@ class PermGroup(_DerivedSeries):
             x for i, pt in reversed(points)
             for x in self.levels[i].orbit_words[pt]))
 
-    def random_element(self, rng: Random):
-        """Uniformly random element (product of random transversal picks)."""
-        out = pident(self.degree)
-        for level in reversed(self.levels):
-            pts = sorted(level.orbit)
-            out = pmul(out, level.orbit[pts[rng.randrange(len(pts))]])
-        return out
-
     def subgroup(self, gens):
         """The subgroup generated by ``gens``, which must lie in this group
         (``ValueError`` otherwise), as its order bounds the build."""
@@ -523,13 +514,14 @@ class PermGroup(_DerivedSeries):
 
     # -- conjugacy of elements --------------------------------------------
 
-    def _conjugation_maps(self):
+    def _conjugation_maps(self, gens=None):
         """Row k: the table index of g^-1 x g for the row x at each index,
-        for the k-th nontrivial generator g: the conjugates' keys, sorted,
-        are the table's."""
+        for the k-th nontrivial g of ``gens``, elements of this group
+        (default: its generators): the conjugates' keys, sorted, are the
+        table's."""
         et = self.element_table()
         maps = []
-        for g in self.generators:
+        for g in self.generators if gens is None else gens:
             if is_identity(g):
                 continue
             g = np.asarray(g, dtype=et.table.dtype)

@@ -11,7 +11,8 @@ subgroups that are again normal in the next one, because the sections are
 elementary abelian.  Consequently the class list of G is generated by
 
 1. seeding with the classes of perfect subgroups (groups equal to their
-   own derived subgroup), and
+   own derived subgroup), found from pairs of an element of prime order
+   p >= 5 and an involution, and
 2. repeatedly extending a known class H by elements z of prime order p in
    N_G(H)/H, giving K = H u Hz u ... u Hz^{p-1} of order p |H|.
 
@@ -21,9 +22,9 @@ every coset of H in N_G(H) to its powers all at once, one gather and one
 table lookup per power, and reads the order of zH where the powers first
 reach H, and the cosets of z, ..., z^{p-1}, off the same lookups.
 
-Step 1 uses a seeded random search over generator pairs (drawn from
-conjugacy classes of elements), plus a deterministic safety net: whenever
-a normaliser N_G(H) is computed, its solvable residual is added if its
+Step 1 adds the solvable residual of the group each pair generates
+(:func:`perfect_subgroup_classes`), plus a safety net: whenever a
+normaliser N_G(H) is computed, its solvable residual is added if its
 class is missing.  A pair's chain is built with the ambient order as a
 bound (:meth:`PermGroup.subgroup`), so a pair that generates the whole
 group stops as soon as the chain has its order.  A solvable group (its
@@ -37,24 +38,24 @@ and finally by a vectorised subgroup-conjugacy test, all on the
 candidate's element table: only a new class gets a Schreier-Sims chain.
 The same lookup maps the subgroup classes of each representative to
 ambient class ids.  The final ordering is by (order, fingerprint, fusion)
-with construction order as the last tie-break, so a fixed seed
-reproduces identical output.
+with construction order as the last tie-break; no step draws a random
+element, so the output is the same on every run.
 
 For every class the module also computes its own subgroup-class lattice
-by the same search, with the representative as ambient and a seed derived
-from the class's position.  That yields in one sweep the maximal subgroup
-classes and the permutation character matrix needed for Burnside-cokernel
-computations.  Walking the own classes by descending order, a class is
-maximal unless a maximal class found before it contains a conjugate of
-it; that scan runs only where the larger class has at least as many
-elements in every ambient class as the smaller one.
+by the same search, with the representative as ambient.  That yields in
+one sweep the maximal subgroup classes and the permutation character
+matrix needed for Burnside-cokernel computations.  Walking the own
+classes by descending order, a class is maximal unless a maximal class
+found before it contains a conjugate of it; that scan runs only where the
+larger class has at least as many elements in every ambient class as the
+smaller one.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from random import Random
+from math import prod
 
 import numpy as np
 
@@ -62,10 +63,7 @@ from . import burnside
 from .intlinalg import prime_powers
 from .permgroups import (ElementTable, PermGroup, abelian_invariants,
                          closed_set, group_from_elements, is_identity,
-                         orbit_minima, pconj, pident, porder)
-
-DEFAULT_SEED = 1
-_TRIALS_PER_PAIR = 6  # random conjugate pairs per pair of element classes
+                         orbit_minima, pident, porder)
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +258,7 @@ def _prime_extensions(raw: _Raw, nrows: np.ndarray, degree,
                       lambda: group_from_elements(k_rows, degree))
 
 
-def _layer_closure(ambient: PermGroup, seed: int) -> _ClassCollector:
+def _layer_closure(ambient: PermGroup) -> _ClassCollector:
     """All subgroup classes of ``ambient``: the trivial class and the
     perfect classes of :func:`perfect_subgroup_classes`, closed under
     prime extensions.
@@ -271,7 +269,7 @@ def _layer_closure(ambient: PermGroup, seed: int) -> _ClassCollector:
     it gets neither the perfect search nor this net.
     """
     collector = _ClassCollector(ambient)
-    perfect = perfect_subgroup_classes(ambient, seed)
+    perfect = perfect_subgroup_classes(ambient)
     for s in [PermGroup([], ambient.degree)] + perfect:
         collector.add_group(s)
     for raw in collector.raws:  # visits the classes added on the way
@@ -297,39 +295,44 @@ def _layer_closure(ambient: PermGroup, seed: int) -> _ClassCollector:
 # perfect classes
 
 
-def perfect_subgroup_classes(ambient: PermGroup, seed: int) -> list:
-    """Classes of nontrivial perfect subgroups, by seeded random search.
+def perfect_subgroup_classes(ambient: PermGroup) -> list:
+    """Classes of nontrivial perfect subgroups: the solvable residuals of
+    the whole group and of each <x, t>, x of prime order p >= 5 and t an
+    involution.  A solvable group gets ``[]`` and builds no pairs.
 
-    For every pair of element conjugacy classes, a few random conjugate
-    pairs are drawn and the solvable residual of the generated subgroup is
-    recorded.  The trivial group is not included, so a solvable group,
-    whose solvable residual is trivial, gets ``[]`` and draws no pairs.
-    Deterministic for a fixed seed; completeness is certified downstream
-    (expected class counts and the normaliser-residual closure in the
-    layering).
+    A nontrivial perfect group holds such x and t: its nonabelian simple
+    factor has order divisible by a prime p >= 5 (Burnside's p^a q^b
+    theorem) and by 2 (Feit-Thompson).  x runs over the class
+    representatives, t over the involutions up to conjugation by
+    N_G(<x>), as <x, t>^n = <x, t^n>.  That a pair generates each perfect
+    group is not proved, so completeness is certified downstream
+    (expected class counts and the normaliser-residual net).
     """
     whole = ambient.solvable_residual()
     if whole.order == 1:
         return []
-    rng = Random(seed)
     collector = _ClassCollector(ambient)
     collector.add_closure(whole)
-    reps = [rep for rep, _ in ambient.conjugacy_classes()
-            if not is_identity(rep)]
-    for i in range(len(reps)):
-        for j in range(i, len(reps)):
-            for _ in range(_TRIALS_PER_PAIR):
-                x = pconj(reps[i], ambient.random_element(rng))
-                y = pconj(reps[j], ambient.random_element(rng))
-                k = ambient.subgroup([x, y])
-                if k.order == ambient.order:
-                    continue
+    et = ambient.element_table()
+    classes = ambient.conjugacy_classes()
+    involution = np.array([porder(rep) == 2 for rep, _ in classes])[
+        ambient.class_indices(et.table)]
+    for x, _ in classes:
+        p = porder(x)
+        if p < 5 or prime_powers(p) != [(p, 1)]:
+            continue
+        nrows = ambient.normalizer_rows(PermGroup([x], ambient.degree))
+        least = orbit_minima(ambient._conjugation_maps(
+            closed_set(nrows, ambient.degree).generators), len(et))
+        first = involution & (least == np.arange(len(et)))  # orbit minima
+        for t in np.flatnonzero(first).tolist():
+            k = ambient.subgroup([x, et.perm(t)])
+            if k.order < ambient.order:
                 res = k.solvable_residual()
                 if res.order > 1:
                     collector.add_closure(res)
-    out = [r.group for r in collector.raws]
-    out.sort(key=lambda g: (g.order, g.element_table().table.tobytes()))
-    return out
+    return sorted((r.group for r in collector.raws), key=lambda g: (
+        g.order, g.element_table().table.tobytes()))
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +416,6 @@ class SubgroupLattice:
     """All subgroup classes of the ambient group, ids 1..n by canonical order."""
 
     ambient: PermGroup
-    seed: int
     classes: list
 
     def __post_init__(self):
@@ -431,7 +433,6 @@ class SubgroupLattice:
     def to_json(self):
         return {
             "format": FORMAT_TAG,
-            "seed": self.seed,
             "degree": self.ambient.degree,
             "ambient_generators": [list(g) for g in self.ambient.generators],
             "classes": [c.to_json() for c in self.classes],
@@ -457,7 +458,6 @@ class SubgroupLattice:
                  for g in checked(d["ambient_generators"], list,
                                   "ambient_generators")],
                 checked(d["degree"], int, "degree"))
-            seed = checked(d["seed"], int, "seed")
             classes = []
             for c in checked(d["classes"], list, "classes"):
                 where = f"class {len(classes) + 1}"
@@ -512,7 +512,16 @@ class SubgroupLattice:
                 if len(g) != ambient.degree or g not in ambient:
                     raise ValueError(f"{path}: class {pos}: generator {i} "
                                      f"is not in the ambient group")
-        return cls(ambient, seed, classes)
+        # each element generates exactly one cyclic subgroup
+        cyclic = sum(ambient.order // c.normalizer_order
+                     * prod(p ** (a - 1) * (p - 1)
+                            for p, a in prime_powers(c.order))
+                     for c in classes if c.order == 1
+                     or c.fingerprint.abelianization == (c.order,))
+        if cyclic != ambient.order:
+            raise ValueError(f"{path}: the cyclic classes count {cyclic} "
+                             f"elements, not {ambient.order}")
+        return cls(ambient, classes)
 
 
 def _maximal(raws, ambient: PermGroup) -> list:
@@ -539,7 +548,8 @@ def _maximal(raws, ambient: PermGroup) -> list:
     return maximal
 
 
-def subgroup_classes(ambient: PermGroup, seed: int = DEFAULT_SEED,
+# ``seed`` is ignored: perfbench/workloads.py still passes one (ROADMAP item 6)
+def subgroup_classes(ambient: PermGroup, seed=None,
                      progress=None) -> SubgroupLattice:
     """The full lattice of subgroup conjugacy classes of ``ambient``.
 
@@ -550,7 +560,7 @@ def subgroup_classes(ambient: PermGroup, seed: int = DEFAULT_SEED,
             progress(msg)
 
     log("searching for subgroup classes")
-    collector = _layer_closure(ambient, seed)
+    collector = _layer_closure(ambient)
     raws = collector.raws
     log(f"found {len(raws)} classes; fingerprinting")
 
@@ -573,8 +583,7 @@ def subgroup_classes(ambient: PermGroup, seed: int = DEFAULT_SEED,
         cid = pos + 1
         log(f"class {cid}/{len(raws)}: order {raw.order}")
         whole = raw.order == ambient.order
-        own_raws = (raws if whole else _layer_closure(
-            rep, (seed * 1000003 + pos) % 2**63).raws)
+        own_raws = raws if whole else _layer_closure(rep).raws
         own_ids = [gclass_of(r.group) for r in own_raws]
         if whole:
             # always last in the canonical order, so the proper classes'
@@ -604,4 +613,4 @@ def subgroup_classes(ambient: PermGroup, seed: int = DEFAULT_SEED,
             own_gclass=tuple(p[1] for p in own_pairs),
             perm_chars=pc,
         ))
-    return SubgroupLattice(ambient, seed, infos)
+    return SubgroupLattice(ambient, infos)

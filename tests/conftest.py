@@ -23,12 +23,12 @@ def model():
 @pytest.fixture(scope="session")
 def lattice_path(model):
     CACHE_DIR.mkdir(exist_ok=True)
-    path = CACHE_DIR / f"lattice-seed{subgroups.DEFAULT_SEED}.json"
+    path = CACHE_DIR / "lattice.json"
     if path.exists():
         lat = subgroups.SubgroupLattice.load(path)
         if lat.ambient.generators == model.psp.generators:
             return path
-    lat = subgroups.subgroup_classes(model.psp, seed=subgroups.DEFAULT_SEED)
+    lat = subgroups.subgroup_classes(model.psp)
     lat.save(path)
     return path
 

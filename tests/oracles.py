@@ -1,7 +1,8 @@
 """Reference implementations that only the tests use.
 
-``coset_action`` serves the tests that need it; the rest are the former
-production paths, kept as oracles for the faster ones:
+``coset_action`` and ``random_element`` serve the tests that need them;
+the rest are the former production paths, kept as oracles for the faster
+ones:
 
 * ``brute_conjugacy_classes`` closes every element under ``pconj`` by
   every element, where :meth:`psp4obs.permgroups.PermGroup.conjugacy_classes`
@@ -101,6 +102,16 @@ def coset_action(group: PermGroup, sub: PermGroup):
             images.append(int(labels[et.index_of(shifted)[0]]))
         action_gens.append(tuple(images))
     return PermGroup(action_gens, index), labels, reps
+
+
+def random_element(group: PermGroup, rng):
+    """A uniformly random element of ``group``: a product of random picks
+    from the transversals of its chain."""
+    out = pg.pident(group.degree)
+    for level in reversed(group.levels):
+        pts = sorted(level.orbit)
+        out = pg.pmul(out, level.orbit[pts[rng.randrange(len(pts))]])
+    return out
 
 
 def brute_conjugacy_classes(group: PermGroup, conjugators=None):

@@ -125,9 +125,9 @@ def _maximal_float(doc):
     doc["classes"][9]["maximal"] = [1.5]
 
 
-def _normalizer_order(n):
+def _normalizer_order(n, class_id=10):
     def edit(doc):
-        doc["classes"][9]["normalizer_order"] = n
+        doc["classes"][class_id - 1]["normalizer_order"] = n
     return edit
 
 
@@ -168,6 +168,10 @@ class TestBadLatticeFile:
          "multiple of the order 4 and divide 25920"),
         (_normalizer_order(6), "class 10: normalizer order 6 must be a "
          "multiple of the order 4 and divide 25920"),
+        # class 12 is cyclic of order 4 with 25920 / 16 = 1620 conjugates of
+        # 2 generators each; a doubled normaliser order drops 810 * 2
+        (_normalizer_order(32, class_id=12), "the cyclic classes count "
+         "24300 elements, not 25920"),
         (lambda doc: "[1,\n", "top level: Expecting value: line 2 column 1 "
          "(char 4)"),
     ], ids=["without-class-116", "own-gclass-117", "maximal-999",
@@ -177,7 +181,7 @@ class TestBadLatticeFile:
             "elem-fusion-string", "own-gclass-true", "generators-null",
             "abelianization-int", "degree-string", "top-level-list",
             "maximal-1.5", "normalizer-order-0", "normalizer-order-6",
-            "not-json"])
+            "cyclic-normalizer-doubled", "not-json"])
     def test_one_error_line(self, lattice_path, tmp_path, capsys, edit,
                             message):
         doc = json.loads(pathlib.Path(lattice_path).read_text())
@@ -432,10 +436,16 @@ class TestParser:
             cli.main(["frobnicate"])
         assert exc.value.code == 2
 
-    def test_seed_defaults_to_the_cached_lattice_seed(self):
-        args = cli.build_parser().parse_args(
-            ["lattice", "compute", "--cache", "x.json"])
-        assert args.seed == subgroups.DEFAULT_SEED
+    def test_lattice_compute_still_takes_a_seed(self, lattice, tmp_path,
+                                                monkeypatch, capsys):
+        # perfbench's call; the classification is the session's lattice
+        monkeypatch.setattr(subgroups, "subgroup_classes",
+                            lambda ambient, progress=None: lattice)
+        path = tmp_path / "lattice.json"
+        code, _, _ = run_cli(capsys, "lattice", "compute", "--cache",
+                             str(path), "--seed", "1")
+        assert code == 0
+        assert "seed" not in json.loads(path.read_text())
 
     def test_cohomology_one_needs_a_lattice(self, capsys):
         with pytest.raises(SystemExit) as exc:

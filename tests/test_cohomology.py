@@ -14,7 +14,8 @@ import sympy
 from hypothesis import given, settings, strategies as st
 from sympy.matrices.normalforms import smith_normal_form
 
-from oracles import coset_action, h1_bruteforce, quotient_mod_coboundaries
+from oracles import (coset_action, h1_bruteforce, quotient_mod_coboundaries,
+                     random_element)
 from psp4obs import cohomology, intlinalg
 from psp4obs.permgroups import PermGroup, pmul
 from psp4obs.zmodules import GIntModule, direct_sum, perm_module
@@ -139,7 +140,7 @@ class TestProperties:
         for g in (S3, D4, Q8, V4, C4):
             subs = [g.subgroup([]), g]
             for _ in range(3):
-                subs.append(g.subgroup([g.random_element(rng)]))
+                subs.append(g.subgroup([random_element(g, rng)]))
             for sub in subs:
                 action, _, _ = coset_action(g, sub)
                 mod = perm_module(g, action.generators)
@@ -153,7 +154,7 @@ class TestProperties:
         rng = Random(11)
         for trial in range(10):
             g = (S3, D4, Q8)[trial % 3]
-            q = g.subgroup([g.random_element(rng)])
+            q = g.subgroup([random_element(g, rng)])
             action, labels, reps = coset_action(g, q)
             n = g.order // q.order
             # monomial induction of the Q-module Z with q acting by

@@ -27,7 +27,7 @@ LATTICE_IDS = [60, 110, 115]
 
 
 def own_raws(group):
-    return subgroups._layer_closure(group, 1000003).raws
+    return subgroups._layer_closure(group).raws
 
 
 @pytest.fixture(scope="module")
@@ -128,7 +128,6 @@ class TestChi24:
     def test_uncovered_class_raises(self, lattice, model):
         # the trivial class alone meets only the identity class
         short = subgroups.SubgroupLattice(
-            lattice.ambient, lattice.seed,
-            [lattice.classes[0], lattice.classes[-1]])
+            lattice.ambient, [lattice.classes[0], lattice.classes[-1]])
         with pytest.raises(RuntimeError):
             table.chi24_on_ambient_classes(short, model)

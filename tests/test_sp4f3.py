@@ -187,7 +187,7 @@ class TestChi24:
         from random import Random
         rng = Random(3)
         for rep, _ in classes[:6]:
-            g = model.psp.random_element(rng)
+            g = oracles.random_element(model.psp, rng)
             from psp4obs.permgroups import pconj
             assert sp4f3.chi24(model, pconj(rep, g)) == \
                 sp4f3.chi24(model, rep)
@@ -225,8 +225,8 @@ class TestAbsoluteIrreducibility:
         # matrices span the full 4x4 matrix algebra over F3
         from random import Random
         rng = Random(9)
-        subs = [model.psp.subgroup([model.psp.random_element(rng),
-                                    model.psp.random_element(rng)])
+        subs = [model.psp.subgroup([oracles.random_element(model.psp, rng),
+                                    oracles.random_element(model.psp, rng)])
                 for _ in range(4)]
         subs.append(model.psp.subgroup([model.psp.generators[0]]))
         for sub in subs:

@@ -81,34 +81,26 @@ class TestClassification:
     @pytest.mark.parametrize("g,expected", [
         (C6, 4), (A4, 5), (S4, 11), (D4, 8), (Q8, 6), (A5, 9), (S5, 19)])
     def test_counts_vs_brute_force(self, g, expected):
-        lat = subgroups.subgroup_classes(g, seed=1)
+        lat = subgroups.subgroup_classes(g)
         assert len(lat) == expected
         assert brute_class_count(g) == expected
 
     @pytest.mark.parametrize("g", [S4, A5, S5], ids=["S4", "A5", "S5"])
     def test_maximal_vs_brute_force(self, g):
-        lat = subgroups.subgroup_classes(g, seed=1)
+        lat = subgroups.subgroup_classes(g)
         assert [c.maximal for c in lat.classes] == brute_maximal(lat)
 
     def test_ids_sequential_and_sorted(self):
-        lat = subgroups.subgroup_classes(S4, seed=1)
+        lat = subgroups.subgroup_classes(S4)
         assert [c.class_id for c in lat.classes] == list(range(1, 12))
         orders = [c.order for c in lat.classes]
         assert orders == sorted(orders)
         assert orders[0] == 1 and orders[-1] == 24
 
-    def test_seed_invariance(self):
-        a = subgroups.subgroup_classes(S4, seed=1)
-        b = subgroups.subgroup_classes(S4, seed=77)
-        sig = lambda lat: [(c.order, c.fingerprint, c.maximal,
-                            c.own_gclass, c.normalizer_order)
-                           for c in lat.classes]
-        assert sig(a) == sig(b)
-
 
 @pytest.fixture(scope="module")
 def lat():
-    return subgroups.subgroup_classes(S4, seed=1)
+    return subgroups.subgroup_classes(S4)
 
 
 class TestS4Structure:
@@ -210,7 +202,7 @@ class TestCosetPowers:
 
 class TestPersistence:
     def test_roundtrip_and_determinism(self, tmp_path):
-        lat = subgroups.subgroup_classes(S4, seed=1)
+        lat = subgroups.subgroup_classes(S4)
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
         lat.save(p1)
         lat2 = subgroups.SubgroupLattice.load(p1)
@@ -270,48 +262,97 @@ class TestPersistence:
         assert "Traceback" not in err
 
 
-# sha256 of the lattice file that subgroup_classes(rep of class 110, seed 1)
-# saved before the Schreier-Sims build sifted without words and closures
-# used element sets; class 110 is A6, so the file also depends on the
-# perfect-subgroup search and random_element walking the chain
+# Generators of the classes 110 (A6) and 112 (solvable, of order 648) of
+# PSp4(3), written out so that the pins below do not depend on the lattice
+# cached under .cache/
+A6_GENERATORS = [
+    (18, 8, 32, 28, 38, 11, 22, 15, 1, 21, 25, 5, 35, 30, 33, 7, 17, 16, 0, 31,
+     29, 9, 6, 34, 26, 10, 24, 39, 3, 20, 13, 19, 2, 14, 23, 12, 37, 36, 4,
+     27),
+    (12, 26, 31, 21, 33, 20, 25, 19, 32, 27, 11, 10, 0, 38, 16, 24, 14, 36, 28,
+     7, 5, 3, 34, 29, 15, 6, 1, 9, 18, 23, 37, 2, 8, 4, 22, 39, 17, 30, 13,
+     35),
+    (20, 12, 33, 25, 14, 17, 1, 36, 22, 9, 28, 39, 6, 10, 32, 26, 11, 27, 31,
+     0, 19, 21, 35, 23, 7, 30, 37, 5, 13, 18, 3, 29, 4, 38, 34, 8, 24, 15, 2,
+     16),
+]
+SOLVABLE_648_GENERATORS = [
+    (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 14, 15, 13, 17, 18, 16, 20, 21,
+     19, 23, 24, 22, 26, 27, 25, 29, 30, 28, 32, 33, 31, 35, 36, 34, 38, 39,
+     37),
+    (0, 1, 2, 3, 5, 6, 4, 8, 9, 7, 11, 12, 10, 16, 17, 18, 19, 20, 21, 13, 14,
+     15, 26, 27, 25, 29, 30, 28, 23, 24, 22, 36, 34, 35, 39, 37, 38, 33, 31,
+     32),
+    (0, 1, 2, 3, 7, 8, 9, 10, 11, 12, 4, 5, 6, 13, 14, 15, 16, 17, 18, 19, 20,
+     21, 25, 26, 27, 28, 29, 30, 22, 23, 24, 37, 38, 39, 31, 32, 33, 34, 35,
+     36),
+    (0, 2, 3, 1, 4, 5, 6, 8, 9, 7, 12, 10, 11, 31, 32, 33, 35, 36, 34, 39, 37,
+     38, 13, 14, 15, 17, 18, 16, 21, 19, 20, 22, 23, 24, 26, 27, 25, 30, 28,
+     29),
+    (1, 0, 3, 2, 13, 19, 16, 14, 20, 17, 15, 21, 18, 4, 7, 10, 6, 9, 12, 5, 8,
+     11, 31, 37, 34, 32, 38, 35, 33, 39, 36, 22, 25, 28, 24, 27, 30, 23, 26,
+     29),
+    (0, 1, 3, 2, 4, 6, 5, 7, 9, 8, 10, 12, 11, 13, 14, 15, 19, 20, 21, 16, 17,
+     18, 31, 32, 33, 37, 38, 39, 34, 35, 36, 22, 23, 24, 28, 29, 30, 25, 26,
+     27),
+]
+
+# sha256 of the lattice file that subgroup_classes saves for A6: the file
+# depends on the perfect-subgroup search, which picks the generators of
+# its A5 classes
 A6_LATTICE_SHA256 = \
-    "f87662413f58ed70dc2c6d1097e00a1a105e983db590c3c5609909fc914beddb"
+    "87290565cf178a1b8371e78ef052a5aadad97051bc0c6dc8a9d06c364605d612"
 
 
-def test_classification_is_byte_identical(lattice, tmp_path):
-    rep = lattice.rep(110)
+def test_classification_is_byte_identical(tmp_path):
+    rep = PermGroup(A6_GENERATORS, 40)
     assert rep.order == 360 and rep.derived_length() is None
     path = tmp_path / "a6.json"
-    subgroups.subgroup_classes(rep, seed=1).save(path)
+    subgroups.subgroup_classes(rep).save(path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == A6_LATTICE_SHA256
 
 
-# sha256 of the lattice file that subgroup_classes(rep of class 112, seed 1)
-# saved while a solvable group still ran the perfect-subgroup search and
-# the normaliser-residual net; class 112 has order 648 and is solvable
+# sha256 of the lattice file that subgroup_classes saves for class 112, a
+# solvable group, which runs neither the perfect-subgroup search nor the
+# normaliser-residual net
 SOLVABLE_648_LATTICE_SHA256 = \
-    "382f4616de65382e6dee45678591cb8b346b43c0261b741436ac4587928cfcd3"
+    "52cb22f423235faff846a92a99c435eadc5d5804978edee745b3f2b37741ab10"
 
 
-def test_solvable_classification_is_byte_identical(lattice, tmp_path):
-    rep = lattice.rep(112)
+def test_solvable_classification_is_byte_identical(tmp_path):
+    rep = PermGroup(SOLVABLE_648_GENERATORS, 40)
     assert rep.order == 648 and rep.derived_length() is not None
     path = tmp_path / "c112.json"
-    subgroups.subgroup_classes(rep, seed=1).save(path)
+    subgroups.subgroup_classes(rep).save(path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == \
         SOLVABLE_648_LATTICE_SHA256
 
 
-def test_solvable_groups_draw_no_random_pairs(lattice, monkeypatch):
+def test_solvable_groups_build_no_pairs(monkeypatch):
     """A solvable group and all its subgroups have no perfect subgroup
-    but 1, so neither level of the search draws a random element."""
+    but 1, so neither level of the search builds a pair's group."""
     calls = []
-    draw = PermGroup.random_element
-    monkeypatch.setattr(PermGroup, "random_element",
-                        lambda self, rng: calls.append(1) or draw(self, rng))
-    for group in (S4, lattice.rep(112)):
-        subgroups.subgroup_classes(group, seed=1)
+    build = PermGroup.subgroup
+    monkeypatch.setattr(PermGroup, "subgroup", lambda self, gens:
+                        calls.append(1) or build(self, gens))
+    for group in (S4, PermGroup(SOLVABLE_648_GENERATORS, 40)):
+        subgroups.subgroup_classes(group)
     assert calls == []
+
+
+@pytest.mark.parametrize("class_id", [85, 86, 100, 101, 110, 114, 115, 116])
+def test_pairs_find_every_perfect_class(lattice, class_id):
+    """The pairs of an element of prime order p >= 5 and an involution,
+    without the normaliser-residual net, find every nontrivial perfect
+    subgroup class that the lattice stores in the class."""
+    info = lattice.by_id(class_id)
+    assert info.fingerprint.derived_length == -1
+    want = sorted((c.order, c.fingerprint) for c in map(
+        lattice.by_id, info.own_gclass)
+        if c.order > 1 and c.fingerprint.abelianization == ())
+    got = sorted((g.order, subgroups.fingerprint_of(g)) for g in
+                 subgroups.perfect_subgroup_classes(lattice.rep(class_id)))
+    assert want and got == want
 
 
 class TestAmbientLattice:
