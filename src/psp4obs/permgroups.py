@@ -18,7 +18,10 @@ Eick and O'Brien, *Handbook of Computational Group Theory*, 2005, ch. 4).
 Conjugacy classes are the orbits of the generators acting on the rows by
 conjugation, labelled in one vectorised pass; the exponent, nilpotency and
 G/G' are counted off them.  Subgroup conjugacy and normalisers conjugate
-by all rows at once, gathering only the base columns.
+by all rows at once, gathering only the base columns.  A group that runs
+many such scans keeps a :class:`ConjugacyAnchor`, which starts each scan
+from the centraliser of one generator's class representative, and labels
+the rows by the cosets of a subgroup.
 
 A build stops early when the caller knows an upper bound on the order:
 :meth:`PermGroup.subgroup` passes the order of the group the generators
@@ -209,13 +212,21 @@ class ElementTable:
         each h must lie in this group (``ValueError`` otherwise)."""
         gens = np.asarray(gens, dtype=self.table.dtype)
         self.index_of(gens)
-        # the rows of this group that target holds, checked on all columns
+        return self.sieve(np.arange(len(self)), gens, self.held(target))
+
+    def held(self, target: "ElementTable"):
+        """A mask of the rows of this group that ``target`` holds, checked
+        on all columns."""
         idx = self._lookup(target.table[:, self.base])
         held = np.zeros(len(self), dtype=bool)
         held[idx[(self.table[idx] == target.table).all(1)]] = True
+        return held
+
+    def sieve(self, index, gens, held):
+        """The rows g among ``index`` with g^-1 h g held for every h of
+        ``gens``, an array of members."""
         if self._preimages is None:
             self._preimages = (self.table[:, :, None] == self.base).argmax(1)
-        index = np.arange(len(self))
         for h in gens:
             # g^-1 h g sends b to g[h[g^-1[b]]], a member found by its key
             flat = index[:, None] * self.degree + h[self._preimages[index]]
@@ -223,6 +234,12 @@ class ElementTable:
             if not index.size:
                 break
         return index
+
+    def times(self, index, g):
+        """Indices of the products of the rows at ``index`` and the member
+        ``g``: x g sends b to g[x[b]]."""
+        g = np.asarray(g, dtype=self.table.dtype)
+        return self._lookup(g[self.table[np.asarray(index)][:, self.base]])
 
 
 # ---------------------------------------------------------------------------
@@ -587,6 +604,12 @@ class PermGroup(_DerivedSeries):
         """N_G(H) as a group."""
         return group_from_elements(self.normalizer_rows(sub), self.degree)
 
+    def conjugacy_anchor(self) -> "ConjugacyAnchor":
+        """The :class:`ConjugacyAnchor` of this group, built once."""
+        if 'anchor' not in self._cache:
+            self._cache['anchor'] = ConjugacyAnchor(self)
+        return self._cache['anchor']
+
     # -- subgroup-level operations: ``b`` is a group or the ElementTable of
     # one, so a subgroup can be tested before its chain is built
 
@@ -652,10 +675,98 @@ class Presentation:
 
 
 # ---------------------------------------------------------------------------
+# conjugacy scans anchored on centralisers
+
+
+class ConjugacyAnchor:
+    """Conjugacy scans of one group that start from centralisers (Holt,
+    Eick and O'Brien, ch. 4).
+
+    ``conjugator[x]`` is the row of some t_x with r^(t_x) = x, for r the
+    representative of the class of row x: a breadth-first search from the
+    representatives over the generators' conjugation maps, with x^s
+    reached by t_x s.  ``centralizers`` holds the rows of C_G(r) for each
+    class, in class order.  Every g with h^g = y lies in t_h^-1 C_G(r)
+    t_y, so a scan for the g that send every generator into a target
+    starts from |C_G(r)| rows per member y of the target in the class of
+    one generator h, and sieves them by the others.  The same
+    right-multiplication maps label every row by its coset of a subgroup
+    (:meth:`coset_labels`).
+    """
+
+    def __init__(self, group: PermGroup):
+        et = self.table = group.element_table()
+        classes = group.conjugacy_classes()
+        self.class_of = group._cache['class_index']
+        gens = [g for g in group.generators if not is_identity(g)]
+        # right[k][i]: the row of x s for the row x at i and the k-th s
+        self.right = [et.times(np.arange(len(et)), g) for g in gens]
+        conjugator = np.full(len(et), -1, dtype=np.intp)
+        frontier = et.index_of([rep for rep, _ in classes])
+        conjugator[frontier] = 0  # the identity is the least row
+        maps = group._conjugation_maps(gens)
+        while frontier.size:
+            reached = []
+            for conj, right in zip(maps, self.right):
+                x = conj[frontier]
+                new = conjugator[x] < 0
+                conjugator[x[new]] = right[conjugator[frontier[new]]]
+                reached.append(x[new])
+            frontier = np.concatenate([frontier[:0], *reached])
+        self.conjugator = conjugator
+        self.centralizers = [
+            et.table[et.conjugators([rep], ElementTable([rep], et.degree,
+                                                        et.base))]
+            for rep, _ in classes]
+        self.centralizer_orders = np.array([len(c)
+                                            for c in self.centralizers])
+
+    def conjugators(self, gens, target: ElementTable):
+        """:meth:`ElementTable.conjugators`: the same indices in the same
+        order, sieved from the rows that send the generator h with the
+        fewest such rows, |C_G(r)| |target n class(h)|, into ``target``."""
+        et = self.table
+        gens = np.asarray(gens, dtype=et.table.dtype)
+        index = et.index_of(gens)
+        cls = self.class_of[index]
+        held = et.held(target)
+        members = np.flatnonzero(held)
+        counts = np.bincount(self.class_of[members],
+                             minlength=len(self.centralizers))
+        j = int(np.argmin(counts[cls] * self.centralizer_orders[cls]))
+        ys = members[self.class_of[members] == cls[j]]
+        # g = t_h^-1 c t_y sends b to t_y[c[t_h^-1[b]]]
+        pre = np.argsort(et.table[self.conjugator[index[j]]])[et.base]
+        images = et.table[self.conjugator[ys]][
+            :, self.centralizers[cls[j]][:, pre]]
+        index = et._lookup(images.reshape(-1, len(et.base)))
+        return np.sort(et.sieve(index, np.delete(gens, j, axis=0), held))
+
+    def coset_labels(self, sub):
+        """For every row g, the least row of the coset S g, where ``sub``
+        holds the sorted row indices of a subgroup S: a breadth-first
+        search over the cosets by right multiplication."""
+        label = np.full(len(self.table), -1, dtype=np.intp)
+        label[sub] = sub[0]
+        frontier = np.asarray(sub)[None, :]
+        while frontier.size:
+            reached = []
+            for right in self.right:
+                cosets = right[frontier]
+                cosets = cosets[label[cosets[:, 0]] < 0]
+                least, first = np.unique(cosets.min(1), return_index=True)
+                label[cosets[first]] = least[:, None]
+                reached.append(cosets[first])
+            frontier = np.concatenate([frontier[:0], *reached])
+        return label
+
+
+# ---------------------------------------------------------------------------
 # helpers on groups
 
 
 def _generating_rows(group: PermGroup):
+    """The nontrivial generators, or the identity for the trivial group."""
     gens = [g for g in group.generators if not is_identity(g)]
     return gens if gens else [group.identity]
 
@@ -763,7 +874,8 @@ def normal_closure(ambient, seeds) -> ElementSet:
 def orbits(gens, degree):
     """Orbits of the group generated by ``gens`` on points."""
     label = orbit_minima([np.asarray(g) for g in gens], degree)
-    return [np.flatnonzero(label == x).tolist() for x in np.unique(label)]
+    return [np.flatnonzero(label == x).tolist()
+            for x in np.flatnonzero(label == np.arange(degree))]
 
 
 def abelian_invariants(group: PermGroup, derived=None) -> AbelianInvariants:

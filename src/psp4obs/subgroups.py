@@ -36,34 +36,46 @@ Classes are deduplicated by exact element-set, then by an invariant
 prescreen (order and fusion of element classes into the ambient group's),
 and finally by a vectorised subgroup-conjugacy test, all on the
 candidate's element table: only a new class gets a Schreier-Sims chain.
-The same lookup maps the subgroup classes of each representative to
-ambient class ids.  The final ordering is by (order, fingerprint, fusion)
-with construction order as the last tie-break; no step draws a random
-element, so the output is the same on every run.
+The conjugacy and normaliser scans of the search start from centralisers
+(:class:`~psp4obs.permgroups.ConjugacyAnchor`).  The final ordering is by
+(order, fingerprint, fusion) with construction order as the last
+tie-break; no step draws a random element, so the output is the same on
+every run.
 
-For every class the module also computes its own subgroup-class lattice
-by the same search, with the representative as ambient.  That yields in
-one sweep the maximal subgroup classes and the permutation character
-matrix needed for Burnside-cokernel computations.  Walking the own
-classes by descending order, a class is maximal unless a maximal class
-found before it contains a conjugate of it; that scan runs only where the
-larger class has at least as many elements in every ambient class as the
-smaller one.
+Every class H also gets its own subgroup-class lattice, read off the
+ambient one with no second search (Pfeiffer, "The subgroups of M24",
+1997).  The subgroups of H conjugate to an ambient class K are the K^g
+with g in C = {g : K^g in H}, and two of them are conjugate in H exactly
+when their g lie in one double coset N_G(K) g H.  C is a union of cosets
+N_G(K) g, so every row is labelled by its coset, one least row per coset
+is tested, and the double cosets are the orbits of H, by right
+multiplication, on the cosets in C.  The pair (K, H) is scanned only
+where |K| divides |H| and H has as many elements as K in every ambient
+class.  Each double coset gives one own class, represented by K^g for
+its least row g, and the own classes are sorted by (order, ambient id,
+least row), so their order does not depend on the search.  That yields
+the permutation character matrix needed for Burnside-cokernel
+computations and the maximal subgroup classes: walking the own classes
+by descending order, a class is maximal unless a maximal class found
+before it contains a conjugate of it; that scan runs inside H, and only
+where the larger class has at least as many elements in every class of
+H as the smaller one.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from math import prod
 
 import numpy as np
 
 from . import burnside
 from .intlinalg import prime_powers
-from .permgroups import (ElementTable, PermGroup, abelian_invariants,
-                         closed_set, group_from_elements, is_identity,
-                         orbit_minima, pident, porder)
+from .permgroups import (ElementTable, PermGroup, _generating_rows,
+                         abelian_invariants, closed_set, group_from_elements,
+                         is_identity, orbit_minima, pident, porder)
 
 
 # ---------------------------------------------------------------------------
@@ -144,21 +156,38 @@ def fingerprint_of(group: PermGroup) -> Fingerprint:
 # layering engine
 
 
+def _may_contain(big, small) -> bool:
+    """Can ``big`` hold a conjugate of ``small``?  Only where its order is
+    a multiple and it has as many elements in every class."""
+    counts = dict(big.fusion)
+    return (big.order % small.order == 0
+            and all(n <= counts.get(c, 0) for c, n in small.fusion))
+
+
 @dataclass
 class _Raw:
     group: PermGroup
     rows: np.ndarray
     order: int
     fusion: tuple
-    normalizer_order: int = 0  # set by _layer_closure
+    normalizer: np.ndarray = None  # row indices of N_G(H), by _layer_closure
+
+    @property
+    def gens(self):
+        return _generating_rows(self.group)
+
+    @property
+    def table(self) -> ElementTable:
+        return self.group.element_table()
 
 
 class _ClassCollector:
-    """Deduplicated list of subgroup classes of one ambient group, and the
-    vectorised subgroup operations against that group."""
+    """Deduplicated list of subgroup classes of one ambient group; the
+    conjugacy scans go through the ambient's :class:`ConjugacyAnchor`."""
 
     def __init__(self, ambient: PermGroup):
         self.ambient = ambient
+        self.anchor = ambient.conjugacy_anchor()
         self.base = ambient.element_table().base  # keys every table here
         self.raws: list[_Raw] = []
         self.by_bytes: dict = {}
@@ -167,9 +196,8 @@ class _ClassCollector:
     def add(self, table: ElementTable, build) -> int:
         """Register the class of the subgroup with this element table and
         return its raw index; ``build()`` makes the group of a new class,
-        so a duplicate costs no Schreier-Sims chain, or raises where the
-        class must be known.  The lookup tries the exact element set, then
-        order and fusion, then a conjugacy scan."""
+        so a duplicate costs no Schreier-Sims chain.  The lookup tries the
+        exact element set, then order and fusion, then a conjugacy scan."""
         rows = table.table
         key_bytes = rows.tobytes()
         if key_bytes in self.by_bytes:
@@ -177,8 +205,7 @@ class _ClassCollector:
         fusion = self.fusion_key(rows)
         key = (len(table), fusion)
         for idx in self.by_key.get(key, []):
-            if self.ambient.is_conjugate_subgroup(self.raws[idx].group,
-                                                  table):
+            if self.anchor.conjugators(self.raws[idx].gens, table).size:
                 self.by_bytes[key_bytes] = idx
                 return idx
         group = build()
@@ -272,6 +299,7 @@ def _layer_closure(ambient: PermGroup) -> _ClassCollector:
     perfect = perfect_subgroup_classes(ambient)
     for s in [PermGroup([], ambient.degree)] + perfect:
         collector.add_group(s)
+    et = ambient.element_table()
     for raw in collector.raws:  # visits the classes added on the way
         if raw.order == 1:
             for rep, _ in ambient.conjugacy_classes():
@@ -279,10 +307,10 @@ def _layer_closure(ambient: PermGroup) -> _ClassCollector:
                 if prime_powers(p) == [(p, 1)]:
                     collector.add_group(PermGroup([rep], ambient.degree))
         if raw.order in (1, ambient.order):
-            raw.normalizer_order = ambient.order
+            raw.normalizer = np.arange(ambient.order)
             continue
-        nrows = ambient.normalizer_rows(raw.group)
-        raw.normalizer_order = len(nrows)
+        raw.normalizer = collector.anchor.conjugators(raw.gens, raw.table)
+        nrows = et.table[raw.normalizer]
         if perfect and len(nrows) < ambient.order:
             res = closed_set(nrows, ambient.degree).solvable_residual()
             if res.order > 1:
@@ -321,7 +349,8 @@ def perfect_subgroup_classes(ambient: PermGroup) -> list:
         p = porder(x)
         if p < 5 or prime_powers(p) != [(p, 1)]:
             continue
-        nrows = ambient.normalizer_rows(PermGroup([x], ambient.degree))
+        nrows = et.table[collector.anchor.conjugators(
+            [x], PermGroup([x], ambient.degree).element_table())]
         least = orbit_minima(ambient._conjugation_maps(
             closed_set(nrows, ambient.degree).generators), len(et))
         first = involution & (least == np.arange(len(et)))  # orbit minima
@@ -524,28 +553,94 @@ class SubgroupLattice:
         return cls(ambient, classes)
 
 
-def _maximal(raws, ambient: PermGroup) -> list:
-    """Raw indices of the maximal proper classes among ``raws``, the
-    subgroup classes of ``ambient``.
+def _maximal(classes, group: PermGroup) -> list:
+    """Indices of the maximal proper classes among ``classes``, the
+    subgroup classes of ``group``, each with ``order``, ``fusion`` (into
+    the classes of ``group``), ``gens`` and ``table``.
 
     Every proper subgroup lies in a maximal one, which is larger.  So,
     walking the classes by descending order, a proper class is maximal
     unless a maximal class found before it contains a conjugate of it.
-    A conjugate of A inside B has as many elements in each ambient class
-    as A, so the scan runs only where B's class counts dominate A's.
+    A conjugate of A inside B has as many elements in each class of
+    ``group`` as A, so the scan runs only where B's class counts dominate
+    A's.
     """
+    et = group.element_table()
+
     def inside(a, b):
-        counts = dict(b.fusion)
-        return (b.order > a.order and b.order % a.order == 0
-                and all(n <= counts.get(c, 0) for c, n in a.fusion)
-                and ambient.conjugate_into(a.group, b.group) is not None)
+        return (b.order > a.order and _may_contain(b, a)
+                and et.conjugators(a.gens, b.table).size > 0)
 
     maximal = []
-    for i in sorted(range(len(raws)), key=lambda i: -raws[i].order):
-        if raws[i].order < ambient.order and not any(
-                inside(raws[i], raws[j]) for j in maximal):
+    for i in sorted(range(len(classes)), key=lambda i: -classes[i].order):
+        if classes[i].order < group.order and not any(
+                inside(classes[i], classes[j]) for j in maximal):
             maximal.append(i)
     return maximal
+
+
+@dataclass
+class _Own:
+    """A subgroup class of a representative H: the conjugate K^g of an
+    ambient class K, for the least row g of its double coset."""
+
+    order: int
+    gens: np.ndarray
+    rows: np.ndarray
+    fusion: tuple  # into the classes of H
+    base: np.ndarray  # H's base, which determines the rows
+
+    @cached_property
+    def table(self) -> ElementTable:
+        return ElementTable(self.rows, self.rows.shape[1], self.base)
+
+
+def _conjugate(rows, g):
+    """The rows x^g = g^-1 x g, which send i to g[x[g^-1[i]]]."""
+    return g[rows[:, np.argsort(g)]]
+
+
+def _double_cosets(et: ElementTable, sub: _Raw, raw: _Raw, held, labels,
+                   transversal) -> np.ndarray:
+    """The least rows g of the double cosets N_G(K) g H with K^g in H, for
+    K = ``sub`` and H = ``raw``, whose rows ``held`` masks, given the
+    coset labels of N_G(K) and the least row of each coset.
+
+    C = {g : K^g in H} is a union of cosets N_G(K) g, so sieving the
+    least rows gives the cosets in C; H permutes them by right
+    multiplication, its orbits on them are the double cosets, and each
+    orbit's least label is its least row.
+    """
+    cosets = et.sieve(transversal, np.asarray(sub.gens, et.table.dtype),
+                      held)
+    acts = [np.searchsorted(cosets, labels[et.times(cosets, h)])
+            for h in raw.gens]
+    least = orbit_minima(acts, len(cosets))
+    return cosets[least == np.arange(len(cosets))]
+
+
+def _own_classes(ambient: PermGroup, raws) -> list:
+    """For each raw H, its subgroup classes as (K, g) pairs: the raw index
+    of an ambient class K and the least row g of a double coset N_G(K) g H
+    with K^g in H (Pfeiffer 1997).  The whole group holds every class
+    once, as (K, 0).  A pair is scanned only where H may contain K."""
+    anchor = ambient.conjugacy_anchor()
+    held = [anchor.table.held(raw.table) for raw in raws]
+    owns = [[] for _ in raws]
+    for k, sub in enumerate(raws):
+        labels = None
+        for i, raw in enumerate(raws):
+            if raw.order == ambient.order:
+                owns[i].append((k, 0))
+            elif _may_contain(raw, sub):
+                if labels is None:
+                    labels = anchor.coset_labels(sub.normalizer)
+                    transversal = np.flatnonzero(
+                        labels == np.arange(len(labels)))
+                owns[i] += [(k, g) for g in _double_cosets(
+                    anchor.table, sub, raw, held[i], labels,
+                    transversal).tolist()]
+    return owns
 
 
 # ``seed`` is ignored: perfbench/workloads.py still passes one (ROADMAP item 6)
@@ -560,8 +655,7 @@ def subgroup_classes(ambient: PermGroup, seed=None,
             progress(msg)
 
     log("searching for subgroup classes")
-    collector = _layer_closure(ambient)
-    raws = collector.raws
+    raws = _layer_closure(ambient).raws
     log(f"found {len(raws)} classes; fingerprinting")
 
     fps = [fingerprint_of(r.group) for r in raws]
@@ -569,12 +663,9 @@ def subgroup_classes(ambient: PermGroup, seed=None,
                         key=lambda i: (raws[i].order, fps[i], raws[i].fusion,
                                        i))
     id_of_raw = {old: new + 1 for new, old in enumerate(sorted_idx)}
-
-    def gclass_of(group: PermGroup) -> int:
-        def unknown():
-            raise LookupError(f"subgroup of order {group.order} matches no "
-                              f"class; the lattice is incomplete")
-        return id_of_raw[collector.add(group.element_table(), unknown)]
+    log("reading the own lattices off the double cosets")
+    owns = _own_classes(ambient, raws)
+    table = ambient.element_table().table
 
     infos = []
     for pos, i in enumerate(sorted_idx):
@@ -582,22 +673,31 @@ def subgroup_classes(ambient: PermGroup, seed=None,
         rep = raw.group
         cid = pos + 1
         log(f"class {cid}/{len(raws)}: order {raw.order}")
-        whole = raw.order == ambient.order
-        own_raws = raws if whole else _layer_closure(rep).raws
-        own_ids = [gclass_of(r.group) for r in own_raws]
-        if whole:
+        own = sorted(owns[i], key=lambda kg: (raws[kg[0]].order,
+                                              id_of_raw[kg[0]], kg[1]))
+        own_ids = [id_of_raw[k] for k, _ in own]
+        orders = np.array([raws[k].order for k, _ in own])
+        rows = [_conjugate(raws[k].rows, table[g]) for k, g in own]
+        chars = burnside.perm_characters(rep, rows)
+        if raw.order == ambient.order:
             # always last in the canonical order, so the proper classes'
             # own lattices give its maximal classes without a scan
             nonmax = {k for d in infos for k in d.own_gclass
                       if k != d.class_id}
             maximal = tuple(sorted(set(own_ids) - nonmax - {cid}))
         else:
-            maximal = tuple(sorted({own_ids[k]
-                                    for k in _maximal(own_raws, rep)}))
-        ksort = sorted(range(len(own_raws)),
-                       key=lambda k: (own_raws[k].order, own_ids[k]))
-        own_pairs = [(own_raws[k].order, own_ids[k]) for k in ksort]
-        pc = burnside.perm_characters(rep, [own_raws[k].rows for k in ksort])
+            # an own class of order n meets the class c of H in
+            # chars[c] |c| n / |H| elements (burnside.perm_characters)
+            sizes = np.array([size for _, size in rep.conjugacy_classes()])
+            meets = (chars * sizes * orders[:, None] // raw.order).tolist()
+            classes = [_Own(raws[k].order,
+                            _conjugate(np.asarray(raws[k].gens, table.dtype),
+                                       table[g]),
+                            r, tuple((c, n) for c, n in enumerate(m) if n),
+                            rep.base)
+                       for (k, g), r, m in zip(own, rows, meets)]
+            maximal = tuple(sorted({own_ids[m]
+                                    for m in _maximal(classes, rep)}))
         elem_fusion = tuple(ambient.class_indices(np.asarray(
             [crep for crep, _ in rep.conjugacy_classes()])).tolist())
         infos.append(SubgroupClassInfo(
@@ -606,11 +706,11 @@ def subgroup_classes(ambient: PermGroup, seed=None,
             generators=[tuple(g) for g in rep.generators
                         if not is_identity(g)] or [pident(ambient.degree)],
             fingerprint=fps[i],
-            normalizer_order=raw.normalizer_order,
+            normalizer_order=len(raw.normalizer),
             maximal=maximal,
             elem_fusion=elem_fusion,
-            own_orders=tuple(p[0] for p in own_pairs),
-            own_gclass=tuple(p[1] for p in own_pairs),
-            perm_chars=pc,
+            own_orders=tuple(orders.tolist()),
+            own_gclass=tuple(own_ids),
+            perm_chars=chars,
         ))
     return SubgroupLattice(ambient, infos)

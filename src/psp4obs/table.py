@@ -16,12 +16,9 @@ of PSp4(3) the table records
 A Burnside order > 1 or an lcm > 1 certifies that the quotient variety
 twisted by H is not rational, and the lcm divides the degree of any
 rational cover.  Rows follow the canonical class ids of
-:mod:`psp4obs.subgroups`.  The bundled reference table in
-``data/obstruction_fixture.csv`` was transcribed from the literature and
-uses a tool-specific row order, so :func:`compare_fixture` matches rows
-by invariants, refined through the maximal-subgroup structure; rows that
-no recorded column can tell apart are reported as ambiguity groups
-rather than forced into an arbitrary bijection.
+:mod:`psp4obs.subgroups`.  The bundled reference table and the matching
+of rows to it live in :mod:`psp4obs.fixture`; its names are re-exported
+here.
 """
 
 from __future__ import annotations
@@ -29,13 +26,14 @@ from __future__ import annotations
 import csv
 import io
 import json
-import re
-from collections import defaultdict
 from dataclasses import dataclass
 from math import lcm
 from pathlib import Path
 
 from . import burnside, cohomology, sp4f3
+# re-exported: callers reach the reference table through this module
+from .fixture import (DISPUTED_CELLS, Fixture, FixtureRow, MatchReport,
+                      compare_fixture, default_fixture_path)
 from .permgroups import PermGroup
 from .subgroups import Fingerprint, SubgroupLattice, checked, int_list
 from .zmodules import GIntModule
@@ -179,283 +177,6 @@ def compute_table(config: TableConfig) -> list:
             maximal=info.maximal,
         ))
     return rows
-
-
-# ---------------------------------------------------------------------------
-# the transcribed reference table
-
-
-@dataclass(frozen=True)
-class FixtureRow:
-    """One transcribed row; ``maximal`` holds fixture row numbers."""
-
-    row: int
-    order: int
-    label: str
-    burnside: int
-    lcm: int
-    irred: bool
-    maximal: tuple
-    h1_m: tuple
-    h1_md: tuple
-
-
-def _ints(text) -> tuple:
-    return tuple(int(x) for x in text.split())
-
-
-_FIXTURE_COLUMNS = (("row", int), ("order", int), ("label", str),
-                    ("burnside", int), ("lcm", int),
-                    ("irred", lambda text: text == "yes"), ("maximal", _ints),
-                    ("h1_m", _ints), ("h1_md", _ints))
-
-
-@dataclass
-class Fixture:
-    """The transcribed reference table.
-
-    The ``label`` column is an opaque structure description from the
-    transcription source; it is carried along for display but never used
-    in matching (fingerprints take its place).
-    """
-
-    rows: list
-
-    def __post_init__(self):
-        self._by_row = {f.row: f for f in self.rows}
-
-    def by_row(self, number) -> FixtureRow:
-        return self._by_row[number]
-
-    @classmethod
-    def load(cls, path) -> "Fixture":
-        """Read the CSV; a missing column, a cell that does not parse, a
-        row number out of 1..n order or a ``maximal`` entry that names no
-        row raises ValueError naming the path and the line."""
-        rows, line_of = [], []
-        with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            for rec in reader:
-                fields = {}
-                for name, parse in _FIXTURE_COLUMNS:
-                    text = rec.get(name)
-                    try:
-                        if text is None:
-                            raise ValueError
-                        fields[name] = parse(text)
-                    except ValueError:
-                        raise ValueError(
-                            f"{path}: line {reader.line_num}: column "
-                            f"{name!r} " + ("is missing" if text is None
-                                            else f"holds {text!r}")) from None
-                rows.append(FixtureRow(**fields))
-                line_of.append(reader.line_num)
-        n = len(rows)
-        for pos, (f, line) in enumerate(zip(rows, line_of), 1):
-            if f.row != pos:
-                raise ValueError(f"{path}: line {line}: row number {f.row} "
-                                 f"should be {pos}: rows run 1..{n} in order")
-            bad = [j for j in f.maximal if not 1 <= j <= n]
-            if bad:
-                raise ValueError(f"{path}: line {line}: maximal row {bad[0]} "
-                                 f"is not in 1..{n}")
-        return cls(rows)
-
-
-def default_fixture_path() -> Path:
-    return Path(__file__).parent / "data" / "obstruction_fixture.csv"
-
-
-# ---------------------------------------------------------------------------
-# invariant matching
-
-
-# cells where the reference table disagrees and an oracle test backs the
-# computed value (the preimage's F3-span; all subgroups of class 60)
-DISPUTED_CELLS = ((43, "irred"), (46, "irred"), (77, "irred"),
-                  (81, "irred"), (60, "burnside"))
-_CELL = re.compile(r"^class (\d+) ~ fixture row \d+: (\w+) ")
-
-
-@dataclass
-class MatchReport:
-    """Outcome of matching computed rows against the fixture.
-
-    ``assignments`` maps computed class ids to fixture row numbers where
-    the invariants pin the bijection down; ``ambiguity_groups`` pairs
-    sets of computed ids with equal-sized sets of fixture rows that share
-    all recorded invariants (a successful match); ``mismatches`` lists
-    human-readable discrepancies, and is empty iff the match succeeded.
-    """
-
-    assignments: dict
-    ambiguity_groups: list
-    mismatches: list
-
-    @property
-    def ok(self) -> bool:
-        return not self.mismatches
-
-    def summary(self) -> str:
-        lines = [f"{len(self.assignments)} rows matched uniquely, "
-                 f"{len(self.ambiguity_groups)} ambiguity groups covering "
-                 f"{sum(len(c) for c, _ in self.ambiguity_groups)} rows"]
-        for cids, fids in self.ambiguity_groups:
-            lines.append(f"  ambiguous: classes {list(cids)} ~ "
-                         f"fixture rows {list(fids)}")
-        if self.mismatches:
-            lines.append(f"{len(self.mismatches)} mismatches:")
-            for m in self.mismatches:
-                cell = _CELL.match(m)
-                label = ("disputed: an oracle confirms the computed value"
-                         if cell and (int(cell[1]), cell[2]) in DISPUTED_CELLS
-                         else "unexplained")
-                lines.append(f"  {m}  [{label}]")
-        else:
-            lines.append("all rows accounted for")
-        return "\n".join(lines)
-
-
-_MAX_ROUNDS = 200  # every refinement round but the last splits a color
-
-
-def _refine_colors(key_of, partners):
-    """Refine a coloring by the multiset of partner colors (in place).
-
-    ``key_of`` maps node -> hashable color; ``partners`` maps node ->
-    ``(direction, other)`` pairs (here: "dn" towards maximal subgroup
-    classes and "up" back along those edges).  Nodes of both sides must
-    be refined together, so the caller passes merged dicts.  The colors
-    kept are those of the last round that split a class; a round that
-    splits none would only nest each color once more, keeping the
-    partition and the order of the colors' reprs.
-    """
-    for _ in range(_MAX_ROUNDS):
-        # one repr per node, shared by every edge to it: the reprs nest
-        # and grow each round
-        text = {node: repr(color) for node, color in key_of.items()}
-        new = {node: (color, tuple(sorted((d, text[p])
-                                          for d, p in partners[node])))
-               for node, color in key_of.items()}
-        if len(set(new.values())) == len(set(key_of.values())):
-            return
-        key_of.update(new)
-    raise RuntimeError("color refinement failed to stabilise")
-
-
-def _describe_computed(row: TableRow) -> str:
-    return (f"class {row.class_id}: order {row.order}, "
-            f"B={row.burnside_order}, lcm={row.lcm_obstruction}, "
-            f"irred={row.absolutely_irreducible}, h1_m={row.h1_m}, "
-            f"h1_md={row.h1_mdual}, maximal={list(row.maximal)}")
-
-
-def _describe_fixture(row: FixtureRow) -> str:
-    return (f"fixture row {row.row}: order {row.order}, label "
-            f"{row.label!r}, B={row.burnside}, lcm={row.lcm}, "
-            f"irred={row.irred}, h1_m={row.h1_m}, h1_md={row.h1_md}, "
-            f"maximal={list(row.maximal)}")
-
-
-def _column_values(row: TableRow, with_module):
-    vals = [("burnside", row.burnside_order),
-            ("irred", row.absolutely_irreducible)]
-    if with_module:
-        vals += [("lcm", row.lcm_obstruction), ("h1_m", row.h1_m),
-                 ("h1_md", row.h1_mdual)]
-    return vals
-
-
-def _fixture_values(f: FixtureRow, with_module):
-    vals = [("burnside", f.burnside), ("irred", f.irred)]
-    if with_module:
-        vals += [("lcm", f.lcm), ("h1_m", f.h1_m), ("h1_md", f.h1_md)]
-    return vals
-
-
-def compare_fixture(rows, fixture: Fixture,
-                    structural_only: bool = False) -> MatchReport:
-    """Match computed rows against the fixture by invariants.
-
-    Matching runs on lattice structure alone: the base key per row is
-    (order, multiset of maximal-subgroup orders), and iterated refinement
-    folds in the colors of neighbours both down and up the poset.
-    Computed rows and fixture rows are refined as one population, so
-    equal colors mean equal structural invariants.
-
-    Once rows are paired, the data columns (Burnside order and
-    irreducibility, plus lcm and H^1 invariants when the computed rows
-    carry module data) are compared under the resulting bijection, so a
-    single wrong value surfaces as one localized mismatch instead of
-    poisoning the matching itself.  Rows a color cannot separate are
-    reported as ambiguity groups and their column data is compared as
-    multisets.  With ``structural_only`` the column comparison is
-    skipped entirely.
-    """
-    with_module = (not structural_only
-                   and all(r.h1_m is not None for r in rows))
-    by_id = {r.class_id: r for r in rows}
-    by_row = fixture._by_row
-
-    def base_c(r: TableRow):
-        return (r.order, tuple(sorted(by_id[j].order for j in r.maximal)))
-
-    def base_f(f: FixtureRow):
-        return (f.order, tuple(sorted(by_row[j].order for j in f.maximal)))
-
-    # disjoint node names: computed ids tagged "c", fixture rows "f"
-    key_of = {("c", r.class_id): base_c(r) for r in rows}
-    key_of.update({("f", f.row): base_f(f) for f in fixture.rows})
-    partners = {node: [] for node in key_of}
-    for r in rows:
-        for j in r.maximal:
-            partners[("c", r.class_id)].append(("dn", ("c", j)))
-            partners[("c", j)].append(("up", ("c", r.class_id)))
-    for f in fixture.rows:
-        for j in f.maximal:
-            partners[("f", f.row)].append(("dn", ("f", j)))
-            partners[("f", j)].append(("up", ("f", f.row)))
-    _refine_colors(key_of, partners)
-
-    groups = defaultdict(lambda: ([], []))
-    for r in rows:
-        groups[key_of[("c", r.class_id)]][0].append(r.class_id)
-    for f in fixture.rows:
-        groups[key_of[("f", f.row)]][1].append(f.row)
-
-    assignments, ambiguity, mismatches = {}, [], []
-    for color in sorted(groups, key=repr):
-        cids, fids = groups[color]
-        if len(cids) != len(fids):
-            for c in cids:
-                mismatches.append("unmatched " + _describe_computed(by_id[c]))
-            for f in fids:
-                mismatches.append("unmatched " + _describe_fixture(by_row[f]))
-        elif len(cids) == 1:
-            assignments[cids[0]] = fids[0]
-        else:
-            ambiguity.append((tuple(sorted(cids)), tuple(sorted(fids))))
-
-    if not structural_only:
-        for cid in sorted(assignments):
-            frow = assignments[cid]
-            have = _column_values(by_id[cid], with_module)
-            want = _fixture_values(by_row[frow], with_module)
-            for (name, got), (_, expected) in zip(have, want):
-                if got != expected:
-                    mismatches.append(
-                        f"class {cid} ~ fixture row {frow}: {name} "
-                        f"{got!r} != {expected!r}")
-        for cids, fids in ambiguity:
-            have = sorted(repr(_column_values(by_id[c], with_module))
-                          for c in cids)
-            want = sorted(repr(_fixture_values(by_row[f], with_module))
-                          for f in fids)
-            if have != want:
-                mismatches.append(
-                    f"classes {list(cids)} ~ fixture rows {list(fids)}: "
-                    f"column data differs: {have} != {want}")
-    return MatchReport(assignments, ambiguity, mismatches)
 
 
 # ---------------------------------------------------------------------------

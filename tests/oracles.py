@@ -18,6 +18,10 @@ ones:
   conjugacy scan for every pair of classes, where
   ``subgroups._maximal`` scans each class only against the maximal
   classes found before it, after a class-count prescreen;
+* ``closure_own_lattice`` runs a layer closure inside a class
+  representative and maps each of its classes to a lattice id by a
+  conjugacy scan, where :func:`psp4obs.subgroups.subgroup_classes` reads
+  each own lattice off the double cosets of the ambient lattice;
 * ``quotient_order`` multiplies a coset representative z by itself until
   z^k lies in H, one membership test per power, where
   ``subgroups._coset_powers`` raises all representatives at once;
@@ -53,7 +57,7 @@ from math import prod
 
 import numpy as np
 
-from psp4obs import intlinalg, sp4f3, zmodules
+from psp4obs import burnside, intlinalg, sp4f3, subgroups, zmodules
 from psp4obs import permgroups as pg
 from psp4obs.intlinalg import AbelianInvariants, TRIVIAL_GROUP
 from psp4obs.permgroups import PermGroup
@@ -251,6 +255,27 @@ def scan_containers(raws, ambient: PermGroup) -> dict:
                 containers[i].add(j)
                 containers[i] |= containers[j]
     return containers
+
+
+def closure_own_lattice(lattice, class_id):
+    """(maximal, own_orders, own_gclass, perm_chars) of one class of
+    ``lattice``, as ``subgroup_classes`` computed them with a second
+    search: the classes of a layer closure inside the representative,
+    each mapped to the lattice class it is conjugate to in the ambient
+    group, sorted by (order, id) with ties in discovery order."""
+    rep = lattice.rep(class_id)
+    raws = subgroups._layer_closure(rep).raws
+    ids = []
+    for raw in raws:
+        (cid,) = [c.class_id for c in lattice.classes if c.order == raw.order
+                  and lattice.ambient.is_conjugate_subgroup(
+                      lattice.rep(c.class_id), raw.table)]
+        ids.append(cid)
+    maximal = tuple(sorted({ids[k] for k in subgroups._maximal(raws, rep)}))
+    order = sorted(range(len(raws)), key=lambda k: (raws[k].order, ids[k]))
+    return (maximal, tuple(raws[k].order for k in order),
+            tuple(ids[k] for k in order),
+            burnside.perm_characters(rep, [raws[k].rows for k in order]))
 
 
 def quotient_order(z, sub_rows) -> int:

@@ -368,3 +368,71 @@ class TestElementTable:
     def test_orbits(self):
         parts = pg.orbits([(1, 0, 2, 3, 4)], 5)
         assert sorted(sorted(o) for o in parts) == [[0, 1], [2], [3], [4]]
+
+
+class TestConjugacyAnchor:
+    """The scans that start from centralisers against the full scans."""
+
+    @staticmethod
+    def check_scan(group, data):
+        """On a random query the anchored scan returns the index array of
+        ElementTable.conjugators."""
+        et = group.element_table()
+        row = st.integers(0, len(et) - 1)
+        if data.draw(st.booleans(), label="subgroup target"):
+            target = group.subgroup([et.perm(i) for i in data.draw(
+                st.lists(row, min_size=1, max_size=2))]).element_table()
+        else:  # any set of rows
+            target = pg.ElementTable(et.table[data.draw(st.lists(
+                row, min_size=1, max_size=40, unique=True))], et.degree,
+                et.base)
+        count = data.draw(st.integers(1, 3))
+        if data.draw(st.booleans(), label="conjugates of members"):
+            # members of the target conjugated back by x, so that x is
+            # among the conjugators
+            x = et.perm(data.draw(row))
+            gens = [pg.pconj(target.perm(i), pg.pinv(x)) for i in data.draw(
+                st.lists(st.integers(0, len(target) - 1), min_size=count,
+                         max_size=count))]
+        else:
+            gens = [et.perm(i) for i in data.draw(
+                st.lists(row, min_size=count, max_size=count))]
+        want = et.conjugators(gens, target)
+        got = group.conjugacy_anchor().conjugators(gens, target)
+        assert got.tolist() == want.tolist()
+
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_scan_in_psp4_3(self, model, data):
+        self.check_scan(model.psp, data)
+
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_scan_in_class_112(self, lattice, data):
+        self.check_scan(lattice.rep(112), data)
+
+    @pytest.mark.parametrize("g", SMALL)
+    def test_conjugators_conjugate_the_representatives(self, g):
+        anchor = g.conjugacy_anchor()
+        et = g.element_table()
+        reps = [rep for rep, _ in g.conjugacy_classes()]
+        for i, t in enumerate(anchor.conjugator.tolist()):
+            rep = reps[g.class_indices([et.perm(i)])[0]]
+            assert pg.pconj(rep, et.perm(t)) == et.perm(i)
+
+    @pytest.mark.parametrize("gens", [[], [(1, 0, 2, 3)], [(1, 2, 0, 3)],
+                                      [(1, 0, 3, 2), (2, 3, 0, 1)]])
+    def test_coset_labels_are_least_rows(self, gens):
+        et = S4.element_table()
+        sub = S4.subgroup(gens).element_table()
+        labels = S4.conjugacy_anchor().coset_labels(
+            np.sort(et.index_of(sub.table)))
+        for g in range(len(et)):
+            coset = [pg.pmul(n, et.perm(g)) for n in map(sub.perm,
+                                                         range(len(sub)))]
+            assert labels[g] == et.index_of(coset).min()
+
+    def test_generator_outside_the_group_raises(self):
+        with pytest.raises(ValueError):
+            A4.conjugacy_anchor().conjugators([(1, 0, 2, 3)],
+                                              A4.element_table())

@@ -11,7 +11,7 @@ import json
 import numpy as np
 import pytest
 
-from oracles import brute_subgroups, quotient_order
+from oracles import brute_subgroups, closure_own_lattice, quotient_order
 from psp4obs import cli, subgroups
 from psp4obs.permgroups import ElementTable, PermGroup, pconj, pmul
 
@@ -316,7 +316,7 @@ def test_classification_is_byte_identical(tmp_path):
 # solvable group, which runs neither the perfect-subgroup search nor the
 # normaliser-residual net
 SOLVABLE_648_LATTICE_SHA256 = \
-    "52cb22f423235faff846a92a99c435eadc5d5804978edee745b3f2b37741ab10"
+    "c2c3602edd95f636cb8c9c5873b7171953922c797cb61231d624ad2f882e1566"
 
 
 def test_solvable_classification_is_byte_identical(tmp_path):
@@ -338,6 +338,31 @@ def test_solvable_groups_build_no_pairs(monkeypatch):
     for group in (S4, PermGroup(SOLVABLE_648_GENERATORS, 40)):
         subgroups.subgroup_classes(group)
     assert calls == []
+
+
+def tie_groups(orders, gclass, perm_chars) -> dict:
+    """The perm_chars rows of each (order, id) group, sorted."""
+    groups = {}
+    for key, row in zip(zip(orders, gclass), np.asarray(perm_chars).tolist()):
+        groups.setdefault(key, []).append(row)
+    return {key: sorted(rows) for key, rows in groups.items()}
+
+
+# A6 (110), class 112 and five smaller classes: an elementary abelian 2^4
+# (45), C3 x Q8 (60), A5 (85), and groups of order 64 (87) and 108 (97)
+@pytest.mark.parametrize("class_id", [45, 60, 85, 87, 97, 110, 112])
+def test_own_lattices_match_the_closure_oracle(lattice, class_id):
+    """The own lattices read off the double cosets of the ambient lattice
+    equal those of a second search inside every class, up to the order of
+    the perm_chars rows within an (order, id) group."""
+    lat = subgroups.subgroup_classes(
+        PermGroup(lattice.by_id(class_id).generators, 40))
+    for c in lat.classes:
+        maximal, orders, gclass, chars = closure_own_lattice(lat, c.class_id)
+        assert (c.maximal, c.own_orders, c.own_gclass) == \
+            (maximal, orders, gclass), c.class_id
+        assert tie_groups(orders, gclass, chars) == tie_groups(
+            c.own_orders, c.own_gclass, c.perm_chars), c.class_id
 
 
 @pytest.mark.parametrize("class_id", [85, 86, 100, 101, 110, 114, 115, 116])
