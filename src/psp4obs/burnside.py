@@ -24,26 +24,30 @@ from . import intlinalg
 from .permgroups import PermGroup
 
 
-def perm_characters(group: PermGroup, class_rows) -> np.ndarray:
-    """Matrix of permutation characters, one row per subgroup class.
+def perm_characters(group: PermGroup, class_rows) -> tuple:
+    """Matrices of permutation characters and of class meets, one row per
+    subgroup class.
 
     ``class_rows`` is a list of element-row arrays, one per conjugacy class
     of subgroups of ``group``; columns follow the conjugacy classes of
     ``group``.  The row for the trivial subgroup is the regular character,
     the row for the whole group is constantly one.  Row K holds
-    |H| |c^H n K| / (|c^H| |K|) for each class c^H.
+    |H| |c^H n K| / (|c^H| |K|) for each class c^H, and the meets matrix
+    the counts |c^H n K|.
     """
     classes = group.conjugacy_classes()
     sizes = np.array([size for _, size in classes], dtype=np.int64)
-    out = np.zeros((len(class_rows), len(classes)), dtype=np.int64)
+    meets = np.zeros((len(class_rows), len(classes)), dtype=np.int64)
+    orders = np.zeros((len(class_rows), 1), dtype=np.int64)
     for i, rows in enumerate(class_rows):
         rows = np.asarray(rows)
-        meets = np.bincount(group.class_indices(rows), minlength=len(classes))
-        fixed, rest = np.divmod(group.order * meets, sizes * len(rows))
-        if rest.any():
-            raise RuntimeError("fixed-point count is not an integer")
-        out[i] = fixed
-    return out
+        meets[i] = np.bincount(group.class_indices(rows),
+                               minlength=len(classes))
+        orders[i] = len(rows)
+    out, rest = np.divmod(group.order * meets, sizes * orders)
+    if rest.any():
+        raise RuntimeError("fixed-point count is not an integer")
+    return out, meets
 
 
 def restrict_classfn(values, fusion) -> tuple:

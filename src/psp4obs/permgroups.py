@@ -17,11 +17,12 @@ made of its images of the base points, which determine an element (Holt,
 Eick and O'Brien, *Handbook of Computational Group Theory*, 2005, ch. 4).
 Conjugacy classes are the orbits of the generators acting on the rows by
 conjugation, labelled in one vectorised pass; the exponent, nilpotency and
-G/G' are counted off them.  Subgroup conjugacy and normalisers conjugate
-by all rows at once, gathering only the base columns.  A group that runs
-many such scans keeps a :class:`ConjugacyAnchor`, which starts each scan
-from the centraliser of one generator's class representative, and labels
-the rows by the cosets of a subgroup.
+G/G' are counted off them.  Subgroup conjugacy and normaliser scans
+gather only the base columns and start from the centraliser of one
+generator's class representative: each group builds one
+:class:`ConjugacyAnchor` for them, which also labels the rows by the
+cosets of a subgroup.  :meth:`ElementTable.conjugators`, which conjugates
+by all rows at once, is the scan they must match.
 
 A build stops early when the caller knows an upper bound on the order:
 :meth:`PermGroup.subgroup` passes the order of the group the generators
@@ -593,12 +594,15 @@ class PermGroup(_DerivedSeries):
         return all(sum(size for k, size in orders if p ** a % k == 0) == p ** a
                    for p, a in prime_powers(self.order))
 
+    def normalizer_index(self, sub: "PermGroup") -> np.ndarray:
+        """The sorted element-table indices of N_G(H), by the anchored
+        scan (:meth:`ConjugacyAnchor.conjugators`)."""
+        return self.conjugacy_anchor().conjugators(_generating_rows(sub),
+                                                   sub.element_table())
+
     def normalizer_rows(self, sub: "PermGroup") -> np.ndarray:
-        """The element rows of N_G(H), by a vectorised scan of the whole
-        element table."""
-        et = self.element_table()
-        return et.table[et.conjugators(_generating_rows(sub),
-                                       sub.element_table())]
+        """The element rows of N_G(H)."""
+        return self.element_table().table[self.normalizer_index(sub)]
 
     def normalizer(self, sub: "PermGroup") -> "PermGroup":
         """N_G(H) as a group."""
@@ -631,9 +635,11 @@ class PermGroup(_DerivedSeries):
         return self._conjugate_into_scan(a, target)
 
     def _conjugate_into_scan(self, a, target: ElementTable):
-        et = self.element_table()
-        index = et.conjugators(_generating_rows(a), target)
-        return et.perm(int(index[0])) if index.size else None
+        index = self.conjugacy_anchor().conjugators(_generating_rows(a),
+                                                    target)
+        if not index.size:
+            return None
+        return self.element_table().perm(int(index[0]))
 
     # -- presentations -----------------------------------------------------
 
@@ -714,9 +720,11 @@ class ConjugacyAnchor:
                 reached.append(x[new])
             frontier = np.concatenate([frontier[:0], *reached])
         self.conjugator = conjugator
+        # g centralises r when r g and g r agree on the base
+        columns = et.table[:, et.base]
         self.centralizers = [
-            et.table[et.conjugators([rep], ElementTable([rep], et.degree,
-                                                        et.base))]
+            et.table[(et.table[:, np.asarray(rep)[et.base]]
+                      == np.asarray(rep)[columns]).all(1)]
             for rep, _ in classes]
         self.centralizer_orders = np.array([len(c)
                                             for c in self.centralizers])

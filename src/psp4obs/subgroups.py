@@ -66,7 +66,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
 from math import prod
 
 import numpy as np
@@ -182,12 +181,11 @@ class _Raw:
 
 
 class _ClassCollector:
-    """Deduplicated list of subgroup classes of one ambient group; the
-    conjugacy scans go through the ambient's :class:`ConjugacyAnchor`."""
+    """Deduplicated list of subgroup classes of one ambient group, and the
+    vectorised subgroup operations against that group."""
 
     def __init__(self, ambient: PermGroup):
         self.ambient = ambient
-        self.anchor = ambient.conjugacy_anchor()
         self.base = ambient.element_table().base  # keys every table here
         self.raws: list[_Raw] = []
         self.by_bytes: dict = {}
@@ -205,7 +203,8 @@ class _ClassCollector:
         fusion = self.fusion_key(rows)
         key = (len(table), fusion)
         for idx in self.by_key.get(key, []):
-            if self.anchor.conjugators(self.raws[idx].gens, table).size:
+            if self.ambient.is_conjugate_subgroup(self.raws[idx].group,
+                                                  table):
                 self.by_bytes[key_bytes] = idx
                 return idx
         group = build()
@@ -309,7 +308,7 @@ def _layer_closure(ambient: PermGroup) -> _ClassCollector:
         if raw.order in (1, ambient.order):
             raw.normalizer = np.arange(ambient.order)
             continue
-        raw.normalizer = collector.anchor.conjugators(raw.gens, raw.table)
+        raw.normalizer = ambient.normalizer_index(raw.group)
         nrows = et.table[raw.normalizer]
         if perfect and len(nrows) < ambient.order:
             res = closed_set(nrows, ambient.degree).solvable_residual()
@@ -349,8 +348,7 @@ def perfect_subgroup_classes(ambient: PermGroup) -> list:
         p = porder(x)
         if p < 5 or prime_powers(p) != [(p, 1)]:
             continue
-        nrows = et.table[collector.anchor.conjugators(
-            [x], PermGroup([x], ambient.degree).element_table())]
+        nrows = ambient.normalizer_rows(PermGroup([x], ambient.degree))
         least = orbit_minima(ambient._conjugation_maps(
             closed_set(nrows, ambient.degree).generators), len(et))
         first = involution & (least == np.arange(len(et)))  # orbit minima
@@ -556,25 +554,34 @@ class SubgroupLattice:
 def _maximal(classes, group: PermGroup) -> list:
     """Indices of the maximal proper classes among ``classes``, the
     subgroup classes of ``group``, each with ``order``, ``fusion`` (into
-    the classes of ``group``), ``gens`` and ``table``.
+    the classes of ``group``), ``gens`` and element ``rows``.
 
     Every proper subgroup lies in a maximal one, which is larger.  So,
     walking the classes by descending order, a proper class is maximal
     unless a maximal class found before it contains a conjugate of it.
     A conjugate of A inside B has as many elements in each class of
     ``group`` as A, so the scan runs only where B's class counts dominate
-    A's.
+    A's.  These scans run over the whole element table of ``group``
+    (:meth:`ElementTable.conjugators`): ``group`` is a class
+    representative, often small, and mostly scanned a few times, where
+    building its :class:`~psp4obs.permgroups.ConjugacyAnchor` costs more
+    than it saves.
     """
     et = group.element_table()
+    tables = {}
 
-    def inside(a, b):
-        return (b.order > a.order and _may_contain(b, a)
-                and et.conjugators(a.gens, b.table).size > 0)
+    def inside(a, j):
+        b = classes[j]
+        if not (b.order > a.order and _may_contain(b, a)):
+            return False
+        if j not in tables:
+            tables[j] = ElementTable(b.rows, group.degree, et.base)
+        return et.conjugators(a.gens, tables[j]).size > 0
 
     maximal = []
     for i in sorted(range(len(classes)), key=lambda i: -classes[i].order):
         if classes[i].order < group.order and not any(
-                inside(classes[i], classes[j]) for j in maximal):
+                inside(classes[i], j) for j in maximal):
             maximal.append(i)
     return maximal
 
@@ -588,11 +595,6 @@ class _Own:
     gens: np.ndarray
     rows: np.ndarray
     fusion: tuple  # into the classes of H
-    base: np.ndarray  # H's base, which determines the rows
-
-    @cached_property
-    def table(self) -> ElementTable:
-        return ElementTable(self.rows, self.rows.shape[1], self.base)
 
 
 def _conjugate(rows, g):
@@ -678,7 +680,7 @@ def subgroup_classes(ambient: PermGroup, seed=None,
         own_ids = [id_of_raw[k] for k, _ in own]
         orders = np.array([raws[k].order for k, _ in own])
         rows = [_conjugate(raws[k].rows, table[g]) for k, g in own]
-        chars = burnside.perm_characters(rep, rows)
+        chars, meets = burnside.perm_characters(rep, rows)
         if raw.order == ambient.order:
             # always last in the canonical order, so the proper classes'
             # own lattices give its maximal classes without a scan
@@ -686,16 +688,11 @@ def subgroup_classes(ambient: PermGroup, seed=None,
                       if k != d.class_id}
             maximal = tuple(sorted(set(own_ids) - nonmax - {cid}))
         else:
-            # an own class of order n meets the class c of H in
-            # chars[c] |c| n / |H| elements (burnside.perm_characters)
-            sizes = np.array([size for _, size in rep.conjugacy_classes()])
-            meets = (chars * sizes * orders[:, None] // raw.order).tolist()
             classes = [_Own(raws[k].order,
                             _conjugate(np.asarray(raws[k].gens, table.dtype),
                                        table[g]),
-                            r, tuple((c, n) for c, n in enumerate(m) if n),
-                            rep.base)
-                       for (k, g), r, m in zip(own, rows, meets)]
+                            r, tuple((c, n) for c, n in enumerate(m) if n))
+                       for (k, g), r, m in zip(own, rows, meets.tolist())]
             maximal = tuple(sorted({own_ids[m]
                                     for m in _maximal(classes, rep)}))
         elem_fusion = tuple(ambient.class_indices(np.asarray(

@@ -275,7 +275,7 @@ def closure_own_lattice(lattice, class_id):
     order = sorted(range(len(raws)), key=lambda k: (raws[k].order, ids[k]))
     return (maximal, tuple(raws[k].order for k in order),
             tuple(ids[k] for k in order),
-            burnside.perm_characters(rep, [raws[k].rows for k in order]))
+            burnside.perm_characters(rep, [raws[k].rows for k in order])[0])
 
 
 def quotient_order(z, sub_rows) -> int:

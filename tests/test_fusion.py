@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from psp4obs import burnside, sp4f3, subgroups, table
-from psp4obs.permgroups import PermGroup, abelian_invariants
+from psp4obs.permgroups import PermGroup, abelian_invariants, pconj
 
 S4 = PermGroup([(1, 0, 2, 3), (1, 2, 3, 0)], 4)
 D4 = PermGroup([(1, 2, 3, 0), (3, 2, 1, 0)], 4)
@@ -38,8 +38,15 @@ def lattice_raws(lattice):
 
 def check_perm_characters(group, raws):
     rows = [r.rows for r in raws]
-    got = burnside.perm_characters(group, rows)
+    got, meets = burnside.perm_characters(group, rows)
     assert (got == oracles.scan_perm_characters(group, rows)).all()
+    # the rows of each K in each class, whose members are the conjugates
+    # of its representative by every element
+    elems = group.element_table().table.tolist()
+    for c, (rep, _) in enumerate(group.conjugacy_classes()):
+        members = {pconj(rep, g) for g in elems}
+        assert meets[:, c].tolist() == [
+            sum(tuple(x) in members for x in r.tolist()) for r in rows]
 
 
 def check_series(group):

@@ -420,7 +420,16 @@ class TestConjugacyAnchor:
             rep = reps[g.class_indices([et.perm(i)])[0]]
             assert pg.pconj(rep, et.perm(t)) == et.perm(i)
 
-    @pytest.mark.parametrize("gens", [[], [(1, 0, 2, 3)], [(1, 2, 0, 3)],
+    @pytest.mark.parametrize("g", SMALL)
+    def test_centralizers_commute_with_the_representatives(self, g):
+        anchor = g.conjugacy_anchor()
+        et = g.element_table()
+        for (rep, _), rows in zip(g.conjugacy_classes(), anchor.centralizers):
+            want = [x for x in map(et.perm, range(len(et)))
+                    if pg.pmul(rep, x) == pg.pmul(x, rep)]
+            assert [tuple(r) for r in rows.tolist()] == want
+
+    @pytest.mark.parametrize("gens", [[],[(1, 0, 2, 3)], [(1, 2, 0, 3)],
                                       [(1, 0, 3, 2), (2, 3, 0, 1)]])
     def test_coset_labels_are_least_rows(self, gens):
         et = S4.element_table()
