@@ -119,7 +119,10 @@ def probe_small_classes(module, lattice):
     fixture = table.Fixture.load(table.default_fixture_path())
     rows = table.compute_table(table.TableConfig(lattice=lattice))
     match = table.compare_fixture(rows, fixture, structural_only=True)
-    assert len(match.assignments) == len(fixture.rows)
+    if len(match.assignments) != len(fixture.rows):
+        raise RuntimeError(f"the structural match assigns "
+                           f"{len(match.assignments)} of the "
+                           f"{len(fixture.rows)} reference rows")
     dual = module.dual()
     failures = []
     for fixture_row in (10, 11, 14, 17, 18):
@@ -159,16 +162,19 @@ def main(argv=None):
         f"saturated ({time.time() - t0:.0f}s)")
 
     pairing = averaged_pairing(model, radical)
-    assert np.array_equal(pairing, pairing.T)
-    assert np.array_equal(intlinalg.kernel_saturated(pairing), radical), \
-        "pairing radical differs from K"
+    if not np.array_equal(pairing, pairing.T):
+        raise RuntimeError("the averaged pairing is not symmetric")
+    if not np.array_equal(intlinalg.kernel_saturated(pairing), radical):
+        raise RuntimeError("the radical of the pairing differs from K")
     log(f"invariant pairing assembled, radical verified "
         f"({time.time() - t0:.0f}s)")
 
     quotient = quotient_by_pairing(big, pairing)
     direct = quotient_by_radical(big, radical)
-    assert all(np.array_equal(a, b)
-               for a, b in zip(quotient.gens, direct.gens))
+    if not all(np.array_equal(a, b)
+               for a, b in zip(quotient.gens, direct.gens)):
+        raise RuntimeError("the quotient by the pairing differs from the "
+                           "quotient by the radical")
     module = quotient.dual()
     module.validate()
     log(f"module built: rank {module.rank} ({time.time() - t0:.0f}s)")

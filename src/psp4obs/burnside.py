@@ -24,16 +24,14 @@ from . import intlinalg
 from .permgroups import PermGroup
 
 
-def perm_characters(group: PermGroup, class_rows) -> tuple:
-    """Matrices of permutation characters and of class meets, one row per
-    subgroup class.
+def perm_characters(group: PermGroup, class_rows) -> np.ndarray:
+    """Matrix of permutation characters, one row per subgroup class.
 
     ``class_rows`` is a list of element-row arrays, one per conjugacy class
     of subgroups of ``group``; columns follow the conjugacy classes of
     ``group``.  The row for the trivial subgroup is the regular character,
     the row for the whole group is constantly one.  Row K holds
-    |H| |c^H n K| / (|c^H| |K|) for each class c^H, and the meets matrix
-    the counts |c^H n K|.
+    |H| |c^H n K| / (|c^H| |K|) for each class c^H.
     """
     classes = group.conjugacy_classes()
     sizes = np.array([size for _, size in classes], dtype=np.int64)
@@ -47,7 +45,7 @@ def perm_characters(group: PermGroup, class_rows) -> tuple:
     out, rest = np.divmod(group.order * meets, sizes * orders)
     if rest.any():
         raise RuntimeError("fixed-point count is not an integer")
-    return out, meets
+    return out
 
 
 def restrict_classfn(values, fusion) -> tuple:

@@ -21,8 +21,7 @@ G/G' are counted off them.  Subgroup conjugacy and normaliser scans
 gather only the base columns and start from the centraliser of one
 generator's class representative: each group builds one
 :class:`ConjugacyAnchor` for them, which also labels the rows by the
-cosets of a subgroup.  :meth:`ElementTable.conjugators`, which conjugates
-by all rows at once, is the scan they must match.
+cosets of a subgroup.
 
 A build stops early when the caller knows an upper bound on the order:
 :meth:`PermGroup.subgroup` passes the order of the group the generators
@@ -171,7 +170,7 @@ class ElementTable:
     or of one containing it.  A lookup is a binary search among the rows'
     keys (:func:`_keys` of their base images).  A key is exact only among
     members, so :meth:`index_of` checks each hit's full row and
-    :meth:`conjugators` looks up by key only conjugates of members.
+    :meth:`sieve` looks up by key only conjugates of members.
     """
 
     def __init__(self, rows, degree, base):
@@ -207,13 +206,6 @@ class ElementTable:
 
     def perm(self, i):
         return tuple(int(x) for x in self.table[i])
-
-    def conjugators(self, gens, target: "ElementTable"):
-        """Indices of the rows g with g^-1 h g in ``target`` for every h;
-        each h must lie in this group (``ValueError`` otherwise)."""
-        gens = np.asarray(gens, dtype=self.table.dtype)
-        self.index_of(gens)
-        return self.sieve(np.arange(len(self)), gens, self.held(target))
 
     def held(self, target: "ElementTable"):
         """A mask of the rows of this group that ``target`` holds, checked
@@ -730,9 +722,11 @@ class ConjugacyAnchor:
                                             for c in self.centralizers])
 
     def conjugators(self, gens, target: ElementTable):
-        """:meth:`ElementTable.conjugators`: the same indices in the same
-        order, sieved from the rows that send the generator h with the
-        fewest such rows, |C_G(r)| |target n class(h)|, into ``target``."""
+        """The sorted indices of the rows g with g^-1 h g in ``target`` for
+        every h of ``gens``, which must be members (``ValueError``
+        otherwise): sieved from the rows that send the generator h with
+        the fewest such rows, |C_G(r)| |target n class(h)|, into
+        ``target``."""
         et = self.table
         gens = np.asarray(gens, dtype=et.table.dtype)
         index = et.index_of(gens)
@@ -745,9 +739,9 @@ class ConjugacyAnchor:
         ys = members[self.class_of[members] == cls[j]]
         # g = t_h^-1 c t_y sends b to t_y[c[t_h^-1[b]]]
         pre = np.argsort(et.table[self.conjugator[index[j]]])[et.base]
-        images = et.table[self.conjugator[ys]][
-            :, self.centralizers[cls[j]][:, pre]]
-        index = et._lookup(images.reshape(-1, len(et.base)))
+        cent = self.centralizers[cls[j]]
+        images = et.table[self.conjugator[ys]][:, cent[:, pre]]
+        index = et._lookup(images.reshape(len(ys) * len(cent), len(et.base)))
         return np.sort(et.sieve(index, np.delete(gens, j, axis=0), held))
 
     def coset_labels(self, sub):
@@ -867,13 +861,12 @@ def normal_closure(ambient, seeds) -> ElementSet:
     containing ``seeds`` and normal in it."""
     elements = ElementSet(ambient.degree)
     queue = deque(tuple(s) for s in seeds if not is_identity(s))
-    conjugators = [(g, pinv(g)) for g in ambient.generators
-                   if not is_identity(g)]
+    gens = [(g, pinv(g)) for g in ambient.generators if not is_identity(g)]
     while queue:
         x = queue.popleft()
         if x not in elements:
             elements.add_generator(x)
-            for g, gi in conjugators:
+            for g, gi in gens:
                 queue.append(pconj(x, g))
                 queue.append(pconj(x, gi))
     return elements

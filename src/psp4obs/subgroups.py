@@ -55,11 +55,11 @@ class.  Each double coset gives one own class, represented by K^g for
 its least row g, and the own classes are sorted by (order, ambient id,
 least row), so their order does not depend on the search.  That yields
 the permutation character matrix needed for Burnside-cokernel
-computations and the maximal subgroup classes: walking the own classes
-by descending order, a class is maximal unless a maximal class found
-before it contains a conjugate of it; that scan runs inside H, and only
-where the larger class has at least as many elements in every class of
-H as the smaller one.
+computations.  The maximal subgroup classes come from the same cosets:
+walking the ambient classes by descending order, an own class K^g is
+maximal unless an H-conjugate of it lies in a maximal own class L^g'
+found before it, which holds exactly when some coset N_G(K) x with K^x
+in L has x g' in N_G(K) g H.
 """
 
 from __future__ import annotations
@@ -551,98 +551,67 @@ class SubgroupLattice:
         return cls(ambient, classes)
 
 
-def _maximal(classes, group: PermGroup) -> list:
-    """Indices of the maximal proper classes among ``classes``, the
-    subgroup classes of ``group``, each with ``order``, ``fusion`` (into
-    the classes of ``group``), ``gens`` and element ``rows``.
-
-    Every proper subgroup lies in a maximal one, which is larger.  So,
-    walking the classes by descending order, a proper class is maximal
-    unless a maximal class found before it contains a conjugate of it.
-    A conjugate of A inside B has as many elements in each class of
-    ``group`` as A, so the scan runs only where B's class counts dominate
-    A's.  These scans run over the whole element table of ``group``
-    (:meth:`ElementTable.conjugators`): ``group`` is a class
-    representative, often small, and mostly scanned a few times, where
-    building its :class:`~psp4obs.permgroups.ConjugacyAnchor` costs more
-    than it saves.
-    """
-    et = group.element_table()
-    tables = {}
-
-    def inside(a, j):
-        b = classes[j]
-        if not (b.order > a.order and _may_contain(b, a)):
-            return False
-        if j not in tables:
-            tables[j] = ElementTable(b.rows, group.degree, et.base)
-        return et.conjugators(a.gens, tables[j]).size > 0
-
-    maximal = []
-    for i in sorted(range(len(classes)), key=lambda i: -classes[i].order):
-        if classes[i].order < group.order and not any(
-                inside(classes[i], j) for j in maximal):
-            maximal.append(i)
-    return maximal
-
-
-@dataclass
-class _Own:
-    """A subgroup class of a representative H: the conjugate K^g of an
-    ambient class K, for the least row g of its double coset."""
-
-    order: int
-    gens: np.ndarray
-    rows: np.ndarray
-    fusion: tuple  # into the classes of H
-
-
 def _conjugate(rows, g):
     """The rows x^g = g^-1 x g, which send i to g[x[g^-1[i]]]."""
     return g[rows[:, np.argsort(g)]]
 
 
 def _double_cosets(et: ElementTable, sub: _Raw, raw: _Raw, held, labels,
-                   transversal) -> np.ndarray:
-    """The least rows g of the double cosets N_G(K) g H with K^g in H, for
-    K = ``sub`` and H = ``raw``, whose rows ``held`` masks, given the
-    coset labels of N_G(K) and the least row of each coset.
+                   transversal):
+    """The cosets N_G(K) x with K^x in H, for K = ``sub`` and H = ``raw``,
+    whose rows ``held`` masks, as their sorted least rows, given the coset
+    labels of N_G(K) and the least row of each coset; and for each of
+    them, the least row of its double coset N_G(K) x H.
 
     C = {g : K^g in H} is a union of cosets N_G(K) g, so sieving the
     least rows gives the cosets in C; H permutes them by right
     multiplication, its orbits on them are the double cosets, and each
     orbit's least label is its least row.
     """
+    if raw.order == len(et):  # G itself: one double coset, least row 0
+        return transversal, np.zeros_like(transversal)
     cosets = et.sieve(transversal, np.asarray(sub.gens, et.table.dtype),
                       held)
     acts = [np.searchsorted(cosets, labels[et.times(cosets, h)])
             for h in raw.gens]
-    least = orbit_minima(acts, len(cosets))
-    return cosets[least == np.arange(len(cosets))]
+    return cosets, cosets[orbit_minima(acts, len(cosets))]
 
 
-def _own_classes(ambient: PermGroup, raws) -> list:
+def _own_classes(ambient: PermGroup, raws) -> tuple:
     """For each raw H, its subgroup classes as (K, g) pairs: the raw index
     of an ambient class K and the least row g of a double coset N_G(K) g H
-    with K^g in H (Pfeiffer 1997).  The whole group holds every class
-    once, as (K, 0).  A pair is scanned only where H may contain K."""
+    with K^g in H (Pfeiffer 1997); and the raw indices of its maximal
+    classes.  A pair is scanned only where H may contain K.
+
+    The classes K run by descending order.  A proper subgroup K^g of H
+    lies in a maximal one, which is larger, so it is maximal unless an
+    H-conjugate of it lies in a maximal class L^g' found before it.  The
+    K^x in L are those of the cosets N_G(K) x that the same pass sieves
+    against L, and K^x lies in L^g' as K^(x g'), whose double coset
+    N_G(K) x g' H names its class in H.
+    """
     anchor = ambient.conjugacy_anchor()
-    held = [anchor.table.held(raw.table) for raw in raws]
+    et = anchor.table
+    held = [et.held(raw.table) for raw in raws]
     owns = [[] for _ in raws]
-    for k, sub in enumerate(raws):
-        labels = None
-        for i, raw in enumerate(raws):
-            if raw.order == ambient.order:
-                owns[i].append((k, 0))
-            elif _may_contain(raw, sub):
-                if labels is None:
-                    labels = anchor.coset_labels(sub.normalizer)
-                    transversal = np.flatnonzero(
-                        labels == np.arange(len(labels)))
-                owns[i] += [(k, g) for g in _double_cosets(
-                    anchor.table, sub, raw, held[i], labels,
-                    transversal).tolist()]
-    return owns
+    tops = [[] for _ in raws]  # the maximal (L, g') of each H so far
+    for k in sorted(range(len(raws)), key=lambda k: -raws[k].order):
+        sub = raws[k]
+        labels = anchor.coset_labels(sub.normalizer)
+        transversal = np.flatnonzero(labels == np.arange(len(labels)))
+        found = {i: _double_cosets(et, sub, raw, held[i], labels,
+                                   transversal)
+                 for i, raw in enumerate(raws) if _may_contain(raw, sub)}
+        for i, (cosets, least) in found.items():
+            own = np.unique(least).tolist()
+            owns[i] += [(k, g) for g in own]
+            if not own or raws[i].order == sub.order:  # none, or H itself
+                continue
+            below = {g for j, gj in tops[i] if j in found
+                     for g in least[np.searchsorted(cosets, labels[et.times(
+                         found[j][0], et.table[gj])])].tolist()}
+            tops[i] += [(k, g) for g in own if g not in below]
+    return owns, [{k for k, _ in top} for top in tops]
 
 
 # ``seed`` is ignored: perfbench/workloads.py still passes one (ROADMAP item 6)
@@ -666,7 +635,7 @@ def subgroup_classes(ambient: PermGroup, seed=None,
                                        i))
     id_of_raw = {old: new + 1 for new, old in enumerate(sorted_idx)}
     log("reading the own lattices off the double cosets")
-    owns = _own_classes(ambient, raws)
+    owns, maximals = _own_classes(ambient, raws)
     table = ambient.element_table().table
 
     infos = []
@@ -680,21 +649,7 @@ def subgroup_classes(ambient: PermGroup, seed=None,
         own_ids = [id_of_raw[k] for k, _ in own]
         orders = np.array([raws[k].order for k, _ in own])
         rows = [_conjugate(raws[k].rows, table[g]) for k, g in own]
-        chars, meets = burnside.perm_characters(rep, rows)
-        if raw.order == ambient.order:
-            # always last in the canonical order, so the proper classes'
-            # own lattices give its maximal classes without a scan
-            nonmax = {k for d in infos for k in d.own_gclass
-                      if k != d.class_id}
-            maximal = tuple(sorted(set(own_ids) - nonmax - {cid}))
-        else:
-            classes = [_Own(raws[k].order,
-                            _conjugate(np.asarray(raws[k].gens, table.dtype),
-                                       table[g]),
-                            r, tuple((c, n) for c, n in enumerate(m) if n))
-                       for (k, g), r, m in zip(own, rows, meets.tolist())]
-            maximal = tuple(sorted({own_ids[m]
-                                    for m in _maximal(classes, rep)}))
+        chars = burnside.perm_characters(rep, rows)
         elem_fusion = tuple(ambient.class_indices(np.asarray(
             [crep for crep, _ in rep.conjugacy_classes()])).tolist())
         infos.append(SubgroupClassInfo(
@@ -704,7 +659,7 @@ def subgroup_classes(ambient: PermGroup, seed=None,
                         if not is_identity(g)] or [pident(ambient.degree)],
             fingerprint=fps[i],
             normalizer_order=len(raw.normalizer),
-            maximal=maximal,
+            maximal=tuple(sorted(id_of_raw[k] for k in maximals[i])),
             elem_fusion=elem_fusion,
             own_orders=tuple(orders.tolist()),
             own_gclass=tuple(own_ids),

@@ -14,10 +14,14 @@ ones:
   Schreier-Sims chain rebuilt for every accepted generator of every
   term, where :class:`psp4obs.permgroups.PermGroup` compares the sizes of
   element sets and counts the elements of p-power order;
+* ``scan_conjugators`` sieves every row of an element table, where
+  :meth:`psp4obs.permgroups.ConjugacyAnchor.conjugators` starts from the
+  centraliser of one generator's class representative;
 * ``scan_containers`` builds the full containment order with a
-  conjugacy scan for every pair of classes, where
-  ``subgroups._maximal`` scans each class only against the maximal
-  classes found before it, after a class-count prescreen;
+  conjugacy scan for every pair of classes, and ``scan_maximal`` scans
+  each class only against the maximal classes found before it, after a
+  class-count prescreen, where :func:`psp4obs.subgroups.subgroup_classes`
+  reads the maximal classes off the double cosets of the ambient lattice;
 * ``closure_own_lattice`` runs a layer closure inside a class
   representative and maps each of its classes to a lattice id by a
   conjugacy scan, where :func:`psp4obs.subgroups.subgroup_classes` reads
@@ -257,6 +261,58 @@ def scan_containers(raws, ambient: PermGroup) -> dict:
     return containers
 
 
+def scan_conjugators(et: pg.ElementTable, gens, target: pg.ElementTable):
+    """Indices of the rows g of ``et`` with g^-1 h g in ``target`` for
+    every h, sieved from all rows; each h must lie in the group of ``et``
+    (``ValueError`` otherwise)."""
+    gens = np.asarray(gens, dtype=et.table.dtype)
+    et.index_of(gens)
+    return et.sieve(np.arange(len(et)), gens, et.held(target))
+
+
+def scan_maximal(classes, group: PermGroup) -> list:
+    """Indices of the maximal proper classes among ``classes``, the
+    subgroup classes of ``group``, each with ``order``, ``fusion`` (into
+    the classes of ``group``), ``gens`` and element ``rows``.
+
+    Every proper subgroup lies in a maximal one, which is larger.  So,
+    walking the classes by descending order, a proper class is maximal
+    unless a maximal class found before it contains a conjugate of it.
+    A conjugate of A inside B has as many elements in each class of
+    ``group`` as A, so the scan runs only where B's class counts dominate
+    A's, over the whole element table of ``group``.
+    """
+    et = group.element_table()
+    tables = {}
+
+    def inside(a, j):
+        b = classes[j]
+        if not (b.order > a.order and subgroups._may_contain(b, a)):
+            return False
+        if j not in tables:
+            tables[j] = pg.ElementTable(b.rows, group.degree, et.base)
+        return scan_conjugators(et, a.gens, tables[j]).size > 0
+
+    maximal = []
+    for i in sorted(range(len(classes)), key=lambda i: -classes[i].order):
+        if classes[i].order < group.order and not any(
+                inside(classes[i], j) for j in maximal):
+            maximal.append(i)
+    return maximal
+
+
+def lattice_ids(lattice, raws) -> list:
+    """For each raw class, the id of the class of ``lattice`` it is
+    conjugate to in the ambient group."""
+    ids = []
+    for raw in raws:
+        (cid,) = [c.class_id for c in lattice.classes if c.order == raw.order
+                  and lattice.ambient.is_conjugate_subgroup(
+                      lattice.rep(c.class_id), raw.table)]
+        ids.append(cid)
+    return ids
+
+
 def closure_own_lattice(lattice, class_id):
     """(maximal, own_orders, own_gclass, perm_chars) of one class of
     ``lattice``, as ``subgroup_classes`` computed them with a second
@@ -265,17 +321,12 @@ def closure_own_lattice(lattice, class_id):
     group, sorted by (order, id) with ties in discovery order."""
     rep = lattice.rep(class_id)
     raws = subgroups._layer_closure(rep).raws
-    ids = []
-    for raw in raws:
-        (cid,) = [c.class_id for c in lattice.classes if c.order == raw.order
-                  and lattice.ambient.is_conjugate_subgroup(
-                      lattice.rep(c.class_id), raw.table)]
-        ids.append(cid)
-    maximal = tuple(sorted({ids[k] for k in subgroups._maximal(raws, rep)}))
+    ids = lattice_ids(lattice, raws)
+    maximal = tuple(sorted({ids[k] for k in scan_maximal(raws, rep)}))
     order = sorted(range(len(raws)), key=lambda k: (raws[k].order, ids[k]))
     return (maximal, tuple(raws[k].order for k in order),
             tuple(ids[k] for k in order),
-            burnside.perm_characters(rep, [raws[k].rows for k in order])[0])
+            burnside.perm_characters(rep, [raws[k].rows for k in order]))
 
 
 def quotient_order(z, sub_rows) -> int:

@@ -2,11 +2,10 @@
 
 The classification reads permutation characters off class fusion, runs
 the derived series on element sets, counts the abelianisation and
-nilpotency off the conjugacy classes, and finds the maximal classes by
-scanning each class only against the maximal classes found before it,
-and only where the class counts allow a containment.  The former code
-paths, kept in ``oracles``, must give equal matrices, generators,
-invariants and maximal classes.
+nilpotency off the conjugacy classes, and reads the maximal classes off
+the double cosets of the ambient lattice.  The former code paths, kept in
+``oracles``, must give equal matrices, generators, invariants and maximal
+classes.
 """
 
 import pytest
@@ -38,15 +37,17 @@ def lattice_raws(lattice):
 
 def check_perm_characters(group, raws):
     rows = [r.rows for r in raws]
-    got, meets = burnside.perm_characters(group, rows)
+    got = burnside.perm_characters(group, rows)
     assert (got == oracles.scan_perm_characters(group, rows)).all()
-    # the rows of each K in each class, whose members are the conjugates
-    # of its representative by every element
+    # chars |c^H| |K| / |H| counts the rows of each K in each class c^H,
+    # whose members are the conjugates of its representative by every
+    # element
     elems = group.element_table().table.tolist()
-    for c, (rep, _) in enumerate(group.conjugacy_classes()):
+    for c, (rep, size) in enumerate(group.conjugacy_classes()):
         members = {pconj(rep, g) for g in elems}
-        assert meets[:, c].tolist() == [
-            sum(tuple(x) in members for x in r.tolist()) for r in rows]
+        assert [x * size * len(r) for x, r in zip(got[:, c].tolist(), rows)] \
+            == [group.order * sum(tuple(x) in members for x in r.tolist())
+                for r in rows]
 
 
 def check_series(group):
@@ -63,11 +64,15 @@ def check_series(group):
 
 def check_maximal(group, raws):
     """The maximal classes are those whose only container in the full
-    containment order is the top class."""
+    containment order is the top class: as ``scan_maximal`` finds them,
+    and as ``subgroup_classes`` stores them for the whole group."""
     containers = oracles.scan_containers(raws, group)
     top = {k for k, r in enumerate(raws) if r.order == group.order}
-    assert sorted(subgroups._maximal(raws, group)) == sorted(
-        k for k, c in containers.items() if c == top)
+    want = sorted(k for k, c in containers.items() if c == top)
+    assert sorted(oracles.scan_maximal(raws, group)) == want
+    lattice = subgroups.subgroup_classes(group)
+    ids = oracles.lattice_ids(lattice, raws)
+    assert list(lattice.classes[-1].maximal) == sorted(ids[k] for k in want)
 
 
 class TestSmallGroups:

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from sympy.combinatorics import Permutation, PermutationGroup
 
 from oracles import (brute_conjugacy_classes, coset_action, random_element,
-                     relator_matrix, word_evaluate)
+                     relator_matrix, scan_conjugators, word_evaluate)
 from psp4obs import permgroups as pg
 from psp4obs.permgroups import PermGroup
 
@@ -301,7 +301,8 @@ class TestStructure:
         with pytest.raises(ValueError, match="not an element of the group"):
             A4.conjugate_into(t, v)
         with pytest.raises(ValueError, match="not an element of the group"):
-            A4.element_table().conjugators([(1, 0, 2, 3)], v.element_table())
+            scan_conjugators(A4.element_table(), [(1, 0, 2, 3)],
+                             v.element_table())
 
     def test_coset_action(self):
         c4 = S4.subgroup([(1, 2, 3, 0)])
@@ -376,7 +377,7 @@ class TestConjugacyAnchor:
     @staticmethod
     def check_scan(group, data):
         """On a random query the anchored scan returns the index array of
-        ElementTable.conjugators."""
+        the full-table scan."""
         et = group.element_table()
         row = st.integers(0, len(et) - 1)
         if data.draw(st.booleans(), label="subgroup target"):
@@ -397,7 +398,7 @@ class TestConjugacyAnchor:
         else:
             gens = [et.perm(i) for i in data.draw(
                 st.lists(row, min_size=count, max_size=count))]
-        want = et.conjugators(gens, target)
+        want = scan_conjugators(et, gens, target)
         got = group.conjugacy_anchor().conjugators(gens, target)
         assert got.tolist() == want.tolist()
 
@@ -445,3 +446,15 @@ class TestConjugacyAnchor:
         with pytest.raises(ValueError):
             A4.conjugacy_anchor().conjugators([(1, 0, 2, 3)],
                                               A4.element_table())
+
+    def test_trivial_group(self):
+        # the trivial group has an empty base, so every base image is empty
+        g = PermGroup([(0, 1, 2)], 3)
+        et = g.element_table()
+        assert et.base.size == 0
+        assert g.conjugacy_anchor().conjugators(
+            [g.identity], et).tolist() == [0]
+        assert scan_conjugators(et, [g.identity], et).tolist() == [0]
+        assert g.is_conjugate_subgroup(g, g)
+        assert g.normalizer_index(g).tolist() == [0]
+        assert g.conjugate_into(g, g) == g.identity
