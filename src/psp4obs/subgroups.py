@@ -603,7 +603,7 @@ def _own_classes(ambient: PermGroup, raws) -> tuple:
                                    transversal)
                  for i, raw in enumerate(raws) if _may_contain(raw, sub)}
         for i, (cosets, least) in found.items():
-            own = np.unique(least).tolist()
+            own = sorted(set(least.tolist()))
             owns[i] += [(k, g) for g in own]
             if not own or raws[i].order == sub.order:  # none, or H itself
                 continue
