@@ -1,6 +1,7 @@
 """End-to-end times of the pipeline's three stages, written as JSON.
 
     python scripts/bench_e2e.py --label NAME [--root CHECKOUT]
+    python scripts/bench_e2e.py --label A --root PARENT --label B --root CHANGE
 
 Each stage runs as its own ``python -m psp4obs.cli`` process, from the
 source of ``--root`` (default: this checkout), pinned to one CPU with one
@@ -14,16 +15,20 @@ BLAS thread:
   is start-up, the symplectic model and ``load_module``; its output is
   its stdout.
 
-Each stage runs three times.  Then, untimed and once each, ``table
-compute --format json`` with and without the module, and ``table check``
-on the lattice with the module and on the JSON table with the module
-columns, record the sha256 of their output and their exit status (the
-check exits 1 while the computed table and the fixture differ in some
-cell).  ``bench/BENCH_<label>.json`` holds the median and every raw wall
-time of each stage, the sha256 of each stage's and each check's output
-file (equal hashes mean byte-identical output), the git sha of the
-checkout and whether its tree had uncommitted changes, and the Python and
-numpy versions, the CPU model and nproc.
+Each stage runs three times.  Given two checkouts (a ``--label`` and a
+``--root`` for each), the runs interleave: every run of a stage on one
+side is followed by the same run on the other, and the side that goes
+first alternates from one stage and one repeat to the next, so a drift of
+the machine's speed falls on both sides alike.  Then, untimed and once
+each, ``table compute --format json`` with and without the module, and
+``table check`` on the lattice with the module and on the JSON table with
+the module columns, record the sha256 of their output and their exit
+status (the check exits 1 while the computed table and the fixture differ
+in some cell).  ``bench/BENCH_<label>.json``, one per checkout, holds the
+median and every raw wall time of each stage, the sha256 of each stage's
+and each check's output file (equal hashes mean byte-identical output),
+the git sha of the checkout and whether its tree had uncommitted changes,
+and the Python and numpy versions, the CPU model and nproc.
 """
 
 import argparse
@@ -83,92 +88,114 @@ def run_stage(root, cpu, argv, stdout_path=None):
         return time.perf_counter() - t0, code
 
 
+def _stages(tmp):
+    """name: (argv, output file, whether that file is the stdout) of the
+    timed stages, then of the untimed ones, with every file in ``tmp``."""
+    # relative to the checkout, so that module verify prints the same path
+    module = str(pathlib.Path("src", "psp4obs", "data", "m61.gmodule"))
+    lattice = str(tmp / "lattice.json")
+    table_json = tmp / "table-module.json"
+    timed = {
+        "lattice_cold_s": (["lattice", "compute", "--cache", lattice],
+                           tmp / "lattice.json", False),
+        "table_s": (["table", "compute", "--lattice", lattice,
+                     "--out", str(tmp / "table.csv")], tmp / "table.csv",
+                    False),
+        "table_module_s": (["table", "compute", "--lattice", lattice,
+                            "--module", module,
+                            "--out", str(tmp / "table-module.csv")],
+                           tmp / "table-module.csv", False),
+        "module_verify_s": (["module", "verify", "--module", module],
+                            tmp / "verify.txt", True),
+    }
+    untimed = {
+        "table_json": (["table", "compute", "--lattice", lattice,
+                        "--format", "json", "--out", str(tmp / "table.json")],
+                       tmp / "table.json", False),
+        "table_module_json": (["table", "compute", "--lattice", lattice,
+                               "--module", module, "--format", "json",
+                               "--out", str(table_json)], table_json, False),
+        "check_lattice_module": (["table", "check", "--lattice", lattice,
+                                  "--module", module],
+                                 tmp / "check-lattice.txt", True),
+        "check_table_module": (["table", "check", "--table", str(table_json)],
+                               tmp / "check-table.txt", True),
+    }
+    return timed, untimed
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--label", required=True)
-    parser.add_argument("--root", type=pathlib.Path, default=HERE,
-                        help="checkout whose src/ is timed")
+    parser.add_argument("--label", required=True, action="append",
+                        help="name of the output file; once per checkout")
+    parser.add_argument("--root", type=pathlib.Path, action="append",
+                        help="checkout whose src/ is timed (default: this "
+                        "checkout); one per --label")
     args = parser.parse_args(argv)
-    root = args.root.resolve()
-    # relative to the checkout, so that module verify prints the same path
-    module = pathlib.Path("src", "psp4obs", "data", "m61.gmodule")
+    roots = args.root or [HERE]
+    if len(roots) != len(args.label) or len(set(args.label)) < len(roots):
+        parser.error("give one --root per --label, and distinct labels")
     cpu = min(os.sched_getaffinity(0))
-    times = {"lattice_cold_s": [], "table_s": [], "table_module_s": [],
-             "module_verify_s": []}
-    outputs = {}
     with tempfile.TemporaryDirectory() as tmp:
-        tmp = pathlib.Path(tmp)
-        lattice = tmp / "lattice.json"
-        # name: (argv, output file, whether that file is the stdout)
-        stages = {
-            "lattice_cold_s": (["lattice", "compute", "--cache", str(lattice)],
-                               lattice, False),
-            "table_s": (["table", "compute", "--lattice", str(lattice),
-                         "--out", str(tmp / "table.csv")], tmp / "table.csv",
-                        False),
-            "table_module_s": (["table", "compute", "--lattice", str(lattice),
-                                "--module", str(module),
-                                "--out", str(tmp / "table-module.csv")],
-                               tmp / "table-module.csv", False),
-            "module_verify_s": (["module", "verify", "--module", str(module)],
-                                tmp / "verify.txt", True),
-        }
+        sides = []
+        for k, (label, root) in enumerate(zip(args.label, roots)):
+            side_tmp = pathlib.Path(tmp, str(k))
+            side_tmp.mkdir()
+            timed, untimed = _stages(side_tmp)
+            sides.append({"label": label, "root": root.resolve(),
+                          "timed": timed, "untimed": untimed,
+                          "times": {name: [] for name in timed},
+                          "outputs": {}, "checks": {}})
         for rep in range(REPEATS):
-            for name, (stage_argv, out, stdout) in stages.items():
-                if name == "lattice_cold_s":
-                    lattice.unlink(missing_ok=True)
-                seconds, code = run_stage(root, cpu, stage_argv,
-                                          out if stdout else None)
-                if code:
-                    raise RuntimeError(f"{name}: exit status {code}")
-                times[name].append(seconds)
-                digest = _sha256(out)
-                if outputs.setdefault(name, digest) != digest:
-                    raise RuntimeError(f"{name}: output differs between "
-                                       f"repeats")
-                print(f"{name} run {rep + 1}: {seconds:.2f} s", flush=True)
-        table_json = tmp / "table-module.json"
-        untimed = {
-            "table_json": (["table", "compute", "--lattice", str(lattice),
-                            "--format", "json", "--out",
-                            str(tmp / "table.json")], tmp / "table.json",
-                           False),
-            "table_module_json": (["table", "compute", "--lattice",
-                                   str(lattice), "--module", str(module),
-                                   "--format", "json", "--out",
-                                   str(table_json)], table_json, False),
-            "check_lattice_module": (["table", "check", "--lattice",
-                                      str(lattice), "--module", str(module)],
-                                     tmp / "check-lattice.txt", True),
-            "check_table_module": (["table", "check", "--table",
-                                    str(table_json)],
-                                   tmp / "check-table.txt", True),
+            for k, name in enumerate(sides[0]["timed"]):
+                # the side that runs first alternates stage by stage and
+                # repeat by repeat
+                for side in sides if (rep + k) % 2 == 0 else sides[::-1]:
+                    stage_argv, out, stdout = side["timed"][name]
+                    if name == "lattice_cold_s":
+                        out.unlink(missing_ok=True)
+                    seconds, code = run_stage(side["root"], cpu, stage_argv,
+                                              out if stdout else None)
+                    if code:
+                        raise RuntimeError(f"{side['label']} {name}: exit "
+                                           f"status {code}")
+                    side["times"][name].append(seconds)
+                    digest = _sha256(out)
+                    if side["outputs"].setdefault(name, digest) != digest:
+                        raise RuntimeError(f"{side['label']} {name}: output "
+                                           f"differs between repeats")
+                    print(f"{side['label']} {name} run {rep + 1}: "
+                          f"{seconds:.2f} s", flush=True)
+        for side in sides:
+            for name, (check_argv, out, stdout) in side["untimed"].items():
+                _, code = run_stage(side["root"], cpu, check_argv,
+                                    out if stdout else None)
+                side["checks"][name] = {"exit": code,
+                                        "output_sha256": _sha256(out)}
+                print(f"{side['label']} {name}: exit {code}", flush=True)
+    date = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
+    for side in sides:
+        root = side["root"]
+        report = {
+            "label": side["label"],
+            "stages": {name: {"median_s": statistics.median(ts), "raw_s": ts,
+                              "output_sha256": side["outputs"][name]}
+                       for name, ts in side["times"].items()},
+            "checks": side["checks"],
+            "git_sha": _git(root, "rev-parse", "HEAD"),
+            "git_dirty": bool(_git(root, "status", "--porcelain",
+                                   "--untracked-files=no")),
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "nproc": os.cpu_count(),
+            "cpu_model": _cpu_model(),
+            "repeats": REPEATS,
+            "date": date,
         }
-        checks = {}
-        for name, (check_argv, out, stdout) in untimed.items():
-            _, code = run_stage(root, cpu, check_argv, out if stdout else None)
-            checks[name] = {"exit": code, "output_sha256": _sha256(out)}
-            print(f"{name}: exit {code}", flush=True)
-    report = {
-        "label": args.label,
-        "stages": {name: {"median_s": statistics.median(ts), "raw_s": ts,
-                          "output_sha256": outputs[name]}
-                   for name, ts in times.items()},
-        "checks": checks,
-        "git_sha": _git(root, "rev-parse", "HEAD"),
-        "git_dirty": bool(_git(root, "status", "--porcelain",
-                               "--untracked-files=no")),
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "nproc": os.cpu_count(),
-        "cpu_model": _cpu_model(),
-        "repeats": REPEATS,
-        "date": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-    }
-    path = HERE / "bench" / f"BENCH_{args.label}.json"
-    path.parent.mkdir(exist_ok=True)
-    path.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
-    print(f"-> {path}")
+        path = HERE / "bench" / f"BENCH_{side['label']}.json"
+        path.parent.mkdir(exist_ok=True)
+        path.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
+        print(f"-> {path}")
     return 0
 
 

@@ -64,9 +64,9 @@ class Fixture:
 
     @classmethod
     def load(cls, path) -> "Fixture":
-        """Read the CSV; a missing column, a cell that does not parse, a
-        row number out of 1..n order or a ``maximal`` entry that names no
-        row raises ValueError naming the path and the line."""
+        """Read the CSV; no rows, a missing column, a cell that does not
+        parse, a row number out of 1..n order or a ``maximal`` entry that
+        names no row raises ValueError naming the path (and the line)."""
         rows, line_of = [], []
         with open(path, newline="") as fh:
             reader = csv.DictReader(fh)
@@ -86,6 +86,8 @@ class Fixture:
                 rows.append(FixtureRow(**fields))
                 line_of.append(reader.line_num)
         n = len(rows)
+        if not n:
+            raise ValueError(f"{path}: the file has no rows")
         for pos, (f, line) in enumerate(zip(rows, line_of), 1):
             if f.row != pos:
                 raise ValueError(f"{path}: line {line}: row number {f.row} "

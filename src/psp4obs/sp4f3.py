@@ -3,8 +3,10 @@
 Conventions
 -----------
 Vectors in F3^4 are row vectors and matrices act on the right, so that the
-matrix product evaluates left-to-right like permutation composition.  The
-symplectic form is the antidiagonal one,
+matrix product evaluates left-to-right like permutation composition.  Both
+are integer numpy arrays reduced mod 3, and points and nonzero vectors are
+found by their base-3 key (the entries read as digits); permutations are
+tuples.  The symplectic form is the antidiagonal one,
 
     <x, y> = x1 y4 + x2 y3 - x3 y2 - x4 y1,
 
@@ -62,93 +64,61 @@ def _require(ok, what):
 
 
 # Gram matrix of the form <x,y> = x1 y4 + x2 y3 - x3 y2 - x4 y1
-J_FORM = ((0, 0, 0, 1),
-          (0, 0, 1, 0),
-          (0, 2, 0, 0),
-          (2, 0, 0, 0))
-
-
-# ---------------------------------------------------------------------------
-# arithmetic in F3
-
-
-def mat_mul3(a, b):
-    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(4)) % 3
-                       for j in range(4)) for i in range(4))
-
-
-def mat_transpose(a):
-    return tuple(tuple(a[j][i] for j in range(4)) for i in range(4))
-
-
-def mat_neg(a):
-    return tuple(tuple((-x) % 3 for x in row) for row in a)
-
-
-MAT_ID = tuple(tuple(int(i == j) for j in range(4)) for i in range(4))
-
-
-def vec_mul3(v, m):
-    return tuple(sum(v[i] * m[i][j] for i in range(4)) % 3 for j in range(4))
-
-
-def form(x, y):
-    return (x[0] * y[3] + x[1] * y[2] - x[2] * y[1] - x[3] * y[0]) % 3
+J_FORM = np.array([[0, 0, 0, 1],
+                   [0, 0, 1, 0],
+                   [0, 2, 0, 0],
+                   [2, 0, 0, 0]])
 
 
 def is_symplectic(m) -> bool:
-    mt = mat_transpose(m)
-    return mat_mul3(mat_mul3(m, J_FORM), mt) == J_FORM
+    return np.array_equal(m @ J_FORM @ m.T % 3, J_FORM)
 
 
 def transvection(v):
-    """Matrix of t_v : x |-> x + <x, v> v (row-action convention)."""
-    rows = []
-    for i in range(4):
-        e = tuple(int(k == i) for k in range(4))
-        c = form(e, v)
-        rows.append(tuple((e[j] + c * v[j]) % 3 for j in range(4)))
-    return tuple(rows)
+    """Matrix of t_v : x |-> x + <x, v> v (row-action convention): row i
+    is e_i + <e_i, v> v."""
+    return (np.identity(4, dtype=int) + np.outer(J_FORM @ v, v)) % 3
 
 
 # ---------------------------------------------------------------------------
 # vectors, points and subspaces
 
-ALL_VECS = [v for v in itertools.product(range(3), repeat=4)]
-NONZERO_VECS = [v for v in ALL_VECS if any(v)]
-VEC_INDEX = {v: i for i, v in enumerate(NONZERO_VECS)}
+# lexicographic order, so that nonzero vector i has base-3 key i + 1
+NONZERO_VECS = np.array(list(itertools.product(range(3), repeat=4)))[1:]
+_BASE3 = 3 ** np.arange(3, -1, -1)
 
-
-def normalize_point(v):
-    """The projective representative whose first nonzero entry is 1."""
-    lead = next(x for x in v if x)
-    scale = 1 if lead == 1 else 2
-    return tuple((scale * x) % 3 for x in v)
-
-
-POINTS = sorted({normalize_point(v) for v in NONZERO_VECS})
-POINT_INDEX = {v: i for i, v in enumerate(POINTS)}
+# the projective representatives, whose first nonzero entry is 1, ascending
+_LEADS = NONZERO_VECS[np.arange(80), (NONZERO_VECS != 0).argmax(axis=1)]
+POINTS = NONZERO_VECS[_LEADS == 1]
 _require(len(POINTS) == 40, "F3^4 must have 40 projective points")
+# _POINT_OF[key of v] is the index of the point <v>, and -1 for v = 0
+_POINT_OF = np.full(81, -1)
+_POINT_OF[POINTS @ _BASE3] = _POINT_OF[(2 * POINTS % 3) @ _BASE3] = \
+    np.arange(40)
+
+
+def point_index(vecs):
+    """The index of the point of each row of ``vecs``; -1 for a zero row."""
+    return _POINT_OF[np.asarray(vecs) % 3 @ _BASE3]
+
+
 # the basis points and (1, 1, 1, 1), whose images fix a matrix up to a scalar
-_FRAME = [POINT_INDEX[v] for v in (*MAT_ID, (1, 1, 1, 1))]
-
-
-def _span_points(v, w):
-    """The four points <v>, <w>, <v + w>, <v - w> of the plane spanned by
-    independent v, w, ascending."""
-    return tuple(sorted(
-        POINT_INDEX[normalize_point(tuple((a * x + b * y) % 3
-                                          for x, y in zip(v, w)))]
-        for a, b in ((1, 0), (0, 1), (1, 1), (1, 2))))
+_FRAME = point_index(np.vstack([np.identity(4, dtype=int), np.ones(4, int)]))
+# the row scalars up to a common sign: row 0 keeps 1, so a lift's first
+# nonzero entry is the 1 that leads the point of row 0
+_SCALINGS = np.array([(1, *s) for s in itertools.product((1, 2), repeat=3)])
 
 
 def _enumerate_planes():
-    """The 130 planes, each spanned once: two distinct points span a plane
-    of four, and a pair on a plane found already is skipped."""
+    """The 130 planes, each spanned once: two distinct points v, w span the
+    plane of the points <v>, <w>, <v + w> and <v - w>, and a pair on a
+    plane found already is skipped."""
+    combos = np.array([[1, 0], [0, 1], [1, 1], [1, 2]])
     planes, covered = [], set()
     for pair in itertools.combinations(range(40), 2):
         if pair not in covered:
-            key = _span_points(*(POINTS[i] for i in pair))
+            span = point_index(combos @ POINTS[list(pair)])
+            key = tuple(sorted(span.tolist()))
             planes.append(key)
             covered.update(itertools.combinations(key, 2))
     return sorted(planes)
@@ -159,7 +129,7 @@ _require(len(PLANES) == 130, "F3^4 must have 130 planes")
 
 
 # ORTHOGONAL[i, j]: <x, y> = 0 for points x, y (every point is isotropic)
-ORTHOGONAL = np.array(POINTS) @ np.array(J_FORM) @ np.array(POINTS).T % 3 == 0
+ORTHOGONAL = POINTS @ J_FORM @ POINTS.T % 3 == 0
 
 
 # each plane's perp, the points orthogonal to all of its points.  The form
@@ -181,11 +151,11 @@ PAIR_INDEX = {p: i for i, p in enumerate(PERP_PAIRS)}
 
 
 def vector_perm(m):
-    return tuple(VEC_INDEX[vec_mul3(v, m)] for v in NONZERO_VECS)
+    return tuple((NONZERO_VECS @ m % 3 @ _BASE3 - 1).tolist())
 
 
 def point_perm(m):
-    return tuple(POINT_INDEX[normalize_point(vec_mul3(v, m))] for v in POINTS)
+    return tuple(point_index(POINTS @ m).tolist())
 
 
 def _image_plane(plane, pperm):
@@ -252,26 +222,14 @@ class SymplecticModel:
         one that is not projective at all) raises ``ValueError``.
         """
         perm = tuple(perm)
-        *images, target = (POINTS[perm[i]] for i in _FRAME)
-        m = None
-        for scales in itertools.product((1, 2), repeat=4):
-            rows = tuple(tuple(c * x % 3 for x in v)
-                         for c, v in zip(scales, images))
-            total = tuple(sum(col) % 3 for col in zip(*rows))
-            if any(total) and normalize_point(total) == target:
-                m = rows
-                break
+        frame = np.array(perm)[_FRAME]
+        # candidate k has row i equal to image i times _SCALINGS[k, i]
+        candidates = _SCALINGS[:, :, None] * POINTS[frame[:4]] % 3
+        hits = np.flatnonzero(point_index(candidates.sum(1)) == frame[4])
+        m = candidates[hits[0]] if hits.size else None
         if m is None or not is_symplectic(m) or point_perm(m) != perm:
             raise ValueError("permutation is not induced by Sp4(3)")
-        return _canonical_sign(m)
-
-
-def _canonical_sign(m):
-    for row in m:
-        for x in row:
-            if x:
-                return m if x == 1 else mat_neg(m)
-    raise ValueError("zero matrix")
+        return m
 
 
 def build_sp4() -> SymplecticModel:
@@ -293,7 +251,8 @@ def build_sp4() -> SymplecticModel:
     point_gens = [point_perm(g) for g in gens]
     psp = PermGroup(point_gens, 40)
     _require(psp.order == PSP4_ORDER, "point action is not PSp4(3)")
-    _require(vector_perm(mat_neg(MAT_ID)) in group, "-1 is not in Sp4(3)")
+    _require(vector_perm(2 * np.identity(4, dtype=int)) in group,
+             "-1 is not in Sp4(3)")
     line = [line_perm_from_point_perm(p) for p in point_gens]
     pair = [pair_perm_from_point_perm(p) for p in point_gens]
     _require(PermGroup(line, 40).order == PSP4_ORDER
@@ -399,24 +358,25 @@ def _algebra_dimension(mats) -> int:
 
     Spinning: every new basis matrix is multiplied by each generator, and
     a product is kept when it is independent of the basis so far.  The
-    basis is an echelon form of the flattened matrices, each row with a
-    leading 1 at its pivot.
+    basis is a reduced echelon form of the flattened matrices: each row
+    has a 1 at its own pivot and 0 at the others, so one combination of
+    the rows reduces a product.
     """
-    echelon = {}  # pivot -> row
-    todo = [MAT_ID]
+    pivots, echelon = [], np.zeros((0, 16), dtype=int)
+    todo = [np.identity(4, dtype=int)]
     while todo:
         a = todo.pop()
-        v = [x for row in a for x in row]
-        for piv in sorted(echelon):
-            if v[piv]:
-                c = v[piv]
-                v = [(x - c * y) % 3 for x, y in zip(v, echelon[piv])]
-        piv = next((i for i, x in enumerate(v) if x), None)
-        if piv is None:
+        v = a.reshape(16)
+        v = (v - v[pivots] @ echelon) % 3
+        nonzero = np.flatnonzero(v)
+        if not nonzero.size:
             continue
-        echelon[piv] = [x * v[piv] % 3 for x in v]  # 1 and 2 are self-inverse
-        todo.extend(mat_mul3(a, m) for m in mats)
-    return len(echelon)
+        piv = nonzero[0]
+        v = v * v[piv] % 3
+        echelon = np.vstack([(echelon - np.outer(echelon[:, piv], v)) % 3, v])
+        pivots.append(piv)
+        todo.extend(a @ m % 3 for m in mats)
+    return len(pivots)
 
 
 def is_absolutely_irreducible(model: SymplecticModel, generators) -> bool:

@@ -257,7 +257,8 @@ def render_json(rows) -> str:
 
 def load_table_json(path) -> list:
     """Importer for :func:`render_json` output; round-trips losslessly.
-    Class ids must run 1..n in order and every ``maximal`` id name a row."""
+    There must be rows, class ids must run 1..n in order and every
+    ``maximal`` id name a row."""
     rows = []
     where = "top level"
     try:
@@ -266,7 +267,9 @@ def load_table_json(path) -> list:
         if checked(doc, dict, "the file").get("format") != TABLE_FORMAT_TAG:
             raise ValueError(f"unrecognised table format: "
                              f"{doc.get('format')!r}")
-        for d in checked(doc["rows"], list, "rows"):
+        if not checked(doc["rows"], list, "rows"):
+            raise ValueError("rows is empty")
+        for d in doc["rows"]:
             where = f"row {len(rows) + 1}"
             d = checked(d, dict, "the row")
             h1 = [None if d[k] is None else int_list(d[k], k)

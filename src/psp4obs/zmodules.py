@@ -338,9 +338,11 @@ def load_module(path, group: PermGroup) -> GIntModule:
     """
     lines, fields = _read_lines(path, "gmodule", ("rank", "gens"))
     rank, ngens = fields["rank"], fields["gens"]
+    if rank < 1:
+        raise ValueError(f"{path}: line 1: rank {rank} is not positive")
     if ngens != len(group.generators):
-        raise ValueError(f"file has {ngens} matrices but the group has "
-                         f"{len(group.generators)} generators")
+        raise ValueError(f"{path}: line 1: file has {ngens} matrices but "
+                         f"the group has {len(group.generators)} generators")
     mats = []
     pos = 1
     for i in range(ngens):
@@ -354,8 +356,11 @@ def load_module(path, group: PermGroup) -> GIntModule:
         raise ValueError(f"{path}: line {extra[0] + 1}: text after the last "
                          f"matrix")
     module = GIntModule(group, tuple(mats), rank)
-    module.validate()
-    check_character(module)
+    try:
+        module.validate()
+        check_character(module)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     return module
 
 

@@ -40,6 +40,9 @@ ones:
   hyperplanes and measures the commutant, where
   :func:`psp4obs.sp4f3.is_absolutely_irreducible` measures the span of the
   matrices (Burnside's theorem);
+* ``lift_to_sp`` tries the 16 scalings of a frame one at a time, and it,
+  ``preimage`` and the subspace searches multiply F3 matrices as tuples
+  of tuples, where :mod:`psp4obs.sp4f3` multiplies numpy arrays;
 * ``brute_subgroups``, ``brute_perm_characters`` and ``snf_order`` find a
   Burnside-cokernel order from every subgroup of a small group and
   sympy's Smith normal form, where :mod:`psp4obs.burnside` uses the
@@ -57,6 +60,7 @@ ones:
 """
 
 from collections import Counter, deque
+from itertools import product
 from math import prod
 
 import numpy as np
@@ -371,22 +375,88 @@ def inverse_transposes(mats) -> list:
             for m in mats]
 
 
-# -- absolute irreducibility on F3^4, the long way round ------------------
+# -- F3^4 on tuples of tuples, the long way round --------------------------
+
+
+MAT_ID = tuple(tuple(int(i == j) for j in range(4)) for i in range(4))
+MINUS_ONE = tuple(tuple(2 * x for x in row) for row in MAT_ID)
+J_FORM = ((0, 0, 0, 1), (0, 0, 1, 0), (0, 2, 0, 0), (2, 0, 0, 0))
+
+
+def as_tuples(m):
+    """A 4 x 4 matrix, array or nested sequence, as hashable tuples."""
+    return tuple(tuple(int(x) % 3 for x in row) for row in m)
+
+
+def mat_mul3(a, b):
+    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(4)) % 3
+                       for j in range(4)) for i in range(4))
+
+
+def mat_transpose(a):
+    return tuple(tuple(a[j][i] for j in range(4)) for i in range(4))
+
+
+def vec_mul3(v, m):
+    return tuple(sum(v[i] * m[i][j] for i in range(4)) % 3 for j in range(4))
+
+
+def normalize_point(v):
+    """The projective representative whose first nonzero entry is 1."""
+    lead = next(x for x in v if x)
+    return tuple(lead * x % 3 for x in v)  # 1 and 2 are self-inverse
+
+
+def tuple_points():
+    """The 40 points of :data:`psp4obs.sp4f3.POINTS` as tuples, with each
+    point's index."""
+    points = [tuple(p) for p in sp4f3.POINTS.tolist()]
+    return points, {v: i for i, v in enumerate(points)}
+
+
+def lift_to_sp(perm):
+    """:meth:`psp4obs.sp4f3.SymplecticModel.lift_to_sp` on tuples: the 16
+    scalings of the frame's images tried one at a time, the first whose
+    rows sum onto the image of (1, 1, 1, 1) kept, then made symplectic,
+    checked against ``perm`` and signed so that its first nonzero entry is
+    1.  ``ValueError`` where no scaling works or the checks fail."""
+    points, index = tuple_points()
+    perm = tuple(perm)
+    *images, target = (points[perm[index[v]]]
+                       for v in (*MAT_ID, (1, 1, 1, 1)))
+    for scales in product((1, 2), repeat=4):
+        m = tuple(tuple(c * x % 3 for x in v) for c, v in zip(scales, images))
+        total = tuple(sum(col) % 3 for col in zip(*m))
+        if any(total) and normalize_point(total) == target:
+            break
+    else:
+        raise ValueError("no scaling of the frame fits")
+    if (mat_mul3(mat_mul3(m, J_FORM), mat_transpose(m)) != J_FORM
+            or tuple(index[normalize_point(vec_mul3(v, m))]
+                     for v in points) != perm):
+        raise ValueError("permutation is not induced by Sp4(3)")
+    lead = next(x for row in m for x in row if x)
+    return tuple(tuple(lead * x % 3 for x in row) for row in m)
+
+
+def preimage(lifts):
+    """Every element of the group that -1 and ``lifts`` generate in
+    Sp4(3), as tuples."""
+    return closure([MINUS_ONE] + [as_tuples(m) for m in lifts], mat_mul3,
+                   MAT_ID)
 
 
 def invariant_line_exists(mats):
-    for v in sp4f3.POINTS:
-        if all(sp4f3.normalize_point(sp4f3.vec_mul3(v, m)) == v
-               for m in mats):
-            return True
-    return False
+    points, _ = tuple_points()
+    return any(all(normalize_point(vec_mul3(v, m)) == v for m in mats)
+               for v in points)
 
 
 def invariant_plane_exists(mats):
+    points, index = tuple_points()
     for plane in sp4f3.PLANES:
-        base = [sp4f3.POINTS[plane[0]], sp4f3.POINTS[plane[1]]]
-        if all(sp4f3.POINT_INDEX[sp4f3.normalize_point(
-                   sp4f3.vec_mul3(v, m))] in plane
+        base = [points[plane[0]], points[plane[1]]]
+        if all(index[normalize_point(vec_mul3(v, m))] in plane
                for m in mats for v in base):
             return True
     return False
@@ -430,11 +500,12 @@ def subspace_irreducible(mats) -> bool:
     """Irreducible over F3 (no invariant line, plane or hyperplane) with a
     one-dimensional commutant, which together mean absolutely irreducible.
     """
+    mats = [as_tuples(m) for m in mats]
     if invariant_line_exists(mats) or invariant_plane_exists(mats):
         return False
     # the hyperplane {x : x c = 0} is invariant under M exactly when the
     # line of c^T is invariant under M^T
-    if invariant_line_exists([sp4f3.mat_transpose(m) for m in mats]):
+    if invariant_line_exists([mat_transpose(m) for m in mats]):
         return False
     return endomorphism_dimension(mats) == 1
 

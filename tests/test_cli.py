@@ -335,8 +335,9 @@ class TestTableCheck:
          "id 999 is not in 1..116"),
         (lambda doc: doc["rows"][6].update(class_id=6), "row 7: class_id 6 "
          "should be 7: ids run 1..n in order"),
+        (lambda doc: doc.update(rows=[]), "top level: rows is empty"),
     ], ids=["rows-5", "row-list", "maximal-null", "not-json", "maximal-999",
-            "class-id-repeated"])
+            "class-id-repeated", "no-rows"])
     def test_bad_table_file_is_one_error_line(self, lattice_path, tmp_path,
                                               capsys, edit, message):
         path = tmp_path / "table.json"
@@ -369,7 +370,10 @@ class TestBadFixture:
          + lines[3:], "line 3: maximal row 999 is not in 1..116"),
         (lambda lines: lines[:5] + ["4" + lines[5][1:]] + lines[6:],
          "line 6: row number 4 should be 5: rows run 1..116 in order"),
-    ], ids=["truncated", "without-burnside", "maximal-999", "row-repeated"])
+        (lambda lines: [], "the file has no rows"),
+        (lambda lines: lines[:1], "the file has no rows"),
+    ], ids=["truncated", "without-burnside", "maximal-999", "row-repeated",
+            "empty", "header-only"])
     def test_one_error_line(self, lattice_path, tmp_path, capsys, edit,
                             message):
         shipped = table.default_fixture_path().read_text()
@@ -415,7 +419,17 @@ class TestModuleVerify:
         # the shipped file has 311 lines: a header, then 5 matrices of 62
         (lambda lines: lines + ["0 0\n"], "line 312: text after the last "
          "matrix"),
-    ], ids=["0", "62", "entry-2-63", "trailing-line"])
+        (lambda lines: ["gmodule rank=2 gens=2\n"] + lines[1:],
+         "line 1: file has 2 matrices but the group has 5 generators"),
+        (lambda lines: ["gmodule rank=0 gens=5\n"] + lines[1:],
+         "line 1: rank 0 is not positive"),
+        # the first entry of the first matrix raised by 1
+        (lambda lines: lines[:2] + [str(int(lines[2].split()[0]) + 1)
+                                    + lines[2][lines[2].index(" "):]]
+         + lines[3:], "generator 0 has order 3, but its matrix to that "
+         "power is not 1"),
+    ], ids=["0", "62", "entry-2-63", "trailing-line", "gens-2", "rank-0",
+            "entry-plus-1"])
     def test_cut_module_file_is_one_error_line(self, lattice_path, tmp_path,
                                                capsys, edit, message):
         """A cut module file, and one with a bad entry or extra text."""

@@ -89,13 +89,14 @@ class TestConstruction:
         # lifting a product lands on the product up to sign
         a, b = model.psp.generators[:2]
         ab = pmul(a, b)
-        lifted = sp4f3.mat_mul3(model.lift_to_sp(a), model.lift_to_sp(b))
-        assert lifted in (model.lift_to_sp(ab),
-                          sp4f3.mat_neg(model.lift_to_sp(ab)))
+        lifted = model.lift_to_sp(a) @ model.lift_to_sp(b) % 3
+        want = model.lift_to_sp(ab)
+        assert (np.array_equal(lifted, want)
+                or np.array_equal(lifted, 2 * want % 3))
 
     def test_lift_rejects_the_similitude(self, model):
         # diag(1, 1, 2, 2) doubles the form: it lies in PGSp4(3), not PSp4(3)
-        sim = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 2, 0), (0, 0, 0, 2))
+        sim = np.diag([1, 1, 2, 2])
         perm = sp4f3.point_perm(sim)
         assert sorted(perm) == list(range(40)) and perm not in model.psp
         with pytest.raises(ValueError):
@@ -114,7 +115,7 @@ class TestConstruction:
         for basis, image in (((0, 0, 1, 0), (1, 1, 0, 0)),
                              ((0, 0, 0, 1), (1, 1, 1, 0))):
             perm = list(range(40))
-            i, j = sp4f3.POINT_INDEX[basis], sp4f3.POINT_INDEX[image]
+            i, j = sp4f3.point_index([basis, image])
             perm[i], perm[j] = j, i
             with pytest.raises(ValueError):
                 model.lift_to_sp(perm)
@@ -202,6 +203,8 @@ class TestChi24:
         assert pic.inner(one, sizes, sp4f3.PSP4_ORDER) == 2
 
 
+# the largest class order whose preimage the oracle spans by closure
+SMALL_PREIMAGE = 192
 # F3-dimension of the span of each disputed class's Sp4(3) preimage
 SPAN_DIMS = {43: 8, 46: 16, 77: 16, 81: 6}
 
@@ -232,23 +235,34 @@ class TestAbsoluteIrreducibility:
         for sub in subs:
             if sub.order > 400:
                 continue
-            gens = [sp4f3.mat_neg(sp4f3.MAT_ID)] + [
-                model.lift_to_sp(g) for g in sub.generators]
-            mats = oracles.closure(gens, sp4f3.mat_mul3, sp4f3.MAT_ID)
+            mats = oracles.preimage(
+                [model.lift_to_sp(g) for g in sub.generators])
             flat = np.array([np.array(m).reshape(16) for m in mats]) % 3
             spans = oracles.rank_mod3(flat) == 16
             assert sp4f3.is_absolutely_irreducible(model, sub.generators) == spans
 
     def test_agrees_with_the_subspace_oracle(self, model, lattice):
         # no invariant line, plane or hyperplane and a one-dimensional
-        # commutant, on every class of the lattice
-        flags = []
+        # commutant, on every class of the lattice; every generator lifts
+        # as on tuples, and where the preimage is small its span has the
+        # dimension the spin finds
+        flags, lifted, spanned = [], 0, 0
         for info in lattice.classes:
             mats = [model.lift_to_sp(g) for g in info.generators]
+            for g, m in zip(info.generators, mats):
+                assert sp4f3.point_perm(m) == tuple(g)
+                assert oracles.as_tuples(m) == oracles.lift_to_sp(g)
+            lifted += len(mats)
+            if info.order <= SMALL_PREIMAGE:
+                flat = [sum(m, ()) for m in oracles.preimage(mats)]
+                assert sp4f3._algebra_dimension(mats) == \
+                    oracles.rank_mod3(flat), info.class_id
+                spanned += 1
             irred = sp4f3.is_absolutely_irreducible(model, info.generators)
             assert oracles.subspace_irreducible(mats) == irred, info.class_id
             flags.append(irred)
         assert len(flags) == 116 and 0 < sum(flags) < 116
+        assert lifted == 406 and spanned == 105
 
     @pytest.mark.parametrize("class_id, dim", [
         (c, SPAN_DIMS[c]) for c, col in table.DISPUTED_CELLS
@@ -259,8 +273,7 @@ class TestAbsoluteIrreducibility:
         info = lattice.classes[class_id - 1]
         assert info.class_id == class_id
         lifts = [model.lift_to_sp(g) for g in info.generators]
-        preimage = oracles.closure([sp4f3.mat_neg(sp4f3.MAT_ID)] + lifts,
-                                   sp4f3.mat_mul3, sp4f3.MAT_ID)
+        preimage = oracles.preimage(lifts)
         assert len(preimage) == 2 * info.order
         flat = np.array([np.array(m).reshape(16) for m in preimage])
         assert oracles.rank_mod3(flat) == dim
