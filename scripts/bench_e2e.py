@@ -20,15 +20,17 @@ Each stage runs three times.  Given two checkouts (a ``--label`` and a
 side is followed by the same run on the other, and the side that goes
 first alternates from one stage and one repeat to the next, so a drift of
 the machine's speed falls on both sides alike.  Then, untimed and once
-each, ``table compute --format json`` with and without the module, and
-``table check`` on the lattice with the module and on the JSON table with
-the module columns, record the sha256 of their output and their exit
-status (the check exits 1 while the computed table and the fixture differ
-in some cell).  ``bench/BENCH_<label>.json``, one per checkout, holds the
-median and every raw wall time of each stage, the sha256 of each stage's
-and each check's output file (equal hashes mean byte-identical output),
-the git sha of the checkout and whether its tree had uncommitted changes,
-and the Python and numpy versions, the CPU model and nproc.
+each, ``table compute --format json`` with and without the module,
+``table compute --format markdown`` without it, ``table check`` on the
+lattice with the module and on the JSON table with the module columns,
+and ``table check --structural`` on that JSON table, record the sha256 of
+their output and their exit status (a full check exits 1 while the
+computed table and the fixture differ in some cell).
+``bench/BENCH_<label>.json``, one per checkout, holds the median and
+every raw wall time of each stage, the sha256 of each stage's and each
+check's output file (equal hashes mean byte-identical output), the git
+sha of the checkout and whether its tree had uncommitted changes, and the
+Python and numpy versions, the CPU model and nproc.
 """
 
 import argparse
@@ -115,11 +117,18 @@ def _stages(tmp):
         "table_module_json": (["table", "compute", "--lattice", lattice,
                                "--module", module, "--format", "json",
                                "--out", str(table_json)], table_json, False),
+        "table_markdown": (["table", "compute", "--lattice", lattice,
+                            "--format", "markdown",
+                            "--out", str(tmp / "table.md")],
+                           tmp / "table.md", False),
         "check_lattice_module": (["table", "check", "--lattice", lattice,
                                   "--module", module],
                                  tmp / "check-lattice.txt", True),
         "check_table_module": (["table", "check", "--table", str(table_json)],
                                tmp / "check-table.txt", True),
+        "check_table_structural": (["table", "check", "--table",
+                                    str(table_json), "--structural"],
+                                   tmp / "check-structural.txt", True),
     }
     return timed, untimed
 

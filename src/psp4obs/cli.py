@@ -103,12 +103,11 @@ def _computed_rows(args) -> list:
 def cmd_table_compute(args) -> int:
     rows = _computed_rows(args)
     table.emit(rows, args.format, args.out)
-    nontrivial = sum(1 for r in rows if r.burnside_order > 1)
+    nontrivial = sum(1 for r in rows if r.burnside > 1)
     print(f"{len(rows)} rows -> {args.out} [{args.format}]")
     print(f"burnside-nontrivial classes: {nontrivial}")
-    if rows[0].lcm_obstruction is not None:
-        false_count = sum(1 for r in rows
-                          if r.not_rational_verdict is False)
+    if rows[0].lcm is not None:
+        false_count = sum(1 for r in rows if r.not_rational is False)
         print(f"classes with no obstruction: {false_count}")
     return 0
 

@@ -5,7 +5,9 @@ uses a tool-specific row order, so :func:`compare_fixture` matches rows
 by invariants, refined through the maximal-subgroup structure; rows that
 no recorded column can tell apart are reported as ambiguity groups
 rather than forced into an arbitrary bijection.  Computed rows are any
-objects with the fields of :class:`psp4obs.table.TableRow`.
+objects with the fields of :class:`psp4obs.table.TableRow`, which names
+its columns as :class:`FixtureRow` does, so the matcher reads and
+reports both sides through the same attributes.
 
 The module imports nothing else from the package, so a kept
 :class:`Fixture` or :class:`MatchReport` holds on to this module alone.
@@ -180,34 +182,19 @@ def _refine_colors(key_of, partners):
     raise RuntimeError("color refinement failed to stabilise")
 
 
-def _describe_computed(row) -> str:
-    return (f"class {row.class_id}: order {row.order}, "
-            f"B={row.burnside_order}, lcm={row.lcm_obstruction}, "
-            f"irred={row.absolutely_irreducible}, h1_m={row.h1_m}, "
-            f"h1_md={row.h1_mdual}, maximal={list(row.maximal)}")
-
-
-def _describe_fixture(row: FixtureRow) -> str:
-    return (f"fixture row {row.row}: order {row.order}, label "
-            f"{row.label!r}, B={row.burnside}, lcm={row.lcm}, "
-            f"irred={row.irred}, h1_m={row.h1_m}, h1_md={row.h1_md}, "
+def _describe(row) -> str:
+    head = (f"fixture row {row.row}: order {row.order}, label {row.label!r}"
+            if isinstance(row, FixtureRow)
+            else f"class {row.class_id}: order {row.order}")
+    return (f"{head}, B={row.burnside}, lcm={row.lcm}, irred={row.irred}, "
+            f"h1_m={row.h1_m}, h1_md={row.h1_md}, "
             f"maximal={list(row.maximal)}")
 
 
-def _column_values(row, with_module):
-    vals = [("burnside", row.burnside_order),
-            ("irred", row.absolutely_irreducible)]
-    if with_module:
-        vals += [("lcm", row.lcm_obstruction), ("h1_m", row.h1_m),
-                 ("h1_md", row.h1_mdual)]
-    return vals
-
-
-def _fixture_values(f: FixtureRow, with_module):
-    vals = [("burnside", f.burnside), ("irred", f.irred)]
-    if with_module:
-        vals += [("lcm", f.lcm), ("h1_m", f.h1_m), ("h1_md", f.h1_md)]
-    return vals
+def _values(row, with_module):
+    names = ("burnside", "irred") + (("lcm", "h1_m", "h1_md")
+                                     if with_module else ())
+    return [(name, getattr(row, name)) for name in names]
 
 
 def compare_fixture(rows, fixture: Fixture,
@@ -231,62 +218,49 @@ def compare_fixture(rows, fixture: Fixture,
     """
     with_module = (not structural_only
                    and all(r.h1_m is not None for r in rows))
-    by_id = {r.class_id: r for r in rows}
-    by_row = fixture._by_row
-
-    def base_c(r):
-        return (r.order, tuple(sorted(by_id[j].order for j in r.maximal)))
-
-    def base_f(f: FixtureRow):
-        return (f.order, tuple(sorted(by_row[j].order for j in f.maximal)))
-
     # disjoint node names: computed ids tagged "c", fixture rows "f"
-    key_of = {("c", r.class_id): base_c(r) for r in rows}
-    key_of.update({("f", f.row): base_f(f) for f in fixture.rows})
-    partners = {node: [] for node in key_of}
-    for r in rows:
-        for j in r.maximal:
-            partners[("c", r.class_id)].append(("dn", ("c", j)))
-            partners[("c", j)].append(("up", ("c", r.class_id)))
-    for f in fixture.rows:
-        for j in f.maximal:
-            partners[("f", f.row)].append(("dn", ("f", j)))
-            partners[("f", j)].append(("up", ("f", f.row)))
+    nodes = {("c", r.class_id): r for r in rows}
+    nodes.update({("f", f.row): f for f in fixture.rows})
+    key_of, partners = {}, {node: [] for node in nodes}
+    for node, row in nodes.items():
+        below = [(node[0], j) for j in row.maximal]
+        key_of[node] = (row.order,
+                        tuple(sorted(nodes[b].order for b in below)))
+        for b in below:
+            partners[node].append(("dn", b))
+            partners[b].append(("up", node))
     _refine_colors(key_of, partners)
 
+    # per color, the computed ids and the fixture rows in input order
     groups = defaultdict(lambda: ([], []))
-    for r in rows:
-        groups[key_of[("c", r.class_id)]][0].append(r.class_id)
-    for f in fixture.rows:
-        groups[key_of[("f", f.row)]][1].append(f.row)
+    for side, number in nodes:
+        groups[key_of[side, number]][side == "f"].append(number)
 
     assignments, ambiguity, mismatches = {}, [], []
     for color in sorted(groups, key=repr):
         cids, fids = groups[color]
         if len(cids) != len(fids):
-            for c in cids:
-                mismatches.append("unmatched " + _describe_computed(by_id[c]))
-            for f in fids:
-                mismatches.append("unmatched " + _describe_fixture(by_row[f]))
+            mismatches += ["unmatched " + _describe(nodes[side, n])
+                           for side, ns in zip("cf", (cids, fids))
+                           for n in ns]
         elif len(cids) == 1:
             assignments[cids[0]] = fids[0]
         else:
             ambiguity.append((tuple(sorted(cids)), tuple(sorted(fids))))
 
     if not structural_only:
-        for cid in sorted(assignments):
-            frow = assignments[cid]
-            have = _column_values(by_id[cid], with_module)
-            want = _fixture_values(by_row[frow], with_module)
+        for cid, frow in sorted(assignments.items()):
+            have = _values(nodes["c", cid], with_module)
+            want = _values(nodes["f", frow], with_module)
             for (name, got), (_, expected) in zip(have, want):
                 if got != expected:
                     mismatches.append(
                         f"class {cid} ~ fixture row {frow}: {name} "
                         f"{got!r} != {expected!r}")
         for cids, fids in ambiguity:
-            have = sorted(repr(_column_values(by_id[c], with_module))
+            have = sorted(repr(_values(nodes["c", c], with_module))
                           for c in cids)
-            want = sorted(repr(_fixture_values(by_row[f], with_module))
+            want = sorted(repr(_values(nodes["f", f], with_module))
                           for f in fids)
             if have != want:
                 mismatches.append(

@@ -188,7 +188,6 @@ class SymplecticModel:
     :func:`line_perm_from_point_perm` or :func:`pair_perm_from_point_perm`.
     """
 
-    gen_matrices: list
     psp: PermGroup            # canonical PSp4(3): action on projective points
     vector_gens: list         # the generators on the 80 nonzero vectors
     line_gens: list           # ... on the isotropic lines
@@ -258,7 +257,7 @@ def build_sp4() -> SymplecticModel:
     _require(PermGroup(line, 40).order == PSP4_ORDER
              and PermGroup(pair, 45).order == PSP4_ORDER,
              "line or pair action is not PSp4(3)")
-    return SymplecticModel(gens, psp, list(group.generators), line, pair)
+    return SymplecticModel(psp, list(group.generators), line, pair)
 
 
 @cache
@@ -313,7 +312,7 @@ class ClassFunction:
         return s / group_order
 
 
-def chi24(model: SymplecticModel, perm) -> int:
+def chi24(perm) -> int:
     """Value of the degree-24 irreducible character at a point permutation."""
     b = _projector_numerator()
     perm = np.asarray(perm, dtype=np.int64)
@@ -325,7 +324,7 @@ def chi24(model: SymplecticModel, perm) -> int:
 
 def chi24_classfunction(model: SymplecticModel) -> ClassFunction:
     reps = [rep for rep, _ in model.psp.conjugacy_classes()]
-    return ClassFunction(tuple(chi24(model, r) for r in reps))
+    return ClassFunction(tuple(chi24(r) for r in reps))
 
 
 def fixed_points(perm) -> int:
@@ -338,7 +337,7 @@ def perm_classfunction(model: SymplecticModel, transport) -> ClassFunction:
     return ClassFunction(tuple(fixed_points(transport(r)) for r in reps))
 
 
-def picard_character_at(model: SymplecticModel, perm) -> int:
+def picard_character_at(perm) -> int:
     """Value of pi_40 + pi_45 - chi_24 at a point permutation.
 
     This is the character of the rank-61 module cut out of the direct sum
@@ -346,7 +345,7 @@ def picard_character_at(model: SymplecticModel, perm) -> int:
     must match it classwise.
     """
     return (fixed_points(perm) + fixed_points(pair_perm_from_point_perm(perm))
-            - chi24(model, perm))
+            - chi24(perm))
 
 
 # ---------------------------------------------------------------------------

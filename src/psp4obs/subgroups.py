@@ -539,15 +539,21 @@ class SubgroupLattice:
                 if len(g) != ambient.degree or g not in ambient:
                     raise ValueError(f"{path}: class {pos}: generator {i} "
                                      f"is not in the ambient group")
-        # each element generates exactly one cyclic subgroup
-        cyclic = sum(ambient.order // c.normalizer_order
-                     * prod(p ** (a - 1) * (p - 1)
-                            for p, a in prime_powers(c.order))
-                     for c in classes if c.order == 1
-                     or c.fingerprint.abelianization == (c.order,))
-        if cyclic != ambient.order:
-            raise ValueError(f"{path}: the cyclic classes count {cyclic} "
+        # each element generates exactly one cyclic subgroup, so every
+        # ambient class meets the cyclic classes
+        cyclic = [c for c in classes if c.order == 1
+                  or c.fingerprint.abelianization == (c.order,)]
+        count = sum(ambient.order // c.normalizer_order
+                    * prod(p ** (a - 1) * (p - 1)
+                           for p, a in prime_powers(c.order))
+                    for c in cyclic)
+        if count != ambient.order:
+            raise ValueError(f"{path}: the cyclic classes count {count} "
                              f"elements, not {ambient.order}")
+        met = len(set().union(*(c.elem_fusion for c in cyclic)))
+        if met != k:
+            raise ValueError(f"{path}: the cyclic classes meet only {met} "
+                             f"of {k} ambient classes")
         return cls(ambient, classes)
 
 

@@ -16,8 +16,9 @@ of PSp4(3) the table records
 A Burnside order > 1 or an lcm > 1 certifies that the quotient variety
 twisted by H is not rational, and the lcm divides the degree of any
 rational cover.  Rows follow the canonical class ids of
-:mod:`psp4obs.subgroups`.  The bundled reference table and the matching
-of rows to it live in :mod:`psp4obs.fixture`; its names are re-exported
+:mod:`psp4obs.subgroups`, and the renderers read them by the names in
+:data:`TABLE_COLUMNS`.  The bundled reference table and the matching of
+rows to it live in :mod:`psp4obs.fixture`; its names are re-exported
 here.
 """
 
@@ -51,40 +52,41 @@ TABLE_COLUMNS = ("class_id", "order", "fingerprint", "burnside", "lcm",
 
 @dataclass(frozen=True)
 class TableRow:
-    """One subgroup class with its obstruction data.
+    """One subgroup class with its obstruction data; the fields and the
+    two properties are the columns of :data:`TABLE_COLUMNS`, in order.
 
-    ``lcm_obstruction``, ``h1_m`` and ``h1_mdual`` are ``None`` when no
-    module file was supplied; ``h1_m``/``h1_mdual`` otherwise hold the
-    invariant-factor chains of the (finite) cohomology groups.
+    ``lcm``, ``h1_m`` and ``h1_md`` are ``None`` when no module file was
+    supplied; ``h1_m``/``h1_md`` otherwise hold the invariant-factor
+    chains of H^1(H, M) and H^1(H, M^dual).
     """
 
     class_id: int
     order: int
     fingerprint: Fingerprint
-    burnside_order: int
-    lcm_obstruction: int | None
-    h1_m: tuple | None
-    h1_mdual: tuple | None
-    absolutely_irreducible: bool
+    burnside: int
+    lcm: int | None
+    irred: bool
     maximal: tuple
+    h1_m: tuple | None
+    h1_md: tuple | None
 
     @property
-    def not_rational_verdict(self) -> bool | None:
+    def not_rational(self) -> bool | None:
         """True when an obstruction is nonzero; None while undecidable.
 
         Without module data a trivial Burnside order leaves the lcm
         obstruction unknown, so no verdict is possible.
         """
-        if self.burnside_order > 1:
+        if self.burnside > 1:
             return True
-        if self.lcm_obstruction is None:
+        if self.lcm is None:
             return None
-        return self.lcm_obstruction > 1
+        return self.lcm > 1
 
     @property
-    def min_cover_degree_bound(self) -> int | None:
+    def cover_bound(self) -> int | None:
         """Any rational cover has degree divisible by this bound."""
-        return self.lcm_obstruction
+        return self.lcm
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +120,7 @@ def _h1_all(config: TableConfig) -> dict:
     return out
 
 
-def chi24_on_ambient_classes(lattice: SubgroupLattice, model) -> list:
+def chi24_on_ambient_classes(lattice: SubgroupLattice) -> list:
     """chi24 on the ambient classes that ``elem_fusion`` indexes, read
     off the class representatives of the smallest lattice classes (every
     ambient class meets a cyclic subgroup), with no ambient element table.
@@ -131,7 +133,7 @@ def chi24_on_ambient_classes(lattice: SubgroupLattice, model) -> list:
         rep = PermGroup(info.generators, lattice.ambient.degree)
         for (x, _), j in zip(rep.conjugacy_classes(), info.elem_fusion,
                              strict=True):
-            values.setdefault(j, sp4f3.chi24(model, x))
+            values.setdefault(j, sp4f3.chi24(x))
     if len(values) < count:
         raise RuntimeError(f"the proper lattice classes meet only "
                            f"{len(values)} of {count} ambient classes")
@@ -150,7 +152,7 @@ def compute_table(config: TableConfig) -> list:
     lattice = config.lattice
     model = sp4f3.standard_model()
     check_ambient(lattice, model)
-    chi = chi24_on_ambient_classes(lattice, model)
+    chi = chi24_on_ambient_classes(lattice)
     h1 = _h1_all(config) if config.module is not None else None
     rows = []
     for info in sorted(lattice.classes, key=lambda c: c.class_id):
@@ -161,30 +163,24 @@ def compute_table(config: TableConfig) -> list:
             lcm_val = h1_m = h1_md = None
         else:
             h1_m, h1_md = (g.torsion for g in h1[info.class_id])
-            lcm_val = 1
-            for p in info.own_gclass:
-                lcm_val = lcm(lcm_val, h1[p][0].exponent(),
-                              h1[p][1].exponent())
+            lcm_val = lcm(*(g.exponent() for p in info.own_gclass
+                            for g in h1[p]))
         rows.append(TableRow(
             class_id=info.class_id,
             order=info.order,
             fingerprint=info.fingerprint,
-            burnside_order=b,
-            lcm_obstruction=lcm_val,
-            h1_m=h1_m,
-            h1_mdual=h1_md,
-            absolutely_irreducible=irred,
+            burnside=b,
+            lcm=lcm_val,
+            irred=irred,
             maximal=info.maximal,
+            h1_m=h1_m,
+            h1_md=h1_md,
         ))
     return rows
 
 
 # ---------------------------------------------------------------------------
 # emission
-
-# cell conventions shared by the csv and markdown renderers: "-" marks
-# fields that need module data when none was supplied; an empty cell is a
-# trivial group / empty list; h1 and maximal lists are space-separated.
 
 
 def _fingerprint_str(fp: Fingerprint) -> str:
@@ -193,27 +189,23 @@ def _fingerprint_str(fp: Fingerprint) -> str:
             f"dl={fp.derived_length};nil={'y' if fp.nilpotent else 'n'}")
 
 
-def _opt(value) -> str:
-    return "-" if value is None else str(value)
-
-
-def _seq(values) -> str:
-    return "-" if values is None else " ".join(str(v) for v in values)
-
-
-def _flag(value) -> str:
-    return "-" if value is None else ("yes" if value else "no")
+def _cell(value) -> str:
+    """A csv or markdown cell: "-" marks a column that needs module data
+    when none was supplied; an empty tuple (a trivial group, no maximal
+    classes) is an empty cell, and any other tuple is space-separated."""
+    if value is None:
+        return "-"
+    if isinstance(value, bool):
+        return "yes" if value else "no"
+    if isinstance(value, tuple):
+        return " ".join(str(v) for v in value)
+    if isinstance(value, Fingerprint):
+        return _fingerprint_str(value)
+    return str(value)
 
 
 def _cells(row: TableRow) -> list:
-    return [str(row.class_id), str(row.order),
-            _fingerprint_str(row.fingerprint), str(row.burnside_order),
-            _opt(row.lcm_obstruction),
-            "yes" if row.absolutely_irreducible else "no",
-            " ".join(str(j) for j in row.maximal),
-            _seq(row.h1_m), _seq(row.h1_mdual),
-            _flag(row.not_rational_verdict),
-            _opt(row.min_cover_degree_bound)]
+    return [_cell(getattr(row, name)) for name in TABLE_COLUMNS]
 
 
 def render_csv(rows) -> str:
@@ -234,19 +226,9 @@ def render_markdown(rows) -> str:
 
 
 def _row_to_json(row: TableRow) -> dict:
-    return {
-        "class_id": row.class_id,
-        "order": row.order,
-        "fingerprint": row.fingerprint.to_json(),
-        "burnside": row.burnside_order,
-        "lcm": row.lcm_obstruction,
-        "irred": row.absolutely_irreducible,
-        "maximal": list(row.maximal),
-        "h1_m": None if row.h1_m is None else list(row.h1_m),
-        "h1_md": None if row.h1_mdual is None else list(row.h1_mdual),
-        "not_rational": row.not_rational_verdict,
-        "cover_bound": row.min_cover_degree_bound,
-    }
+    # json writes the tuples as arrays
+    cells = {name: getattr(row, name) for name in TABLE_COLUMNS}
+    return cells | {"fingerprint": row.fingerprint.to_json()}
 
 
 def render_json(rows) -> str:
@@ -272,19 +254,18 @@ def load_table_json(path) -> list:
         for d in doc["rows"]:
             where = f"row {len(rows) + 1}"
             d = checked(d, dict, "the row")
-            h1 = [None if d[k] is None else int_list(d[k], k)
-                  for k in ("h1_m", "h1_md")]
+            h1 = {k: None if d[k] is None else int_list(d[k], k)
+                  for k in ("h1_m", "h1_md")}
             rows.append(TableRow(
                 class_id=checked(d["class_id"], int, "class_id"),
                 order=checked(d["order"], int, "order"),
                 fingerprint=Fingerprint.from_json(d["fingerprint"]),
-                burnside_order=checked(d["burnside"], int, "burnside"),
-                lcm_obstruction=(None if d["lcm"] is None
-                                 else checked(d["lcm"], int, "lcm")),
-                h1_m=h1[0],
-                h1_mdual=h1[1],
-                absolutely_irreducible=checked(d["irred"], bool, "irred"),
+                burnside=checked(d["burnside"], int, "burnside"),
+                lcm=(None if d["lcm"] is None
+                     else checked(d["lcm"], int, "lcm")),
+                irred=checked(d["irred"], bool, "irred"),
                 maximal=int_list(d["maximal"], "maximal"),
+                **h1,
             ))
             if rows[-1].class_id != len(rows):
                 raise ValueError(f"class_id {rows[-1].class_id} should be "

@@ -44,8 +44,8 @@ def test_module_columns_match_fixture(rows, fixture):
     assert sum(len(cids) for cids, _ in groups) == len(rows) == 116
     by_id = {r.class_id: r for r in rows}
     for cids, fids in groups:
-        have = sorted((by_id[c].h1_m, by_id[c].h1_mdual,
-                       by_id[c].lcm_obstruction) for c in cids)
+        have = sorted((by_id[c].h1_m, by_id[c].h1_md, by_id[c].lcm)
+                      for c in cids)
         want = sorted((fixture.by_row(f).h1_m, fixture.by_row(f).h1_md,
                        fixture.by_row(f).lcm) for f in fids)
         assert have == want, (cids, fids)
@@ -67,7 +67,7 @@ def test_full_comparison_reports_only_known_cells(rows, fixture):
 
 
 def test_verdict_counts(rows):
-    verdicts = [r.not_rational_verdict for r in rows]
+    verdicts = [r.not_rational for r in rows]
     assert verdicts.count(True) == 90
     assert verdicts.count(False) == 26
 

@@ -133,7 +133,7 @@ class TestClass60:
     """The reference table gives class 60 (C3 x Q8) Burnside order 1; the
     computed 2 is recomputed here from every subgroup by brute force."""
 
-    def test_brute_force_order_is_two(self, model, lattice):
+    def test_brute_force_order_is_two(self, lattice):
         # the one disputed Burnside cell, which this oracle backs
         assert [c for c, col in table.DISPUTED_CELLS
                 if col == "burnside"] == [60]
@@ -157,10 +157,10 @@ class TestClass60:
         reps = [min(c) for c in classes]
         marks = oracles.brute_perm_characters(
             elements, [min(c, key=sorted) for c in sub_classes], reps)
-        chi = [sp4f3.chi24(model, x) for x in reps]
+        chi = [sp4f3.chi24(x) for x in reps]
         order = oracles.snf_order(marks, chi)
         assert order == 2
-        ambient = table.chi24_on_ambient_classes(lattice, model)
+        ambient = table.chi24_on_ambient_classes(lattice)
         computed = burnside.burnside_order(
             info.perm_chars, burnside.restrict_classfn(ambient,
                                                        info.elem_fusion),

@@ -125,6 +125,11 @@ def _maximal_float(doc):
     doc["classes"][9]["maximal"] = [1.5]
 
 
+def _fusion_19_to_18(doc):
+    for c in doc["classes"][:-1]:
+        c["elem_fusion"] = [18 if j == 19 else j for j in c["elem_fusion"]]
+
+
 def _normalizer_order(n, class_id=10):
     def edit(doc):
         doc["classes"][class_id - 1]["normalizer_order"] = n
@@ -174,6 +179,9 @@ class TestBadLatticeFile:
          "24300 elements, not 25920"),
         (lambda doc: "[1,\n", "top level: Expecting value: line 2 column 1 "
          "(char 4)"),
+        # no proper class, so no cyclic one, meets ambient class 19
+        (_fusion_19_to_18, "the cyclic classes meet only 19 of 20 ambient "
+         "classes"),
     ], ids=["without-class-116", "own-gclass-117", "maximal-999",
             "elem-fusion-99", "whole-group-fusion-reversed",
             "perm-chars-row-dropped", "order-5", "fingerprint-order-5",
@@ -181,7 +189,7 @@ class TestBadLatticeFile:
             "elem-fusion-string", "own-gclass-true", "generators-null",
             "abelianization-int", "degree-string", "top-level-list",
             "maximal-1.5", "normalizer-order-0", "normalizer-order-6",
-            "cyclic-normalizer-doubled", "not-json"])
+            "cyclic-normalizer-doubled", "not-json", "fusion-19-to-18"])
     def test_one_error_line(self, lattice_path, tmp_path, capsys, edit,
                             message):
         doc = json.loads(pathlib.Path(lattice_path).read_text())

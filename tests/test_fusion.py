@@ -132,14 +132,14 @@ class TestEveryLatticeClass:
 
 
 class TestChi24:
-    def test_matches_the_ambient_classes(self, lattice, model):
-        want = [sp4f3.chi24(model, rep)
+    def test_matches_the_ambient_classes(self, lattice):
+        want = [sp4f3.chi24(rep)
                 for rep, _ in lattice.ambient.conjugacy_classes()]
-        assert table.chi24_on_ambient_classes(lattice, model) == want
+        assert table.chi24_on_ambient_classes(lattice) == want
 
-    def test_uncovered_class_raises(self, lattice, model):
+    def test_uncovered_class_raises(self, lattice):
         # the trivial class alone meets only the identity class
         short = subgroups.SubgroupLattice(
             lattice.ambient, [lattice.classes[0], lattice.classes[-1]])
         with pytest.raises(RuntimeError):
-            table.chi24_on_ambient_classes(short, model)
+            table.chi24_on_ambient_classes(short)

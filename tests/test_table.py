@@ -1,5 +1,8 @@
 """Tests for table rows, fixture handling, matching, and emission."""
 
+import dataclasses
+import json
+
 import pytest
 
 from psp4obs import table
@@ -16,9 +19,8 @@ def fp(order, ab=(), exp=1, cls=1, dl=0, nil=True):
 def mk_row(cid, order, maximal, b=1, lcm=None, h1m=None, h1md=None,
            irred=False, **fpkw):
     return TableRow(class_id=cid, order=order, fingerprint=fp(order, **fpkw),
-                    burnside_order=b, lcm_obstruction=lcm, h1_m=h1m,
-                    h1_mdual=h1md, absolutely_irreducible=irred,
-                    maximal=maximal)
+                    burnside=b, lcm=lcm, irred=irred, maximal=maximal,
+                    h1_m=h1m, h1_md=h1md)
 
 
 def mk_fixture(specs):
@@ -46,21 +48,28 @@ CHAIN_FIX = mk_fixture([
 
 class TestTableRow:
     def test_verdict_without_module(self):
-        assert mk_row(1, 2, ()).not_rational_verdict is None
-        assert mk_row(1, 2, (), b=2).not_rational_verdict is True
+        assert mk_row(1, 2, ()).not_rational is None
+        assert mk_row(1, 2, (), b=2).not_rational is True
 
     def test_verdict_with_module(self):
-        assert mk_row(1, 2, (), lcm=1, h1m=(), h1md=()).not_rational_verdict \
+        assert mk_row(1, 2, (), lcm=1, h1m=(), h1md=()).not_rational \
             is False
         assert mk_row(1, 2, (), lcm=3, h1m=(3,),
-                      h1md=()).not_rational_verdict is True
+                      h1md=()).not_rational is True
         assert mk_row(1, 2, (), b=2, lcm=1, h1m=(), h1md=()) \
-            .not_rational_verdict is True
+            .not_rational is True
 
     def test_cover_bound(self):
-        assert mk_row(1, 2, ()).min_cover_degree_bound is None
+        assert mk_row(1, 2, ()).cover_bound is None
         assert mk_row(1, 2, (), lcm=6, h1m=(), h1md=()) \
-            .min_cover_degree_bound == 6
+            .cover_bound == 6
+
+
+    def test_columns_are_the_row_names(self):
+        names = tuple(f.name for f in dataclasses.fields(TableRow))
+        assert names + ("not_rational", "cover_bound") == table.TABLE_COLUMNS
+        rows = json.loads(render_json(CHAIN_ROWS))["rows"]
+        assert [set(r) for r in rows] == [set(table.TABLE_COLUMNS)] * 4
 
 
 class TestFixture:
@@ -117,8 +126,12 @@ class TestCompare:
         bad = list(CHAIN_ROWS)
         bad[2] = mk_row(3, 2, (1,), b=1, ab=(2,), exp=2, cls=2, dl=1)
         rep = compare_fixture(bad, CHAIN_FIX)
-        assert not rep.ok
-        assert any("column data differs" in m for m in rep.mismatches)
+        assert rep.mismatches == [
+            "classes [2, 3] ~ fixture rows [2, 3]: column data differs: "
+            "[\"[('burnside', 1), ('irred', False)]\", "
+            "\"[('burnside', 1), ('irred', False)]\"] != "
+            "[\"[('burnside', 1), ('irred', False)]\", "
+            "\"[('burnside', 2), ('irred', False)]\"]"]
 
     def test_structural_only_ignores_burnside(self):
         bad = list(CHAIN_ROWS)
@@ -160,8 +173,22 @@ class TestCompare:
     def test_count_mismatch_reported(self):
         rows = CHAIN_ROWS[:3]
         rep = compare_fixture(rows, CHAIN_FIX)
-        assert not rep.ok
-        assert any("fixture row 4" in m for m in rep.mismatches)
+        # one color per row: without row 4 no two rows share a color, and
+        # the colors sort by their reprs
+        computed = ", lcm=None, irred=False, h1_m=None, h1_md=None, maximal="
+        fixture = ", lcm=1, irred={}, h1_m=(), h1_md=(), maximal="
+        assert rep.mismatches == [
+            "unmatched fixture row 1: order 1, label '<1?>', B=1"
+            + fixture.format(False) + "[]",
+            "unmatched class 1: order 1, B=1" + computed + "[]",
+            "unmatched fixture row 2: order 2, label '<2?>', B=1"
+            + fixture.format(False) + "[1]",
+            "unmatched fixture row 3: order 2, label '<2?>', B=2"
+            + fixture.format(False) + "[1]",
+            "unmatched class 2: order 2, B=1" + computed + "[1]",
+            "unmatched class 3: order 2, B=2" + computed + "[1]",
+            "unmatched fixture row 4: order 4, label '<4?>', B=1"
+            + fixture.format(True) + "[2, 3]"]
 
     def test_summary_labels_each_mismatch(self):
         mismatches = ["class 60 ~ fixture row 61: burnside 2 != 1",
