@@ -52,18 +52,14 @@ class TestTableRow:
         assert mk_row(1, 2, (), b=2).not_rational is True
 
     def test_verdict_with_module(self):
-        assert mk_row(1, 2, (), lcm=1, h1m=(), h1md=()).not_rational \
-            is False
-        assert mk_row(1, 2, (), lcm=3, h1m=(3,),
-                      h1md=()).not_rational is True
+        assert mk_row(1, 2, (), lcm=1, h1m=(), h1md=()).not_rational is False
+        assert mk_row(1, 2, (), lcm=3, h1m=(3,), h1md=()).not_rational is True
         assert mk_row(1, 2, (), b=2, lcm=1, h1m=(), h1md=()) \
             .not_rational is True
 
     def test_cover_bound(self):
         assert mk_row(1, 2, ()).cover_bound is None
-        assert mk_row(1, 2, (), lcm=6, h1m=(), h1md=()) \
-            .cover_bound == 6
-
+        assert mk_row(1, 2, (), lcm=6, h1m=(), h1md=()).cover_bound == 6
 
     def test_columns_are_the_row_names(self):
         names = tuple(f.name for f in dataclasses.fields(TableRow))
