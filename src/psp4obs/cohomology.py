@@ -9,10 +9,19 @@ From 0 -> M -> M (x) Q -> M (x) Q/Z -> 0 and H^1(H, M (x) Q) = 0 (Brown,
 the d_i != 0; the d_i = 0 number rank M^H.  |H| kills H^1(H, M) (its
 exponent need not: V4 on its augmentation ideal has H^1 = Z/4), so every
 nonzero d_i divides |H|.  For p^a exactly dividing |H|, the Smith form of
-A over Z/p^(a+1), in int64 with entries below p^(a+1), thus gives each
-nonzero d_i its valuation v <= a and each zero d_i the valuation a+1:
-the p-part of H^1 is the sum of Z/p^v over 0 < v <= a, and every prime
-counts rank M^H as the invariants of valuation a+1.
+A over Z/p^(a+1) thus gives each nonzero d_i its valuation v <= a and each
+zero d_i the valuation a+1: the p-part of H^1 is the sum of Z/p^v over
+0 < v <= a, and every prime counts rank M^H as the invariants of valuation
+a+1.
+
+The primes share one elimination of A^T modulo N, the product of their
+p^(a+1) (777600 for PSp4(3) itself), in int64 with entries below N.  It
+pivots only on units mod N.  Z/N is the product of the Z/p^(a+1) (CRT), so
+each such pivot splits off an invariant of valuation 0 at every prime at
+once.  Only the rows and columns left without a pivot then run through
+each prime's Smith levels, modulo p^(a+1).  A prime joins the shared
+elimination if N still stays within ``_MAX_MODULUS`` with it; any other
+runs its levels on all of A^T.
 """
 
 from __future__ import annotations
@@ -41,15 +50,39 @@ def _augmentation_matrix(module: GIntModule) -> np.ndarray:
     return np.hstack([np.asarray(g) - ident for g in module.gens])
 
 
+def _unit_pivots(w: np.ndarray, mod: int, rad: int) -> tuple:
+    """Eliminate ``w`` (int64, entries in [0, mod)) in place, pivoting on
+    the units mod ``mod``: the entries prime to ``rad``, the product of its
+    primes.  Each pivot moves to the diagonal and, its column cleared,
+    splits off one Smith invariant that is a unit (the column operations
+    that would clear its row touch no other row); a column without one
+    moves to the end.  Returns the pivot count r and the rest w[r:, r:].
+    """
+    rank, end = 0, w.shape[1]  # columns from end on have no pivot
+    while rank < end:
+        hits = (np.gcd(w[rank:, rank], rad) == 1).nonzero()[0]
+        if not hits.size:
+            end -= 1
+            w[:, [rank, end]] = w[:, [end, rank]]
+            continue
+        i = rank + hits[0]
+        w[[rank, i], rank:] = w[[i, rank], rank:]
+        pivot = w[rank, rank:]
+        below = rank + 1 + w[rank + 1:, rank].nonzero()[0]
+        if below.size:
+            f = w[below, rank] * pow(int(pivot[0]), -1, mod) % mod
+            w[below, rank:] = (w[below, rank:] - f[:, None] * pivot) % mod
+        rank += 1
+    return rank, w[rank:, rank:]
+
+
 def _smith_valuations(a: np.ndarray, p: int, exp: int) -> list:
     """p-adic valuations, capped at ``exp``, of the n Smith invariants of
     the m x n matrix ``a`` (m >= n): its Smith form over Z/p^exp.
 
-    Level v pivots on units mod p^(exp-v) only.  Clearing a pivot's column
-    splits it off as one invariant of valuation v (the column operations
-    that would clear its row touch no other row); the rows left over are
-    divisible by p and divided by p for the next level, and the pivot
-    columns, zero in them, drop out.
+    Level v pivots on the units mod p^(exp-v), each an invariant of
+    valuation v; the rows and columns left over are divisible by p and
+    divided by p for the next level.
     """
     if p ** exp > _MAX_MODULUS:
         raise ValueError(f"modulus {p}^{exp} is too large for int64 "
@@ -60,25 +93,29 @@ def _smith_valuations(a: np.ndarray, p: int, exp: int) -> list:
         w = w[w.any(axis=1)]
         if not w.size:
             break
-        mod = p ** (exp - v)
-        rank = 0  # pivot rows found at this level are w[:rank]
-        live = []  # columns without a pivot at this level
-        for j in range(w.shape[1]):
-            hits = (w[rank:, j] % p).nonzero()[0]
-            if not hits.size:
-                live.append(j)
-                continue
-            i = rank + hits[0]
-            w[[rank, i]] = w[[i, rank]]
-            pivot = w[rank]
-            rank += 1
-            below = rank + w[rank:, j].nonzero()[0]
-            if below.size:
-                f = w[below, j] * pow(int(pivot[j]), -1, mod) % mod
-                w[below] = (w[below] - f[:, None] * pivot) % mod
+        rank, rest = _unit_pivots(w, p ** (exp - v), p)
         out += [v] * rank
-        w = w[rank:, live] // p
+        w = rest // p
     return out + [exp] * (a.shape[1] - len(out))
+
+
+def _prime_valuations(a: np.ndarray, order: int) -> list:
+    """(p, exp, valuations) for each p^exp exactly dividing ``order``: the
+    p-adic valuations, capped at exp+1, of the n Smith invariants of the
+    m x n matrix ``a`` (m >= n), by the shared elimination of the module
+    docstring.
+    """
+    powers = prime_powers(order)
+    mod, rad, shared = 1, 1, set()
+    for p, exp in powers:
+        if mod * p ** (exp + 1) <= _MAX_MODULUS:
+            mod, rad = mod * p ** (exp + 1), rad * p
+            shared.add(p)
+    # mod 1, with no prime shared, ends in _smith_valuations' ValueError
+    rank, rest = _unit_pivots((a % mod).astype(np.int64), mod, rad)
+    return [(p, exp, [0] * rank + _smith_valuations(rest, p, exp + 1)
+             if p in shared else _smith_valuations(a, p, exp + 1))
+            for p, exp in powers]
 
 
 def h0(module: GIntModule) -> int:
@@ -96,13 +133,10 @@ def h1(module: GIntModule) -> AbelianInvariants:
     e = module.group.order
     if e == 1:
         return TRIVIAL_GROUP
-    a = _augmentation_matrix(module).T
-    counts, chains = set(), []  # per prime, the elementary divisors
-    for p, exp in prime_powers(e):
-        vals = _smith_valuations(a, p, exp + 1)
-        counts.add(vals.count(exp + 1))
-        chains.append([p ** v for v in vals if 0 < v <= exp])
+    vals = _prime_valuations(_augmentation_matrix(module).T, e)
+    counts = {v.count(exp + 1) for _, exp, v in vals}
     if len(counts) > 1:
         raise RuntimeError(f"the primes of |H| = {e} disagree on the count "
                            f"of zero Smith invariants: {sorted(counts)}")
-    return AbelianInvariants.from_elementary_divisors(chains)
+    return AbelianInvariants.from_elementary_divisors(
+        [[p ** v for v in v_p if 0 < v <= exp] for p, exp, v_p in vals])

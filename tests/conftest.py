@@ -1,9 +1,8 @@
 """Shared fixtures.
 
-The full group model and the 116-class subgroup lattice are expensive to
-build, so they are session-scoped; the lattice is additionally cached on
-disk under ``.cache/`` so repeated test runs skip the multi-minute
-classification.
+The full group model and the 116-class subgroup lattice are session-scoped;
+the lattice is additionally cached on disk under ``.cache/`` so repeated
+test runs skip its classification (a few seconds).
 """
 
 import pathlib

@@ -252,6 +252,16 @@ def smith_cases(draw):
         draw(st.integers(1, 4))
 
 
+@st.composite
+def shared_cases(draw):
+    """(m x n integer matrix with m >= n, composite order).  Scaling each
+    column by a drawn factor leaves some columns without a unit mod N."""
+    a, _, _ = draw(smith_cases())
+    scale = draw(st.lists(st.sampled_from((1, 1, 2, 3, 4, 5, 6, 9)),
+                          min_size=a.shape[1], max_size=a.shape[1]))
+    return a * np.array(scale), draw(st.sampled_from((6, 12, 24, 60, 72)))
+
+
 def _valuation(d, p, cap):
     v = 0
     while d and d % p == 0 and v < cap:
@@ -268,6 +278,41 @@ class TestSmithValuations:
         want = sorted(_valuation(int(ref[i, i]), p, exp)
                       for i in range(a.shape[1]))
         assert cohomology._smith_valuations(a, p, exp) == want
+
+    @given(shared_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_shared_pass_matches_sympy(self, case):
+        a, order = case
+        ref = smith_normal_form(sympy.Matrix(a.tolist()))
+        for p, exp, vals in cohomology._prime_valuations(a, order):
+            assert vals == sorted(_valuation(int(ref[i, i]), p, exp + 1)
+                                  for i in range(a.shape[1])), p
+
+
+class TestSharedModulus:
+    S3_MODULES = [k[:2] for k in KNOWN if k[0].startswith("S3")] + [
+        ("S3 augmentation ideal", augmentation_ideal(S3))]
+
+    @pytest.mark.parametrize("name,module", S3_MODULES,
+                             ids=[m[0] for m in S3_MODULES])
+    def test_prime_left_out_of_the_shared_pass(self, monkeypatch, name,
+                                               module):
+        # |S3| = 6: under a cap of 10, 2^2 = 4 joins the shared pass and
+        # 4 * 3^2 = 36 does not, so 3 runs its levels on all of A^T
+        real, mods = cohomology._unit_pivots, []
+
+        def spy(w, mod, rad):
+            mods.append(mod)
+            return real(w, mod, rad)
+
+        monkeypatch.setattr(cohomology, "_unit_pivots", spy)
+        want = cohomology.h1(module)
+        assert mods[0] == 36
+        mods.clear()
+        monkeypatch.setattr(cohomology, "_MAX_MODULUS", 10)
+        assert cohomology.h1(module) == want
+        assert mods[0] == 4 and 9 in mods
+        assert want == h1_bruteforce(module)
 
 
 class TestInvariantChecks:
