@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import csv
 import re
-from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -53,7 +52,7 @@ class Fixture:
 
     The ``label`` column is an opaque structure description from the
     transcription source; it is carried along for display but never used
-    in matching (fingerprints take its place).
+    in matching, which reads only ``order`` and ``maximal``.
     """
 
     rows: list
@@ -155,30 +154,28 @@ class MatchReport:
         return "\n".join(lines)
 
 
-_MAX_ROUNDS = 200  # every refinement round but the last splits a color
-
-
 def _refine_colors(key_of, partners):
     """Refine a coloring by the multiset of partner colors (in place).
 
-    ``key_of`` maps node -> hashable color; ``partners`` maps node ->
+    ``key_of`` maps node -> int color; ``partners`` maps node ->
     ``(direction, other)`` pairs (here: "dn" towards maximal subgroup
     classes and "up" back along those edges).  Nodes of both sides must
-    be refined together, so the caller passes merged dicts.  The colors
-    kept are those of the last round that split a class; a round that
-    splits none would only nest each color once more, keeping the
-    partition and the order of the colors' reprs.
+    be refined together, so the caller passes merged dicts.  Each round
+    ranks the distinct signatures (color, sorted (direction, partner
+    color) pairs) and gives every node the rank of its own, so the colors
+    left are ints in ``range(len(key_of))``.  Every round but the last
+    splits a color, so ``len(key_of)`` rounds suffice.
     """
-    for _ in range(_MAX_ROUNDS):
-        # one repr per node, shared by every edge to it: the reprs nest
-        # and grow each round
-        text = {node: repr(color) for node, color in key_of.items()}
-        new = {node: (color, tuple(sorted((d, text[p])
+    for _ in range(len(key_of)):
+        count = len(set(key_of.values()))
+        sig = {node: (color, tuple(sorted((d, key_of[p])
                                           for d, p in partners[node])))
                for node, color in key_of.items()}
-        if len(set(new.values())) == len(set(key_of.values())):
+        rank = {s: i for i, s in enumerate(sorted(set(sig.values())))}
+        for node, s in sig.items():
+            key_of[node] = rank[s]
+        if len(rank) == count:
             return
-        key_of.update(new)
     raise RuntimeError("color refinement failed to stabilise")
 
 
@@ -201,9 +198,10 @@ def compare_fixture(rows, fixture: Fixture,
                     structural_only: bool = False) -> MatchReport:
     """Match computed rows against the fixture by invariants.
 
-    Matching runs on lattice structure alone: the base key per row is
-    (order, multiset of maximal-subgroup orders), and iterated refinement
-    folds in the colors of neighbours both down and up the poset.
+    Matching runs on lattice structure alone: each row starts with its
+    order as its color, and iterated refinement folds in the colors of
+    neighbours both down and up the poset (the first round adds the
+    multiset of maximal-subgroup orders).
     Computed rows and fixture rows are refined as one population, so
     equal colors mean equal structural invariants.
 
@@ -221,24 +219,23 @@ def compare_fixture(rows, fixture: Fixture,
     # disjoint node names: computed ids tagged "c", fixture rows "f"
     nodes = {("c", r.class_id): r for r in rows}
     nodes.update({("f", f.row): f for f in fixture.rows})
-    key_of, partners = {}, {node: [] for node in nodes}
+    key_of = {node: row.order for node, row in nodes.items()}
+    partners = {node: [] for node in nodes}
     for node, row in nodes.items():
-        below = [(node[0], j) for j in row.maximal]
-        key_of[node] = (row.order,
-                        tuple(sorted(nodes[b].order for b in below)))
-        for b in below:
-            partners[node].append(("dn", b))
-            partners[b].append(("up", node))
+        for j in row.maximal:
+            partners[node].append(("dn", (node[0], j)))
+            partners[node[0], j].append(("up", node))
     _refine_colors(key_of, partners)
 
-    # per color, the computed ids and the fixture rows in input order
-    groups = defaultdict(lambda: ([], []))
+    # per color, the computed ids and the fixture rows in input order; a
+    # color comes out at its first node
+    groups = {}
     for side, number in nodes:
-        groups[key_of[side, number]][side == "f"].append(number)
+        groups.setdefault(key_of[side, number],
+                          ([], []))[side == "f"].append(number)
 
     assignments, ambiguity, mismatches = {}, [], []
-    for color in sorted(groups, key=repr):
-        cids, fids = groups[color]
+    for cids, fids in groups.values():
         if len(cids) != len(fids):
             mismatches += ["unmatched " + _describe(nodes[side, n])
                            for side, ns in zip("cf", (cids, fids))

@@ -1,17 +1,13 @@
 """Shared fixtures.
 
-The full group model and the 116-class subgroup lattice are session-scoped;
-the lattice is additionally cached on disk under ``.cache/`` so repeated
-test runs skip its classification (a few seconds).
+The full group model and the 116-class subgroup lattice are session-scoped.
+The lattice is classified once per session (a few seconds) into a
+temporary directory, so every test reads the file the current code writes.
 """
-
-import pathlib
 
 import pytest
 
 from psp4obs import sp4f3, subgroups
-
-CACHE_DIR = pathlib.Path(__file__).resolve().parent.parent / ".cache"
 
 
 @pytest.fixture(scope="session")
@@ -20,15 +16,9 @@ def model():
 
 
 @pytest.fixture(scope="session")
-def lattice_path(model):
-    CACHE_DIR.mkdir(exist_ok=True)
-    path = CACHE_DIR / "lattice.json"
-    if path.exists():
-        lat = subgroups.SubgroupLattice.load(path)
-        if lat.ambient.generators == model.psp.generators:
-            return path
-    lat = subgroups.subgroup_classes(model.psp)
-    lat.save(path)
+def lattice_path(model, tmp_path_factory):
+    path = tmp_path_factory.mktemp("lattice") / "lattice.json"
+    subgroups.subgroup_classes(model.psp).save(path)
     return path
 
 

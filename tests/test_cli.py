@@ -296,6 +296,27 @@ class TestTableCheck:
         assert out.count("!=") == 5
         assert "burnside 2 != 1" in out
 
+    def test_one_wrong_maximal_id_leaves_every_row_unmatched(
+            self, lattice_path, tmp_path, capsys):
+        path = tmp_path / "table.json"
+        run_cli(capsys, "table", "compute", "--lattice", str(lattice_path),
+                "--format", "json", "--out", str(path))
+        doc = json.loads(path.read_text())
+        row = doc["rows"][29]
+        assert row["class_id"] == 30 and row["maximal"][0] == 4
+        row["maximal"][0] = 5
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "table", "check", "--table",
+                                 str(path))
+        # the edit reaches every row through the refinement, so no color
+        # pairs a class with a fixture row
+        assert code == 1 and "Traceback" not in err
+        named = [ln.split(":")[0] for ln in out.splitlines()
+                 if ln.startswith("  unmatched ")]
+        assert sorted(named) == sorted(
+            [f"  unmatched class {i}" for i in range(1, 117)]
+            + [f"  unmatched fixture row {i}" for i in range(1, 117)])
+
     def test_needs_table_or_lattice(self, capsys):
         code, _, err = run_cli(capsys, "table", "check")
         assert code == 1

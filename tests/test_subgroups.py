@@ -263,8 +263,8 @@ class TestPersistence:
 
 
 # Generators of the classes 110 (A6) and 112 (solvable, of order 648) of
-# PSp4(3), written out so that the pins below do not depend on the lattice
-# cached under .cache/
+# PSp4(3), written out so that the pins below do not depend on the session
+# lattice
 A6_GENERATORS = [
     (18, 8, 32, 28, 38, 11, 22, 15, 1, 21, 25, 5, 35, 30, 33, 7, 17, 16, 0, 31,
      29, 9, 6, 34, 26, 10, 24, 39, 3, 20, 13, 19, 2, 14, 23, 12, 37, 36, 4,
@@ -296,6 +296,17 @@ SOLVABLE_648_GENERATORS = [
      18, 31, 32, 33, 37, 38, 39, 34, 35, 36, 22, 23, 24, 28, 29, 30, 25, 26,
      27),
 ]
+
+# sha256 of the lattice file that subgroup_classes saves for PSp4(3), the
+# session lattice that every lattice and table test reads
+PSP4_LATTICE_SHA256 = \
+    "8c04111d7632a7d547d573c8e2209125b6c9fc2c8c658cbc907458847ae8016c"
+
+
+def test_session_lattice_is_byte_identical(lattice_path):
+    assert hashlib.sha256(lattice_path.read_bytes()).hexdigest() == \
+        PSP4_LATTICE_SHA256
+
 
 # sha256 of the lattice file that subgroup_classes saves for A6: the file
 # depends on the perfect-subgroup search, which picks the generators of

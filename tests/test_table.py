@@ -6,6 +6,7 @@ import json
 import pytest
 
 from psp4obs import table
+from psp4obs.fixture import _refine_colors
 from psp4obs.subgroups import Fingerprint
 from psp4obs.table import (Fixture, FixtureRow, TableRow, compare_fixture,
                            load_table_json, render_csv, render_json,
@@ -170,21 +171,42 @@ class TestCompare:
         rows = CHAIN_ROWS[:3]
         rep = compare_fixture(rows, CHAIN_FIX)
         # one color per row: without row 4 no two rows share a color, and
-        # the colors sort by their reprs
+        # each color comes out at its first node, the computed ids in
+        # order and then the fixture rows
         computed = ", lcm=None, irred=False, h1_m=None, h1_md=None, maximal="
         fixture = ", lcm=1, irred={}, h1_m=(), h1_md=(), maximal="
         assert rep.mismatches == [
+            "unmatched class 1: order 1, B=1" + computed + "[]",
+            "unmatched class 2: order 2, B=1" + computed + "[1]",
+            "unmatched class 3: order 2, B=2" + computed + "[1]",
             "unmatched fixture row 1: order 1, label '<1?>', B=1"
             + fixture.format(False) + "[]",
-            "unmatched class 1: order 1, B=1" + computed + "[]",
             "unmatched fixture row 2: order 2, label '<2?>', B=1"
             + fixture.format(False) + "[1]",
             "unmatched fixture row 3: order 2, label '<2?>', B=2"
             + fixture.format(False) + "[1]",
-            "unmatched class 2: order 2, B=1" + computed + "[1]",
-            "unmatched class 3: order 2, B=2" + computed + "[1]",
             "unmatched fixture row 4: order 4, label '<4?>', B=1"
             + fixture.format(True) + "[2, 3]"]
+
+    def test_refined_colors_are_ranks(self):
+        # the bundled fixture's poset, started from the orders as
+        # compare_fixture starts it
+        rows = Fixture.load(table.default_fixture_path()).rows
+        key_of = {f.row: f.order for f in rows}
+        partners = {f.row: [] for f in rows}
+        for f in rows:
+            for j in f.maximal:
+                partners[f.row].append(("dn", j))
+                partners[j].append(("up", f.row))
+        _refine_colors(key_of, partners)
+        assert all(type(c) is int and c in range(len(rows))
+                   for c in key_of.values())
+        # the partition is stable: nodes of one color see the same
+        # multiset of partner colors
+        seen = {}
+        for node, color in key_of.items():
+            sig = sorted((d, key_of[p]) for d, p in partners[node])
+            assert seen.setdefault(color, sig) == sig
 
     def test_summary_labels_each_mismatch(self):
         mismatches = ["class 60 ~ fixture row 61: burnside 2 != 1",
