@@ -25,7 +25,9 @@ each, ``table compute --format json`` with and without the module,
 lattice with the module and on the JSON table with the module columns,
 and ``table check --structural`` on that JSON table, record the sha256 of
 their output and their exit status (a full check exits 1 while the
-computed table and the fixture differ in some cell).
+computed table and the fixture differ in some cell); so does
+``scripts/build_module.py --out-dir``, once, for each of the two files it
+writes.
 ``bench/BENCH_<label>.json``, one per checkout, holds the median and
 every raw wall time of each stage, the sha256 of each stage's and each
 check's output file (equal hashes mean byte-identical output), the git
@@ -50,6 +52,9 @@ import numpy as np
 HERE = pathlib.Path(__file__).resolve().parent.parent
 REPEATS = 3
 ONE_THREAD = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+CLI = ("-m", "psp4obs.cli")
+# check name: file that scripts/build_module.py writes
+BUILT = {"build_gmodule": "m61.gmodule", "build_pairing": "m61.pairing"}
 
 
 def _git(root, *args):
@@ -75,14 +80,15 @@ def _sha256(path):
     return hashlib.sha256(pathlib.Path(path).read_bytes()).hexdigest()
 
 
-def run_stage(root, cpu, argv, stdout_path=None):
-    """Wall seconds and exit status of one ``psp4obs`` process on one CPU;
-    its stdout goes to ``stdout_path`` if given."""
+def run_stage(root, cpu, argv, stdout_path=None, program=CLI):
+    """Wall seconds and exit status of one ``psp4obs`` process (or of
+    another ``program`` of the checkout) on one CPU; its stdout goes to
+    ``stdout_path`` if given."""
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     env.update({k: "1" for k in ONE_THREAD})
     with open(stdout_path or os.devnull, "w") as sink:
         t0 = time.perf_counter()
-        code = subprocess.run([sys.executable, "-m", "psp4obs.cli", *argv],
+        code = subprocess.run([sys.executable, *program, *argv],
                               cwd=root, env=env, stdout=sink,
                               stderr=subprocess.DEVNULL,
                               preexec_fn=lambda: os.sched_setaffinity(
@@ -152,6 +158,7 @@ def main(argv=None):
             side_tmp.mkdir()
             timed, untimed = _stages(side_tmp)
             sides.append({"label": label, "root": root.resolve(),
+                          "build": side_tmp / "build",
                           "timed": timed, "untimed": untimed,
                           "times": {name: [] for name in timed},
                           "outputs": {}, "checks": {}})
@@ -182,6 +189,15 @@ def main(argv=None):
                 side["checks"][name] = {"exit": code,
                                         "output_sha256": _sha256(out)}
                 print(f"{side['label']} {name}: exit {code}", flush=True)
+            _, code = run_stage(side["root"], cpu,
+                                ["--out-dir", str(side["build"])],
+                                program=("scripts/build_module.py",))
+            for name, file in BUILT.items():
+                out = side["build"] / file
+                side["checks"][name] = {
+                    "exit": code,
+                    "output_sha256": _sha256(out) if out.exists() else None}
+            print(f"{side['label']} build_module: exit {code}", flush=True)
     date = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     for side in sides:
         root = side["root"]

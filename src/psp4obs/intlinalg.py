@@ -10,15 +10,14 @@ entries and unimodular row/column transforms.  The two normal forms are
   alternate until A is diagonal; one pass of closed-form Bezout steps,
   (d_i, d_j) -> (gcd, lcm), then makes the divisor chain.
 
+Every lattice question (kernels, membership, the least multiple of a
+vector in a lattice, complements) is answered from the Hermite form; the
+Smith form serves only the invariant factors of a quotient.
+
 Matrices are numpy 2-d arrays.  Computations run on dtype ``int64`` while a
 certified bound guarantees no overflow, and are promoted to dtype ``object``
 (exact Python integers) the moment the bound is at risk.  All results are
 exact; ``int64`` is only ever an optimisation.
-
-:class:`KernelAccumulator` maintains a saturated basis of the left kernel
-of a growing block matrix ``[B1 | B2 | ...]``.  Saturation is automatic:
-the kernel rows are part of a unimodular basis of Z^n, so an integer
-vector in their rational span is an integer combination of them.
 """
 
 from __future__ import annotations
@@ -209,12 +208,12 @@ class _Workspace:
         self.w[rows] -= np.outer(q, self.w[pivot_row])
 
 
-def _echelon(ws: _Workspace, ncols: int, reduce_above: bool) -> int:
-    """Row-reduce the first ``ncols`` columns to echelon form.
+def _echelon(ws: _Workspace, ncols: int) -> int:
+    """Row-reduce the first ``ncols`` columns to Hermite normal form.
 
-    Returns the number of pivots found.  Rows below the pivots end up zero
-    throughout those columns.  With ``reduce_above`` the result is genuine
-    HNF on them (positive pivots, entries above reduced).
+    Returns the number of pivots found.  Pivots are positive, the entries
+    above each pivot are reduced, and rows below the pivots end up zero
+    throughout those columns.
     """
     m = ws.w.shape[0]
     r = 0
@@ -235,7 +234,7 @@ def _echelon(ws: _Workspace, ncols: int, reduce_above: bool) -> int:
         if ws.w[r, c] != 0:
             if ws.w[r, c] < 0:
                 ws.negate(r)
-            if reduce_above and r > 0:
+            if r > 0:
                 ws.reduce_rows(np.arange(r), c, r)
             r += 1
     return r
@@ -255,7 +254,7 @@ def hnf(a) -> tuple:
     a = as_int_array(a)
     m, n = a.shape
     ws = _Workspace(np.concatenate([a, identity(m, a.dtype)], axis=1))
-    _echelon(ws, n, reduce_above=True)
+    _echelon(ws, n)
     w = ws.w
     return w[:, :n], w[:, n:]
 
@@ -319,7 +318,7 @@ def snf(a) -> tuple:
     ws = _Workspace(np.concatenate([a, identity(m, a.dtype)], axis=1))
     v = identity(n)
     for _ in range(200):
-        _echelon(ws, n, reduce_above=True)
+        _echelon(ws, n)
         if not _has_offdiag(ws.w[:, :n]):
             break
         h, q = hnf(ws.w[:, :n].T)
@@ -379,61 +378,69 @@ def quotient_invariants(ambient_rank: int, rows) -> AbelianInvariants:
     return AbelianInvariants(free, torsion)
 
 
+def _coordinates(basis, target):
+    """Rational coordinates of ``target`` on the rows of ``hnf(basis)``.
+
+    Returns ``(y, d, u)`` with ``(y / d) @ H == target`` for ``(H, u) =
+    hnf(basis)``, ``y`` an object vector that is zero off the pivot rows
+    and ``d >= 1`` a common denominator, or ``None`` if ``target`` is
+    outside the rational row span.  Back-substitution runs on the pivots
+    in order, scaling ``target`` and ``y`` just enough that each pivot
+    divides.
+    """
+    basis = as_int_array(basis)
+    t = as_int_array(target).reshape(-1).astype(object)
+    if basis.shape[1] != t.shape[0]:
+        raise ValueError("dimension mismatch")
+    h, u = hnf(basis)
+    y = np.zeros(len(h), dtype=object)
+    d = 1
+    for i, row in enumerate(h):
+        nz = np.nonzero(row)[0]
+        if nz.size == 0:
+            break
+        c = int(nz[0])
+        piv = int(row[c])
+        scale = piv // gcd(piv, int(t[c]))
+        if scale > 1:
+            t, y, d = t * scale, y * scale, d * scale
+        y[i] = int(t[c]) // piv
+        if y[i]:
+            t = t - y[i] * row.astype(object)
+    if any(x != 0 for x in t):
+        return None
+    return y, d, u
+
+
 def solve_in_lattice(basis, target):
     """Integer coordinates of ``target`` in the row lattice of ``basis``.
 
     Returns ``x`` with ``x @ basis == target``, or ``None`` if ``target``
     is not in the integer row span.
     """
-    basis = as_int_array(basis)
-    t = as_int_array(target).reshape(-1)
-    if basis.shape[1] != t.shape[0]:
-        raise ValueError("dimension mismatch")
-    h, u = hnf(basis)
-    m = basis.shape[0]
-    pivots = []
-    for i in range(m):
-        nz = np.nonzero(h[i])[0]
-        if nz.size:
-            pivots.append((i, int(nz[0])))
-    t = t.astype(object)
-    y = np.zeros(m, dtype=object)
-    for i, c in pivots:
-        if t[c] % h[i, c]:
-            return None
-        q = t[c] // h[i, c]
-        y[i] = q
-        if q:
-            t = t - q * h[i].astype(object)
-    if any(x != 0 for x in t):
+    coords = _coordinates(basis, target)
+    if coords is None or coords[1] > 1:
         return None
+    y, _, u = coords
     return mat_mul(y.reshape(1, -1), u).reshape(-1)
 
 
 def minimal_multiplier(basis, target, bound=None):
     """Least ``n >= 1`` with ``n * target`` in the integer row span of ``basis``.
 
-    Returns ``n``; raises :class:`ValueError` if no multiple lies in the
-    span, or if the answer exceeds ``bound``.
+    The nonzero rows of the Hermite form are a basis of that span, so
+    ``n`` is the least common denominator of the coordinates of
+    ``target`` on them.  Returns ``n``; raises :class:`ValueError` if no
+    multiple lies in the span, or if the answer exceeds ``bound``.
 
     >>> minimal_multiplier([[2, 0], [0, 3]], [1, 1])
     6
     """
-    basis = as_int_array(basis)
-    t = as_int_array(target).reshape(-1)
-    s, u, v = snf(basis)
-    c = mat_mul(t.reshape(1, -1), v).reshape(-1)
-    k = min(s.shape)
-    d = [int(s[i, i]) for i in range(k)]
-    n = 1
-    for j in range(len(c)):
-        dj = d[j] if j < k else 0
-        cj = int(c[j])
-        if dj == 0:
-            if cj != 0:
-                raise ValueError("no integer multiple lies in the lattice")
-            continue
-        n = lcm(n, dj // gcd(dj, cj)) if cj else n
+    coords = _coordinates(basis, target)
+    if coords is None:
+        raise ValueError("no integer multiple lies in the lattice")
+    y, d, _ = coords
+    n = d // gcd(d, *(int(x) for x in y))
     if bound is not None and n > bound:
         raise ValueError(f"minimal multiplier {n} exceeds bound {bound}")
     return n
@@ -453,52 +460,31 @@ class KernelAccumulator:
 
     After ``add_block(B)`` calls, :meth:`kernel` is a saturated basis of
     ``{x in Z^n : x @ Bi = 0 for all i}``, whose rank ``corank`` is
-    available at any point.
-
-    The invariant: ``self.u`` holds rows of a unimodular matrix; the first
-    ``self.rank`` rows have nonzero image in the processed columns (in
-    echelon position) and are frozen, the remaining rows kill every
-    processed column.
+    available at any point.  Each block intersects the kernel so far,
+    ``basis = kernel_saturated(basis @ B) @ basis``; a saturated kernel
+    of a saturated lattice's coordinates is saturated in Z^n.
     """
 
     def __init__(self, n: int):
         self.n = n
-        self.u = identity(n, np.int64)
-        self.rank = 0
+        self.basis = identity(n, np.int64)
 
     @property
     def corank(self) -> int:
-        return self.n - self.rank
+        return len(self.basis)
 
     def add_block(self, block) -> int:
         """Process more columns; returns the new corank."""
         block = as_int_array(block)
         if block.shape[0] != self.n:
             raise ValueError("block has wrong number of rows")
-        q = block.shape[1]
-        if q == 0 or self.corank == 0:
-            return self.corank
-        free = self.u[self.rank:]
-        c = mat_mul(free, block)
-        if not any(x != 0 for x in c.ravel()):
-            return self.corank
-        if c.dtype == object or free.dtype == object:
-            w = np.concatenate([c.astype(object), free.astype(object)], axis=1)
-        else:
-            w = np.concatenate([c, free], axis=1)
-        ws = _Workspace(w)
-        npiv = _echelon(ws, q, reduce_above=False)
-        newu = ws.w[:, q:]
-        if newu.dtype != self.u.dtype and self.u.dtype != object:
-            self.u = self.u.astype(object)
-        if self.u.dtype == object and newu.dtype != object:
-            newu = newu.astype(object)
-        self.u = np.concatenate([self.u[:self.rank], newu], axis=0)
-        self.rank += npiv
+        if block.shape[1] and self.corank:
+            self.basis = mat_mul(kernel_saturated(mat_mul(self.basis, block)),
+                                 self.basis)
         return self.corank
 
     def kernel(self) -> np.ndarray:
         """Current saturated kernel basis, in HNF."""
         if self.corank == 0:
             return np.zeros((0, self.n), dtype=np.int64)
-        return hnf_basis(self.u[self.rank:])
+        return hnf_basis(self.basis)

@@ -200,24 +200,23 @@ def quotient_by_radical(module: GIntModule, radical) -> GIntModule:
 
     ``radical`` is a matrix whose rows span a saturated submodule; the
     quotient is then free and the induced action is returned on a
-    complementary basis (the trailing block of an SNF change of basis).
+    complementary basis, read off the Hermite form of the transpose.
     Raises if the rows are not saturated or not invariant.
     """
     radical = np.atleast_2d(np.asarray(radical))
     k = len(radical)
     if k == 0:
         return module
-    s, _u, v = intlinalg.snf(radical)
-    diag = [int(x) for x in s.diagonal()]
-    if len(diag) != k or any(d != 1 for d in diag):
+    h, u = intlinalg.hnf(np.ascontiguousarray(radical.T))
+    if not np.array_equal(h, intlinalg.identity(len(h))[:, :k]):
         raise ValueError("radical rows are dependent or not saturated")
-    # S = U R V with S = [I_k | 0], so the radical spans the top k rows
-    # of V^-1.  The complementary rows coming straight out of the Smith
-    # computation can have enormous entries; put them in HNF and reduce
-    # them modulo the radical (both are determinant-preserving row
+    # U R^T = [I_k; 0], so R U^T = [I_k | 0] and the radical spans the
+    # top k rows of (U^T)^-1; its other rows span a complement.  Those
+    # rows can have enormous entries; put them in HNF and reduce them
+    # modulo the radical (both are determinant-preserving row
     # operations) to keep the induced action small.
     rad = np.asarray(intlinalg.hnf_basis(radical))
-    comp = np.asarray(intlinalg.unimodular_inverse(v))[k:]
+    comp = np.asarray(intlinalg.unimodular_inverse(u.T))[k:]
     comp = np.asarray(intlinalg.hnf(comp)[0][:module.rank - k])
     comp = comp.astype(object)
     for r in rad:

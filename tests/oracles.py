@@ -47,6 +47,10 @@ ones:
   Burnside-cokernel order from every subgroup of a small group and
   sympy's Smith normal form, where :mod:`psp4obs.burnside` uses the
   lattice's data and :mod:`psp4obs.intlinalg`;
+* ``minimal_multiplier_by_smith`` reads the least multiple of a vector in
+  a lattice off the Smith form and its column transform, where
+  :func:`psp4obs.intlinalg.minimal_multiplier` back-substitutes on the
+  pivots of the Hermite form;
 * ``relator_matrix`` and ``presentation_abelian_invariants`` read G/G'
   off the Smith form of the abelianised relators of the chain's
   presentation, where :func:`psp4obs.permgroups.abelian_invariants`
@@ -61,7 +65,7 @@ ones:
 
 from collections import Counter, deque
 from itertools import product
-from math import prod
+from math import gcd, lcm, prod
 
 import numpy as np
 
@@ -592,6 +596,33 @@ def snf_order(rows, chi) -> int:
     if num % den:
         raise RuntimeError("index of lattices is not an integer")
     return num // den
+
+
+def minimal_multiplier_by_smith(basis, target, bound=None) -> int:
+    """Least ``n >= 1`` with ``n * target`` in the row span of ``basis``.
+
+    With ``U B V = S`` the coordinates of ``target`` are ``c = target V``
+    in the basis of the rows of ``V^-1``, on which the lattice is ``d_j``
+    times the j-th row; so ``n`` is the lcm of ``d_j / gcd(d_j, c_j)``.
+    """
+    basis = intlinalg.as_int_array(basis)
+    t = intlinalg.as_int_array(target).reshape(-1)
+    s, _, v = intlinalg.snf(basis)
+    c = intlinalg.mat_mul(t.reshape(1, -1), v).reshape(-1)
+    k = min(s.shape)
+    d = [int(s[i, i]) for i in range(k)]
+    n = 1
+    for j in range(len(c)):
+        dj = d[j] if j < k else 0
+        cj = int(c[j])
+        if dj == 0:
+            if cj != 0:
+                raise ValueError("no integer multiple lies in the lattice")
+            continue
+        n = lcm(n, dj // gcd(dj, cj)) if cj else n
+    if bound is not None and n > bound:
+        raise ValueError(f"minimal multiplier {n} exceeds bound {bound}")
+    return n
 
 
 # -- abelianisation from a presentation ------------------------------------

@@ -129,6 +129,21 @@ class TestBurnsideOrder:
             burnside.burnside_order(pc, (0, 1), bound=10)
 
 
+    def test_every_lattice_class_matches_the_smith_oracle(self, lattice):
+        # the Burnside column of all 116 classes, against the Smith form's
+        # column transform (the 8 rows with order 2 included)
+        ambient = table.chi24_on_ambient_classes(lattice)
+        orders = []
+        for info in lattice.classes:
+            chi = burnside.restrict_classfn(ambient, info.elem_fusion)
+            got = burnside.burnside_order(info.perm_chars, chi,
+                                          bound=info.order)
+            assert got == oracles.minimal_multiplier_by_smith(
+                info.perm_chars, chi, bound=info.order), info.class_id
+            orders.append(got)
+        assert len(orders) == 116
+        assert sorted(orders)[-9:] == [1] + [2] * 8
+
 class TestClass60:
     """The reference table gives class 60 (C3 x Q8) Burnside order 1; the
     computed 2 is recomputed here from every subgroup by brute force."""

@@ -2,7 +2,8 @@
 
 Normal forms are checked against independently computed oracles: sympy's
 Smith form for invariant factors, fraction-free determinants for
-unimodularity, and brute-force scans for minimal multipliers.
+unimodularity, and brute-force scans and the Smith form's column
+transform for minimal multipliers.
 """
 
 import numpy as np
@@ -11,7 +12,7 @@ import sympy
 from hypothesis import given, settings, strategies as st
 from sympy.matrices.normalforms import smith_normal_form
 
-from oracles import det
+from oracles import det, minimal_multiplier_by_smith
 from psp4obs import intlinalg as il
 
 
@@ -251,7 +252,10 @@ class TestMinimalMultiplier:
         except ValueError:
             for k in range(1, 25):
                 assert il.solve_in_lattice(b, k * t) is None
+            with pytest.raises(ValueError):
+                minimal_multiplier_by_smith(b, t, bound=10**9)
             return
+        assert minimal_multiplier_by_smith(b, t, bound=10**9) == n
         assert il.solve_in_lattice(b, n * t) is not None
         for k in range(1, min(n, 40)):
             assert il.solve_in_lattice(b, k * t) is None

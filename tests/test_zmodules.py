@@ -196,6 +196,17 @@ class TestQuotients:
         quo2 = quotient_by_radical(reg, np.array([[1, 1]]))
         assert quo2.character() == (1, -1)
 
+    def test_table_and_quotient_run_no_smith_form(self, lattice,
+                                                   monkeypatch):
+        def refuse(a):
+            raise AssertionError("a Smith form over Z was computed")
+
+        monkeypatch.setattr(intlinalg, "snf", refuse)
+        rows = table.compute_table(table.TableConfig(lattice=lattice))
+        assert len(rows) == 116
+        reg = perm_module(C2, C2.generators)
+        assert quotient_by_radical(reg, np.array([[1, -1]])).rank == 1
+
     def test_quotient_rejects_unsaturated(self):
         reg = perm_module(C2, C2.generators)
         with pytest.raises(ValueError):
