@@ -23,9 +23,11 @@ the machine's speed falls on both sides alike.  Then, untimed and once
 each, ``table compute --format json`` with and without the module,
 ``table compute --format markdown`` without it, ``table check`` on the
 lattice with the module and on the JSON table with the module columns,
-and ``table check --structural`` on that JSON table, record the sha256 of
-their output and their exit status (a full check exits 1 while the
-computed table and the fixture differ in some cell); so does
+and ``table check --structural`` on that JSON table, ``group info``, and
+``cohomology one --class 6`` on the lattice with the module, record the
+sha256 of their output and their exit status (a full check exits 1 while
+the computed table and the fixture differ in some cell; ``group info``
+exits 1 when an action's order is wrong); so does
 ``scripts/build_module.py --out-dir``, once, for each of the two files it
 writes.
 ``bench/BENCH_<label>.json``, one per checkout, holds the median and
@@ -135,6 +137,10 @@ def _stages(tmp):
         "check_table_structural": (["table", "check", "--table",
                                     str(table_json), "--structural"],
                                    tmp / "check-structural.txt", True),
+        "group_info": (["group", "info"], tmp / "group-info.txt", True),
+        "cohomology_one": (["cohomology", "one", "--class", "6",
+                            "--lattice", lattice, "--module", module],
+                           tmp / "cohomology-one.txt", True),
     }
     return timed, untimed
 

@@ -23,6 +23,8 @@ import argparse
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import cohomology, permgroups, sp4f3, subgroups, table, zmodules
 
 
@@ -70,8 +72,10 @@ def cmd_group_info(args) -> int:
     print(f"point and line actions "
           f"{'equivalent' if same else 'inequivalent'} "
           f"(permutation characters {'equal' if same else 'differ'})")
-    ok = (model.sp80.order == sp4f3.SP4_ORDER
-          and model.psp.order == sp4f3.PSP4_ORDER
+    minus_one = sp4f3.vector_perm(2 * np.identity(4, dtype=int))
+    ok = (model.sp80.order == sp4f3.SP4_ORDER and minus_one in model.sp80
+          and model.psp.order == model.line_action.order
+          == model.pair_action.order == sp4f3.PSP4_ORDER
           and chi[0] == 24 and norm == 1 and not same)
     return 0 if ok else 1
 

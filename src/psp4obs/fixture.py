@@ -36,14 +36,24 @@ class FixtureRow:
     h1_md: tuple
 
 
+# ASCII integers only: int() also takes underscores, spaces and other digits
+_INT = re.compile(r"-?[0-9]+")
+
+
+def _int(text) -> int:
+    if not _INT.fullmatch(text):
+        raise ValueError
+    return int(text)
+
+
 def _ints(text) -> tuple:
-    return tuple(int(x) for x in text.split())
+    return tuple(_int(x) for x in text.split())
 
 
-_FIXTURE_COLUMNS = (("row", int), ("order", int), ("label", str),
-                    ("burnside", int), ("lcm", int),
-                    ("irred", lambda text: text == "yes"), ("maximal", _ints),
-                    ("h1_m", _ints), ("h1_md", _ints))
+_FIXTURE_COLUMNS = (("row", _int), ("order", _int), ("label", str),
+                    ("burnside", _int), ("lcm", _int),
+                    ("irred", {"no": False, "yes": True}.__getitem__),
+                    ("maximal", _ints), ("h1_m", _ints), ("h1_md", _ints))
 
 
 @dataclass
@@ -79,7 +89,7 @@ class Fixture:
                         if text is None:
                             raise ValueError
                         fields[name] = parse(text)
-                    except ValueError:
+                    except (KeyError, ValueError):
                         raise ValueError(
                             f"{path}: line {reader.line_num}: column "
                             f"{name!r} " + ("is missing" if text is None

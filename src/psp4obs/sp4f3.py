@@ -15,15 +15,16 @@ the form.  The group is generated by symplectic transvections
 
     t_v : x  |->  x + <x, v> v,
 
-one for each projective vector ``v``; a deterministic prefix of the
-projective vectors suffices and is found by trying prefixes until the
-group order reaches ``|Sp4(3)| = 51840``.
+one for each projective vector ``v``; one joins the generators when its
+point permutation is not yet in their group, until that group is PSp4(3).
+Their group maps onto PSp4(3) = Sp4(3)/{+-1}, so it has index at most 2
+in the perfect group Sp4(3): it is Sp4(3).
 
-Three permutation models are built with compatible generator lists:
+The action on the projective points (degree 40, faithful for PSp4(3)) is
+the canonical copy of the simple group used everywhere else.  Three more
+actions of the same generators build their chains on first use:
 
 * degree 80, on the nonzero vectors (faithful for Sp4(3));
-* degree 40, on the projective points (faithful for PSp4(3)); this is the
-  canonical copy of the simple group of order 25920 used everywhere else;
 * degree 40, on the 40 totally isotropic lines, and degree 45, on the
   unordered pairs ``{W, W^perp}`` of nondegenerate 2-spaces.
 
@@ -180,84 +181,68 @@ def pair_perm_from_point_perm(pperm):
 
 @dataclass
 class SymplecticModel:
-    """Sp4(F3) with its standard actions, built by :func:`build_sp4`.
-
-    Only ``psp`` keeps a Schreier-Sims chain; the other actions keep the
-    images of the same generators and build their chains on first use.
-    The image of a point permutation on the lines or the pairs is
-    :func:`line_perm_from_point_perm` or :func:`pair_perm_from_point_perm`.
-    """
+    """Sp4(F3) with its standard actions, built by :func:`build_sp4`.  Only
+    ``psp`` has a chain; the other actions build theirs on first use."""
 
     psp: PermGroup            # canonical PSp4(3): action on projective points
-    vector_gens: list         # the generators on the 80 nonzero vectors
-    line_gens: list           # ... on the isotropic lines
-    pair_gens: list           # ... on the perp pairs
+    matrices: list            # the transvections behind psp.generators
 
     @cached_property
     def sp80(self) -> PermGroup:
-        return PermGroup(self.vector_gens, 80)
+        return PermGroup([vector_perm(m) for m in self.matrices], 80)
 
     @cached_property
     def line_action(self) -> PermGroup:
-        return PermGroup(self.line_gens, 40)
+        return PermGroup([line_perm_from_point_perm(p)
+                          for p in self.psp.generators], 40)
 
     @cached_property
     def pair_action(self) -> PermGroup:
-        return PermGroup(self.pair_gens, 45)
+        return PermGroup([pair_perm_from_point_perm(p)
+                          for p in self.psp.generators], 45)
 
-    @staticmethod
-    def lift_to_sp(perm):
-        """A symplectic matrix mapping to the given point permutation.
 
-        Row i of the matrix is the image of the basis vector e_i, so it
-        lies on the image of the point of e_i.  The basis points and
-        (1, 1, 1, 1) form a projective frame: exactly one choice of row
-        scalars, up to a common sign, makes the rows sum to a vector on the
-        image of (1, 1, 1, 1).  The lift is unique up to sign; the
-        representative whose first nonzero entry (row-major) equals 1 is
-        returned, so the map is deterministic.  A permutation that no
-        symplectic matrix induces (an element of PGSp4(3) outside
-        PSp4(3), a permutation that moves the frame to dependent points,
-        one that is not projective at all) raises ``ValueError``.
-        """
-        perm = tuple(perm)
-        frame = np.array(perm)[_FRAME]
-        # candidate k has row i equal to image i times _SCALINGS[k, i]
-        candidates = _SCALINGS[:, :, None] * POINTS[frame[:4]] % 3
-        hits = np.flatnonzero(point_index(candidates.sum(1)) == frame[4])
-        m = candidates[hits[0]] if hits.size else None
-        if m is None or not is_symplectic(m) or point_perm(m) != perm:
-            raise ValueError("permutation is not induced by Sp4(3)")
-        return m
+def lift_to_sp(perm):
+    """A symplectic matrix mapping to the given point permutation.
+
+    Row i of the matrix is the image of the basis vector e_i, so it lies
+    on the image of the point of e_i.  The basis points and (1, 1, 1, 1)
+    form a projective frame: exactly one choice of row scalars, up to a
+    common sign, makes the rows sum to a vector on the image of
+    (1, 1, 1, 1).  The lift is unique up to sign; the representative whose
+    first nonzero entry (row-major) equals 1 is returned, so the map is
+    deterministic.  A permutation that no symplectic matrix induces (an
+    element of PGSp4(3) outside PSp4(3), a permutation that moves the
+    frame to dependent points, one that is not projective at all) raises
+    ``ValueError``.
+    """
+    perm = tuple(perm)
+    frame = np.array(perm)[_FRAME]
+    # candidate k has row i equal to image i times _SCALINGS[k, i]
+    candidates = _SCALINGS[:, :, None] * POINTS[frame[:4]] % 3
+    hits = np.flatnonzero(point_index(candidates.sum(1)) == frame[4])
+    m = candidates[hits[0]] if hits.size else None
+    if m is None or not is_symplectic(m) or point_perm(m) != perm:
+        raise ValueError("permutation is not induced by Sp4(3)")
+    return m
 
 
 def build_sp4() -> SymplecticModel:
-    """Build the model deterministically from transvection generators."""
-    gens = []
-    group = PermGroup([], 80)
+    """Build the model from transvections chosen in the point action."""
+    matrices = []
+    psp = PermGroup([], 40)
     for v in POINTS:
         m = transvection(v)
         _require(is_symplectic(m), "transvection is not symplectic")
-        vp = vector_perm(m)
-        if vp in group:
+        p = point_perm(m)
+        if p in psp:
             continue
-        gens.append(m)
-        group = PermGroup(group.generators + [vp], 80)
-        if group.order == SP4_ORDER:
-            break
-    else:  # pragma: no cover
-        raise RuntimeError("transvections failed to generate Sp4(3)")
-    point_gens = [point_perm(g) for g in gens]
-    psp = PermGroup(point_gens, 40)
-    _require(psp.order == PSP4_ORDER, "point action is not PSp4(3)")
-    _require(vector_perm(2 * np.identity(4, dtype=int)) in group,
-             "-1 is not in Sp4(3)")
-    line = [line_perm_from_point_perm(p) for p in point_gens]
-    pair = [pair_perm_from_point_perm(p) for p in point_gens]
-    _require(PermGroup(line, 40).order == PSP4_ORDER
-             and PermGroup(pair, 45).order == PSP4_ORDER,
-             "line or pair action is not PSp4(3)")
-    return SymplecticModel(psp, list(group.generators), line, pair)
+        matrices.append(m)
+        psp = PermGroup(psp.generators + [p], 40)
+        if psp.order == PSP4_ORDER:
+            return SymplecticModel(psp, matrices)
+    raise RuntimeError(  # pragma: no cover
+        "transvections failed to generate PSp4(3)")
 
 
 @cache
@@ -378,7 +363,7 @@ def _algebra_dimension(mats) -> int:
     return len(pivots)
 
 
-def is_absolutely_irreducible(model: SymplecticModel, generators) -> bool:
+def is_absolutely_irreducible(generators) -> bool:
     """Does the subgroup of PSp4(3) with these generators act absolutely
     irreducibly on F3^4?
 
@@ -389,5 +374,4 @@ def is_absolutely_irreducible(model: SymplecticModel, generators) -> bool:
     matrices over a field acts absolutely irreducibly on K^4 if and only
     if its matrices span all of M_4(K), of dimension 16.
     """
-    return _algebra_dimension(
-        [model.lift_to_sp(g) for g in generators]) == 16
+    return _algebra_dimension([lift_to_sp(g) for g in generators]) == 16

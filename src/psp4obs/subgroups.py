@@ -66,6 +66,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import partial
 from math import prod
 
 import numpy as np
@@ -436,6 +437,7 @@ class SubgroupClassInfo:
 
 
 FORMAT_TAG = "psp4obs-lattice/1"
+_dumps = partial(json.dumps, separators=(",", ":"), sort_keys=True)
 
 
 @dataclass
@@ -457,19 +459,16 @@ class SubgroupLattice:
     def rep(self, class_id: int) -> PermGroup:
         return self.by_id(class_id).rep(self.ambient.degree)
 
-    def to_json(self):
-        return {
-            "format": FORMAT_TAG,
-            "degree": self.ambient.degree,
-            "ambient_generators": [list(g) for g in self.ambient.generators],
-            "classes": [c.to_json() for c in self.classes],
-        }
-
     def save(self, path):
+        """Compact JSON with sorted keys, each class encoded by json.dumps
+        in C: json.dump would take the Python encoder, and one json.dumps
+        of the lattice would hold all of its chunks at once."""
+        gens = _dumps([list(g) for g in self.ambient.generators])
+        classes = ",".join(_dumps(c.to_json()) for c in self.classes)
         with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, separators=(",", ":"),
-                      sort_keys=True)
-            fh.write("\n")
+            fh.write(f'{{"ambient_generators":{gens},"classes":[{classes}],'
+                     f'"degree":{self.ambient.degree},'
+                     f'"format":{_dumps(FORMAT_TAG)}}}\n')
 
     @classmethod
     def load(cls, path) -> "SubgroupLattice":

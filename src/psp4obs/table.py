@@ -35,7 +35,6 @@ from . import burnside, cohomology, sp4f3
 # re-exported: callers reach the reference table through this module
 from .fixture import (DISPUTED_CELLS, Fixture, FixtureRow, MatchReport,
                       compare_fixture, default_fixture_path)
-from .permgroups import PermGroup
 from .subgroups import Fingerprint, SubgroupLattice, checked, int_list
 from .zmodules import GIntModule
 
@@ -130,7 +129,7 @@ def chi24_on_ambient_classes(lattice: SubgroupLattice) -> list:
     for info in sorted(lattice.classes, key=lambda c: c.order):
         if len(values) == count or info.order == lattice.ambient.order:
             break
-        rep = PermGroup(info.generators, lattice.ambient.degree)
+        rep = lattice.rep(info.class_id)
         for (x, _), j in zip(rep.conjugacy_classes(), info.elem_fusion,
                              strict=True):
             values.setdefault(j, sp4f3.chi24(x))
@@ -150,15 +149,14 @@ def check_ambient(lattice: SubgroupLattice, model):
 def compute_table(config: TableConfig) -> list:
     """One :class:`TableRow` per subgroup class, ordered by class id."""
     lattice = config.lattice
-    model = sp4f3.standard_model()
-    check_ambient(lattice, model)
+    check_ambient(lattice, sp4f3.standard_model())
     chi = chi24_on_ambient_classes(lattice)
     h1 = _h1_all(config) if config.module is not None else None
     rows = []
     for info in sorted(lattice.classes, key=lambda c: c.class_id):
         chi_h = burnside.restrict_classfn(chi, info.elem_fusion)
         b = burnside.burnside_order(info.perm_chars, chi_h, bound=info.order)
-        irred = sp4f3.is_absolutely_irreducible(model, info.generators)
+        irred = sp4f3.is_absolutely_irreducible(info.generators)
         if h1 is None:
             lcm_val = h1_m = h1_md = None
         else:

@@ -25,6 +25,7 @@ by one symmetric block.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from functools import reduce
 
@@ -287,7 +288,9 @@ def _read_matrix(path, lines, pos, rank):
                          f"inside a matrix")
     rows = [ln.split() for ln in lines[pos:pos + rank]]
     for i, row in enumerate(rows):
-        if len(row) != rank or not all(x.lstrip("-").isdigit() for x in row):
+        # ASCII integers: str.isdigit() and int() also take other digits
+        if len(row) != rank or not re.fullmatch(r"-?[0-9]+(?: -?[0-9]+)*",
+                                                " ".join(row)):
             raise ValueError(f"{path}: line {pos + i + 1}: expected {rank} "
                              f"integers")
     try:

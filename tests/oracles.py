@@ -419,7 +419,7 @@ def tuple_points():
 
 
 def lift_to_sp(perm):
-    """:meth:`psp4obs.sp4f3.SymplecticModel.lift_to_sp` on tuples: the 16
+    """:func:`psp4obs.sp4f3.lift_to_sp` on tuples: the 16
     scalings of the frame's images tried one at a time, the first whose
     rows sum onto the image of (1, 1, 1, 1) kept, then made symplectic,
     checked against ``perm`` and signed so that its first nonzero entry is

@@ -5,7 +5,8 @@ import pathlib
 
 import pytest
 
-from psp4obs import cli, subgroups, table, zmodules
+from psp4obs import cli, sp4f3, subgroups, table, zmodules
+from psp4obs.permgroups import PermGroup
 
 
 def run_cli(capsys, *argv):
@@ -24,6 +25,19 @@ class TestGroupInfo:
         assert "degree 45" in out
         assert "<chi24, chi24> = 1" in out
         assert "inequivalent" in out
+
+    @pytest.mark.parametrize("action", ["sp80", "line_action",
+                                        "pair_action"])
+    def test_exit_status_checks_the_other_actions(self, monkeypatch, capsys,
+                                                   action):
+        # only group info builds these groups, so it checks their orders
+        # and that -1 is in Sp4(3); here one of them is trivial
+        model = sp4f3.build_sp4()
+        degree = getattr(model, action).degree
+        vars(model)[action] = PermGroup([], degree)
+        monkeypatch.setattr(sp4f3, "standard_model", lambda: model)
+        code, _, _ = run_cli(capsys, "group", "info")
+        assert code == 1
 
 
 class TestTableCompute:
@@ -401,8 +415,14 @@ class TestBadFixture:
          "line 6: row number 4 should be 5: rows run 1..116 in order"),
         (lambda lines: [], "the file has no rows"),
         (lambda lines: lines[:1], "the file has no rows"),
+        # line 2 is row 1, whose irred cell is "no"; line 7 is row 6, whose
+        # lcm cell is "3": int() would read "3_0" as 30
+        (lambda lines: lines[:1] + [lines[1].replace(",no,", ",maybe,")]
+         + lines[2:], "line 2: column 'irred' holds 'maybe'"),
+        (lambda lines: lines[:6] + [lines[6].replace(",3,no,", ",3_0,no,")]
+         + lines[7:], "line 7: column 'lcm' holds '3_0'"),
     ], ids=["truncated", "without-burnside", "maximal-999", "row-repeated",
-            "empty", "header-only"])
+            "empty", "header-only", "irred-maybe", "lcm-underscore"])
     def test_one_error_line(self, lattice_path, tmp_path, capsys, edit,
                             message):
         shipped = table.default_fixture_path().read_text()
@@ -457,8 +477,15 @@ class TestModuleVerify:
                                     + lines[2][lines[2].index(" "):]]
          + lines[3:], "generator 0 has order 3, but its matrix to that "
          "power is not 1"),
+        # a first entry that str.isdigit() or int() takes but is not an
+        # ASCII integer
+        *((lambda lines, cell=cell: lines[:2] + [
+            cell + lines[2][lines[2].index(" "):]] + lines[3:],
+           "line 3: expected 61 integers") for cell in ("--1", "\u00b2",
+                                                        "\u0661")),
     ], ids=["0", "62", "entry-2-63", "trailing-line", "gens-2", "rank-0",
-            "entry-plus-1"])
+            "entry-plus-1", "entry-double-minus", "entry-superscript",
+            "entry-arabic-indic"])
     def test_cut_module_file_is_one_error_line(self, lattice_path, tmp_path,
                                                capsys, edit, message):
         """A cut module file, and one with a bad entry or extra text."""

@@ -28,18 +28,38 @@ class TestConstruction:
         assert sp4f3.PSP4_ORDER == 25920
         assert model.psp.order == sp4f3.PSP4_ORDER
         assert model.sp80.order == sp4f3.SP4_ORDER
+        # -1 is in Sp4(3), and the line and pair actions are of PSp4(3)
+        minus_one = sp4f3.vector_perm(2 * np.identity(4, dtype=int))
+        assert minus_one in model.sp80
+        assert model.line_action.order == sp4f3.PSP4_ORDER
+        assert model.pair_action.order == sp4f3.PSP4_ORDER
 
     def test_model_keeps_only_the_psp_chain(self):
         model = sp4f3.build_sp4()
         lazy = {"sp80", "line_action", "pair_action"}
         assert lazy.isdisjoint(vars(model))
         # the transports use the generators alone
-        assert sp4f3.pair_perm_from_point_perm(model.psp.generators[0]) == \
-            model.pair_gens[0]
+        pair = sp4f3.pair_perm_from_point_perm(model.psp.generators[0])
         assert lazy.isdisjoint(vars(model))
         assert model.pair_action.order == sp4f3.PSP4_ORDER
         assert model.sp80.order == sp4f3.SP4_ORDER
         assert {"sp80", "pair_action"} <= set(vars(model))
+        assert pair == model.pair_action.generators[0]
+
+    def test_build_makes_groups_on_the_points_only(self, monkeypatch):
+        degrees = []
+        build = PermGroup._build
+
+        def counting(group):
+            degrees.append(group.degree)
+            build(group)
+
+        monkeypatch.setattr(PermGroup, "_build", counting)
+        model = sp4f3.build_sp4()
+        # the empty group, then one per chosen transvection
+        assert degrees == [40] * (1 + len(model.matrices))
+        assert [sp4f3.point_perm(m) for m in model.matrices] == \
+            model.psp.generators
 
     def test_library_has_no_asserts(self):
         # python -O strips asserts, so invariants must raise instead
@@ -52,7 +72,7 @@ class TestConstruction:
     def test_generator_matrices_symplectic(self, model):
         j = np.asarray(sp4f3.J_FORM)
         for g in model.psp.generators:
-            m = model.lift_to_sp(g)
+            m = sp4f3.lift_to_sp(g)
             assert ((m @ j @ m.T - j) % 3 == 0).all()
 
     def test_point_count(self):
@@ -84,13 +104,13 @@ class TestConstruction:
 
     def test_lift_roundtrip(self, model):
         for p in model.psp.generators:
-            m = model.lift_to_sp(p)
+            m = sp4f3.lift_to_sp(p)
             assert sp4f3.point_perm(m) == p
         # lifting a product lands on the product up to sign
         a, b = model.psp.generators[:2]
         ab = pmul(a, b)
-        lifted = model.lift_to_sp(a) @ model.lift_to_sp(b) % 3
-        want = model.lift_to_sp(ab)
+        lifted = sp4f3.lift_to_sp(a) @ sp4f3.lift_to_sp(b) % 3
+        want = sp4f3.lift_to_sp(ab)
         assert (np.array_equal(lifted, want)
                 or np.array_equal(lifted, 2 * want % 3))
 
@@ -100,14 +120,14 @@ class TestConstruction:
         perm = sp4f3.point_perm(sim)
         assert sorted(perm) == list(range(40)) and perm not in model.psp
         with pytest.raises(ValueError):
-            model.lift_to_sp(perm)
+            sp4f3.lift_to_sp(perm)
 
     def test_lift_rejects_a_transposition(self, model):
         for i, j in ((0, 1), (38, 39)):
             perm = list(range(40))
             perm[i], perm[j] = j, i
             with pytest.raises(ValueError):
-                model.lift_to_sp(perm)
+                sp4f3.lift_to_sp(perm)
 
     def test_lift_rejects_dependent_basis_images(self, model):
         # e3 -> e1 + e2: no scaling of the images sums onto (1, 1, 1, 1);
@@ -118,7 +138,7 @@ class TestConstruction:
             i, j = sp4f3.point_index([basis, image])
             perm[i], perm[j] = j, i
             with pytest.raises(ValueError):
-                model.lift_to_sp(perm)
+                sp4f3.lift_to_sp(perm)
 
     def test_line_point_actions_not_isomorphic(self, model, classes):
         # same degree, different permutation character
@@ -210,17 +230,17 @@ SPAN_DIMS = {43: 8, 46: 16, 77: 16, 81: 6}
 
 class TestAbsoluteIrreducibility:
     def test_full_group(self, model):
-        assert sp4f3.is_absolutely_irreducible(model, model.psp.generators)
+        assert sp4f3.is_absolutely_irreducible(model.psp.generators)
 
     def test_trivial_subgroup(self, model):
         triv = model.psp.subgroup([])
-        assert not sp4f3.is_absolutely_irreducible(model, triv.generators)
+        assert not sp4f3.is_absolutely_irreducible(triv.generators)
 
     def test_cyclic_subgroups(self, model):
         # no cyclic subgroup acts absolutely irreducibly in dimension 4
         for rep, _ in model.psp.conjugacy_classes()[1:4]:
             sub = model.psp.subgroup([rep])
-            assert not sp4f3.is_absolutely_irreducible(model, sub.generators)
+            assert not sp4f3.is_absolutely_irreducible(sub.generators)
 
     def test_matches_matrix_span(self, model):
         # Burnside's criterion: absolutely irreducible iff the preimage's
@@ -235,10 +255,10 @@ class TestAbsoluteIrreducibility:
             if sub.order > 400:
                 continue
             mats = oracles.preimage(
-                [model.lift_to_sp(g) for g in sub.generators])
+                [sp4f3.lift_to_sp(g) for g in sub.generators])
             flat = np.array([np.array(m).reshape(16) for m in mats]) % 3
             spans = oracles.rank_mod3(flat) == 16
-            assert sp4f3.is_absolutely_irreducible(model, sub.generators) == spans
+            assert sp4f3.is_absolutely_irreducible(sub.generators) == spans
 
     def test_agrees_with_the_subspace_oracle(self, model, lattice):
         # no invariant line, plane or hyperplane and a one-dimensional
@@ -247,7 +267,7 @@ class TestAbsoluteIrreducibility:
         # dimension the spin finds
         flags, lifted, spanned = [], 0, 0
         for info in lattice.classes:
-            mats = [model.lift_to_sp(g) for g in info.generators]
+            mats = [sp4f3.lift_to_sp(g) for g in info.generators]
             for g, m in zip(info.generators, mats):
                 assert sp4f3.point_perm(m) == tuple(g)
                 assert oracles.as_tuples(m) == oracles.lift_to_sp(g)
@@ -257,7 +277,7 @@ class TestAbsoluteIrreducibility:
                 assert sp4f3._algebra_dimension(mats) == \
                     oracles.rank_mod3(flat), info.class_id
                 spanned += 1
-            irred = sp4f3.is_absolutely_irreducible(model, info.generators)
+            irred = sp4f3.is_absolutely_irreducible(info.generators)
             assert oracles.subspace_irreducible(mats) == irred, info.class_id
             flags.append(irred)
         assert len(flags) == 116 and 0 < sum(flags) < 116
@@ -271,11 +291,11 @@ class TestAbsoluteIrreducibility:
         # the span of the whole preimage settles them
         info = lattice.classes[class_id - 1]
         assert info.class_id == class_id
-        lifts = [model.lift_to_sp(g) for g in info.generators]
+        lifts = [sp4f3.lift_to_sp(g) for g in info.generators]
         preimage = oracles.preimage(lifts)
         assert len(preimage) == 2 * info.order
         flat = np.array([np.array(m).reshape(16) for m in preimage])
         assert oracles.rank_mod3(flat) == dim
         assert sp4f3._algebra_dimension(lifts) == dim
-        assert sp4f3.is_absolutely_irreducible(model, info.generators) == \
+        assert sp4f3.is_absolutely_irreducible(info.generators) == \
             (dim == 16)

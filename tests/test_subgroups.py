@@ -215,6 +215,10 @@ class TestPersistence:
             assert np.array_equal(a.perm_chars, b.perm_chars)
         lat2.save(p2)
         assert p1.read_bytes() == p2.read_bytes()
+        # the file is the compact, key-sorted encoding of its own content
+        text = p1.read_text()
+        assert text == json.dumps(json.loads(text), separators=(",", ":"),
+                                  sort_keys=True) + "\n"
 
     def test_load_rejects_other_formats(self, tmp_path):
         p = tmp_path / "x.json"
