@@ -78,24 +78,29 @@ class Fixture:
         """Read the CSV; no rows, a missing column, a cell that does not
         parse, a row number out of 1..n order or a ``maximal`` entry that
         names no row raises ValueError naming the path (and the line)."""
-        rows, line_of = [], []
         with open(path, newline="") as fh:
             reader = csv.DictReader(fh)
-            for rec in reader:
-                fields = {}
-                for name, parse in _FIXTURE_COLUMNS:
-                    text = rec.get(name)
-                    try:
-                        if text is None:
-                            raise ValueError
-                        fields[name] = parse(text)
-                    except (KeyError, ValueError):
-                        raise ValueError(
-                            f"{path}: line {reader.line_num}: column "
-                            f"{name!r} " + ("is missing" if text is None
-                                            else f"holds {text!r}")) from None
-                rows.append(FixtureRow(**fields))
-                line_of.append(reader.line_num)
+            try:
+                records = [(rec, reader.line_num) for rec in reader]
+            except csv.Error as exc:  # e.g. a cell over the field limit
+                raise ValueError(f"{path}: line {reader.line_num + 1}: "
+                                 f"{exc}") from None
+        rows, line_of = [], []
+        for rec, line in records:
+            fields = {}
+            for name, parse in _FIXTURE_COLUMNS:
+                text = rec.get(name)
+                try:
+                    if text is None:
+                        raise ValueError
+                    fields[name] = parse(text)
+                except (KeyError, ValueError):
+                    raise ValueError(
+                        f"{path}: line {line}: column {name!r} "
+                        + ("is missing" if text is None
+                           else f"holds {text!r}")) from None
+            rows.append(FixtureRow(**fields))
+            line_of.append(line)
         n = len(rows)
         if not n:
             raise ValueError(f"{path}: the file has no rows")

@@ -5,11 +5,11 @@ left-to-right, so ``(p * q)(i) = q[p[i]]`` and points are acted on from the
 right: ``i ^ (pq) = (i ^ p) ^ q``.
 
 :class:`PermGroup` keeps a base and strong generating set built by a
-deterministic Schreier-Sims procedure.  Only a Schreier generator that
-becomes a new strong generator is sifted again for its word, and every
-transversal element carries a word, so any element can be written in the
-original generators (:meth:`PermGroup.express`) and a presentation read
-off the chain (:meth:`PermGroup.presentation`).
+deterministic Schreier-Sims procedure.  One strip loop sifts every
+element: it returns the path of transversal points it met, and every
+transversal element carries a word, so a new strong generator's word,
+any element's word in the original generators (:meth:`PermGroup.express`)
+and a presentation (:meth:`PermGroup.presentation`) are read off paths.
 
 Whole-group operations run on the element table: all elements as one
 numpy array in lexicographic order.  A row is found by its key, one int64
@@ -22,16 +22,6 @@ gather only the base columns and start from the centraliser of one
 generator's class representative: each group builds one
 :class:`ConjugacyAnchor` for them, which also labels the rows by the
 cosets of a subgroup.
-
-A build stops early when the caller knows an upper bound on the order:
-:meth:`PermGroup.subgroup` passes the order of the group the generators
-lie in, :meth:`ElementSet.group` the exact order of its elements.  The
-product of the basic orbit lengths is a lower bound on the order, so once
-it reaches the bound the base and strong generating set is complete
-(Holt, Eick and O'Brien, ch. 4): every Schreier generator left to verify
-would sift, and no strong generator can appear.  Each orbit is a function
-of its level's strong generators, so rebuilding every level then gives
-the chain of the fully verified build, field for field.
 
 Closures (:func:`closed_set`, :func:`normal_closure`) grow an
 :class:`ElementSet` by Dimino's coset closure; the derived series compares
@@ -292,11 +282,9 @@ class PermGroup(_DerivedSeries):
 
     ``generators`` may contain duplicates or identities; they keep their
     indices for purposes of words, but only nontrivial ones enter the chain.
-    ``order_bound``, an upper bound on the order of the group generated,
-    ends the build once the chain reaches it; the chain is the same.
     """
 
-    def __init__(self, generators, degree=None, *, order_bound=None):
+    def __init__(self, generators, degree=None):
         generators = [tuple(g) for g in generators]
         if degree is None:
             if not generators:
@@ -311,7 +299,6 @@ class PermGroup(_DerivedSeries):
         self.sgens = []            # strong generators (permutations)
         self.sgen_words = []       # words in original generators
         self.levels = []
-        self._order_bound = order_bound
         self._build()
         self._cache = {}
 
@@ -352,29 +339,61 @@ class PermGroup(_DerivedSeries):
             frontier = new
 
     def _add_sgen(self, p, word):
-        lvl = self._sgen_level(p)
-        if lvl == len(self.base):
+        if self._sgen_level(p) == len(self.base):
             moved = min(i for i in range(self.degree) if p[i] != i)
             self.base.append(moved)
             self.levels.append(_Level(moved, [], {}, {}))
         self.sgens.append(p)
         self.sgen_words.append(tuple(word))
-        return self._sgen_level(p)
 
-    def _strip_with_word(self, p, word, start):
-        """Sift from ``start`` down, extending the strong-generator word.
+    def _strip(self, p, start=0):
+        """Sift ``p`` from level ``start`` down: ``(level, residue, path)``.
 
-        Returns ``(level, residue, word)`` where the word (in strong
-        generator indices) evaluates to the residue.
+        ``level`` is the first level whose orbit misses the image of its
+        base point (the number of levels if none); ``path`` lists the
+        ``(i, pt)`` at which the image pt is not the base point, so that
+        p = residue t_last ... t_first for their transversal elements t.
         """
+        path = []
         for i in range(start, len(self.levels)):
             level = self.levels[i]
-            img = p[level.point]
-            if img not in level.orbit:
-                return i, p, word
-            word = word + word_inverse(level.orbit_words[img])
-            p = pmul(p, level.inverse(img))
-        return len(self.levels), p, word
+            pt = p[level.point]
+            if pt != level.point:
+                if pt not in level.orbit:
+                    return i, p, path
+                p = pmul(p, level.inverse(pt))
+                path.append((i, pt))
+        return len(self.levels), p, path
+
+    def _path_word(self, path):
+        """The word in strong generator indices of t_first^-1 ...
+        t_last^-1, which a strip along ``path`` multiplies by."""
+        return tuple(x for i, pt in path
+                     for x in word_inverse(self.levels[i].orbit_words[pt]))
+
+    def _schreier_word(self, i, pt, j, path):
+        """The word of t_pt s_j t_img^-1 at level i, stripped along
+        ``path``: the word of the strip's residue."""
+        words = self.levels[i].orbit_words
+        return (words[pt] + ((j, 1),) + word_inverse(words[self.sgens[j][pt]])
+                + self._path_word(path))
+
+    def _schreier_strips(self, i):
+        """(pt, j, strip) for each orbit point pt of level i and strong
+        generator j of the level: :meth:`_strip` of the Schreier element
+        t_pt s_j t_img^-1 from level i + 1 on."""
+        level = self.levels[i]
+        trivial = (len(self.levels), self.identity, ())  # the strip of 1
+        for pt in sorted(level.orbit):
+            t = level.orbit[pt]
+            for j in level.gen_indices:
+                s = self.sgens[j]
+                ts = pmul(t, s)
+                if ts == level.orbit[s[pt]]:
+                    yield pt, j, trivial
+                else:
+                    yield pt, j, self._strip(pmul(ts, level.inverse(s[pt])),
+                                             i + 1)
 
     def _build(self):
         for idx, g in enumerate(self.generators):
@@ -386,49 +405,23 @@ class PermGroup(_DerivedSeries):
             self._rebuild_orbit(i)
         # verify levels bottom-up; a new strong generator at level l sends
         # the scan back down to l (deeper levels keep their generator sets
-        # and stay verified).  Stop once the orbits reach the bound on the
-        # order: shallower levels may be stale, but a new strong generator
-        # lies in the group of each one's generators, so their orbits keep
-        # their size.
-        bound = self._order_bound
+        # and stay verified)
         i = len(self.levels) - 1
-        while i >= 0 and (bound is None or self.order < bound):
+        while i >= 0:
             self._rebuild_orbit(i)
-            level = self.levels[i]
-            restart = None
-            for pt in sorted(level.orbit):
-                t = level.orbit[pt]
-                for j in level.gen_indices:
-                    s = self.sgens[j]
-                    img = s[pt]
-                    ts = pmul(t, s)
-                    if ts == level.orbit[img]:
-                        continue  # trivial Schreier generator
-                    schreier = pmul(ts, level.inverse(img))
-                    if self.sift(schreier, i + 1) is not None:
-                        continue
-                    # a new strong generator: sift again, with its word
-                    word = level.orbit_words[pt] + ((j, 1),) + word_inverse(
-                        level.orbit_words[img])
-                    lvl, res, word = self._strip_with_word(
-                        schreier, word, i + 1)
-                    self._add_sgen(res, self._expand_sgen_word(word))
+            restart = i - 1
+            for pt, j, (lvl, res, path) in self._schreier_strips(i):
+                if not is_identity(res):
+                    self._add_sgen(res, self._expand_sgen_word(
+                        self._schreier_word(i, pt, j, path)))
                     for k in range(i + 1, len(self.levels)):
                         self._rebuild_orbit(k)
-                    restart = len(self.levels) - 1 if lvl >= len(
-                        self.levels) - 1 else lvl
+                    restart = min(lvl, len(self.levels) - 1)
                     break
-                if restart is not None:
-                    break
-            if restart is not None:
-                i = restart
-            else:
-                i -= 1
-        if i >= 0:  # stopped at the bound: rebuild the levels left stale
-            for k in range(len(self.levels)):
-                self._rebuild_orbit(k)
-        # the inverses serve the sifts of the build; a built chain keeps
-        # only its transversals, as groups are kept by the thousand
+            i = restart
+        # the inverses serve the strips of the build, which meet every
+        # orbit point; a built chain keeps only its transversals, and a
+        # later sift remakes the few inverses it meets
         for level in self.levels:
             level.inverses = {}
 
@@ -457,54 +450,40 @@ class PermGroup(_DerivedSeries):
         return self.sift(tuple(p)) is not None
 
     def sift(self, p, start=0):
-        """[(i, pt), ...] for the levels i >= start at which sifting ``p``
-        meets a point pt other than the base point, so that p = t_last ...
-        t_first for their transversal elements t; None for non-members."""
-        out = []
-        for i in range(start, len(self.levels)):
-            level = self.levels[i]
-            pt = p[level.point]
-            if pt != level.point:
-                if pt not in level.orbit:
-                    return None
-                p = pmul(p, level.inverse(pt))
-                out.append((i, pt))
-        return out if is_identity(p) else None
+        """The path of :meth:`_strip` from level ``start`` when ``p`` strips
+        to the identity, so that p = t_last ... t_first; None for
+        non-members."""
+        _, residue, path = self._strip(p, start)
+        return path if is_identity(residue) else None
 
     def schreier_relations(self):
-        """(i, pt, j, sift) for each level i, orbit point pt and strong
-        generator j of the level: t_pt s_j = h t_img, where ``sift`` is
+        """(i, pt, j, path) for each level i, orbit point pt and strong
+        generator j of the level: t_pt s_j = h t_img, where ``path`` is
         :meth:`sift` of h = t_pt s_j t_img^-1 from level i + 1 on."""
-        for i, level in enumerate(self.levels):
-            for pt in sorted(level.orbit):
-                for j in level.gen_indices:
-                    s = self.sgens[j]
-                    h = pmul(pmul(level.orbit[pt], s), level.inverse(s[pt]))
-                    rest = self.sift(h, i + 1)
-                    if rest is None:
-                        raise RuntimeError("chain failed to sift")
-                    yield i, pt, j, rest
+        for i in range(len(self.levels)):
+            for pt, j, (_, residue, path) in self._schreier_strips(i):
+                if not is_identity(residue):
+                    raise RuntimeError("chain failed to sift")
+                yield i, pt, j, path
 
     def express(self, p):
         """A word in the original generators evaluating to ``p``.
 
         Returns ``None`` for non-members.
         """
-        points = self.sift(tuple(p))
-        if points is None:
+        path = self.sift(tuple(p))
+        if path is None:
             return None
-        return self._expand_sgen_word(tuple(
-            x for i, pt in reversed(points)
-            for x in self.levels[i].orbit_words[pt]))
+        return self._expand_sgen_word(word_inverse(self._path_word(path)))
 
     def subgroup(self, gens):
         """The subgroup generated by ``gens``, which must lie in this group
-        (``ValueError`` otherwise), as its order bounds the build."""
+        (``ValueError`` otherwise)."""
         gens = [tuple(g) for g in gens]
         for g in gens:
             if len(g) != self.degree or g not in self:
                 raise ValueError(f"not an element of the group: {g}")
-        return PermGroup(gens, self.degree, order_bound=self.order)
+        return PermGroup(gens, self.degree)
 
     # -- element enumeration ----------------------------------------------
 
@@ -645,13 +624,9 @@ class PermGroup(_DerivedSeries):
         the group.
         """
         relators = {}  # an ordered set
-        for i, pt, j, rest in self.schreier_relations():
-            words = self.levels[i].orbit_words
-            word = words[pt] + ((j, 1),) + word_inverse(
-                words[self.sgens[j][pt]])
-            for k, q in rest:
-                word += word_inverse(self.levels[k].orbit_words[q])
-            relators[word_free_reduce(word)] = None
+        for i, pt, j, path in self.schreier_relations():
+            relators[word_free_reduce(
+                self._schreier_word(i, pt, j, path))] = None
         relators.pop((), None)
         return Presentation(len(self.sgens), tuple(self.sgen_words),
                             tuple(relators))
@@ -806,7 +781,7 @@ class ElementSet(_DerivedSeries):
 
     def group(self) -> PermGroup:
         """The group of these elements, with its Schreier-Sims chain."""
-        return PermGroup(self.generators, self.degree, order_bound=self.order)
+        return PermGroup(self.generators, self.degree)
 
     def add_generator(self, p):
         self.generators.append(tuple(p))

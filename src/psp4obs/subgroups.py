@@ -25,12 +25,10 @@ reach H, and the cosets of z, ..., z^{p-1}, off the same lookups.
 Step 1 adds the solvable residual of the group each pair generates
 (:func:`perfect_subgroup_classes`), plus a safety net: whenever a
 normaliser N_G(H) is computed, its solvable residual is added if its
-class is missing.  A pair's chain is built with the ambient order as a
-bound (:meth:`PermGroup.subgroup`), so a pair that generates the whole
-group stops as soon as the chain has its order.  A solvable group (its
-solvable residual is 1) has no perfect subgroup but 1, so it gets neither
-the search nor the net.  The expected class count for a given ambient
-group is checked by callers, not here.
+class is missing.  A solvable group (its solvable residual is 1) has no
+perfect subgroup but 1, so it gets neither the search nor the net.  The
+expected class count for a given ambient group is checked by callers, not
+here.
 
 Classes are deduplicated by exact element-set, then by an invariant
 prescreen (order and fusion of element classes into the ambient group's),
@@ -129,6 +127,16 @@ def checked(value, kind, what):
                else json.dumps(value))
         raise ValueError(f"{what} must be {_JSON_KINDS[kind]}, not {got}")
     return value
+
+
+def read_json(path):
+    """The JSON document in a file; one nested deeper than the parser's
+    recursion limit is a ValueError."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except RecursionError as exc:
+            raise ValueError(str(exc)) from None
 
 
 def int_list(value, what) -> tuple:
@@ -474,8 +482,7 @@ class SubgroupLattice:
     def load(cls, path) -> "SubgroupLattice":
         where = "top level"
         try:
-            with open(path) as fh:
-                d = json.load(fh)
+            d = read_json(path)
             if checked(d, dict, "the file").get("format") != FORMAT_TAG:
                 raise ValueError(f"unrecognised lattice cache format: "
                                  f"{d.get('format')!r}")

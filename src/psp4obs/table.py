@@ -35,7 +35,8 @@ from . import burnside, cohomology, sp4f3
 # re-exported: callers reach the reference table through this module
 from .fixture import (DISPUTED_CELLS, Fixture, FixtureRow, MatchReport,
                       compare_fixture, default_fixture_path)
-from .subgroups import Fingerprint, SubgroupLattice, checked, int_list
+from .subgroups import (Fingerprint, SubgroupLattice, checked, int_list,
+                        read_json)
 from .zmodules import GIntModule
 
 TABLE_FORMAT_TAG = "psp4obs-table/1"
@@ -242,8 +243,7 @@ def load_table_json(path) -> list:
     rows = []
     where = "top level"
     try:
-        with open(path) as fh:
-            doc = json.load(fh)
+        doc = read_json(path)
         if checked(doc, dict, "the file").get("format") != TABLE_FORMAT_TAG:
             raise ValueError(f"unrecognised table format: "
                              f"{doc.get('format')!r}")

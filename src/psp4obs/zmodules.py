@@ -267,19 +267,24 @@ def _write_matrix(fh, mat):
         fh.write("\n")
 
 
+# ASCII integers: str.isdigit() and int() also take other digits and "_"
+_INT = r"-?[0-9]+"
+
+
 def _read_lines(path, kind, keys):
     """The lines of a ``kind`` file and its integer header fields."""
     with open(path) as fh:
         lines = [ln.rstrip("\n") for ln in fh]
     head = lines[0].split() if lines else [""]
     try:
-        fields = {k: int(v) for k, v in (kv.split("=") for kv in head[1:])}
-        if head[0] != kind or set(keys) - set(fields):
+        fields = dict(kv.split("=") for kv in head[1:])
+        if (head[0] != kind or set(keys) - set(fields)
+                or not all(re.fullmatch(_INT, v) for v in fields.values())):
             raise ValueError
     except ValueError:
         raise ValueError(f"{path}: line 1: expected '{kind} "
                          + " ".join(f"{k}=<n>" for k in keys) + "'") from None
-    return lines, fields
+    return lines, {k: int(v) for k, v in fields.items()}
 
 
 def _read_matrix(path, lines, pos, rank):
@@ -288,8 +293,7 @@ def _read_matrix(path, lines, pos, rank):
                          f"inside a matrix")
     rows = [ln.split() for ln in lines[pos:pos + rank]]
     for i, row in enumerate(rows):
-        # ASCII integers: str.isdigit() and int() also take other digits
-        if len(row) != rank or not re.fullmatch(r"-?[0-9]+(?: -?[0-9]+)*",
+        if len(row) != rank or not re.fullmatch(f"{_INT}(?: {_INT})*",
                                                 " ".join(row)):
             raise ValueError(f"{path}: line {pos + i + 1}: expected {rank} "
                              f"integers")

@@ -193,6 +193,8 @@ class TestBadLatticeFile:
          "24300 elements, not 25920"),
         (lambda doc: "[1,\n", "top level: Expecting value: line 2 column 1 "
          "(char 4)"),
+        (lambda doc: "[" * 100000, "top level: maximum recursion depth "
+         "exceeded while decoding a JSON array from a unicode string"),
         # no proper class, so no cyclic one, meets ambient class 19
         (_fusion_19_to_18, "the cyclic classes meet only 19 of 20 ambient "
          "classes"),
@@ -203,7 +205,8 @@ class TestBadLatticeFile:
             "elem-fusion-string", "own-gclass-true", "generators-null",
             "abelianization-int", "degree-string", "top-level-list",
             "maximal-1.5", "normalizer-order-0", "normalizer-order-6",
-            "cyclic-normalizer-doubled", "not-json", "fusion-19-to-18"])
+            "cyclic-normalizer-doubled", "not-json", "deep-nesting",
+            "fusion-19-to-18"])
     def test_one_error_line(self, lattice_path, tmp_path, capsys, edit,
                             message):
         doc = json.loads(pathlib.Path(lattice_path).read_text())
@@ -374,13 +377,15 @@ class TestTableCheck:
          "must be a list, not null"),
         (lambda doc: "[1,\n", "top level: Expecting value: line 2 column 1 "
          "(char 4)"),
+        (lambda doc: "[" * 100000, "top level: maximum recursion depth "
+         "exceeded while decoding a JSON array from a unicode string"),
         (lambda doc: doc["rows"][6].update(maximal=[999]), "row 7: maximal "
          "id 999 is not in 1..116"),
         (lambda doc: doc["rows"][6].update(class_id=6), "row 7: class_id 6 "
          "should be 7: ids run 1..n in order"),
         (lambda doc: doc.update(rows=[]), "top level: rows is empty"),
-    ], ids=["rows-5", "row-list", "maximal-null", "not-json", "maximal-999",
-            "class-id-repeated", "no-rows"])
+    ], ids=["rows-5", "row-list", "maximal-null", "not-json", "deep-nesting",
+            "maximal-999", "class-id-repeated", "no-rows"])
     def test_bad_table_file_is_one_error_line(self, lattice_path, tmp_path,
                                               capsys, edit, message):
         path = tmp_path / "table.json"
@@ -421,8 +426,12 @@ class TestBadFixture:
          + lines[2:], "line 2: column 'irred' holds 'maybe'"),
         (lambda lines: lines[:6] + [lines[6].replace(",3,no,", ",3_0,no,")]
          + lines[7:], "line 7: column 'lcm' holds '3_0'"),
+        # a label cell one character over the csv module's field limit
+        (lambda lines: lines[:5] + [lines[5].replace("<3 1>", "x" * 131073)]
+         + lines[6:], "line 6: field larger than field limit (131072)"),
     ], ids=["truncated", "without-burnside", "maximal-999", "row-repeated",
-            "empty", "header-only", "irred-maybe", "lcm-underscore"])
+            "empty", "header-only", "irred-maybe", "lcm-underscore",
+            "label-over-field-limit"])
     def test_one_error_line(self, lattice_path, tmp_path, capsys, edit,
                             message):
         shipped = table.default_fixture_path().read_text()
@@ -483,9 +492,14 @@ class TestModuleVerify:
             cell + lines[2][lines[2].index(" "):]] + lines[3:],
            "line 3: expected 61 integers") for cell in ("--1", "\u00b2",
                                                         "\u0661")),
+        # header fields that int() reads as 61 and 5
+        *((lambda lines, head=head: [head] + lines[1:],
+           "line 1: expected 'gmodule rank=<n> gens=<n>'")
+          for head in ("gmodule rank=6_1 gens=5\n",
+                       "gmodule rank=61 gens=\u0665\n")),
     ], ids=["0", "62", "entry-2-63", "trailing-line", "gens-2", "rank-0",
             "entry-plus-1", "entry-double-minus", "entry-superscript",
-            "entry-arabic-indic"])
+            "entry-arabic-indic", "rank-underscore", "gens-arabic-indic"])
     def test_cut_module_file_is_one_error_line(self, lattice_path, tmp_path,
                                                capsys, edit, message):
         """A cut module file, and one with a bad entry or extra text."""
