@@ -421,7 +421,7 @@ class PermGroup(_DerivedSeries):
             i = restart
         # the inverses serve the strips of the build, which meet every
         # orbit point; a built chain keeps only its transversals, and a
-        # later sift remakes the few inverses it meets
+        # later sift remakes just the inverses it meets
         for level in self.levels:
             level.inverses = {}
 
