@@ -16,6 +16,7 @@ The module imports nothing else from the package, so a kept
 from __future__ import annotations
 
 import csv
+import io
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -78,13 +79,17 @@ class Fixture:
         """Read the CSV; no rows, a missing column, a cell that does not
         parse, a row number out of 1..n order or a ``maximal`` entry that
         names no row raises ValueError naming the path (and the line)."""
-        with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            try:
-                records = [(rec, reader.line_num) for rec in reader]
-            except csv.Error as exc:  # e.g. a cell over the field limit
-                raise ValueError(f"{path}: line {reader.line_num + 1}: "
-                                 f"{exc}") from None
+        try:  # read whole, so that a decoding error names its file offset
+            with open(path, newline="", encoding="utf-8") as fh:
+                text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+        reader = csv.DictReader(io.StringIO(text, newline=""))
+        try:
+            records = [(rec, reader.line_num) for rec in reader]
+        except csv.Error as exc:  # e.g. a cell over the field limit
+            raise ValueError(f"{path}: line {reader.line_num + 1}: "
+                             f"{exc}") from None
         rows, line_of = [], []
         for rec, line in records:
             fields = {}

@@ -542,7 +542,12 @@ class SubgroupLattice:
                                      f"order {own} do not make the order "
                                      f"{c.order}")
             for i, g in enumerate(c.generators, 1):
-                if len(g) != ambient.degree or g not in ambient:
+                # the sift indexes by the entries, so check them first
+                if sorted(g) != list(range(ambient.degree)):
+                    raise ValueError(f"{path}: class {pos}: generator {i} "
+                                     f"is not a permutation of "
+                                     f"0..{ambient.degree - 1}")
+                if g not in ambient:
                     raise ValueError(f"{path}: class {pos}: generator {i} "
                                      f"is not in the ambient group")
         # each element generates exactly one cyclic subgroup, so every

@@ -19,12 +19,18 @@ The module file format is line-oriented plain text:
     <n rows of n integers>
 
 with matrices aligned to the generator list of the group supplied at load
-time.  An invariant pairing uses the header ``pairing rank=<n>`` followed
-by one symmetric block.
+time; each header key appears once.  An invariant pairing uses the header
+``pairing rank=<n>`` followed by one symmetric block.
+
+This module reads, validates and writes these files.  The algebra that
+constructs the shipped rank-61 module M (permutation modules, the
+invariant pairing and the quotient by its radical) is in
+``scripts/build_module.py``.
 """
 
 from __future__ import annotations
 
+import io
 import re
 from dataclasses import dataclass, field
 from functools import reduce
@@ -165,98 +171,6 @@ class GIntModule:
                     f"and strong generator {j}")
 
 
-def perm_module(group: PermGroup, action_perms) -> GIntModule:
-    """Permutation module for an action aligned with ``group.generators``.
-
-    ``action_perms[i]`` is the permutation of basis indices induced by the
-    i-th generator; basis vector ``e_r`` is sent to ``e_{sigma(r)}``.
-    """
-    action_perms = [tuple(s) for s in action_perms]
-    if len(action_perms) != len(group.generators):
-        raise ValueError("one action permutation per group generator")
-    npts = len(action_perms[0]) if action_perms else 0
-    mats = []
-    for s in action_perms:
-        m = np.zeros((npts, npts), dtype=np.int64)
-        m[np.arange(npts), np.asarray(s)] = 1
-        mats.append(m)
-    return GIntModule(group, tuple(mats), npts)
-
-
-def direct_sum(a: GIntModule, b: GIntModule) -> GIntModule:
-    """Block-diagonal sum of two modules over the same group."""
-    if a.group is not b.group:
-        raise ValueError("modules must share the same group object")
-    mats = []
-    for ga, gb in zip(a.gens, b.gens):
-        m = np.zeros((a.rank + b.rank, a.rank + b.rank), dtype=np.int64)
-        m[:a.rank, :a.rank] = ga
-        m[a.rank:, a.rank:] = gb
-        mats.append(m)
-    return GIntModule(a.group, tuple(mats), a.rank + b.rank)
-
-
-def quotient_by_radical(module: GIntModule, radical) -> GIntModule:
-    """Quotient of the module by a saturated invariant sublattice.
-
-    ``radical`` is a matrix whose rows span a saturated submodule; the
-    quotient is then free and the induced action is returned on a
-    complementary basis, read off the Hermite form of the transpose.
-    Raises if the rows are not saturated or not invariant.
-    """
-    radical = np.atleast_2d(np.asarray(radical))
-    k = len(radical)
-    if k == 0:
-        return module
-    h, u = intlinalg.hnf(np.ascontiguousarray(radical.T))
-    if not np.array_equal(h, intlinalg.identity(len(h))[:, :k]):
-        raise ValueError("radical rows are dependent or not saturated")
-    # U R^T = [I_k; 0], so R U^T = [I_k | 0] and the radical spans the
-    # top k rows of (U^T)^-1; its other rows span a complement.  Those
-    # rows can have enormous entries; put them in HNF and reduce them
-    # modulo the radical (both are determinant-preserving row
-    # operations) to keep the induced action small.
-    rad = np.asarray(intlinalg.hnf_basis(radical))
-    comp = np.asarray(intlinalg.unimodular_inverse(u.T))[k:]
-    comp = np.asarray(intlinalg.hnf(comp)[0][:module.rank - k])
-    comp = comp.astype(object)
-    for r in rad:
-        p = next(j for j in range(module.rank) if r[j] != 0)
-        piv = int(r[p])
-        q = (comp[:, p] + piv // 2) // piv
-        comp = comp - np.outer(q, r.astype(object))
-    basis = intlinalg.as_int_array(np.vstack([rad.astype(object),
-                                              comp]))
-    basis_inv = np.asarray(intlinalg.unimodular_inverse(basis))
-    quot = []
-    for i, g in enumerate(module.gens):
-        c = np.asarray(intlinalg.mat_mul(intlinalg.mat_mul(basis, g),
-                                         basis_inv))
-        if np.any(c[:k, k:] != 0):
-            raise ValueError(f"radical is not invariant under generator {i}")
-        quot.append(intlinalg.as_int_array(c[k:, k:]))
-    return GIntModule(module.group, tuple(quot), module.rank - k)
-
-
-def quotient_by_pairing(module: GIntModule, pairing) -> GIntModule:
-    """Quotient of the module by the radical of an invariant pairing.
-
-    The pairing must satisfy M(g) . P . M(g)^T = P for every generator;
-    its radical is then a saturated submodule and the quotient is again
-    free, with the induced action returned on a complementary basis.
-    """
-    p = _as_matrix(pairing, module.rank)
-    if not np.array_equal(p, p.T):
-        raise ValueError("pairing is not symmetric")
-    for i, g in enumerate(module.gens):
-        lhs = intlinalg.mat_mul(intlinalg.mat_mul(g, p),
-                                np.ascontiguousarray(g.T))
-        if not np.array_equal(np.asarray(lhs, dtype=object),
-                              np.asarray(p, dtype=object)):
-            raise ValueError(f"pairing is not invariant under generator {i}")
-    return quotient_by_radical(module, intlinalg.kernel_saturated(p))
-
-
 # ---------------------------------------------------------------------------
 # text formats
 
@@ -273,12 +187,17 @@ _INT = r"-?[0-9]+"
 
 def _read_lines(path, kind, keys):
     """The lines of a ``kind`` file and its integer header fields."""
-    with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
-    head = lines[0].split() if lines else [""]
+    try:  # read whole, so that a decoding error names its file offset
+        with open(path, encoding="utf-8") as fh:
+            lines = [ln.rstrip("\n") for ln in io.StringIO(fh.read())]
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    head = lines[0].split() if lines else []
     try:
         fields = dict(kv.split("=") for kv in head[1:])
-        if (head[0] != kind or set(keys) - set(fields)
+        # each key once: as many fields as keys, and no other key
+        if (head[:1] != [kind] or len(head) != len(keys) + 1
+                or set(fields) != set(keys)
                 or not all(re.fullmatch(_INT, v) for v in fields.values())):
             raise ValueError
     except ValueError:

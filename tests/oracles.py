@@ -58,7 +58,9 @@ ones:
 * ``h1_bruteforce`` solves the bar-resolution cocycle equations, where
   :func:`psp4obs.cohomology.h1` reads H^1 off the generator matrices;
 * ``load_pairing`` reads the pairing file that ``scripts/build_module.py``
-  writes;
+  writes, and ``direct_sum`` makes the block-diagonal modules that the
+  cohomology tests need (the builder makes its rank-85 module as one
+  permutation module);
 * ``det`` is a fraction-free (Bareiss) determinant, which the tests use
   to check that transforms are unimodular.
 """
@@ -707,6 +709,20 @@ def h1_bruteforce(module: zmodules.GIntModule) -> AbelianInvariants:
     z1 = acc.kernel()
     cob = np.hstack([mats[h] - ident for h in nontriv])
     return quotient_mod_coboundaries(z1, list(cob))
+
+
+def direct_sum(a: zmodules.GIntModule,
+               b: zmodules.GIntModule) -> zmodules.GIntModule:
+    """Block-diagonal sum of two modules over the same group."""
+    if a.group is not b.group:
+        raise ValueError("modules must share the same group object")
+    mats = []
+    for ga, gb in zip(a.gens, b.gens):
+        m = np.zeros((a.rank + b.rank, a.rank + b.rank), dtype=np.int64)
+        m[:a.rank, :a.rank] = ga
+        m[a.rank:, a.rank:] = gb
+        mats.append(m)
+    return zmodules.GIntModule(a.group, tuple(mats), a.rank + b.rank)
 
 
 def load_pairing(path) -> np.ndarray:

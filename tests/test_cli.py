@@ -5,6 +5,7 @@ import pathlib
 
 import pytest
 
+from build_module import perm_module
 from psp4obs import cli, sp4f3, subgroups, table, zmodules
 from psp4obs.permgroups import PermGroup
 
@@ -115,6 +116,10 @@ def _generator_0_1(doc):
     doc["classes"][9]["generators"][0] = [1, 0] + list(range(2, 40))
 
 
+def _generator_entry_40(doc):
+    doc["classes"][9]["generators"][0][0] = 40
+
+
 def _elem_fusion_string(doc):
     doc["classes"][9]["elem_fusion"][-1] = "3"
 
@@ -171,6 +176,8 @@ class TestBadLatticeFile:
          "not be empty"),
         (_generator_0_1, "class 10: generator 1 is not in the ambient "
          "group"),
+        (_generator_entry_40, "class 10: generator 1 is not a permutation "
+         "of 0..39"),
         (_elem_fusion_string, 'class 10: elem_fusion entry must be an '
          'integer, not "3"'),
         (_own_gclass_true, "class 10: own_gclass entry must be an integer, "
@@ -202,6 +209,7 @@ class TestBadLatticeFile:
             "elem-fusion-99", "whole-group-fusion-reversed",
             "perm-chars-row-dropped", "order-5", "fingerprint-order-5",
             "identity-character-3", "own-orders-empty", "generator-0-1",
+            "generator-entry-40",
             "elem-fusion-string", "own-gclass-true", "generators-null",
             "abelianization-int", "degree-string", "top-level-list",
             "maximal-1.5", "normalizer-order-0", "normalizer-order-6",
@@ -443,10 +451,32 @@ class TestBadFixture:
         assert [ln for ln in err.splitlines() if ln.startswith("error:")] \
             == [f"error: {path}: {message}"]
 
+    def test_a_byte_that_is_not_utf8_is_one_error_line(self, lattice_path,
+                                                       tmp_path, capsys):
+        path = _byte_ff_at_5(table.default_fixture_path(),
+                             tmp_path / "fixture.csv")
+        code, out, err = run_cli(capsys, "table", "check", "--fixture",
+                                 str(path), "--lattice", str(lattice_path))
+        assert code == 1 and out == "" and "Traceback" not in err
+        assert [ln for ln in err.splitlines() if ln.startswith("error:")] \
+            == [f"error: {path}: {NOT_UTF8_AT_5}"]
+
+
+NOT_UTF8_AT_5 = ("'utf-8' codec can't decode byte 0xff in position 5: "
+                 "invalid start byte")
+
+
+def _byte_ff_at_5(shipped, path):
+    """A copy of a shipped file whose byte 5 is 0xff, not UTF-8."""
+    data = bytearray(shipped.read_bytes())
+    data[5] = 0xff
+    path.write_bytes(bytes(data))
+    return path
+
 
 class TestModuleVerify:
     def test_verifies_saved_perm_module(self, model, tmp_path, capsys):
-        mod = zmodules.perm_module(model.psp, model.psp.generators)
+        mod = perm_module(model.psp, model.psp.generators)
         path = tmp_path / "pts.gmodule"
         zmodules.save_module(mod, path)
         code, out, _ = run_cli(capsys, "module", "verify",
@@ -455,7 +485,7 @@ class TestModuleVerify:
         assert "rank 40" in out
 
     def test_corrupt_module_rejected(self, model, tmp_path, capsys):
-        mod = zmodules.perm_module(model.psp, model.psp.generators)
+        mod = perm_module(model.psp, model.psp.generators)
         path = tmp_path / "bad.gmodule"
         zmodules.save_module(mod, path)
         text = path.read_text().replace("1", "7", 1)
@@ -492,14 +522,18 @@ class TestModuleVerify:
             cell + lines[2][lines[2].index(" "):]] + lines[3:],
            "line 3: expected 61 integers") for cell in ("--1", "\u00b2",
                                                         "\u0661")),
-        # header fields that int() reads as 61 and 5
+        # header fields that int() reads as 61 and 5, an unknown key, a
+        # repeated key and a blank header line
         *((lambda lines, head=head: [head] + lines[1:],
            "line 1: expected 'gmodule rank=<n> gens=<n>'")
           for head in ("gmodule rank=6_1 gens=5\n",
-                       "gmodule rank=61 gens=\u0665\n")),
+                       "gmodule rank=61 gens=\u0665\n",
+                       "gmodule rank=61 gens=5 colour=7\n",
+                       "gmodule rank=7 gens=5 rank=61\n", "\n")),
     ], ids=["0", "62", "entry-2-63", "trailing-line", "gens-2", "rank-0",
             "entry-plus-1", "entry-double-minus", "entry-superscript",
-            "entry-arabic-indic", "rank-underscore", "gens-arabic-indic"])
+            "entry-arabic-indic", "rank-underscore", "gens-arabic-indic",
+            "unknown-key", "repeated-key", "blank-header"])
     def test_cut_module_file_is_one_error_line(self, lattice_path, tmp_path,
                                                capsys, edit, message):
         """A cut module file, and one with a bad entry or extra text."""
@@ -512,6 +546,16 @@ class TestModuleVerify:
         assert code == 1 and out == "" and "Traceback" not in err
         assert [ln for ln in err.splitlines() if "error" in ln] == [
             f"error: {path}: {message}"]
+
+    def test_a_byte_that_is_not_utf8_is_one_error_line(self, tmp_path,
+                                                       capsys):
+        shipped = pathlib.Path(cli.__file__).parent / "data" / "m61.gmodule"
+        path = _byte_ff_at_5(shipped, tmp_path / "bad.gmodule")
+        code, out, err = run_cli(capsys, "module", "verify",
+                                 "--module", str(path))
+        assert code == 1 and out == "" and "Traceback" not in err
+        assert [ln for ln in err.splitlines() if "error" in ln] == [
+            f"error: {path}: {NOT_UTF8_AT_5}"]
 
 
 class TestParser:

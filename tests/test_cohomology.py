@@ -14,11 +14,12 @@ import sympy
 from hypothesis import given, settings, strategies as st
 from sympy.matrices.normalforms import smith_normal_form
 
-from oracles import (coset_action, h1_bruteforce, quotient_mod_coboundaries,
-                     random_element)
+from build_module import perm_module
+from oracles import (coset_action, direct_sum, h1_bruteforce,
+                     quotient_mod_coboundaries, random_element)
 from psp4obs import cohomology, intlinalg
 from psp4obs.permgroups import PermGroup, pmul
-from psp4obs.zmodules import GIntModule, direct_sum, perm_module
+from psp4obs.zmodules import GIntModule
 
 C2 = PermGroup([(1, 0)], 2)
 C3 = PermGroup([(1, 2, 0)], 3)

@@ -5,13 +5,14 @@ import re
 import numpy as np
 import pytest
 
-from oracles import express_matrices, inverse_transposes, load_pairing
+import build_module
+from build_module import check_pairing, perm_module, quotient_by_radical
+from oracles import (direct_sum, express_matrices, inverse_transposes,
+                     load_pairing)
 from psp4obs import intlinalg, table, zmodules
 from psp4obs.permgroups import PermGroup
-from psp4obs.zmodules import (GIntModule, direct_sum, load_module,
-                              perm_module,
-                              quotient_by_pairing, quotient_by_radical,
-                              save_module, save_pairing)
+from psp4obs.zmodules import (GIntModule, load_module, save_module,
+                              save_pairing)
 
 C2 = PermGroup([(1, 0)], 2)
 C3 = PermGroup([(1, 2, 0)], 3)
@@ -234,22 +235,38 @@ class TestQuotients:
         p = np.ones((3, 3), dtype=int)
         rad = intlinalg.kernel_saturated(p)
         assert rad.shape == (2, 3)
-        quo = quotient_by_pairing(reg, p)
+        check_pairing(reg, p, rad)
+        quo = quotient_by_radical(reg, rad)
         assert quo.rank == 1
         assert quo.character() == (1, 1, 1)
 
     def test_pairing_must_be_invariant(self):
         reg = perm_module(S3, S3.generators)
         bad = np.diag([1, 2, 3])
-        with pytest.raises(ValueError):
-            quotient_by_pairing(reg, bad)
+        with pytest.raises(ValueError, match="not invariant"):
+            check_pairing(reg, bad, intlinalg.kernel_saturated(bad))
 
     def test_pairing_must_be_symmetric(self):
         reg = perm_module(S3, S3.generators)
         bad = np.zeros((3, 3), dtype=int)
         bad[0, 1] = 1
-        with pytest.raises(ValueError):
-            quotient_by_pairing(reg, bad)
+        with pytest.raises(ValueError, match="not symmetric"):
+            check_pairing(reg, bad, intlinalg.kernel_saturated(bad))
+
+    def test_pairing_radical_must_be_the_given_one(self):
+        reg = perm_module(S3, S3.generators)
+        p = np.ones((3, 3), dtype=int)
+        with pytest.raises(ValueError, match="radical"):
+            check_pairing(reg, p, np.array([[1, -1, 0]]))
+
+
+class TestBuilder:
+    def test_rebuilds_the_shipped_files_byte_for_byte(self, tmp_path,
+                                                      capsys):
+        assert build_module.main(["--out-dir", str(tmp_path)]) == 0
+        for name in ("m61.gmodule", "m61.pairing"):
+            assert ((tmp_path / name).read_bytes()
+                    == (M61_PATH.parent / name).read_bytes()), name
 
 
 class TestPersistence:
