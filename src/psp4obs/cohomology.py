@@ -15,13 +15,20 @@ zero d_i the valuation a+1: the p-part of H^1 is the sum of Z/p^v over
 a+1.
 
 The primes share one elimination of A^T modulo N, the product of their
-p^(a+1) (777600 for PSp4(3) itself), in int64 with entries below N.  It
-pivots only on units mod N.  Z/N is the product of the Z/p^(a+1) (CRT), so
-each such pivot splits off an invariant of valuation 0 at every prime at
-once.  Only the rows and columns left without a pivot then run through
-each prime's Smith levels, modulo p^(a+1).  A prime joins the shared
-elimination if N still stays within ``_MAX_MODULUS`` with it; any other
-runs its levels on all of A^T.
+p^(a+1) (777600 for PSp4(3)), on entries below N.  It pivots only on units
+mod N.  Z/N is the product of the Z/p^(a+1) (CRT), so each such pivot
+splits off an invariant of valuation 0 at every prime at once.  Only the
+rows and columns left without a pivot then run through each prime's Smith
+levels, modulo p^(a+1).  A prime joins the shared elimination if N still
+stays within ``_MAX_MODULUS`` with it; any other runs its levels on all of
+A^T.
+
+Every elimination, shared or at one Smith level, runs in rounds.  A round
+picks for each column the sparsest row with a unit there (Markowitz's
+rule) and keeps as many of these pivots as meet one another only on the
+diagonal: the pivot rows and columns form a diagonal block D of units.
+One Schur complement, a single matrix product, then clears the pivot
+columns from all other rows, and the next round works on what is left.
 """
 
 from __future__ import annotations
@@ -32,8 +39,11 @@ from . import intlinalg
 from .intlinalg import AbelianInvariants, TRIVIAL_GROUP, prime_powers
 from .zmodules import GIntModule
 
-# entries are reduced below the modulus q, so a product of two stays
-# below q^2 <= 2^62 and an int64 elimination step cannot overflow
+# entries are reduced below the modulus q, so the elementwise product of
+# two, in int64, stays below q^2 <= 2^62 and cannot overflow; the Schur
+# product of a round sums up to one such term per pivot, and
+# intlinalg.mat_mul keeps it exact by its own bounds (float64 below 2^53,
+# int64 below 2^62, object beyond)
 _MAX_MODULUS = 2**31
 
 
@@ -51,29 +61,49 @@ def _augmentation_matrix(module: GIntModule) -> np.ndarray:
 
 
 def _unit_pivots(w: np.ndarray, mod: int, rad: int) -> tuple:
-    """Eliminate ``w`` (int64, entries in [0, mod)) in place, pivoting on
+    """Eliminate ``w`` (int64, entries in [0, mod)) in rounds of pivots on
     the units mod ``mod``: the entries prime to ``rad``, the product of its
-    primes.  Each pivot moves to the diagonal and, its column cleared,
-    splits off one Smith invariant that is a unit (the column operations
-    that would clear its row touch no other row); a column without one
-    moves to the end.  Returns the pivot count r and the rest w[r:, r:].
+    primes.  A round takes, for each column with a unit, the sparsest row
+    with a unit there, and accepts these candidates, sparsest row first,
+    while the accepted rows and columns meet in a diagonal block D of
+    units.  One Schur complement then clears the pivot columns from every
+    other row: the matrix becomes [D X; 0 S], the column operations that
+    clear X touch no other row, and the Smith form is I + Smith(S).  The
+    pivot rows and columns and the rows left zero are dropped, and the
+    rounds stop when S has no unit.  Returns the pivot count r and S, the
+    rows and columns without a pivot (rows of zeros dropped).
     """
-    rank, end = 0, w.shape[1]  # columns from end on have no pivot
-    while rank < end:
-        hits = (np.gcd(w[rank:, rank], rad) == 1).nonzero()[0]
-        if not hits.size:
-            end -= 1
-            w[:, [rank, end]] = w[:, [end, rank]]
-            continue
-        i = rank + hits[0]
-        w[[rank, i], rank:] = w[[i, rank], rank:]
-        pivot = w[rank, rank:]
-        below = rank + 1 + w[rank + 1:, rank].nonzero()[0]
-        if below.size:
-            f = w[below, rank] * pow(int(pivot[0]), -1, mod) % mod
-            w[below, rank:] = (w[below, rank:] - f[:, None] * pivot) % mod
-        rank += 1
-    return rank, w[rank:, rank:]
+    rank = 0
+    while True:
+        # gcd(0, rad) = rad, so no zero counts as a unit
+        units = np.gcd(w, rad) == 1
+        cols = units.any(axis=0).nonzero()[0]
+        if not cols.size:
+            return rank, w
+        weight = np.count_nonzero(w, axis=1)
+        by_weight = np.argsort(weight, kind="stable")
+        # candidate i: column cols[i] and the sparsest row with a unit there
+        rows = by_weight[units[by_weight].argmax(axis=0)[cols]]
+        meets = w[rows][:, cols] != 0
+        apart = ~(meets | meets.T | (rows[:, None] == rows))
+        free = np.ones(cols.size, dtype=bool)
+        take = []
+        for i in np.argsort(weight[rows], kind="stable").tolist():
+            if free[i]:
+                take.append(i)
+                free &= apart[i]
+        prow, pcol = rows[take], cols[take]
+        inv = [pow(d, -1, mod) for d in w[prow, pcol].tolist()]
+        other = np.ones(w.shape[0], dtype=bool)
+        other[prow] = False
+        keep = np.ones(w.shape[1], dtype=bool)
+        keep[pcol] = False
+        others = w[other]
+        f = others[:, pcol] * np.array(inv, dtype=np.int64) % mod
+        w = np.asarray((others[:, keep] - intlinalg.mat_mul(
+            f, w[prow][:, keep])) % mod, dtype=np.int64)
+        w = w[w.any(axis=1)]
+        rank += len(take)
 
 
 def _smith_valuations(a: np.ndarray, p: int, exp: int) -> list:
@@ -88,9 +118,9 @@ def _smith_valuations(a: np.ndarray, p: int, exp: int) -> list:
         raise ValueError(f"modulus {p}^{exp} is too large for int64 "
                          f"elimination")
     w = (a % p ** exp).astype(np.int64)
+    w = w[w.any(axis=1)]
     out = []
     for v in range(exp):
-        w = w[w.any(axis=1)]
         if not w.size:
             break
         rank, rest = _unit_pivots(w, p ** (exp - v), p)

@@ -11,7 +11,7 @@ from random import Random
 import numpy as np
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from sympy.matrices.normalforms import smith_normal_form
 
 from build_module import perm_module
@@ -244,13 +244,49 @@ class TestBruteForceGuards:
 
 @st.composite
 def smith_cases(draw):
-    """(m x n integer matrix with m >= n, prime p, capped valuation)."""
-    n = draw(st.integers(1, 5))
-    m = draw(st.integers(n, 6))
-    rows = draw(st.lists(st.lists(st.integers(-12, 12), min_size=n,
-                                  max_size=n), min_size=m, max_size=m))
+    """(m x n integer matrix with m >= n, prime p, capped valuation).
+
+    Half the draws are small and dense, so every round of
+    ``_unit_pivots`` takes one pivot.  The other half are sparse, with up
+    to 3n rows and about three zero entries in four, so that a round's
+    candidates can meet one another and some of them must wait.
+    """
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 5))
+        m = draw(st.integers(n, 6))
+        entry = st.integers(-12, 12)
+    else:
+        n = draw(st.integers(1, 8))
+        m = draw(st.integers(n, 3 * n))
+        entry = st.tuples(st.integers(0, 3), st.integers(-12, 12)).map(
+            lambda t: t[1] if t[0] == 0 else 0)
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                         min_size=m, max_size=m))
     return np.array(rows), draw(st.sampled_from((2, 3, 5))), \
         draw(st.integers(1, 4))
+
+
+def near_cap(seed, vals):
+    """A dense 10 x 6 matrix, entries up to 2^40, whose column j is
+    divisible by 3^vals[j].  Reduced mod 3^19 < 2^31, a pivot's Schur
+    product has terms near 3^38 > 2^53, beyond float64."""
+    rng = np.random.default_rng(seed)
+    return np.column_stack([rng.integers(-2**40 // 3**v, 2**40 // 3**v, 10)
+                            * 3**v for v in vals])
+
+
+def near_cap_block(seed):
+    """A 16 x 10 matrix whose rows 0-7 meet columns 0-7 in a diagonal of
+    entries 1 mod q = 3^19, with -1 mod q in columns 8 and 9, and whose
+    rows 8-15 are -1 times their sum, plus multiples of q.  The first round
+    mod q takes the eight pivots at once; its Schur product sums eight
+    terms (q-1)^2, beyond int64, and the rest is 0 mod q."""
+    q, rng = 3**19, np.random.default_rng(seed)
+    top = np.zeros((8, 10), dtype=np.int64)
+    top[:, :8] = np.diag(q * rng.integers(-2**9, 2**9, 8) + 1)
+    top[:, 8:] = q * rng.integers(-2**9, 2**9, (8, 2)) - 1
+    return np.vstack([top, q * rng.integers(-2**9, 2**9, (8, 10))
+                      - top.sum(axis=0)])
 
 
 @st.composite
@@ -272,6 +308,10 @@ def _valuation(d, p, cap):
 
 class TestSmithValuations:
     @given(smith_cases())
+    @example((near_cap(0, (0, 0, 0, 0, 0, 0)), 3, 19))
+    @example((near_cap(1, (0, 0, 1, 2, 5, 19)), 3, 19))
+    @example((near_cap(2, (0, 1, 1, 3, 8, 12)), 3, 19))
+    @example((near_cap_block(3), 3, 19))
     @settings(max_examples=150, deadline=None)
     def test_matches_sympy(self, case):
         a, p, exp = case
