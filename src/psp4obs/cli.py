@@ -32,6 +32,16 @@ def _say(msg):
     print(msg, file=sys.stderr, flush=True)
 
 
+def _check_writable(path) -> None:
+    """Fail before any work when ``path`` cannot be written: it is a
+    directory, or its parent is not one."""
+    path = Path(path)
+    if path.is_dir():
+        raise ValueError(f"cannot write {path}: it is a directory")
+    if not path.parent.is_dir():
+        raise ValueError(f"cannot write {path}: no directory {path.parent}")
+
+
 def _load_lattice(path) -> subgroups.SubgroupLattice:
     if not Path(path).exists():
         raise ValueError(f"no lattice cache at {path}; "
@@ -81,6 +91,7 @@ def cmd_group_info(args) -> int:
 
 
 def cmd_lattice_compute(args) -> int:
+    _check_writable(args.cache)
     model = sp4f3.standard_model()
     _say("classifying subgroups of PSp4(3) ...")
     lat = subgroups.subgroup_classes(model.psp, progress=_say)
@@ -105,6 +116,7 @@ def _computed_rows(args) -> list:
 
 
 def cmd_table_compute(args) -> int:
+    _check_writable(args.out)
     rows = _computed_rows(args)
     table.emit(rows, args.format, args.out)
     nontrivial = sum(1 for r in rows if r.burnside > 1)

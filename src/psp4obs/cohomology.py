@@ -25,10 +25,15 @@ A^T.
 
 Every elimination, shared or at one Smith level, runs in rounds.  A round
 picks for each column the sparsest row with a unit there (Markowitz's
-rule) and keeps as many of these pivots as meet one another only on the
-diagonal: the pivot rows and columns form a diagonal block D of units.
-One Schur complement, a single matrix product, then clears the pivot
-columns from all other rows, and the next round works on what is left.
+rule) and keeps these pivots in two levels, as in structured Gaussian
+elimination (LaMacchia and Odlyzko, CRYPTO '90): no pivot row meets a
+pivot column taken after it, a first-level pivot's row meets no other
+pivot column, and a second-level pivot's row meets first-level pivot
+columns only.  One product on the pivot rows clears the second-level rows'
+first-level entries, so that the pivot rows and columns form a diagonal
+block D of units.  One Schur complement, a single matrix product, then
+clears the pivot columns from all other rows, and the next round works on
+what is left.
 """
 
 from __future__ import annotations
@@ -40,10 +45,11 @@ from .intlinalg import AbelianInvariants, TRIVIAL_GROUP, prime_powers
 from .zmodules import GIntModule
 
 # entries are reduced below the modulus q, so the elementwise product of
-# two, in int64, stays below q^2 <= 2^62 and cannot overflow; the Schur
-# product of a round sums up to one such term per pivot, and
-# intlinalg.mat_mul keeps it exact by its own bounds (float64 below 2^53,
-# int64 below 2^62, object beyond)
+# two, in int64, stays below q^2 <= 2^62 and cannot overflow; each product
+# of a round, the clearing and the Schur complement, sums up to one such
+# term per pivot, and _mat_mul_mod keeps it exact: float64 while
+# (q-1)^2 times the pivot count stays below 2^53, beyond that
+# intlinalg.mat_mul by its own bounds (int64 below 2^62, object beyond)
 _MAX_MODULUS = 2**31
 
 
@@ -60,18 +66,37 @@ def _augmentation_matrix(module: GIntModule) -> np.ndarray:
     return np.hstack([np.asarray(g) - ident for g in module.gens])
 
 
+def _mat_mul_mod(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
+    """(a @ b) mod q, in int64, for int64 ``a`` and ``b`` with entries in
+    [0, q).  Each term of a sum is at most (q-1)^2, so the bound comes from
+    q and the inner size alone, with no scan of the entries: float64 is
+    exact while (q-1)^2 * inner < 2^53, and ``intlinalg.mat_mul`` takes
+    the product beyond that."""
+    if (q - 1) ** 2 * a.shape[1] < 2**53:
+        return np.fmod(a.astype(np.float64) @ b.astype(np.float64),
+                       q).astype(np.int64)
+    return np.asarray(intlinalg.mat_mul(a, b) % q, dtype=np.int64)
+
+
 def _unit_pivots(w: np.ndarray, mod: int, rad: int) -> tuple:
     """Eliminate ``w`` (int64, entries in [0, mod)) in rounds of pivots on
     the units mod ``mod``: the entries prime to ``rad``, the product of its
     primes.  A round takes, for each column with a unit, the sparsest row
-    with a unit there, and accepts these candidates, sparsest row first,
-    while the accepted rows and columns meet in a diagonal block D of
-    units.  One Schur complement then clears the pivot columns from every
-    other row: the matrix becomes [D X; 0 S], the column operations that
-    clear X touch no other row, and the Smith form is I + Smith(S).  The
-    pivot rows and columns and the rows left zero are dropped, and the
-    rounds stop when S has no unit.  Returns the pivot count r and S, the
-    rows and columns without a pivot (rows of zeros dropped).
+    with a unit there, and visits these candidates sparsest row first.  It
+    accepts a candidate unless a row already taken meets its column or is
+    its row, or its row meets the column of a second-level pivot.  An
+    accepted candidate is second-level if its row meets a column already
+    taken, and first-level otherwise.  The pivot rows and columns then
+    form a block D + N, with D the diagonal of units and N only on
+    (second-level row, first-level column), so N D^-1 N = 0, and one
+    product on the pivot rows clears N: each second-level row less its
+    first-level entries, times D^-1, times the first-level rows.  One Schur
+    complement then clears the pivot columns from every other row: the
+    matrix becomes [D X; 0 S], the column operations that clear X touch no
+    other row, and the Smith form is I + Smith(S).  The pivot rows and
+    columns and the rows left zero are dropped, and the rounds stop when S
+    has no unit.  Returns the pivot count r and S, the rows and columns
+    without a pivot (rows of zeros dropped).
     """
     rank = 0
     while True:
@@ -85,25 +110,39 @@ def _unit_pivots(w: np.ndarray, mod: int, rad: int) -> tuple:
         # candidate i: column cols[i] and the sparsest row with a unit there
         rows = by_weight[units[by_weight].argmax(axis=0)[cols]]
         meets = w[rows][:, cols] != 0
-        apart = ~(meets | meets.T | (rows[:, None] == rows))
+        apart = ~(meets | (rows[:, None] == rows))
+        clear = ~meets.T
         free = np.ones(cols.size, dtype=bool)
-        take = []
+        # candidates whose row meets a column taken this round
+        touched = np.zeros(cols.size, dtype=bool)
+        first, second = [], []
         for i in np.argsort(weight[rows], kind="stable").tolist():
             if free[i]:
-                take.append(i)
                 free &= apart[i]
+                if touched[i]:
+                    second.append(i)
+                    free &= clear[i]
+                else:
+                    first.append(i)
+                    touched |= meets[:, i]
+        take = first + second
         prow, pcol = rows[take], cols[take]
-        inv = [pow(d, -1, mod) for d in w[prow, pcol].tolist()]
-        other = np.ones(w.shape[0], dtype=bool)
-        other[prow] = False
+        inv = np.array([pow(d, -1, mod) for d in w[prow, pcol].tolist()],
+                       dtype=np.int64)
         keep = np.ones(w.shape[1], dtype=bool)
         keep[pcol] = False
+        piv = w[prow][:, keep]
+        n1 = len(first)
+        if second:
+            f = w[prow[n1:]][:, pcol[:n1]] * inv[:n1] % mod
+            piv[n1:] = (piv[n1:] - _mat_mul_mod(f, piv[:n1], mod)) % mod
+        other = np.ones(w.shape[0], dtype=bool)
+        other[prow] = False
         others = w[other]
-        f = others[:, pcol] * np.array(inv, dtype=np.int64) % mod
-        w = np.asarray((others[:, keep] - intlinalg.mat_mul(
-            f, w[prow][:, keep])) % mod, dtype=np.int64)
+        f = others[:, pcol] * inv % mod
+        w = (others[:, keep] - _mat_mul_mod(f, piv, mod)) % mod
         w = w[w.any(axis=1)]
-        rank += len(take)
+        rank += len(prow)
 
 
 def _smith_valuations(a: np.ndarray, p: int, exp: int) -> list:

@@ -71,6 +71,41 @@ class TestTableCompute:
         assert "no lattice cache" in err
 
 
+MODULE = str(table.default_fixture_path().parent / "m61.gmodule")
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("the output path is checked before any work")
+
+
+class TestOutputPath:
+    @pytest.mark.parametrize("where", ["no directory", "a directory"])
+    def test_lattice_compute_fails_first(self, tmp_path, monkeypatch,
+                                         capsys, where):
+        monkeypatch.setattr(subgroups, "subgroup_classes", _refuse)
+        path = (tmp_path / "nope" / "x.json" if where == "no directory"
+                else tmp_path)
+        code, out, err = run_cli(capsys, "lattice", "compute",
+                                 "--cache", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: cannot write {path}: ")
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("where", ["no directory", "a directory"])
+    def test_table_compute_fails_first(self, lattice_path, tmp_path,
+                                       monkeypatch, capsys, where):
+        monkeypatch.setattr(table, "compute_table", _refuse)
+        path = (tmp_path / "nope" / "t.csv" if where == "no directory"
+                else tmp_path)
+        code, out, err = run_cli(capsys, "table", "compute",
+                                 "--lattice", str(lattice_path),
+                                 "--module", MODULE,
+                                 "--out", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: cannot write {path}: ")
+        assert len(err.splitlines()) == 1
+
+
 def _drop_the_whole_group(doc):
     del doc["classes"][-1]
 

@@ -247,23 +247,29 @@ def smith_cases(draw):
     """(m x n integer matrix with m >= n, prime p, capped valuation).
 
     Half the draws are small and dense, so every round of
-    ``_unit_pivots`` takes one pivot.  The other half are sparse, with up
-    to 3n rows and about three zero entries in four, so that a round's
-    candidates can meet one another and some of them must wait.
+    ``_unit_pivots`` takes one pivot.  The other half are sparse products
+    B C of an m x k and a k x n matrix, k <= n and m up to 3n, with entries
+    0, 0, 0, 1, -1, 2 and p.  A round's candidates then meet one another,
+    so some must wait, and rows meet the columns of pivots taken before
+    them, so some are second-level.  The rank, at most k, leaves rows that
+    only a correct elimination clears, and the entries p give invariants of
+    positive valuation.
     """
+    p, exp = draw(st.sampled_from((2, 3, 5))), draw(st.integers(1, 4))
+
+    def matrix(rows, cols, entry):
+        return np.array(draw(st.lists(st.lists(
+            entry, min_size=cols, max_size=cols),
+            min_size=rows, max_size=rows)))
+
     if draw(st.booleans()):
         n = draw(st.integers(1, 5))
-        m = draw(st.integers(n, 6))
-        entry = st.integers(-12, 12)
-    else:
-        n = draw(st.integers(1, 8))
-        m = draw(st.integers(n, 3 * n))
-        entry = st.tuples(st.integers(0, 3), st.integers(-12, 12)).map(
-            lambda t: t[1] if t[0] == 0 else 0)
-    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n),
-                         min_size=m, max_size=m))
-    return np.array(rows), draw(st.sampled_from((2, 3, 5))), \
-        draw(st.integers(1, 4))
+        return matrix(draw(st.integers(n, 6)), n, st.integers(-12, 12)), \
+            p, exp
+    n = draw(st.integers(1, 8))
+    m, k = draw(st.integers(n, 3 * n)), draw(st.integers(1, n))
+    entry = st.sampled_from((0, 0, 0, 1, -1, 2, p))
+    return matrix(m, k, entry) @ matrix(k, n, entry), p, exp
 
 
 def near_cap(seed, vals):
@@ -289,6 +295,25 @@ def near_cap_block(seed):
                       - top.sum(axis=0)])
 
 
+def near_cap_clear(seed, k):
+    """A (k+4) x (k+3) matrix whose first round mod q = 3^19 takes k
+    first-level pivots, 1 mod q on the diagonal of rows and columns 0 to
+    k-1, and one second-level pivot, 1 mod q in row and column k, whose row
+    is -1 mod q in columns 0 to k-1.  The first-level rows are -1 mod q in
+    the last two columns and the second-level row is k there, so clearing
+    it sums k terms (q-1)^2 and leaves 0 mod q.  Row k+1 is 3 in column k:
+    only a correct clearing leaves it 0 mod q.  The other entries are
+    multiples of q."""
+    q, rng = 3**19, np.random.default_rng(seed)
+    a = np.zeros((k + 4, k + 3), dtype=np.int64)
+    a[:k, :k] = np.eye(k, dtype=np.int64)
+    a[:k, k + 1:] = -1
+    a[k, :k] = -1
+    a[k, k:] = (1, k, k)
+    a[k + 1, k] = 3
+    return a + q * rng.integers(-2**9, 2**9, a.shape)
+
+
 @st.composite
 def shared_cases(draw):
     """(m x n integer matrix with m >= n, composite order).  Scaling each
@@ -312,6 +337,19 @@ class TestSmithValuations:
     @example((near_cap(1, (0, 0, 1, 2, 5, 19)), 3, 19))
     @example((near_cap(2, (0, 1, 1, 3, 8, 12)), 3, 19))
     @example((near_cap_block(3), 3, 19))
+    # clearing products of 2 and 8 terms (q-1)^2: beyond 2^53 and 2^63
+    @example((near_cap_clear(4, 2), 3, 19))
+    @example((near_cap_clear(5, 8), 3, 19))
+    # the second-level pivot in row 2 must be cleared by row 1 before the
+    # Schur step reaches row 0
+    @example((np.array([[0, 0, 2], [1, 1, 0], [1, 0, 1]]), 2, 2))
+    # row 1 meets column 3 of the second-level pivot in row 4, so waits
+    @example((np.array([[0, 0, 0, 0, 0], [0, 1, 1, 1, 1], [0, 1, 1, 1, 1],
+                        [1, 0, 0, 0, 0], [1, 0, 0, 1, 1]]), 2, 1))
+    # row 2, taken first, meets column 1, the candidate column of row 1,
+    # so that candidate waits
+    @example((np.array([[0, 0, 0, 0], [0, 1, 1, 1], [1, 1, 0, 1],
+                        [1, 1, 0, 1]]), 2, 1))
     @settings(max_examples=150, deadline=None)
     def test_matches_sympy(self, case):
         a, p, exp = case
