@@ -71,9 +71,6 @@ class TestTableCompute:
         assert "no lattice cache" in err
 
 
-MODULE = str(table.default_fixture_path().parent / "m61.gmodule")
-
-
 def _refuse(*args, **kwargs):
     raise AssertionError("the output path is checked before any work")
 
@@ -94,12 +91,13 @@ class TestOutputPath:
     @pytest.mark.parametrize("where", ["no directory", "a directory"])
     def test_table_compute_fails_first(self, lattice_path, tmp_path,
                                        monkeypatch, capsys, where):
+        monkeypatch.setattr(zmodules, "load_module", _refuse)
         monkeypatch.setattr(table, "compute_table", _refuse)
         path = (tmp_path / "nope" / "t.csv" if where == "no directory"
                 else tmp_path)
         code, out, err = run_cli(capsys, "table", "compute",
                                  "--lattice", str(lattice_path),
-                                 "--module", MODULE,
+                                 "--module", str(tmp_path / "m.gmodule"),
                                  "--out", str(path))
         assert code == 1 and out == ""
         assert err.startswith(f"error: cannot write {path}: ")
