@@ -10,9 +10,13 @@ entries and unimodular row/column transforms.  The two normal forms are
   alternate until A is diagonal; one pass of closed-form Bezout steps,
   (d_i, d_j) -> (gcd, lcm), then makes the divisor chain.
 
-Every lattice question (kernels, membership, the least multiple of a
-vector in a lattice, complements) is answered from the Hermite form; the
-Smith form serves only the invariant factors of a quotient.
+The Hermite form is two passes: a forward pass of Euclid steps below each
+pivot makes an echelon form, and a reduction above the pivots follows.
+Kernels and complements are read off the Hermite form.  Membership and
+the least multiple of a vector in a lattice need only the forward pass:
+one back-substitution reads the vector's coordinates on the nonzero rows
+of any echelon form, which are a basis of the lattice.  The Smith form
+serves only the invariant factors of a quotient.
 
 Matrices are numpy 2-d arrays.  Computations run on dtype ``int64`` while a
 certified bound guarantees no overflow, and are promoted to dtype ``object``
@@ -205,19 +209,21 @@ class _Workspace:
         prow_max = int(abs(self.w[pivot_row]).max())
         qmax = int(abs(q).max())
         self._ensure_update(qmax, prow_max)
-        self.w[rows] -= np.outer(q, self.w[pivot_row])
+        self.w[rows] -= q[:, None] * self.w[pivot_row]
 
 
-def _echelon(ws: _Workspace, ncols: int) -> int:
-    """Row-reduce the first ``ncols`` columns to Hermite normal form.
+def _forward(ws: _Workspace, ncols: int) -> list:
+    """Row-reduce the first ``ncols`` columns to an echelon form.
 
-    Returns the number of pivots found.  Pivots are positive, the entries
-    above each pivot are reduced, and rows below the pivots end up zero
-    throughout those columns.
+    Returns the pivot columns; the pivot of column ``pivots[i]`` is in row
+    ``i``.  Pivots are positive, and rows below the pivots end up zero
+    throughout those columns.  The entries above the pivots are left as
+    they are.
     """
     m = ws.w.shape[0]
-    r = 0
+    pivots = []
     for c in range(ncols):
+        r = len(pivots)
         if r >= m:
             break
         while True:
@@ -229,15 +235,19 @@ def _echelon(ws: _Workspace, ncols: int) -> int:
             ws.swap(r, k)
             if nz.size == 1:
                 break
-            rest = np.arange(r + 1, m)
-            ws.reduce_rows(rest, c, r)
+            ws.reduce_rows(np.arange(r + 1, m), c, r)
         if ws.w[r, c] != 0:
             if ws.w[r, c] < 0:
                 ws.negate(r)
-            if r > 0:
-                ws.reduce_rows(np.arange(r), c, r)
-            r += 1
-    return r
+            pivots.append(c)
+    return pivots
+
+
+def _reduce_above(ws: _Workspace, pivots: list):
+    """Reduce the entries above each pivot of an echelon form into
+    ``[0, pivot)``, in column order, which makes it the Hermite form."""
+    for r, c in enumerate(pivots):
+        ws.reduce_rows(np.arange(r), c, r)
 
 
 def hnf(a) -> tuple:
@@ -245,7 +255,9 @@ def hnf(a) -> tuple:
 
     Returns ``(H, U)`` with ``U`` unimodular, ``U @ a == H``, ``H`` in row
     echelon form with positive pivots and entries above each pivot reduced
-    into ``[0, pivot)``.
+    into ``[0, pivot)``.  The workspace ``[a | I]`` runs the forward pass,
+    which makes the echelon form, and then the reduction above its
+    pivots.
 
     >>> H, U = hnf([[2, 4], [3, 7]])
     >>> H.tolist()
@@ -254,7 +266,7 @@ def hnf(a) -> tuple:
     a = as_int_array(a)
     m, n = a.shape
     ws = _Workspace(np.concatenate([a, identity(m, a.dtype)], axis=1))
-    _echelon(ws, n)
+    _reduce_above(ws, _forward(ws, n))
     w = ws.w
     return w[:, :n], w[:, n:]
 
@@ -318,7 +330,7 @@ def snf(a) -> tuple:
     ws = _Workspace(np.concatenate([a, identity(m, a.dtype)], axis=1))
     v = identity(n)
     for _ in range(200):
-        _echelon(ws, n)
+        _reduce_above(ws, _forward(ws, n))
         if not _has_offdiag(ws.w[:, :n]):
             break
         h, q = hnf(ws.w[:, :n].T)
@@ -378,57 +390,60 @@ def quotient_invariants(ambient_rank: int, rows) -> AbelianInvariants:
     return AbelianInvariants(free, torsion)
 
 
-def _coordinates(basis, target):
-    """Rational coordinates of ``target`` on the rows of ``hnf(basis)``.
+def _coordinates(echelon, pivots, target):
+    """Rational coordinates of ``target`` on the pivot rows of an echelon
+    form.
 
-    Returns ``(y, d, u)`` with ``(y / d) @ H == target`` for ``(H, u) =
-    hnf(basis)``, ``y`` an object vector that is zero off the pivot rows
-    and ``d >= 1`` a common denominator, or ``None`` if ``target`` is
-    outside the rational row span.  Back-substitution runs on the pivots
-    in order, scaling ``target`` and ``y`` just enough that each pivot
-    divides.
+    ``echelon`` is the output of :func:`_forward`, with pivot columns
+    ``pivots``.  Returns ``(y, d)``, a list of Python ints and ``d >= 1``
+    with ``sum(y[i] / d * echelon[i]) == target``, or ``None`` if
+    ``target`` is outside the rational row span.  Back-substitution runs
+    on the pivots in order, scaling ``target`` and ``y`` just enough that
+    each pivot divides; the entries above the pivots need no reduction.
     """
-    basis = as_int_array(basis)
-    t = as_int_array(target).reshape(-1).astype(object)
-    if basis.shape[1] != t.shape[0]:
+    t = as_int_array(target).reshape(-1).tolist()
+    if len(t) != echelon.shape[1]:
         raise ValueError("dimension mismatch")
-    h, u = hnf(basis)
-    y = np.zeros(len(h), dtype=object)
-    d = 1
-    for i, row in enumerate(h):
-        nz = np.nonzero(row)[0]
-        if nz.size == 0:
-            break
-        c = int(nz[0])
-        piv = int(row[c])
-        scale = piv // gcd(piv, int(t[c]))
+    y, d = [], 1
+    for i, c in enumerate(pivots):
+        row = echelon[i].tolist()
+        piv = row[c]
+        scale = piv // gcd(piv, t[c])
         if scale > 1:
-            t, y, d = t * scale, y * scale, d * scale
-        y[i] = int(t[c]) // piv
-        if y[i]:
-            t = t - y[i] * row.astype(object)
-    if any(x != 0 for x in t):
+            t, y, d = [x * scale for x in t], [x * scale for x in y], d * scale
+        q = t[c] // piv
+        y.append(q)
+        if q:
+            t = [x - q * e for x, e in zip(t, row)]
+    if any(t):
         return None
-    return y, d, u
+    return y, d
 
 
 def solve_in_lattice(basis, target):
     """Integer coordinates of ``target`` in the row lattice of ``basis``.
 
     Returns ``x`` with ``x @ basis == target``, or ``None`` if ``target``
-    is not in the integer row span.
+    is not in the integer row span.  The forward pass on ``[basis | I]``
+    gives the echelon rows and their transform ``U``.
     """
-    coords = _coordinates(basis, target)
+    basis = as_int_array(basis)
+    m, n = basis.shape
+    ws = _Workspace(np.concatenate([basis, identity(m, basis.dtype)], axis=1))
+    pivots = _forward(ws, n)
+    coords = _coordinates(ws.w[:, :n], pivots, target)
     if coords is None or coords[1] > 1:
         return None
-    y, _, u = coords
-    return mat_mul(y.reshape(1, -1), u).reshape(-1)
+    y = np.array(coords[0], dtype=object).reshape(1, -1)
+    return mat_mul(y, ws.w[:len(pivots), n:]).reshape(-1)
 
 
 def minimal_multiplier(basis, target, bound=None):
     """Least ``n >= 1`` with ``n * target`` in the integer row span of ``basis``.
 
-    The nonzero rows of the Hermite form are a basis of that span, so
+    The forward pass alone makes an echelon form of ``basis``: no
+    transform and no reduction above the pivots.  Its nonzero rows are a
+    basis of the span, as are those of any unimodular echelon form, so
     ``n`` is the least common denominator of the coordinates of
     ``target`` on them.  Returns ``n``; raises :class:`ValueError` if no
     multiple lies in the span, or if the answer exceeds ``bound``.
@@ -436,11 +451,13 @@ def minimal_multiplier(basis, target, bound=None):
     >>> minimal_multiplier([[2, 0], [0, 3]], [1, 1])
     6
     """
-    coords = _coordinates(basis, target)
+    ws = _Workspace(as_int_array(basis))
+    pivots = _forward(ws, ws.w.shape[1])
+    coords = _coordinates(ws.w, pivots, target)
     if coords is None:
         raise ValueError("no integer multiple lies in the lattice")
-    y, d, _ = coords
-    n = d // gcd(d, *(int(x) for x in y))
+    y, d = coords
+    n = d // gcd(d, *y)
     if bound is not None and n > bound:
         raise ValueError(f"minimal multiplier {n} exceeds bound {bound}")
     return n

@@ -340,27 +340,42 @@ def picard_character_at(perm) -> int:
 def _algebra_dimension(mats) -> int:
     """F3-dimension of the matrix algebra generated by ``mats``.
 
-    Spinning: every new basis matrix is multiplied by each generator, and
-    a product is kept when it is independent of the basis so far.  The
-    basis is a reduced echelon form of the flattened matrices: each row
-    has a 1 at its own pivot and 0 at the others, so one combination of
-    the rows reduces a product.
+    Spinning by levels: a round multiplies every matrix that the round
+    before added by every generator in one product, and keeps a basis of
+    the products that are independent of the basis so far.  Every added
+    matrix is thus multiplied by every generator, so the span contains
+    the identity and is closed under right multiplication by the
+    generators: it is the algebra.  Each added matrix is one earlier
+    matrix times one generator.
+
+    The basis is a reduced echelon form of the flattened matrices, stored
+    by pivot: row c has a 1 at c and 0 at the other pivots, or is zero
+    when c is no pivot, so ``cand - cand @ basis`` reduces a batch.
+    Entries stay in 0..2, so a product of 16 terms is below 64 in int64.
     """
-    pivots, echelon = [], np.zeros((0, 16), dtype=int)
-    todo = [np.identity(4, dtype=int)]
-    while todo:
-        a = todo.pop()
-        v = a.reshape(16)
-        v = (v - v[pivots] @ echelon) % 3
-        nonzero = np.flatnonzero(v)
-        if not nonzero.size:
-            continue
-        piv = nonzero[0]
-        v = v * v[piv] % 3
-        echelon = np.vstack([(echelon - np.outer(echelon[:, piv], v)) % 3, v])
-        pivots.append(piv)
-        todo.extend(a @ m % 3 for m in mats)
-    return len(pivots)
+    gens = np.array(mats, dtype=np.int64).reshape(-1, 4, 4)
+    basis = np.zeros((16, 16), dtype=np.int64)
+    dim = 0
+    cand = np.identity(4, dtype=np.int64).reshape(1, 16)
+    while True:
+        cand = (cand - cand @ basis) % 3
+        added = []
+        for _ in range(16):  # each step clears one more column
+            cols = cand.any(axis=0)
+            c = cols.argmax()
+            if not cols[c]:
+                break
+            r = cand[:, c].argmax()
+            v = cand[r] * cand[r, c] % 3  # x * x = 1 for x = 1, 2
+            # clears column c everywhere; row r itself becomes zero
+            cand = (cand - cand[:, c, None] * v) % 3
+            basis = (basis - basis[:, c, None] * v) % 3
+            basis[c] = v
+            added.append(v)
+        dim += len(added)
+        if not added or dim >= 16:
+            return dim
+        cand = (np.reshape(added, (-1, 1, 4, 4)) @ gens % 3).reshape(-1, 16)
 
 
 def is_absolutely_irreducible(generators) -> bool:

@@ -156,7 +156,12 @@ def compute_table(config: TableConfig) -> list:
     rows = []
     for info in sorted(lattice.classes, key=lambda c: c.class_id):
         chi_h = burnside.restrict_classfn(chi, info.elem_fusion)
-        b = burnside.burnside_order(info.perm_chars, chi_h, bound=info.order)
+        try:
+            b = burnside.burnside_order(info.perm_chars, chi_h,
+                                        bound=info.order)
+        except ValueError as exc:
+            raise ValueError(f"class {info.class_id}: burnside: {exc}") \
+                from None
         irred = sp4f3.is_absolutely_irreducible(info.generators)
         if h1 is None:
             lcm_val = h1_m = h1_md = None

@@ -39,7 +39,7 @@ ones:
 * ``subspace_irreducible`` searches invariant lines, planes and
   hyperplanes and measures the commutant, where
   :func:`psp4obs.sp4f3.is_absolutely_irreducible` measures the span of the
-  matrices (Burnside's theorem);
+  matrices (Burnside's theorem), spun a level at a time;
 * ``lift_to_sp`` tries the 16 scalings of a frame one at a time, and it,
   ``preimage`` and the subspace searches multiply F3 matrices as tuples
   of tuples, where :mod:`psp4obs.sp4f3` multiplies numpy arrays;
@@ -50,7 +50,7 @@ ones:
 * ``minimal_multiplier_by_smith`` reads the least multiple of a vector in
   a lattice off the Smith form and its column transform, where
   :func:`psp4obs.intlinalg.minimal_multiplier` back-substitutes on the
-  pivots of the Hermite form;
+  pivots of an echelon form from the forward pass alone;
 * ``relator_matrix`` and ``presentation_abelian_invariants`` read G/G'
   off the Smith form of the abelianised relators of the chain's
   presentation, where :func:`psp4obs.permgroups.abelian_invariants`

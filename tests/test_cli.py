@@ -262,6 +262,33 @@ class TestBadLatticeFile:
         assert "Traceback" not in err
 
 
+def _perm_chars_column_1(factor):
+    def edit(doc):
+        for row in doc["classes"][59]["perm_chars"]:
+            row[1] *= factor
+    return edit
+
+
+class TestBurnsideOrderFails:
+    # the edited files pass SubgroupLattice.load; class 60 has order 24
+    @pytest.mark.parametrize("edit,message", [
+        (_perm_chars_column_1(0), "no integer multiple lies in the lattice"),
+        (_perm_chars_column_1(29), "minimal multiplier 174 exceeds bound 24"),
+    ], ids=["column-1-zero", "column-1-times-29"])
+    def test_one_error_line_names_the_class(self, lattice_path, tmp_path,
+                                             capsys, edit, message):
+        doc = json.loads(pathlib.Path(lattice_path).read_text())
+        edit(doc)
+        path = tmp_path / "lattice.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "table", "compute", "--lattice",
+                                 str(path), "--out", str(tmp_path / "t.csv"))
+        assert code == 1 and out == "" and "Traceback" not in err
+        assert [ln for ln in err.splitlines() if ln.startswith("error:")] \
+            == [f"error: class 60: burnside: {message}"]
+        assert not (tmp_path / "t.csv").exists()
+
+
 def _conjugate_by_0_1(doc):
     """Relabel points 0 and 1 in every generator of the lattice file."""
     def relabel(g):

@@ -9,7 +9,7 @@ transform for minimal multipliers.
 import numpy as np
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from sympy.matrices.normalforms import smith_normal_form
 
 from oracles import det, minimal_multiplier_by_smith
@@ -23,6 +23,25 @@ def int_matrices(max_dim=5, max_entry=9):
                 st.lists(st.integers(-max_entry, max_entry),
                          min_size=n, max_size=n),
                 min_size=m, max_size=m)))
+
+
+@st.composite
+def lattice_bases(draw):
+    """A small matrix with extra rows, each an integer combination of two
+    rows (a repeat, a multiple or a dependent row), so that there are
+    often more rows than columns; some rows are negated to make their
+    leading entry negative, and the rows are shuffled."""
+    rows = draw(int_matrices(max_dim=4, max_entry=5))
+    for _ in range(draw(st.integers(0, 4))):
+        i = draw(st.integers(0, len(rows) - 1))
+        j = draw(st.integers(0, len(rows) - 1))
+        x, y = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        rows.append([x * a + y * b for a, b in zip(rows[i], rows[j])])
+    for row in rows:
+        lead = next((a for a in row if a), 0)
+        if lead > 0 and draw(st.booleans()):
+            row[:] = [-a for a in row]
+    return draw(st.permutations(rows))
 
 
 def assert_unimodular(u):
@@ -241,9 +260,11 @@ class TestMinimalMultiplier:
         with pytest.raises(ValueError):
             il.minimal_multiplier([[30, 0], [0, 30]], [1, 1], bound=10)
 
-    @given(int_matrices(max_dim=4, max_entry=5),
+    @given(st.one_of(int_matrices(max_dim=4, max_entry=5), lattice_bases()),
            st.lists(st.integers(-6, 6), min_size=1, max_size=4))
-    @settings(max_examples=60, deadline=None)
+    # entries near 2**61: the forward pass promotes the workspace to object
+    @example(b=[[2**61 + 1, 3], [2**61, 3], [0, 6]], t=[1, 1])
+    @settings(max_examples=150, deadline=None)
     def test_scan_agreement(self, b, t):
         b = np.array(b)
         t = np.array((t + [0] * b.shape[1])[:b.shape[1]])

@@ -283,6 +283,22 @@ class TestAbsoluteIrreducibility:
         assert len(flags) == 116 and 0 < sum(flags) < 116
         assert lifted == 406 and spanned == 105
 
+    def test_no_generators_span_the_scalars(self):
+        assert sp4f3._algebra_dimension([]) == 1
+
+    @pytest.mark.parametrize("extra", [
+        lambda mats: [np.identity(4, dtype=int)],
+        lambda mats: [2 * np.identity(4, dtype=int)],
+        lambda mats: mats[:1],
+    ], ids=["identity", "minus-one", "repeat"])
+    def test_redundant_generators(self, lattice, extra):
+        # a scalar or a repeated generator makes products within one round
+        # that are zero after reduction or equal to another product
+        for info in lattice.classes:
+            mats = [sp4f3.lift_to_sp(g) for g in info.generators]
+            assert sp4f3._algebra_dimension(mats + extra(mats)) == \
+                sp4f3._algebra_dimension(mats), info.class_id
+
     @pytest.mark.parametrize("class_id, dim", [
         (c, SPAN_DIMS[c]) for c, col in table.DISPUTED_CELLS
         if col == "irred"])
