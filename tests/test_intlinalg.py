@@ -31,17 +31,18 @@ def lattice_bases(draw):
     rows (a repeat, a multiple or a dependent row), so that there are
     often more rows than columns; some rows are negated to make their
     leading entry negative, and the rows are shuffled."""
-    rows = draw(int_matrices(max_dim=4, max_entry=5))
+    rows = list(draw(int_matrices(max_dim=4, max_entry=5)))
     for _ in range(draw(st.integers(0, 4))):
         i = draw(st.integers(0, len(rows) - 1))
         j = draw(st.integers(0, len(rows) - 1))
         x, y = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
         rows.append([x * a + y * b for a, b in zip(rows[i], rows[j])])
+    signed = []
     for row in rows:
         lead = next((a for a in row if a), 0)
-        if lead > 0 and draw(st.booleans()):
-            row[:] = [-a for a in row]
-    return draw(st.permutations(rows))
+        flip = lead > 0 and draw(st.booleans())
+        signed.append([-a for a in row] if flip else row)
+    return draw(st.permutations(signed))
 
 
 def assert_unimodular(u):
