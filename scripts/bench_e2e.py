@@ -15,7 +15,7 @@ BLAS thread:
   is start-up, the symplectic model and ``load_module``; its output is
   its stdout.
 
-Each stage runs three times.  Given two checkouts (a ``--label`` and a
+Each stage runs five times.  Given two checkouts (a ``--label`` and a
 ``--root`` for each), the runs interleave: every run of a stage on one
 side is followed by the same run on the other, and the side that goes
 first alternates from one stage and one repeat to the next, so a drift of
@@ -52,7 +52,7 @@ import time
 import numpy as np
 
 HERE = pathlib.Path(__file__).resolve().parent.parent
-REPEATS = 3
+REPEATS = 5
 ONE_THREAD = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 CLI = ("-m", "psp4obs.cli")
 # check name: file that scripts/build_module.py writes

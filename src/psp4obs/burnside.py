@@ -31,18 +31,20 @@ def perm_characters(group: PermGroup, class_rows) -> np.ndarray:
     of subgroups of ``group``; columns follow the conjugacy classes of
     ``group``.  The row for the trivial subgroup is the regular character,
     the row for the whole group is constantly one.  Row K holds
-    |H| |c^H n K| / (|c^H| |K|) for each class c^H.
+    |H| |c^H n K| / (|c^H| |K|) for each class c^H: the rows of every K
+    are looked up in one call, and the counts |c^H n K| are one bincount
+    keyed by (K, c^H).
     """
     classes = group.conjugacy_classes()
     sizes = np.array([size for _, size in classes], dtype=np.int64)
-    meets = np.zeros((len(class_rows), len(classes)), dtype=np.int64)
-    orders = np.zeros((len(class_rows), 1), dtype=np.int64)
-    for i, rows in enumerate(class_rows):
-        rows = np.asarray(rows)
-        meets[i] = np.bincount(group.class_indices(rows),
-                               minlength=len(classes))
-        orders[i] = len(rows)
-    out, rest = np.divmod(group.order * meets, sizes * orders)
+    rows = [np.asarray(r).reshape(-1, group.degree) for r in class_rows]
+    orders = np.array([len(r) for r in rows], dtype=np.int64)
+    keys = np.repeat(np.arange(len(rows)) * len(classes), orders)
+    if rows:
+        keys += group.class_indices(np.concatenate(rows))
+    meets = np.bincount(keys, minlength=len(rows) * len(classes)).reshape(
+        len(rows), len(classes))
+    out, rest = np.divmod(group.order * meets, sizes * orders[:, None])
     if rest.any():
         raise RuntimeError("fixed-point count is not an integer")
     return out

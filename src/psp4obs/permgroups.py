@@ -129,15 +129,17 @@ def _as_table(rows, degree):
 
 
 def _keys(columns, degree):
-    """One key per row of ``columns``, whose entries lie in ``range(degree)``,
-    equal exactly for equal rows: the row as an int64 number in base
-    ``degree`` while ``degree ** width < 2^63``, else its bytes."""
-    width = columns.shape[1]
+    """One key per row (along the last axis) of ``columns``, whose entries
+    lie in ``range(degree)``, equal exactly for equal rows: the row as an
+    int64 number in base ``degree`` while ``degree ** width < 2^63``, else
+    its bytes."""
+    width = columns.shape[-1]
     if degree ** width < 2 ** 63:
         return columns @ degree ** np.arange(width - 1, -1, -1,
                                              dtype=np.int64)
     columns = np.ascontiguousarray(columns)
-    return columns.view(np.dtype((np.void, columns.itemsize * width))).ravel()
+    return columns.view(np.dtype((np.void, columns.itemsize * width)))[
+        ..., 0]
 
 
 def orbit_minima(acts, n):
@@ -159,8 +161,9 @@ class ElementTable:
     ``base``: points whose images determine every row, a base of the group
     or of one containing it.  A lookup is a binary search among the rows'
     keys (:func:`_keys` of their base images).  A key is exact only among
-    members, so :meth:`index_of` checks each hit's full row and
-    :meth:`sieve` looks up by key only conjugates of members.
+    members, so :meth:`index_of` checks each hit's full row, and
+    :meth:`conjugates` and :meth:`times` look up by key only conjugates and
+    products of members.
     """
 
     def __init__(self, rows, degree, base):
@@ -180,8 +183,8 @@ class ElementTable:
         return self.table.shape[0]
 
     def _lookup(self, images):
-        """For each row of base images, the index of the table row with its
-        key if there is one, else of some row."""
+        """For each row (along the last axis) of base images, the index of
+        the table row with its key if there is one, else of some row."""
         pos = np.searchsorted(self.sorted_keys, _keys(images, self.degree))
         return self.by_key[np.minimum(pos, len(self) - 1)]
 
@@ -205,24 +208,34 @@ class ElementTable:
         held[idx[(self.table[idx] == target.table).all(1)]] = True
         return held
 
+    def conjugates(self, index, gens):
+        """Indices of the conjugates g^-1 h g, row j for the j-th member h
+        of ``gens`` (an array of rows) and column i for the row g at
+        ``index[i]``."""
+        if self._preimages is None:
+            self._preimages = (self.table[:, :, None] == self.base).argmax(1)
+        gens = np.asarray(gens, dtype=self.table.dtype).reshape(
+            -1, self.degree)
+        # g^-1 h g sends b to g[h[g^-1[b]]], a member found by its key
+        flat = index[:, None] * self.degree + gens[:, self._preimages[index]]
+        return self._lookup(self.table.ravel()[flat])
+
     def sieve(self, index, gens, held):
         """The rows g among ``index`` with g^-1 h g held for every h of
         ``gens``, an array of members."""
-        if self._preimages is None:
-            self._preimages = (self.table[:, :, None] == self.base).argmax(1)
         for h in gens:
-            # g^-1 h g sends b to g[h[g^-1[b]]], a member found by its key
-            flat = index[:, None] * self.degree + h[self._preimages[index]]
-            index = index[held[self._lookup(self.table.ravel()[flat])]]
+            index = index[held[self.conjugates(index, h)[0]]]
             if not index.size:
                 break
         return index
 
     def times(self, index, g):
-        """Indices of the products of the rows at ``index`` and the member
-        ``g``: x g sends b to g[x[b]]."""
-        g = np.asarray(g, dtype=self.table.dtype)
-        return self._lookup(g[self.table[np.asarray(index)][:, self.base]])
+        """Indices of the products x g of the rows x at ``index`` and the
+        rows g at ``g``, two index arrays that broadcast together: x g
+        sends b to g[x[b]]."""
+        index = np.asarray(index)[..., None]
+        return self._lookup(self.table[np.asarray(g)[..., None],
+                                       self.table[index, self.base]])
 
 
 # ---------------------------------------------------------------------------
@@ -673,7 +686,8 @@ class ConjugacyAnchor:
         self.class_of = group._cache['class_index']
         gens = [g for g in group.generators if not is_identity(g)]
         # right[k][i]: the row of x s for the row x at i and the k-th s
-        self.right = [et.times(np.arange(len(et)), g) for g in gens]
+        self.right = [et.times(np.arange(len(et)), et.index_of(g))
+                      for g in gens]
         conjugator = np.full(len(et), -1, dtype=np.intp)
         frontier = et.index_of([rep for rep, _ in classes])
         conjugator[frontier] = 0  # the identity is the least row

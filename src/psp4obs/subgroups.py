@@ -47,17 +47,23 @@ with g in C = {g : K^g in H}, and two of them are conjugate in H exactly
 when their g lie in one double coset N_G(K) g H.  C is a union of cosets
 N_G(K) g, so every row is labelled by its coset, one least row per coset
 is tested, and the double cosets are the orbits of H, by right
-multiplication, on the cosets in C.  The pair (K, H) is scanned only
-where |K| divides |H| and H has as many elements as K in every ambient
-class.  Each double coset gives one own class, represented by K^g for
-its least row g, and the own classes are sorted by (order, ambient id,
-least row), so their order does not depend on the search.  That yields
-the permutation character matrix needed for Burnside-cokernel
-computations.  The maximal subgroup classes come from the same cosets:
-walking the ambient classes by descending order, an own class K^g is
-maximal unless an H-conjugate of it lies in a maximal own class L^g'
-found before it, which holds exactly when some coset N_G(K) x with K^x
-in L has x g' in N_G(K) g H.
+multiplication, on the cosets in C.  Each K is taken against every H at
+once, in three table lookups: the conjugates of K's generators by every
+least row, which sieve the cosets in C for all H; the products of every
+H's cosets with its generators, over the disjoint union of those
+cosets, whose orbits are the double cosets; and the products that the
+maximality test below needs.  H is scanned only where |K| divides |H|
+and H has as many elements as K in every ambient class, one comparison
+of orders and of fusion counts for all H.  Each double coset gives one
+own class, represented by K^g for its least row g, and the own classes
+are sorted by (order, ambient id, least row), so their order does not
+depend on the search.  That yields the permutation character matrix
+needed for Burnside-cokernel computations, counted for all own classes
+of H in one class lookup.  The maximal subgroup classes come from the
+same cosets: walking the ambient classes by descending order, an own
+class K^g is maximal unless an H-conjugate of it lies in a maximal own
+class L^g' found before it, which holds exactly when some coset N_G(K) x
+with K^x in L has x g' in N_G(K) g H.
 """
 
 from __future__ import annotations
@@ -162,14 +168,6 @@ def fingerprint_of(group: PermGroup) -> Fingerprint:
 
 # ---------------------------------------------------------------------------
 # layering engine
-
-
-def _may_contain(big, small) -> bool:
-    """Can ``big`` hold a conjugate of ``small``?  Only where its order is
-    a multiple and it has as many elements in every class."""
-    counts = dict(big.fusion)
-    return (big.order % small.order == 0
-            and all(n <= counts.get(c, 0) for c, n in small.fusion))
 
 
 @dataclass
@@ -550,6 +548,24 @@ class SubgroupLattice:
                 if g not in ambient:
                     raise ValueError(f"{path}: class {pos}: generator {i} "
                                      f"is not in the ambient group")
+        # own_gclass names the class of each own_orders entry, the class
+        # itself last
+        for pos, c in enumerate(classes, 1):
+            if len(c.own_gclass) != len(c.own_orders):
+                raise ValueError(f"{path}: class {pos}: own_gclass must be "
+                                 f"{len(c.own_orders)} ids (one per "
+                                 f"own_orders entry), not "
+                                 f"{len(c.own_gclass)}")
+            for r, (j, own) in enumerate(zip(c.own_gclass, c.own_orders), 1):
+                if classes[j - 1].order != own:
+                    raise ValueError(f"{path}: class {pos}: own_gclass entry "
+                                     f"{r} is class {j}, of order "
+                                     f"{classes[j - 1].order}, but own_orders "
+                                     f"entry {r} is {own}")
+            if c.own_gclass[-1] != pos:
+                raise ValueError(f"{path}: class {pos}: the last own_gclass "
+                                 f"id must be the class itself, not "
+                                 f"{c.own_gclass[-1]}")
         # each element generates exactly one cyclic subgroup, so every
         # ambient class meets the cyclic classes
         cyclic = [c for c in classes if c.order == 1
@@ -573,61 +589,81 @@ def _conjugate(rows, g):
     return g[rows[:, np.argsort(g)]]
 
 
-def _double_cosets(et: ElementTable, sub: _Raw, raw: _Raw, held, labels,
-                   transversal):
-    """The cosets N_G(K) x with K^x in H, for K = ``sub`` and H = ``raw``,
-    whose rows ``held`` masks, as their sorted least rows, given the coset
-    labels of N_G(K) and the least row of each coset; and for each of
-    them, the least row of its double coset N_G(K) x H.
-
-    C = {g : K^g in H} is a union of cosets N_G(K) g, so sieving the
-    least rows gives the cosets in C; H permutes them by right
-    multiplication, its orbits on them are the double cosets, and each
-    orbit's least label is its least row.
-    """
-    if raw.order == len(et):  # G itself: one double coset, least row 0
-        return transversal, np.zeros_like(transversal)
-    cosets = et.sieve(transversal, np.asarray(sub.gens, et.table.dtype),
-                      held)
-    acts = [np.searchsorted(cosets, labels[et.times(cosets, h)])
-            for h in raw.gens]
-    return cosets, cosets[orbit_minima(acts, len(cosets))]
-
-
 def _own_classes(ambient: PermGroup, raws) -> tuple:
     """For each raw H, its subgroup classes as (K, g) pairs: the raw index
     of an ambient class K and the least row g of a double coset N_G(K) g H
     with K^g in H (Pfeiffer 1997); and the raw indices of its maximal
-    classes.  A pair is scanned only where H may contain K.
+    classes.  Only the H with a multiple of K's order and as many elements
+    as K in every ambient class are scanned.
 
-    The classes K run by descending order.  A proper subgroup K^g of H
-    lies in a maximal one, which is larger, so it is maximal unless an
-    H-conjugate of it lies in a maximal class L^g' found before it.  The
-    K^x in L are those of the cosets N_G(K) x that the same pass sieves
-    against L, and K^x lies in L^g' as K^(x g'), whose double coset
-    N_G(K) x g' H names its class in H.
+    The classes K run by descending order, and each makes three table
+    lookups for every H at once.  C = {g : K^g in H} is a union of cosets
+    N_G(K) g, so the first looks up t^-1 k t for every least row t of a
+    coset and every generator k of K, and the cosets in C are those whose
+    conjugates H holds.  H permutes its cosets by right multiplication and
+    its orbits are the double cosets, so the second looks up x h for x in
+    H's cosets and h a generator of H, over the disjoint union of every
+    H's cosets; the least row of each orbit names its class.
+
+    A proper subgroup K^g of H lies in a maximal one, which is larger, so
+    it is maximal unless an H-conjugate of it lies in a maximal class L^g'
+    found before it.  The K^x in L are those of the cosets N_G(K) x in L's
+    part of the union, and K^x lies in L^g' as K^(x g'), whose double coset
+    N_G(K) x g' H names its class in H; the third lookup takes every such x
+    g'.  Those of H read only H's maximal classes, which change only after
+    the lookup, so one lookup serves every H.
     """
     anchor = ambient.conjugacy_anchor()
     et = anchor.table
-    held = [et.held(raw.table) for raw in raws]
+    n = len(et)
+    held = np.array([et.held(raw.table) for raw in raws])
+    orders = np.array([raw.order for raw in raws])
+    fusion = np.zeros((len(raws), len(ambient.conjugacy_classes())),
+                      dtype=np.intp)
+    for i, raw in enumerate(raws):
+        fusion[i, [c for c, _ in raw.fusion]] = [m for _, m in raw.fusion]
+    # the generators of each H as rows, the missing ones the identity (row 0)
+    counts = np.array([len(raw.gens) for raw in raws])
+    gens = np.zeros((len(raws), counts.max()), dtype=np.intp)
+    gens[np.arange(counts.max()) < counts[:, None]] = et.index_of(
+        [g for raw in raws for g in raw.gens])
     owns = [[] for _ in raws]
     tops = [[] for _ in raws]  # the maximal (L, g') of each H so far
-    for k in sorted(range(len(raws)), key=lambda k: -raws[k].order):
-        sub = raws[k]
-        labels = anchor.coset_labels(sub.normalizer)
-        transversal = np.flatnonzero(labels == np.arange(len(labels)))
-        found = {i: _double_cosets(et, sub, raw, held[i], labels,
-                                   transversal)
-                 for i, raw in enumerate(raws) if _may_contain(raw, sub)}
-        for i, (cosets, least) in found.items():
-            own = sorted(set(least.tolist()))
-            owns[i] += [(k, g) for g in own]
-            if not own or raws[i].order == sub.order:  # none, or H itself
-                continue
-            below = {g for j, gj in tops[i] if j in found
-                     for g in least[np.searchsorted(cosets, labels[et.times(
-                         found[j][0], et.table[gj])])].tolist()}
-            tops[i] += [(k, g) for g in own if g not in below]
+    for k in np.argsort(-orders, kind="stable").tolist():
+        labels = anchor.coset_labels(raws[k].normalizer)
+        transversal = np.flatnonzero(labels == np.arange(n))
+        scan = np.flatnonzero((orders % orders[k] == 0)
+                              & (fusion >= fusion[k]).all(1))
+        # lookup 1: the cosets in C, as (scanned H, least row) by H
+        conj = et.conjugates(transversal, raws[k].gens)
+        part, pos = np.nonzero(held[scan[:, None, None], conj].all(1))
+        cosets = transversal[pos]
+        # lookup 2: a union position is (H, coset), keyed H * |G| + row,
+        # which stays below len(raws) * |G| and fits in an intp
+        keys = part * n + cosets
+        acts = np.searchsorted(keys, part * n + labels[et.times(
+            cosets, gens[scan[part]].T)])
+        least = cosets[orbit_minima(acts, len(cosets))]
+        own = np.unique(part * n + least)
+        # lookup 3: each x g' with (L, g') maximal in H and x a coset in L,
+        # as (H, L, g') triples, each repeated over L's part of the union
+        starts = np.searchsorted(part, np.arange(len(scan) + 1))
+        where = {h: s for s, h in enumerate(scan.tolist())}
+        pairs = [(s, where[j], gj) for s, h in enumerate(scan.tolist())
+                 if orders[h] > orders[k] and starts[s] < starts[s + 1]
+                 for j, gj in tops[h] if j in where]
+        into, inside, moves = np.array(pairs, dtype=np.intp).reshape(-1, 3).T
+        sizes = starts[inside + 1] - starts[inside]
+        into, moves = np.repeat(into, sizes), np.repeat(moves, sizes)
+        xs = np.arange(len(into)) + np.repeat(
+            starts[inside] - np.cumsum(sizes) + sizes, sizes)
+        below = set((into * n + least[np.searchsorted(keys, into * n + labels[
+            et.times(cosets[xs], moves)])]).tolist())
+        for key in own.tolist():
+            h, g = scan[key // n], key % n
+            owns[h].append((k, g))
+            if orders[h] > orders[k] and key not in below:
+                tops[h].append((k, g))
     return owns, [{k for k, _ in top} for top in tops]
 
 

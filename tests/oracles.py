@@ -19,13 +19,17 @@ ones:
   centraliser of one generator's class representative;
 * ``scan_containers`` builds the full containment order with a
   conjugacy scan for every pair of classes, and ``scan_maximal`` scans
-  each class only against the maximal classes found before it, after a
-  class-count prescreen, where :func:`psp4obs.subgroups.subgroup_classes`
-  reads the maximal classes off the double cosets of the ambient lattice;
+  each class only against the maximal classes found before it, after the
+  class-count prescreen ``may_contain`` of one pair, where
+  :func:`psp4obs.subgroups.subgroup_classes` reads the maximal classes off
+  the double cosets of the ambient lattice and prescreens every container
+  of a class at once;
 * ``closure_own_lattice`` runs a layer closure inside a class
-  representative and maps each of its classes to a lattice id by a
-  conjugacy scan, where :func:`psp4obs.subgroups.subgroup_classes` reads
-  each own lattice off the double cosets of the ambient lattice;
+  representative, maps each of its classes to a lattice id by a
+  conjugacy scan and counts their permutation characters with
+  ``scan_perm_characters``, where
+  :func:`psp4obs.subgroups.subgroup_classes` reads each own lattice off
+  the double cosets of the ambient lattice;
 * ``quotient_order`` multiplies a coset representative z by itself until
   z^k lies in H, one membership test per power, where
   ``subgroups._coset_powers`` raises all representatives at once;
@@ -71,7 +75,7 @@ from math import gcd, lcm, prod
 
 import numpy as np
 
-from psp4obs import burnside, intlinalg, sp4f3, subgroups, zmodules
+from psp4obs import intlinalg, sp4f3, subgroups, zmodules
 from psp4obs import permgroups as pg
 from psp4obs.intlinalg import AbelianInvariants, TRIVIAL_GROUP
 from psp4obs.permgroups import PermGroup
@@ -280,6 +284,14 @@ def scan_conjugators(et: pg.ElementTable, gens, target: pg.ElementTable):
     return et.sieve(np.arange(len(et)), gens, et.held(target))
 
 
+def may_contain(big, small) -> bool:
+    """Can ``big`` hold a conjugate of ``small``?  Only where its order is
+    a multiple and it has as many elements in every class."""
+    counts = dict(big.fusion)
+    return (big.order % small.order == 0
+            and all(n <= counts.get(c, 0) for c, n in small.fusion))
+
+
 def scan_maximal(classes, group: PermGroup) -> list:
     """Indices of the maximal proper classes among ``classes``, the
     subgroup classes of ``group``, each with ``order``, ``fusion`` (into
@@ -297,7 +309,7 @@ def scan_maximal(classes, group: PermGroup) -> list:
 
     def inside(a, j):
         b = classes[j]
-        if not (b.order > a.order and subgroups._may_contain(b, a)):
+        if not (b.order > a.order and may_contain(b, a)):
             return False
         if j not in tables:
             tables[j] = pg.ElementTable(b.rows, group.degree, et.base)
@@ -328,7 +340,8 @@ def closure_own_lattice(lattice, class_id):
     ``lattice``, as ``subgroup_classes`` computed them with a second
     search: the classes of a layer closure inside the representative,
     each mapped to the lattice class it is conjugate to in the ambient
-    group, sorted by (order, id) with ties in discovery order."""
+    group, sorted by (order, id) with ties in discovery order, and their
+    permutation characters by conjugating every class representative."""
     rep = lattice.rep(class_id)
     raws = subgroups._layer_closure(rep).raws
     ids = lattice_ids(lattice, raws)
@@ -336,7 +349,7 @@ def closure_own_lattice(lattice, class_id):
     order = sorted(range(len(raws)), key=lambda k: (raws[k].order, ids[k]))
     return (maximal, tuple(raws[k].order for k in order),
             tuple(ids[k] for k in order),
-            burnside.perm_characters(rep, [raws[k].rows for k in order]))
+            scan_perm_characters(rep, [raws[k].rows for k in order]))
 
 
 def quotient_order(z, sub_rows) -> int:

@@ -182,6 +182,15 @@ def _fusion_19_to_18(doc):
         c["elem_fusion"] = [18 if j == 19 else j for j in c["elem_fusion"]]
 
 
+def _own_gclass(edit):
+    """``edit`` applied to class 60's own_gclass, [1, 2, 4, 11, 11, 11, 17,
+    22, 41, 41, 41, 60] for own_orders [1, 2, 3, 4, 4, 4, 6, 8, 12, 12, 12,
+    24]."""
+    def apply(doc):
+        edit(doc["classes"][59]["own_gclass"])
+    return apply
+
+
 def _normalizer_order(n, class_id=10):
     def edit(doc):
         doc["classes"][class_id - 1]["normalizer_order"] = n
@@ -238,6 +247,16 @@ class TestBadLatticeFile:
         # no proper class, so no cyclic one, meets ambient class 19
         (_fusion_19_to_18, "the cyclic classes meet only 19 of 20 ambient "
          "classes"),
+        (_own_gclass(list.pop), "class 60: own_gclass must be 12 ids (one "
+         "per own_orders entry), not 11"),
+        (_own_gclass(lambda ids: ids.append(60)), "class 60: own_gclass must "
+         "be 12 ids (one per own_orders entry), not 13"),
+        (_own_gclass(lambda ids: ids.__setitem__(3, 17)), "class 60: "
+         "own_gclass entry 4 is class 17, of order 6, but own_orders entry 4 "
+         "is 4"),
+        # class 59 has order 24 too, so only the id tells
+        (_own_gclass(lambda ids: ids.__setitem__(-1, 59)), "class 60: the "
+         "last own_gclass id must be the class itself, not 59"),
     ], ids=["without-class-116", "own-gclass-117", "maximal-999",
             "elem-fusion-99", "whole-group-fusion-reversed",
             "perm-chars-row-dropped", "order-5", "fingerprint-order-5",
@@ -247,7 +266,8 @@ class TestBadLatticeFile:
             "abelianization-int", "degree-string", "top-level-list",
             "maximal-1.5", "normalizer-order-0", "normalizer-order-6",
             "cyclic-normalizer-doubled", "not-json", "deep-nesting",
-            "fusion-19-to-18"])
+            "fusion-19-to-18", "own-gclass-dropped", "own-gclass-appended",
+            "own-gclass-11-to-17", "own-gclass-last-59"])
     def test_one_error_line(self, lattice_path, tmp_path, capsys, edit,
                             message):
         doc = json.loads(pathlib.Path(lattice_path).read_text())

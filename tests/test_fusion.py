@@ -9,7 +9,7 @@ classes.
 """
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from psp4obs import burnside, sp4f3, subgroups, table
@@ -93,6 +93,8 @@ class TestSmallGroups:
         lambda n: st.lists(st.permutations(tuple(range(n))).map(tuple),
                            min_size=1, max_size=3)))
     @settings(max_examples=30, deadline=None)
+    # the trivial group on two points, whose base is empty
+    @example(gens=[(0, 1)])
     def test_random(self, gens):
         g = PermGroup(gens)
         raws = own_raws(g)

@@ -11,7 +11,8 @@ import json
 import numpy as np
 import pytest
 
-from oracles import brute_subgroups, closure_own_lattice, quotient_order
+from oracles import (brute_subgroups, closure_own_lattice, lattice_ids,
+                     may_contain, quotient_order)
 from psp4obs import cli, subgroups
 from psp4obs.permgroups import ElementTable, PermGroup, pconj, pmul
 
@@ -378,6 +379,28 @@ def test_own_lattices_match_the_closure_oracle(lattice, class_id):
             (maximal, orders, gclass), c.class_id
         assert tie_groups(orders, gclass, chars) == tie_groups(
             c.own_orders, c.own_gclass, c.perm_chars), c.class_id
+
+
+@pytest.mark.parametrize("g,count", [(A5, 1), (S5, 4)], ids=["A5", "S5"])
+def test_prescreened_pairs_without_a_conjugate_inside(g, count):
+    """Some H have a multiple of K's order and as many elements as K in
+    every class, yet hold no conjugate of K (in A5, an S3 and the A4).  H's
+    own lattice still names no class of K and equals the oracle's."""
+    raws = subgroups._layer_closure(g).raws
+    pairs = [(k, h) for k, sub in enumerate(raws) for h, raw in
+             enumerate(raws) if may_contain(raw, sub)
+             and g.conjugate_into(sub.group, raw.group) is None]
+    assert len(pairs) == count
+    lat = subgroups.subgroup_classes(g)
+    ids = lattice_ids(lat, raws)
+    for k, h in pairs:
+        c = lat.by_id(ids[h])
+        assert ids[k] not in c.own_gclass
+        maximal, orders, gclass, chars = closure_own_lattice(lat, ids[h])
+        assert (c.maximal, c.own_orders, c.own_gclass) == \
+            (maximal, orders, gclass)
+        assert tie_groups(orders, gclass, chars) == tie_groups(
+            c.own_orders, c.own_gclass, c.perm_chars)
 
 
 @pytest.mark.parametrize("class_id", [85, 86, 100, 101, 110, 114, 115, 116])
