@@ -39,6 +39,7 @@ def perm_characters(group: PermGroup, class_rows) -> np.ndarray:
     sizes = np.array([size for _, size in classes], dtype=np.int64)
     rows = [np.asarray(r).reshape(-1, group.degree) for r in class_rows]
     orders = np.array([len(r) for r in rows], dtype=np.int64)
+    # a key (K, c^H) is below len(rows) * len(classes), far inside int64
     keys = np.repeat(np.arange(len(rows)) * len(classes), orders)
     if rows:
         keys += group.class_indices(np.concatenate(rows))

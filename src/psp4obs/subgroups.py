@@ -610,8 +610,9 @@ def _own_classes(ambient: PermGroup, raws) -> tuple:
     found before it.  The K^x in L are those of the cosets N_G(K) x in L's
     part of the union, and K^x lies in L^g' as K^(x g'), whose double coset
     N_G(K) x g' H names its class in H; the third lookup takes every such x
-    g'.  Those of H read only H's maximal classes, which change only after
-    the lookup, so one lookup serves every H.
+    g'.  The products for H read only the maximal classes of H found so
+    far, which K changes only after the lookup, so one lookup serves every
+    H.
     """
     anchor = ambient.conjugacy_anchor()
     et = anchor.table
@@ -652,13 +653,13 @@ def _own_classes(ambient: PermGroup, raws) -> tuple:
         pairs = [(s, where[j], gj) for s, h in enumerate(scan.tolist())
                  if orders[h] > orders[k] and starts[s] < starts[s + 1]
                  for j, gj in tops[h] if j in where]
-        into, inside, moves = np.array(pairs, dtype=np.intp).reshape(-1, 3).T
-        sizes = starts[inside + 1] - starts[inside]
-        into, moves = np.repeat(into, sizes), np.repeat(moves, sizes)
-        xs = np.arange(len(into)) + np.repeat(
-            starts[inside] - np.cumsum(sizes) + sizes, sizes)
-        below = set((into * n + least[np.searchsorted(keys, into * n + labels[
-            et.times(cosets[xs], moves)])]).tolist())
+        hpos, lpos, moves = np.array(pairs, dtype=np.intp).reshape(-1, 3).T
+        sizes = starts[lpos + 1] - starts[lpos]
+        xs = np.arange(sizes.sum()) + np.repeat(
+            starts[lpos] - np.cumsum(sizes) + sizes, sizes)
+        hpos = np.repeat(hpos, sizes)
+        below = set((hpos * n + least[np.searchsorted(keys, hpos * n + labels[
+            et.times(cosets[xs], np.repeat(moves, sizes))])]).tolist())
         for key in own.tolist():
             h, g = scan[key // n], key % n
             owns[h].append((k, g))
