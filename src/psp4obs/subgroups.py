@@ -644,8 +644,9 @@ def _own_classes(ambient: PermGroup, raws) -> tuple:
         keys = part * n + cosets
         acts = np.searchsorted(keys, part * n + labels[et.times(
             cosets, gens[scan[part]].T)])
-        least = cosets[orbit_minima(acts, len(cosets))]
-        own = np.unique(part * n + least)
+        # the key of each orbit's least row, as one of its positions
+        least = keys[orbit_minima(acts, len(keys))]
+        own = keys[least == keys]
         # lookup 3: each x g' with (L, g') maximal in H and x a coset in L,
         # as (H, L, g') triples, each repeated over L's part of the union
         starts = np.searchsorted(part, np.arange(len(scan) + 1))
@@ -658,8 +659,8 @@ def _own_classes(ambient: PermGroup, raws) -> tuple:
         xs = np.arange(sizes.sum()) + np.repeat(
             starts[lpos] - np.cumsum(sizes) + sizes, sizes)
         hpos = np.repeat(hpos, sizes)
-        below = set((hpos * n + least[np.searchsorted(keys, hpos * n + labels[
-            et.times(cosets[xs], np.repeat(moves, sizes))])]).tolist())
+        below = set(least[np.searchsorted(keys, hpos * n + labels[et.times(
+            cosets[xs], np.repeat(moves, sizes))])].tolist())
         for key in own.tolist():
             h, g = scan[key // n], key % n
             owns[h].append((k, g))
