@@ -644,7 +644,8 @@ def _own_classes(ambient: PermGroup, raws) -> tuple:
         keys = part * n + cosets
         acts = np.searchsorted(keys, part * n + labels[et.times(
             cosets, gens[scan[part]].T)])
-        # the key of each orbit's least row, as one of its positions
+        # the key of the least row in each position's orbit; an own class
+        # is an orbit, named at its least position
         least = keys[orbit_minima(acts, len(keys))]
         own = keys[least == keys]
         # lookup 3: each x g' with (L, g') maximal in H and x a coset in L,
@@ -656,6 +657,7 @@ def _own_classes(ambient: PermGroup, raws) -> tuple:
                  for j, gj in tops[h] if j in where]
         hpos, lpos, moves = np.array(pairs, dtype=np.intp).reshape(-1, 3).T
         sizes = starts[lpos + 1] - starts[lpos]
+        # the union positions of L's cosets, pair after pair
         xs = np.arange(sizes.sum()) + np.repeat(
             starts[lpos] - np.cumsum(sizes) + sizes, sizes)
         hpos = np.repeat(hpos, sizes)
