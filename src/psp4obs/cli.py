@@ -164,14 +164,11 @@ def cmd_cohomology_one(args) -> int:
                          f"its class ids run 1..{len(lat)}")
     module = _load_module(args.module, model)
     info = lat.by_id(args.class_id)
-    rep = lat.rep(args.class_id)
-    restricted = module.restrict(rep)
-    h1m = cohomology.h1(restricted)
-    h1md = cohomology.h1(module.dual().restrict(rep))
+    restricted = module.restrict(lat.rep(args.class_id))
     print(f"class {args.class_id}: order {info.order}")
     print(f"H^0(H, M) rank {cohomology.h0(restricted)}")
-    print(f"H^1(H, M)  = {h1m}")
-    print(f"H^1(H, M~) = {h1md}")
+    print(f"H^1(H, M)  = {cohomology.h1(restricted)}")
+    print(f"H^1(H, M~) = {cohomology.h1_dual(restricted)}")
     return 0
 
 

@@ -14,6 +14,10 @@ zero d_i the valuation a+1: the p-part of H^1 is the sum of Z/p^v over
 0 < v <= a, and every prime counts rank M^H as the invariants of valuation
 a+1.
 
+Any generating set gives H^1, and the g_i^-1 generate H.  The dual
+M~(g) = M(g^-1)^T sends g_i^-1 to M(g_i)^T, so H^1(H, M~) comes from A's
+blocks transposed, [M(g_1)^T - 1 | ... | M(g_k)^T - 1], with no inverse.
+
 The primes share one elimination of A^T modulo N, the product of their
 p^(a+1) (777600 for PSp4(3)), on entries below N.  It pivots only on units
 mod N.  Z/N is the product of the Z/p^(a+1) (CRT), so each such pivot
@@ -57,13 +61,13 @@ def invariants_basis(module: GIntModule) -> np.ndarray:
     """HNF basis of the fixed sublattice M^H = {v : v M(g) = v}."""
     if not module.gens:
         return np.asarray(intlinalg.identity(module.rank))
-    return intlinalg.kernel_saturated(_augmentation_matrix(module))
+    return intlinalg.kernel_saturated(_augmentation_matrix(module.gens))
 
 
-def _augmentation_matrix(module: GIntModule) -> np.ndarray:
-    """A = [M(g_1) - 1 | ... | M(g_k) - 1], an n x kn matrix."""
-    ident = intlinalg.identity(module.rank)
-    return np.hstack([np.asarray(g) - ident for g in module.gens])
+def _augmentation_matrix(mats) -> np.ndarray:
+    """A = [N_1 - 1 | ... | N_k - 1], an n x kn matrix, for k >= 1."""
+    ident = intlinalg.identity(len(mats[0]))
+    return np.hstack([np.asarray(g) - ident for g in mats])
 
 
 def _mat_mul_mod(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
@@ -193,16 +197,25 @@ def h0(module: GIntModule) -> int:
     if module.group.order == 1:
         return module.rank
     p, exp = prime_powers(module.group.order)[0]
-    vals = _smith_valuations(_augmentation_matrix(module).T, p, exp + 1)
+    vals = _smith_valuations(_augmentation_matrix(module.gens).T, p, exp + 1)
     return vals.count(exp + 1)
 
 
 def h1(module: GIntModule) -> AbelianInvariants:
     """H^1(H, M) as a finite abelian group (divisor-chain invariants)."""
-    e = module.group.order
+    return _h1(module.gens, module.group.order)
+
+
+def h1_dual(module: GIntModule) -> AbelianInvariants:
+    """H^1(H, M~) of the dual M~(g) = M(g^-1)^T, from M's own matrices."""
+    return _h1([g.T for g in module.gens], module.group.order)
+
+
+def _h1(mats, e: int) -> AbelianInvariants:
+    """H^1 of a group of order ``e`` whose generators act by ``mats``."""
     if e == 1:
         return TRIVIAL_GROUP
-    vals = _prime_valuations(_augmentation_matrix(module).T, e)
+    vals = _prime_valuations(_augmentation_matrix(mats).T, e)
     counts = {v.count(exp + 1) for _, exp, v in vals}
     if len(counts) > 1:
         raise RuntimeError(f"the primes of |H| = {e} disagree on the count "

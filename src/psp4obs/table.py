@@ -109,12 +109,11 @@ class TableConfig:
 def _h1_all(config: TableConfig) -> dict:
     """H^1 of module and dual for every class, keyed by class id."""
     lattice, module = config.lattice, config.module
-    dual = module.dual()
     out = {}
     for info in lattice.classes:
-        rep = lattice.rep(info.class_id)
-        out[info.class_id] = (cohomology.h1(module.restrict(rep)),
-                              cohomology.h1(dual.restrict(rep)))
+        restricted = module.restrict(lattice.rep(info.class_id))
+        out[info.class_id] = (cohomology.h1(restricted),
+                              cohomology.h1_dual(restricted))
         if config.progress is not None:
             config.progress(len(out), len(lattice.classes), info.class_id)
     return out

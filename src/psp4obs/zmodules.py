@@ -5,9 +5,8 @@ vectors from the right, so the matrix of a product ``g h`` (first ``g``,
 then ``h``) is ``M(g) M(h)``.  The module keeps one matrix per transversal
 element of the group's stabiliser chain (66 for PSp4(3) on 40 points); an
 element sifts into one transversal element per level, so its matrix is a
-product of at most base-length of these, and the dual module reads the
-same matrices.  Since the group is finite, all such products land in a
-fixed finite set of matrices and never overflow.
+product of at most base-length of these.  Since the group is finite, all
+such products land in a fixed finite set of matrices and never overflow.
 
 The module file format is line-oriented plain text:
 
@@ -65,14 +64,11 @@ class GIntModule:
     (from their words, M(g^-1) = M(g)^(k-1) for g of order k) and per
     level the transversal matrices by orbit point, each one product from
     its parent in the chain's orbit tree, in the narrowest integer dtype.
-    A dual module reads those of the module ``_dual_of``.
     """
 
     group: PermGroup
     gens: tuple
     rank: int
-    _dual_of: GIntModule | None = field(default=None, repr=False,
-                                        compare=False)
     _chain: tuple | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -108,8 +104,6 @@ class GIntModule:
         """Matrix of a group element, the product of its transversal
         factors; ValueError for a non-member."""
         p = tuple(p)
-        if self._dual_of is not None:
-            return np.ascontiguousarray(self._dual_of.matrix_of(pinv(p)).T)
         points = self.group.sift(p)
         if points is None:
             raise ValueError(f"{p} is not an element of the group")
@@ -125,12 +119,10 @@ class GIntModule:
                      for rep, _ in self.group.conjugacy_classes())
 
     def dual(self) -> "GIntModule":
-        """The contragredient module, M~(g) = M(g^-1)^T."""
-        if self._dual_of is not None:
-            return self._dual_of
+        """The contragredient module M~(g) = M(g^-1)^T, with its own chain."""
         mats = tuple(np.ascontiguousarray(self.matrix_of(pinv(g)).T)
                      for g in self.group.generators)
-        return GIntModule(self.group, mats, self.rank, _dual_of=self)
+        return GIntModule(self.group, mats, self.rank)
 
     def restrict(self, subgroup: PermGroup) -> "GIntModule":
         """The same space as a module over a subgroup."""
@@ -148,11 +140,8 @@ class GIntModule:
         hold for the matrices.  These relators present the group on its
         strong generators (Holt, Eick and O'Brien, *Handbook of
         Computational Group Theory*, 2005), so they certify that the
-        assignment extends to the whole group.  A dual module is checked
-        through the module it is the dual of.
+        assignment extends to the whole group.
         """
-        if self._dual_of is not None:
-            return self._dual_of.validate()
         sgens, levels = self._matrices()
         for i, (g, m) in enumerate(zip(self.group.generators, self.gens)):
             if not np.array_equal(_product([m] * porder(g), self.rank),

@@ -72,6 +72,19 @@ def test_verdict_counts(rows):
     assert verdicts.count(False) == 26
 
 
+def test_h1_dual_from_transposes_matches_the_dual_module(lattice, module):
+    # h1_dual reads M's restricted matrices; the dual module restricts
+    # through its own chain
+    dual = module.dual()
+    nonzero = 0
+    for info in lattice.classes:
+        rep = lattice.rep(info.class_id)
+        got = cohomology.h1_dual(module.restrict(rep))
+        assert got == cohomology.h1(dual.restrict(rep)), info.class_id
+        nonzero += bool(got.torsion)
+    assert nonzero == 31
+
+
 def test_count_of_valuation_a_plus_1_matches_hnf(lattice, module):
     # h0 counts the Smith invariants of valuation a+1 mod p^(a+1), p^a
     # exactly dividing |H|; the HNF kernel over Z is the independent

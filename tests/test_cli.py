@@ -345,12 +345,31 @@ class TestLatticeOfAnotherCopy:
 class TestCohomologyOne:
     MODULE = str(table.default_fixture_path().parent / "m61.gmodule")
 
-    def test_one_class(self, lattice_path, capsys):
-        code, out, _ = run_cli(capsys, "cohomology", "one", "--class", "6",
-                               "--lattice", str(lattice_path),
+    # classes 10 and 14 tell M from M~
+    PRINTED = {
+        6: ["class 6: order 3", "H^0(H, M) rank 23", "H^1(H, M)  = Z/3",
+            "H^1(H, M~) = Z/3"],
+        10: ["class 10: order 4", "H^0(H, M) rank 19", "H^1(H, M)  = 0",
+             "H^1(H, M~) = Z/2 + Z/2"],
+        14: ["class 14: order 6", "H^0(H, M) rank 18", "H^1(H, M)  = Z/3",
+             "H^1(H, M~) = 0"],
+    }
+
+    def _one(self, capsys, lattice_path, class_id):
+        code, out, _ = run_cli(capsys, "cohomology", "one", "--class",
+                               str(class_id), "--lattice", str(lattice_path),
                                "--module", self.MODULE)
         assert code == 0
+        assert out.splitlines() == self.PRINTED[class_id]
+        return out
+
+    def test_one_class(self, lattice_path, capsys):
+        out = self._one(capsys, lattice_path, 6)
         assert out.startswith("class 6: order ")
+
+    @pytest.mark.parametrize("class_id", [10, 14])
+    def test_m_and_its_dual(self, lattice_path, capsys, class_id):
+        self._one(capsys, lattice_path, class_id)
 
     def test_unknown_class_is_one_error_line(self, lattice_path, capsys):
         code, out, err = run_cli(capsys, "cohomology", "one", "--class",

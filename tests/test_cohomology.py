@@ -105,6 +105,7 @@ class TestKnownValues:
                              KNOWN, ids=[k[0] for k in KNOWN])
     def test_matches_bruteforce(self, name, module, expected):
         assert cohomology.h1(module) == h1_bruteforce(module)
+        assert cohomology.h1_dual(module) == h1_bruteforce(module.dual())
 
     @pytest.mark.parametrize("name,module,expected",
                              KNOWN, ids=[k[0] for k in KNOWN])

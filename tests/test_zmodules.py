@@ -170,6 +170,12 @@ class TestTransversalMatrices:
                 pairs += 1
         assert pairs == 232
 
+    def test_dual_validates_and_gives_back_the_generators(self, m61):
+        d = m61.dual()
+        d.validate()
+        for a, b in zip(d.dual().gens, m61.gens):
+            assert np.array_equal(a, b)
+
     def test_non_member_is_an_error(self, m61):
         swap = (1, 0) + tuple(range(2, 40))
         with pytest.raises(ValueError, match="not an element"):
