@@ -9,8 +9,9 @@ objects with the fields of :class:`psp4obs.table.TableRow`, which names
 its columns as :class:`FixtureRow` does, so the matcher reads and
 reports both sides through the same attributes.
 
-The module imports nothing else from the package, so a kept
-:class:`Fixture` or :class:`MatchReport` holds on to this module alone.
+The module imports only :mod:`psp4obs.readers`, which imports nothing
+else from the package, so a kept :class:`Fixture` or :class:`MatchReport`
+holds on to these two modules alone.
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ import io
 import re
 from dataclasses import dataclass
 from pathlib import Path
+
+from .readers import InputFile, parse_int, parse_ints
 
 
 @dataclass(frozen=True)
@@ -37,24 +40,11 @@ class FixtureRow:
     h1_md: tuple
 
 
-# ASCII integers only: int() also takes underscores, spaces and other digits
-_INT = re.compile(r"-?[0-9]+")
-
-
-def _int(text) -> int:
-    if not _INT.fullmatch(text):
-        raise ValueError
-    return int(text)
-
-
-def _ints(text) -> tuple:
-    return tuple(_int(x) for x in text.split())
-
-
-_FIXTURE_COLUMNS = (("row", _int), ("order", _int), ("label", str),
-                    ("burnside", _int), ("lcm", _int),
+_FIXTURE_COLUMNS = (("row", parse_int), ("order", parse_int), ("label", str),
+                    ("burnside", parse_int), ("lcm", parse_int),
                     ("irred", {"no": False, "yes": True}.__getitem__),
-                    ("maximal", _ints), ("h1_m", _ints), ("h1_md", _ints))
+                    ("maximal", parse_ints), ("h1_m", parse_ints),
+                    ("h1_md", parse_ints))
 
 
 @dataclass
@@ -79,44 +69,33 @@ class Fixture:
         """Read the CSV; no rows, a missing column, a cell that does not
         parse, a row number out of 1..n order or a ``maximal`` entry that
         names no row raises ValueError naming the path (and the line)."""
-        try:  # read whole, so that a decoding error names its file offset
-            with open(path, newline="", encoding="utf-8") as fh:
-                text = fh.read()
-        except UnicodeDecodeError as exc:
-            raise ValueError(f"{path}: {exc}") from None
-        reader = csv.DictReader(io.StringIO(text, newline=""))
-        try:
-            records = [(rec, reader.line_num) for rec in reader]
-        except csv.Error as exc:  # e.g. a cell over the field limit
-            raise ValueError(f"{path}: line {reader.line_num + 1}: "
-                             f"{exc}") from None
-        rows, line_of = [], []
-        for rec, line in records:
-            fields = {}
-            for name, parse in _FIXTURE_COLUMNS:
-                text = rec.get(name)
-                try:
-                    if text is None:
-                        raise ValueError
-                    fields[name] = parse(text)
-                except (KeyError, ValueError):
-                    raise ValueError(
-                        f"{path}: line {line}: column {name!r} "
-                        + ("is missing" if text is None
-                           else f"holds {text!r}")) from None
-            rows.append(FixtureRow(**fields))
-            line_of.append(line)
-        n = len(rows)
-        if not n:
-            raise ValueError(f"{path}: the file has no rows")
-        for pos, (f, line) in enumerate(zip(rows, line_of), 1):
-            if f.row != pos:
-                raise ValueError(f"{path}: line {line}: row number {f.row} "
-                                 f"should be {pos}: rows run 1..{n} in order")
-            bad = [j for j in f.maximal if not 1 <= j <= n]
-            if bad:
-                raise ValueError(f"{path}: line {line}: maximal row {bad[0]} "
-                                 f"is not in 1..{n}")
+        with InputFile(path) as f:
+            reader = csv.DictReader(io.StringIO(f.text()))
+            try:
+                records = [(rec, reader.line_num) for rec in reader]
+            except csv.Error as exc:  # e.g. a cell over the field limit
+                raise ValueError(f"line {reader.line_num + 1}: {exc}") \
+                    from None
+            rows = []
+            for rec, line in records:
+                f.where = f"line {line}"
+                fields = {}
+                for name, parse in _FIXTURE_COLUMNS:
+                    if rec.get(name) is None:
+                        raise ValueError(f"column {name!r} is missing")
+                    try:
+                        fields[name] = parse(rec[name])
+                    except (KeyError, ValueError):
+                        raise ValueError(f"column {name!r} holds "
+                                         f"{rec[name]!r}") from None
+                rows.append(FixtureRow(**fields))
+            if not rows:
+                raise ValueError("the file has no rows")
+            f.check_numbering([(f"line {line}", r.row,
+                                [("maximal row", r.maximal, 1, len(rows))])
+                               for r, (_, line) in zip(rows, records)],
+                              "row number {got} should be {pos}: rows run "
+                              "1..{n} in order")
         return cls(rows)
 
 

@@ -80,6 +80,7 @@ from .intlinalg import prime_powers
 from .permgroups import (ElementTable, PermGroup, _generating_rows,
                          abelian_invariants, closed_set, group_from_elements,
                          is_identity, orbit_minima, pident, porder)
+from .readers import InputFile, checked, int_list
 
 
 # ---------------------------------------------------------------------------
@@ -119,38 +120,6 @@ class Fingerprint:
                    *(checked(d[k], int, k) for k in ("exponent", "class_count",
                                                      "derived_length")),
                    checked(d["nilpotent"], bool, "nilpotent"))
-
-
-_JSON_KINDS = {int: "an integer", bool: "true or false", list: "a list",
-               dict: "an object"}
-
-
-def checked(value, kind, what):
-    """``value`` if its type is exactly ``kind`` (so a bool is no int, nor
-    a float), else a ValueError naming ``what``."""
-    if type(value) is not kind:
-        got = (_JSON_KINDS[type(value)] if isinstance(value, (list, dict))
-               else json.dumps(value))
-        raise ValueError(f"{what} must be {_JSON_KINDS[kind]}, not {got}")
-    return value
-
-
-def read_json(path):
-    """The JSON document in a file; one nested deeper than the parser's
-    recursion limit is a ValueError."""
-    with open(path) as fh:
-        try:
-            return json.load(fh)
-        except RecursionError as exc:
-            raise ValueError(str(exc)) from None
-
-
-def int_list(value, what) -> tuple:
-    """A JSON list of integers as a tuple."""
-    for x in checked(value, list, what):
-        if type(x) is not int:
-            checked(x, int, f"{what} entry")
-    return tuple(value)
 
 
 def fingerprint_of(group: PermGroup) -> Fingerprint:
@@ -420,7 +389,9 @@ class SubgroupClassInfo:
         }
 
     @classmethod
-    def from_json(cls, d):
+    def from_json(cls, d, ambient: PermGroup):
+        """A class of ``ambient`` from its JSON object; ValueError unless
+        its fields agree with each other and with ``ambient``."""
         lists = {k: int_list(d[k], k) for k in ("maximal", "elem_fusion",
                                                 "own_orders", "own_gclass")}
         chars = [int_list(r, "perm_chars row")
@@ -431,15 +402,41 @@ class SubgroupClassInfo:
         if len(chars) != shape[0] or any(len(r) != shape[1] for r in chars):
             raise ValueError(f"perm_chars must be {shape[0]} rows (one per "
                              f"own_orders entry) of {shape[1]} values")
-        return cls(checked(d["class_id"], int, "class_id"),
-                   checked(d["order"], int, "order"),
-                   [int_list(g, "generator")
-                    for g in checked(d["generators"], list, "generators")],
-                   Fingerprint.from_json(d["fingerprint"]),
-                   checked(d["normalizer_order"], int, "normalizer_order"),
-                   lists["maximal"], lists["elem_fusion"],
-                   lists["own_orders"], lists["own_gclass"],
-                   np.array(chars, dtype=np.int64).reshape(shape))
+        c = cls(checked(d["class_id"], int, "class_id"),
+                checked(d["order"], int, "order"),
+                [int_list(g, "generator")
+                 for g in checked(d["generators"], list, "generators")],
+                Fingerprint.from_json(d["fingerprint"]),
+                checked(d["normalizer_order"], int, "normalizer_order"),
+                **lists, perm_chars=np.array(chars, np.int64).reshape(shape))
+        if not c.order == c.fingerprint.order == c.own_orders[-1]:
+            raise ValueError(f"order {c.order}, fingerprint order "
+                             f"{c.fingerprint.order} and the last own_orders "
+                             f"entry {c.own_orders[-1]} must be equal")
+        if not (0 < c.order and 0 < c.normalizer_order
+                and c.normalizer_order % c.order == 0
+                and ambient.order % c.normalizer_order == 0):
+            raise ValueError(f"normalizer order {c.normalizer_order} must be "
+                             f"a multiple of the order {c.order} and divide "
+                             f"{ambient.order}")
+        # column 0 is the identity's class: the number of cosets
+        for r, (row, own) in enumerate(zip(chars, c.own_orders), 1):
+            if row[0] * own != c.order:
+                raise ValueError(f"perm_chars row {r}: {row[0]} cosets of a "
+                                 f"subgroup of order {own} do not make the "
+                                 f"order {c.order}")
+        for i, g in enumerate(c.generators, 1):
+            # the sift indexes by the entries, so check them first
+            if sorted(g) != list(range(ambient.degree)):
+                raise ValueError(f"generator {i} is not a permutation of "
+                                 f"0..{ambient.degree - 1}")
+            if g not in ambient:
+                raise ValueError(f"generator {i} is not in the ambient group")
+        if len(c.own_gclass) != len(c.own_orders):
+            raise ValueError(f"own_gclass must be {len(c.own_orders)} ids "
+                             f"(one per own_orders entry), not "
+                             f"{len(c.own_gclass)}")
+        return c
 
 
 FORMAT_TAG = "psp4obs-lattice/1"
@@ -478,12 +475,8 @@ class SubgroupLattice:
 
     @classmethod
     def load(cls, path) -> "SubgroupLattice":
-        where = "top level"
-        try:
-            d = read_json(path)
-            if checked(d, dict, "the file").get("format") != FORMAT_TAG:
-                raise ValueError(f"unrecognised lattice cache format: "
-                                 f"{d.get('format')!r}")
+        with InputFile(path) as f:
+            d = f.json(FORMAT_TAG)
             ambient = PermGroup(
                 [int_list(g, "ambient generator")
                  for g in checked(d["ambient_generators"], list,
@@ -491,96 +484,56 @@ class SubgroupLattice:
                 checked(d["degree"], int, "degree"))
             classes = []
             for c in checked(d["classes"], list, "classes"):
-                where = f"class {len(classes) + 1}"
+                f.where = f"class {len(classes) + 1}"
                 classes.append(SubgroupClassInfo.from_json(
-                    checked(c, dict, "class")))
-        except KeyError as exc:
-            raise ValueError(f"{path}: {where}: missing key "
-                             f"{exc.args[0]!r}") from None
-        except (ValueError, OverflowError) as exc:
-            raise ValueError(f"{path}: {where}: {exc}") from None
-        n = len(classes)
-        if not classes or classes[-1].order != ambient.order:
-            raise ValueError(f"{path}: the last class must be the whole "
-                             f"group, of order {ambient.order}")
-        # the whole group's element classes are the ambient classes
-        k = len(classes[-1].elem_fusion)
-        if classes[-1].elem_fusion != tuple(range(k)):
-            raise ValueError(f"{path}: class {n}: elem_fusion must be "
-                             f"0..{k - 1}, the ambient classes in order")
-        for pos, c in enumerate(classes, 1):
-            if c.class_id != pos:
-                raise ValueError(f"{path}: class ids must run 1..{n} in "
-                                 f"order, but position {pos} holds id "
-                                 f"{c.class_id!r}")
-            for name, lo, hi in (("own_gclass", 1, n), ("maximal", 1, n),
-                                 ("elem_fusion", 0, k - 1)):
-                bad = [i for i in getattr(c, name) if not lo <= i <= hi]
-                if bad:
-                    raise ValueError(f"{path}: class {pos}: {name} id "
-                                     f"{bad[0]!r} is not in {lo}..{hi}")
-            if not c.order == c.fingerprint.order == c.own_orders[-1]:
-                raise ValueError(f"{path}: class {pos}: order {c.order!r}, "
-                                 f"fingerprint order {c.fingerprint.order!r} "
-                                 f"and the last own_orders entry "
-                                 f"{c.own_orders[-1]!r} must be equal")
-            if not (0 < c.order and 0 < c.normalizer_order
-                    and c.normalizer_order % c.order == 0
-                    and ambient.order % c.normalizer_order == 0):
-                raise ValueError(f"{path}: class {pos}: normalizer order "
-                                 f"{c.normalizer_order} must be a multiple "
-                                 f"of the order {c.order} and divide "
-                                 f"{ambient.order}")
-            # column 0 is the identity's class: the number of cosets
-            for r, (cosets, own) in enumerate(zip(c.perm_chars[:, 0].tolist(),
-                                                  c.own_orders), 1):
-                if cosets * own != c.order:
-                    raise ValueError(f"{path}: class {pos}: perm_chars row "
-                                     f"{r}: {cosets} cosets of a subgroup of "
-                                     f"order {own} do not make the order "
-                                     f"{c.order}")
-            for i, g in enumerate(c.generators, 1):
-                # the sift indexes by the entries, so check them first
-                if sorted(g) != list(range(ambient.degree)):
-                    raise ValueError(f"{path}: class {pos}: generator {i} "
-                                     f"is not a permutation of "
-                                     f"0..{ambient.degree - 1}")
-                if g not in ambient:
-                    raise ValueError(f"{path}: class {pos}: generator {i} "
-                                     f"is not in the ambient group")
-        # own_gclass names the class of each own_orders entry, the class
-        # itself last
-        for pos, c in enumerate(classes, 1):
-            if len(c.own_gclass) != len(c.own_orders):
-                raise ValueError(f"{path}: class {pos}: own_gclass must be "
-                                 f"{len(c.own_orders)} ids (one per "
-                                 f"own_orders entry), not "
-                                 f"{len(c.own_gclass)}")
-            for r, (j, own) in enumerate(zip(c.own_gclass, c.own_orders), 1):
-                if classes[j - 1].order != own:
-                    raise ValueError(f"{path}: class {pos}: own_gclass entry "
-                                     f"{r} is class {j}, of order "
-                                     f"{classes[j - 1].order}, but own_orders "
-                                     f"entry {r} is {own}")
-            if c.own_gclass[-1] != pos:
-                raise ValueError(f"{path}: class {pos}: the last own_gclass "
-                                 f"id must be the class itself, not "
-                                 f"{c.own_gclass[-1]}")
-        # each element generates exactly one cyclic subgroup, so every
-        # ambient class meets the cyclic classes
-        cyclic = [c for c in classes if c.order == 1
-                  or c.fingerprint.abelianization == (c.order,)]
-        count = sum(ambient.order // c.normalizer_order
-                    * prod(p ** (a - 1) * (p - 1)
-                           for p, a in prime_powers(c.order))
-                    for c in cyclic)
-        if count != ambient.order:
-            raise ValueError(f"{path}: the cyclic classes count {count} "
-                             f"elements, not {ambient.order}")
-        met = len(set().union(*(c.elem_fusion for c in cyclic)))
-        if met != k:
-            raise ValueError(f"{path}: the cyclic classes meet only {met} "
-                             f"of {k} ambient classes")
+                    checked(c, dict, "class"), ambient))
+            f.where = None
+            n = len(classes)
+            if not classes or classes[-1].order != ambient.order:
+                raise ValueError(f"the last class must be the whole group, "
+                                 f"of order {ambient.order}")
+            # the whole group's element classes are the ambient classes
+            k = len(classes[-1].elem_fusion)
+            if classes[-1].elem_fusion != tuple(range(k)):
+                raise ValueError(f"class {n}: elem_fusion must be 0..{k - 1}, "
+                                 f"the ambient classes in order")
+            f.check_numbering(
+                [(f"class {pos}", c.class_id,
+                  [("own_gclass id", c.own_gclass, 1, n),
+                   ("maximal id", c.maximal, 1, n),
+                   ("elem_fusion id", c.elem_fusion, 0, k - 1)])
+                 for pos, c in enumerate(classes, 1)],
+                "class ids must run 1..{n} in order, but position {pos} "
+                "holds id {got}")
+            # own_gclass names the class of each own_orders entry, the class
+            # itself last
+            for pos, c in enumerate(classes, 1):
+                for r, (j, own) in enumerate(zip(c.own_gclass, c.own_orders),
+                                             1):
+                    if classes[j - 1].order != own:
+                        raise ValueError(
+                            f"class {pos}: own_gclass entry {r} is class {j}, "
+                            f"of order {classes[j - 1].order}, but own_orders "
+                            f"entry {r} is {own}")
+                if c.own_gclass[-1] != pos:
+                    raise ValueError(f"class {pos}: the last own_gclass id "
+                                     f"must be the class itself, not "
+                                     f"{c.own_gclass[-1]}")
+            # each element generates exactly one cyclic subgroup, so every
+            # ambient class meets the cyclic classes
+            cyclic = [c for c in classes if c.order == 1
+                      or c.fingerprint.abelianization == (c.order,)]
+            count = sum(ambient.order // c.normalizer_order
+                        * prod(p ** (a - 1) * (p - 1)
+                               for p, a in prime_powers(c.order))
+                        for c in cyclic)
+            if count != ambient.order:
+                raise ValueError(f"the cyclic classes count {count} "
+                                 f"elements, not {ambient.order}")
+            met = len(set().union(*(c.elem_fusion for c in cyclic)))
+            if met != k:
+                raise ValueError(f"the cyclic classes meet only {met} of {k} "
+                                 f"ambient classes")
         return cls(ambient, classes)
 
 

@@ -35,8 +35,8 @@ from . import burnside, cohomology, sp4f3
 # re-exported: callers reach the reference table through this module
 from .fixture import (DISPUTED_CELLS, Fixture, FixtureRow, MatchReport,
                       compare_fixture, default_fixture_path)
-from .subgroups import (Fingerprint, SubgroupLattice, checked, int_list,
-                        read_json)
+from .readers import InputFile, checked, int_list
+from .subgroups import Fingerprint, SubgroupLattice
 from .zmodules import GIntModule
 
 TABLE_FORMAT_TAG = "psp4obs-table/1"
@@ -245,44 +245,28 @@ def load_table_json(path) -> list:
     There must be rows, class ids must run 1..n in order and every
     ``maximal`` id name a row."""
     rows = []
-    where = "top level"
-    try:
-        doc = read_json(path)
-        if checked(doc, dict, "the file").get("format") != TABLE_FORMAT_TAG:
-            raise ValueError(f"unrecognised table format: "
-                             f"{doc.get('format')!r}")
+    with InputFile(path) as f:
+        doc = f.json(TABLE_FORMAT_TAG)
         if not checked(doc["rows"], list, "rows"):
             raise ValueError("rows is empty")
         for d in doc["rows"]:
-            where = f"row {len(rows) + 1}"
+            f.where = f"row {len(rows) + 1}"
             d = checked(d, dict, "the row")
-            h1 = {k: None if d[k] is None else int_list(d[k], k)
-                  for k in ("h1_m", "h1_md")}
             rows.append(TableRow(
-                class_id=checked(d["class_id"], int, "class_id"),
-                order=checked(d["order"], int, "order"),
-                fingerprint=Fingerprint.from_json(d["fingerprint"]),
-                burnside=checked(d["burnside"], int, "burnside"),
-                lcm=(None if d["lcm"] is None
-                     else checked(d["lcm"], int, "lcm")),
-                irred=checked(d["irred"], bool, "irred"),
-                maximal=int_list(d["maximal"], "maximal"),
-                **h1,
-            ))
-            if rows[-1].class_id != len(rows):
-                raise ValueError(f"class_id {rows[-1].class_id} should be "
-                                 f"{len(rows)}: ids run 1..n in order")
-        for r in rows:
-            where = f"row {r.class_id}"
-            bad = [j for j in r.maximal if not 1 <= j <= len(rows)]
-            if bad:
-                raise ValueError(f"maximal id {bad[0]} is not in "
-                                 f"1..{len(rows)}")
-    except KeyError as exc:
-        raise ValueError(f"{path}: {where}: missing key "
-                         f"{exc.args[0]!r}") from None
-    except ValueError as exc:
-        raise ValueError(f"{path}: {where}: {exc}") from None
+                checked(d["class_id"], int, "class_id"),
+                checked(d["order"], int, "order"),
+                Fingerprint.from_json(d["fingerprint"]),
+                checked(d["burnside"], int, "burnside"),
+                None if d["lcm"] is None else checked(d["lcm"], int, "lcm"),
+                checked(d["irred"], bool, "irred"),
+                int_list(d["maximal"], "maximal"),
+                *(None if d[k] is None else int_list(d[k], k)
+                  for k in ("h1_m", "h1_md"))))
+        f.check_numbering([(f"row {pos}", r.class_id,
+                            [("maximal id", r.maximal, 1, len(rows))])
+                           for pos, r in enumerate(rows, 1)],
+                          "class_id {got} should be {pos}: ids run 1..n in "
+                          "order")
     return rows
 
 

@@ -21,16 +21,14 @@ with matrices aligned to the generator list of the group supplied at load
 time; each header key appears once.  An invariant pairing uses the header
 ``pairing rank=<n>`` followed by one symmetric block.
 
-This module reads, validates and writes these files.  The algebra that
-constructs the shipped rank-61 module M (permutation modules, the
-invariant pairing and the quotient by its radical) is in
-``scripts/build_module.py``.
+This module validates and writes these files; :mod:`psp4obs.readers`
+parses them.  The algebra that constructs the shipped rank-61 module M
+(permutation modules, the invariant pairing and the quotient by its
+radical) is in ``scripts/build_module.py``.
 """
 
 from __future__ import annotations
 
-import io
-import re
 from dataclasses import dataclass, field
 from functools import reduce
 
@@ -39,6 +37,7 @@ import numpy as np
 from . import intlinalg
 from .intlinalg import mat_mul, narrow
 from .permgroups import PermGroup, pinv, porder
+from .readers import InputFile, matrix_block
 
 
 def _as_matrix(m, rank):
@@ -170,50 +169,6 @@ def _write_matrix(fh, mat):
         fh.write("\n")
 
 
-# ASCII integers: str.isdigit() and int() also take other digits and "_"
-_INT = r"-?[0-9]+"
-
-
-def _read_lines(path, kind, keys):
-    """The lines of a ``kind`` file and its integer header fields."""
-    try:  # read whole, so that a decoding error names its file offset
-        with open(path, encoding="utf-8") as fh:
-            lines = [ln.rstrip("\n") for ln in io.StringIO(fh.read())]
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-    head = lines[0].split() if lines else []
-    try:
-        fields = dict(kv.split("=") for kv in head[1:])
-        # each key once: as many fields as keys, and no other key
-        if (head[:1] != [kind] or len(head) != len(keys) + 1
-                or set(fields) != set(keys)
-                or not all(re.fullmatch(_INT, v) for v in fields.values())):
-            raise ValueError
-    except ValueError:
-        raise ValueError(f"{path}: line 1: expected '{kind} "
-                         + " ".join(f"{k}=<n>" for k in keys) + "'") from None
-    return lines, {k: int(v) for k, v in fields.items()}
-
-
-def _read_matrix(path, lines, pos, rank):
-    if pos + rank > len(lines):
-        raise ValueError(f"{path}: line {len(lines) + 1}: the file ends "
-                         f"inside a matrix")
-    rows = [ln.split() for ln in lines[pos:pos + rank]]
-    for i, row in enumerate(rows):
-        if len(row) != rank or not re.fullmatch(f"{_INT}(?: {_INT})*",
-                                                " ".join(row)):
-            raise ValueError(f"{path}: line {pos + i + 1}: expected {rank} "
-                             f"integers")
-    try:
-        return np.array(rows, dtype=np.int64), pos + rank
-    except OverflowError:
-        i = next(i for i, row in enumerate(rows)
-                 if any(not -2**63 <= int(x) < 2**63 for x in row))
-        raise ValueError(f"{path}: line {pos + i + 1}: an entry is beyond "
-                         f"int64") from None
-
-
 def save_module(module: GIntModule, path):
     with open(path, "w") as fh:
         fh.write(f"gmodule rank={module.rank} gens={len(module.gens)}\n")
@@ -249,31 +204,26 @@ def load_module(path, group: PermGroup) -> GIntModule:
     group's chain; rank-61 modules over the canonical degree-40 copy of
     PSp4(3) must additionally have character pi_40 + pi_45 - chi_24.
     """
-    lines, fields = _read_lines(path, "gmodule", ("rank", "gens"))
-    rank, ngens = fields["rank"], fields["gens"]
-    if rank < 1:
-        raise ValueError(f"{path}: line 1: rank {rank} is not positive")
-    if ngens != len(group.generators):
-        raise ValueError(f"{path}: line 1: file has {ngens} matrices but "
-                         f"the group has {len(group.generators)} generators")
-    mats = []
-    pos = 1
-    for i in range(ngens):
-        if pos >= len(lines) or lines[pos] != f"matrix {i + 1}":
-            raise ValueError(f"{path}: line {pos + 1}: expected "
-                             f"'matrix {i + 1}'")
-        m, pos = _read_matrix(path, lines, pos + 1, rank)
-        mats.append(m)
-    extra = [i for i in range(pos, len(lines)) if lines[i].strip()]
-    if extra:
-        raise ValueError(f"{path}: line {extra[0] + 1}: text after the last "
-                         f"matrix")
-    module = GIntModule(group, tuple(mats), rank)
-    try:
+    with InputFile(path) as f:
+        lines, (rank, ngens) = f.lines("gmodule", ("rank", "gens"))
+        if rank < 1:
+            raise ValueError(f"line 1: rank {rank} is not positive")
+        if ngens != len(group.generators):
+            raise ValueError(f"line 1: file has {ngens} matrices but the "
+                             f"group has {len(group.generators)} generators")
+        mats, pos = [], 1
+        for i in range(ngens):
+            if pos >= len(lines) or lines[pos] != f"matrix {i + 1}":
+                raise ValueError(f"line {pos + 1}: expected 'matrix {i + 1}'")
+            m, pos = matrix_block(lines, pos + 1, rank)
+            mats.append(m)
+        extra = [i for i in range(pos, len(lines)) if lines[i].strip()]
+        if extra:
+            raise ValueError(f"line {extra[0] + 1}: text after the last "
+                             f"matrix")
+        module = GIntModule(group, tuple(mats), rank)
         module.validate()
         check_character(module)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
     return module
 
 

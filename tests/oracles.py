@@ -75,7 +75,7 @@ from math import gcd, lcm, prod
 
 import numpy as np
 
-from psp4obs import intlinalg, sp4f3, subgroups, zmodules
+from psp4obs import intlinalg, readers, sp4f3, subgroups, zmodules
 from psp4obs import permgroups as pg
 from psp4obs.intlinalg import AbelianInvariants, TRIVIAL_GROUP
 from psp4obs.permgroups import PermGroup
@@ -739,10 +739,11 @@ def direct_sum(a: zmodules.GIntModule,
 
 
 def load_pairing(path) -> np.ndarray:
-    lines, fields = zmodules._read_lines(path, "pairing", ("rank",))
-    mat, _ = zmodules._read_matrix(path, lines, 1, fields["rank"])
-    if not np.array_equal(mat, mat.T):
-        raise ValueError("pairing is not symmetric")
+    with readers.InputFile(path) as f:
+        lines, (rank,) = f.lines("pairing", ("rank",))
+        mat, _ = readers.matrix_block(lines, 1, rank)
+        if not np.array_equal(mat, mat.T):
+            raise ValueError("the pairing is not symmetric")
     return mat
 
 

@@ -9,6 +9,7 @@ fails.
 """
 
 import re
+from collections import Counter
 
 import pytest
 
@@ -70,6 +71,27 @@ def test_verdict_counts(rows):
     verdicts = [r.not_rational for r in rows]
     assert verdicts.count(True) == 90
     assert verdicts.count(False) == 26
+
+
+def test_the_surjective_case_agrees_with_the_degree_6_map(rows):
+    """The abstract: A_2(rhobar) "is never rational over Q when rhobar is
+    surjective, even though it is both rational over C and unirational
+    over Q via a map of degree 6".
+
+    Row 116 is the whole group, so it is the surjective case: its Burnside
+    order 2 makes the quotient not rational, and its lcm 6 says that every
+    rational cover has degree divisible by 6.  That 6 is the degree of the
+    abstract's unirational map, and every row's bound divides it (27 rows
+    of bound 1, 36 of 2, 43 of 3 and 10 of 6).  This is an observation on
+    the computed table, not a claim of the paper.
+    """
+    whole = rows[-1]
+    assert (whole.class_id, whole.order) == (116, 25920)
+    assert (whole.burnside, whole.lcm, whole.not_rational,
+            whole.cover_bound) == (2, 6, True, 6)
+    assert all(6 % r.cover_bound == 0 for r in rows)
+    assert Counter(r.cover_bound for r in rows) == {1: 27, 2: 36, 3: 43,
+                                                    6: 10}
 
 
 def test_h1_dual_from_transposes_matches_the_dual_module(lattice, module):

@@ -281,6 +281,15 @@ class TestBadLatticeFile:
             == [f"error: {path}: {message}"]
         assert "Traceback" not in err
 
+    def test_a_byte_that_is_not_utf8_is_one_error_line(self, lattice_path,
+                                                       tmp_path, capsys):
+        path = _byte_ff_at_5(lattice_path, tmp_path / "lattice.json")
+        code, out, err = run_cli(capsys, "table", "compute", "--lattice",
+                                 str(path), "--out", str(tmp_path / "t.csv"))
+        assert code == 1 and out == "" and "Traceback" not in err
+        assert [ln for ln in err.splitlines() if ln.startswith("error:")] \
+            == [f"error: {path}: {NOT_UTF8_AT_5}"]
+
 
 def _perm_chars_column_1(factor):
     def edit(doc):
@@ -506,6 +515,18 @@ class TestTableCheck:
         assert code == 1 and out == "" and "Traceback" not in err
         assert [ln for ln in err.splitlines() if ln.startswith("error:")] \
             == [f"error: {path}: {message}"]
+
+    def test_a_byte_that_is_not_utf8_is_one_error_line(self, lattice_path,
+                                                       tmp_path, capsys):
+        computed = tmp_path / "computed.json"
+        run_cli(capsys, "table", "compute", "--lattice", str(lattice_path),
+                "--format", "json", "--out", str(computed))
+        path = _byte_ff_at_5(computed, tmp_path / "table.json")
+        code, out, err = run_cli(capsys, "table", "check", "--table",
+                                 str(path))
+        assert code == 1 and out == "" and "Traceback" not in err
+        assert [ln for ln in err.splitlines() if ln.startswith("error:")] \
+            == [f"error: {path}: {NOT_UTF8_AT_5}"]
 
 
 def _cut_mid_row(lines):
