@@ -9,9 +9,10 @@ objects with the fields of :class:`psp4obs.table.TableRow`, which names
 its columns as :class:`FixtureRow` does, so the matcher reads and
 reports both sides through the same attributes.
 
-The module imports only :mod:`psp4obs.readers`, which imports nothing
-else from the package, so a kept :class:`Fixture` or :class:`MatchReport`
-holds on to these two modules alone.
+The module imports nothing else from the package but
+:mod:`psp4obs.readers`, and that only inside :meth:`Fixture.load`, so a
+kept :class:`Fixture` or :class:`MatchReport` holds on to this module
+alone.
 """
 
 from __future__ import annotations
@@ -21,8 +22,6 @@ import io
 import re
 from dataclasses import dataclass
 from pathlib import Path
-
-from .readers import InputFile, parse_int, parse_ints
 
 
 @dataclass(frozen=True)
@@ -38,13 +37,6 @@ class FixtureRow:
     maximal: tuple
     h1_m: tuple
     h1_md: tuple
-
-
-_FIXTURE_COLUMNS = (("row", parse_int), ("order", parse_int), ("label", str),
-                    ("burnside", parse_int), ("lcm", parse_int),
-                    ("irred", {"no": False, "yes": True}.__getitem__),
-                    ("maximal", parse_ints), ("h1_m", parse_ints),
-                    ("h1_md", parse_ints))
 
 
 @dataclass
@@ -69,6 +61,12 @@ class Fixture:
         """Read the CSV; no rows, a missing column, a cell that does not
         parse, a row number out of 1..n order or a ``maximal`` entry that
         names no row raises ValueError naming the path (and the line)."""
+        from .readers import InputFile, parse_int, parse_ints
+        columns = (("row", parse_int), ("order", parse_int), ("label", str),
+                   ("burnside", parse_int), ("lcm", parse_int),
+                   ("irred", {"no": False, "yes": True}.__getitem__),
+                   ("maximal", parse_ints), ("h1_m", parse_ints),
+                   ("h1_md", parse_ints))
         with InputFile(path) as f:
             reader = csv.DictReader(io.StringIO(f.text()))
             try:
@@ -80,7 +78,7 @@ class Fixture:
             for rec, line in records:
                 f.where = f"line {line}"
                 fields = {}
-                for name, parse in _FIXTURE_COLUMNS:
+                for name, parse in columns:
                     if rec.get(name) is None:
                         raise ValueError(f"column {name!r} is missing")
                     try:
