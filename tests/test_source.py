@@ -1,9 +1,10 @@
-"""The package holds no code that only the tests use.
+"""The package holds no code that only the tests use, and one reader.
 
 Every top-level function and class of ``src/psp4obs``, and every method
 of such a class but the dunders, must be named in ``src/``, ``scripts/``
 or ``perfbench/`` outside its own definition.  Reference implementations
-that only the tests need live in ``tests/oracles.py``.
+that only the tests need live in ``tests/oracles.py``.  Only
+``psp4obs.readers`` reads files or screens integers.
 """
 
 import ast
