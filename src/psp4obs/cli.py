@@ -26,6 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import cohomology, permgroups, sp4f3, subgroups, table, zmodules
+from .readers import parse_int
 
 
 def _say(msg):
@@ -234,7 +235,8 @@ def build_parser() -> argparse.ArgumentParser:
     coh = top.add_parser("cohomology", help="cohomology of one class")
     csub = coh.add_subparsers(dest="subcommand", required=True)
     cone = csub.add_parser("one", help="H^1 of a single subgroup class")
-    cone.add_argument("--class", dest="class_id", type=int, required=True)
+    cone.add_argument("--class", dest="class_id", type=parse_int,
+                      required=True)
     cone.add_argument("--lattice", required=True,
                       help="lattice JSON from `lattice compute`")
     cone.add_argument("--module", required=True)

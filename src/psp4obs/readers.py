@@ -31,6 +31,17 @@ def parse_ints(text) -> tuple:
     return tuple(map(parse_int, text.split()))
 
 
+def _unique_keys(pairs) -> dict:
+    """The object of ``pairs``; a repeated key is a ValueError, where
+    ``json`` would keep the last value."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"duplicate key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def checked(value, kind, what):
     """``value`` if its type is exactly ``kind`` (so a bool is no int, nor
     a float), else a ValueError naming ``what``."""
@@ -76,7 +87,7 @@ class InputFile(AbstractContextManager):
         text = self.text()
         self.where = "top level"
         try:
-            doc = json.loads(text)
+            doc = json.loads(text, object_pairs_hook=_unique_keys)
         except RecursionError as exc:  # nested past the parser's limit
             raise ValueError(str(exc)) from None
         if checked(doc, dict, "the file").get("format") != tag:

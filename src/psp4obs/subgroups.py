@@ -23,12 +23,15 @@ table lookup per power, and reads the order of zH where the powers first
 reach H, and the cosets of z, ..., z^{p-1}, off the same lookups.
 
 Step 1 adds the solvable residual of the group each pair generates
-(:func:`perfect_subgroup_classes`), plus a safety net: whenever a
-normaliser N_G(H) is computed, its solvable residual is added if its
-class is missing.  A solvable group (its solvable residual is 1) has no
-perfect subgroup but 1, so it gets neither the search nor the net.  The
-expected class count for a given ambient group is checked by callers, not
-here.
+(:func:`perfect_subgroup_classes`).  The search is seeded once, before any
+extension, with the trivial class, the perfect classes and the cyclic
+classes of prime order (the cyclic-extension method of Holt, Eick and
+O'Brien, *Handbook of Computational Group Theory*, 2005); a solvable group
+has no perfect subgroup but 1.  That the pairs generate every perfect
+subgroup is not proved: completeness rests on the class counts that
+callers check, the fixture match, and tests that the pairs alone find
+every perfect class and that every normaliser's solvable residual is a
+class found.
 
 Classes are deduplicated by exact element-set, then by an invariant
 prescreen (order and fusion of element classes into the ambient group's),
@@ -261,36 +264,26 @@ def _prime_extensions(raw: _Raw, nrows: np.ndarray, degree,
 
 
 def _layer_closure(ambient: PermGroup) -> _ClassCollector:
-    """All subgroup classes of ``ambient``: the trivial class and the
-    perfect classes of :func:`perfect_subgroup_classes`, closed under
-    prime extensions.
-
-    Where there are perfect classes, it also adds the solvable residual of
-    every normaliser encountered, which recovers perfect classes reachable
-    from solvable ones.  A solvable group has no perfect subgroup but 1, so
-    it gets neither the perfect search nor this net.
-    """
+    """All subgroup classes of ``ambient``: the seeds (the trivial class,
+    the perfect classes of :func:`perfect_subgroup_classes` and the cyclic
+    classes of prime order, registered in that order) closed under prime
+    extensions.  No step here checks that the seeds are complete; see the
+    module docstring for what does."""
     collector = _ClassCollector(ambient)
-    perfect = perfect_subgroup_classes(ambient)
-    for s in [PermGroup([], ambient.degree)] + perfect:
-        collector.add_group(s)
+    collector.add_group(PermGroup([], ambient.degree))
+    perfect_subgroup_classes(collector)
+    for rep, _ in ambient.conjugacy_classes():
+        p = porder(rep)
+        if prime_powers(p) == [(p, 1)]:
+            collector.add_group(PermGroup([rep], ambient.degree))
     et = ambient.element_table()
     for raw in collector.raws:  # visits the classes added on the way
-        if raw.order == 1:
-            for rep, _ in ambient.conjugacy_classes():
-                p = porder(rep)
-                if prime_powers(p) == [(p, 1)]:
-                    collector.add_group(PermGroup([rep], ambient.degree))
         if raw.order in (1, ambient.order):
             raw.normalizer = np.arange(ambient.order)
             continue
         raw.normalizer = ambient.normalizer_index(raw.group)
-        nrows = et.table[raw.normalizer]
-        if perfect and len(nrows) < ambient.order:
-            res = closed_set(nrows, ambient.degree).solvable_residual()
-            if res.order > 1:
-                collector.add_closure(res)
-        _prime_extensions(raw, nrows, ambient.degree, collector)
+        _prime_extensions(raw, et.table[raw.normalizer], ambient.degree,
+                          collector)
     return collector
 
 
@@ -298,23 +291,23 @@ def _layer_closure(ambient: PermGroup) -> _ClassCollector:
 # perfect classes
 
 
-def perfect_subgroup_classes(ambient: PermGroup) -> list:
-    """Classes of nontrivial perfect subgroups: the solvable residuals of
-    the whole group and of each <x, t>, x of prime order p >= 5 and t an
-    involution.  A solvable group gets ``[]`` and builds no pairs.
+def perfect_subgroup_classes(collector: _ClassCollector):
+    """Register the classes of nontrivial perfect subgroups of the
+    collector's ambient group: the solvable residuals of the whole group
+    and of each <x, t>, x of prime order p >= 5 and t an involution.  A
+    solvable group registers none and builds no pairs.
 
     A nontrivial perfect group holds such x and t: its nonabelian simple
     factor has order divisible by a prime p >= 5 (Burnside's p^a q^b
     theorem) and by 2 (Feit-Thompson).  x runs over the class
     representatives, t over the involutions up to conjugation by
     N_G(<x>), as <x, t>^n = <x, t^n>.  That a pair generates each perfect
-    group is not proved, so completeness is certified downstream
-    (expected class counts and the normaliser-residual net).
+    group is not proved (see the module docstring).
     """
+    ambient = collector.ambient
     whole = ambient.solvable_residual()
     if whole.order == 1:
-        return []
-    collector = _ClassCollector(ambient)
+        return
     collector.add_closure(whole)
     et = ambient.element_table()
     classes = ambient.conjugacy_classes()
@@ -334,8 +327,6 @@ def perfect_subgroup_classes(ambient: PermGroup) -> list:
                 res = k.solvable_residual()
                 if res.order > 1:
                     collector.add_closure(res)
-    return sorted((r.group for r in collector.raws), key=lambda g: (
-        g.order, g.element_table().table.tobytes()))
 
 
 # ---------------------------------------------------------------------------

@@ -197,6 +197,12 @@ def _normalizer_order(n, class_id=10):
     return edit
 
 
+def _order_repeated(doc):
+    # class 10's "order" twice, 5 first: the last, 4, would load cleanly
+    return json.dumps(doc).replace('"class_id": 10,',
+                                   '"class_id": 10, "order": 5,')
+
+
 class TestBadLatticeFile:
     @pytest.mark.parametrize("edit,message", [
         (_drop_the_whole_group,
@@ -257,6 +263,7 @@ class TestBadLatticeFile:
         # class 59 has order 24 too, so only the id tells
         (_own_gclass(lambda ids: ids.__setitem__(-1, 59)), "class 60: the "
          "last own_gclass id must be the class itself, not 59"),
+        (_order_repeated, "top level: duplicate key 'order'"),
     ], ids=["without-class-116", "own-gclass-117", "maximal-999",
             "elem-fusion-99", "whole-group-fusion-reversed",
             "perm-chars-row-dropped", "order-5", "fingerprint-order-5",
@@ -267,7 +274,7 @@ class TestBadLatticeFile:
             "maximal-1.5", "normalizer-order-0", "normalizer-order-6",
             "cyclic-normalizer-doubled", "not-json", "deep-nesting",
             "fusion-19-to-18", "own-gclass-dropped", "own-gclass-appended",
-            "own-gclass-11-to-17", "own-gclass-last-59"])
+            "own-gclass-11-to-17", "own-gclass-last-59", "order-repeated"])
     def test_one_error_line(self, lattice_path, tmp_path, capsys, edit,
                             message):
         doc = json.loads(pathlib.Path(lattice_path).read_text())
@@ -389,6 +396,17 @@ class TestCohomologyOne:
             == [f"error: {lattice_path} has no class 999; its class ids "
                 f"run 1..116"]
 
+    # int() takes other scripts' digits and underscores
+    @pytest.mark.parametrize("text", ["x", "\u0666", "0_6"],
+                             ids=["letter", "arabic-indic-6", "underscore"])
+    def test_class_is_an_ascii_integer(self, lattice_path, capsys, text):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["cohomology", "one", "--class", text, "--lattice",
+                      str(lattice_path), "--module", self.MODULE])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "argument --class" in err
+
     @pytest.mark.parametrize("class_id", ["5", "60"])
     def test_conjugated_lattice_is_one_error_line(self, lattice_path,
                                                   tmp_path, capsys, class_id):
@@ -500,8 +518,13 @@ class TestTableCheck:
         (lambda doc: doc["rows"][6].update(class_id=6), "row 7: class_id 6 "
          "should be 7: ids run 1..n in order"),
         (lambda doc: doc.update(rows=[]), "top level: rows is empty"),
+        # row 60's burnside twice, 1 first: the last, 2, would load cleanly
+        (lambda doc: json.dumps(doc).replace('"class_id": 60,',
+                                             '"class_id": 60, "burnside": 1,'),
+         "top level: duplicate key 'burnside'"),
     ], ids=["rows-5", "row-list", "maximal-null", "not-json", "deep-nesting",
-            "maximal-999", "class-id-repeated", "no-rows"])
+            "maximal-999", "class-id-repeated", "no-rows",
+            "burnside-repeated"])
     def test_bad_table_file_is_one_error_line(self, lattice_path, tmp_path,
                                               capsys, edit, message):
         path = tmp_path / "table.json"

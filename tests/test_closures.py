@@ -176,7 +176,7 @@ def involution_pairs(group, count):
              pg.pconj(t, random_element(group, rng))] for _ in range(count)]
 
 
-def check_bounded_pairs(group, pairs):
+def check_pairs(group, pairs):
     """Each pair's chain built by ``group.subgroup`` is the one built from
     the pair alone and the reference's; returns which pairs generate the
     whole group."""
@@ -208,16 +208,16 @@ class TestChainsMatchReference:
         assert chain(g) == chain(ReferenceChain(gens))
 
     @pytest.mark.parametrize("g", [S4, A5])
-    def test_bounded_small_pairs(self, g):
+    def test_small_pairs(self, g):
         pairs = random_pairs(g, 20) + involution_pairs(g, 5)
-        assert check_bounded_pairs(g, pairs) == {True, False}
+        assert check_pairs(g, pairs) == {True, False}
 
-    def test_bounded_ambient_pairs(self, lattice):
+    def test_ambient_pairs(self, lattice):
         ambient = lattice.ambient
         pairs = random_pairs(ambient, 3) + involution_pairs(ambient, 3)
-        assert check_bounded_pairs(ambient, pairs) == {True, False}
+        assert check_pairs(ambient, pairs) == {True, False}
 
-    def test_bounded_element_sets(self, lattice):
+    def test_element_sets(self, lattice):
         for g in lattice_groups(lattice) + [lattice.ambient]:
             elements = pg.closed_set(g.element_table().table, g.degree)
             gens = elements.generators

@@ -153,7 +153,7 @@ class TestConjugacyClasses:
         assert_classes_match_brute_force(g)
         assert g.conjugacy_classes() == [((0, 1, 2), 1)]
 
-    def test_keys_are_reranked_before_they_wrap(self):
+    def test_keys_of_a_wide_base_take_the_bytes_path(self):
         # C2^14 on 28 points: 14 base points, and 28^14 > 2^63
         gens = [tuple(k ^ 1 if k // 2 == i else k for k in range(28))
                 for i in range(14)]

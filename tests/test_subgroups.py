@@ -329,8 +329,7 @@ def test_classification_is_byte_identical(tmp_path):
 
 
 # sha256 of the lattice file that subgroup_classes saves for class 112, a
-# solvable group, which runs neither the perfect-subgroup search nor the
-# normaliser-residual net
+# solvable group, which registers no perfect class and builds no pair
 SOLVABLE_648_LATTICE_SHA256 = \
     "c2c3602edd95f636cb8c9c5873b7171953922c797cb61231d624ad2f882e1566"
 
@@ -403,19 +402,60 @@ def test_prescreened_pairs_without_a_conjugate_inside(g, count):
             c.own_orders, c.own_gclass, c.perm_chars)
 
 
+# sha256 of the lattice files that subgroup_classes saves for the two
+# largest non-solvable proper classes of PSp4(3), classified from the
+# session lattice's generators: both depend on the perfect-subgroup search
+NONSOLVABLE_LATTICE_SHA256 = {
+    115: "01b75be2af07eaa6122831fad1dcccd6b4be2e4b358e4d292aa54b58c501d8b2",
+    114: "e69de06b92cbd9d7af2b774863f2f9d2ca367b8f61b5910b1010d4610c950404",
+}
+
+
+@pytest.mark.parametrize("class_id", sorted(NONSOLVABLE_LATTICE_SHA256))
+def test_nonsolvable_classification_is_byte_identical(lattice, class_id,
+                                                      tmp_path):
+    rep = PermGroup(lattice.by_id(class_id).generators, 40)
+    assert rep.derived_length() is None
+    path = tmp_path / f"c{class_id}.json"
+    subgroups.subgroup_classes(rep).save(path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+        NONSOLVABLE_LATTICE_SHA256[class_id]
+
+
 @pytest.mark.parametrize("class_id", [85, 86, 100, 101, 110, 114, 115, 116])
 def test_pairs_find_every_perfect_class(lattice, class_id):
     """The pairs of an element of prime order p >= 5 and an involution,
-    without the normaliser-residual net, find every nontrivial perfect
+    searched in the class on their own, find every nontrivial perfect
     subgroup class that the lattice stores in the class."""
     info = lattice.by_id(class_id)
     assert info.fingerprint.derived_length == -1
     want = sorted((c.order, c.fingerprint) for c in map(
         lattice.by_id, info.own_gclass)
         if c.order > 1 and c.fingerprint.abelianization == ())
-    got = sorted((g.order, subgroups.fingerprint_of(g)) for g in
-                 subgroups.perfect_subgroup_classes(lattice.rep(class_id)))
+    collector = subgroups._ClassCollector(lattice.rep(class_id))
+    subgroups.perfect_subgroup_classes(collector)
+    got = sorted((r.order, subgroups.fingerprint_of(r.group))
+                 for r in collector.raws)
     assert want and got == want
+
+
+def test_normaliser_residuals_are_lattice_classes(lattice):
+    """The solvable residual of the normaliser of every class is 1 or
+    conjugate to exactly one class of the lattice, so that no perfect
+    subgroup reachable from a normaliser is missing."""
+    ambient = lattice.ambient
+    met = set()
+    for info in lattice.classes:
+        res = ambient.normalizer(lattice.rep(info.class_id)) \
+            .solvable_residual().group()
+        if res.order == 1:
+            continue
+        ids = [c.class_id for c in lattice.classes if c.order == res.order
+               and ambient.is_conjugate_subgroup(lattice.rep(c.class_id),
+                                                 res)]
+        assert len(ids) == 1, info.class_id
+        met.update(ids)
+    assert met == {85, 86, 110, 115, 116}
 
 
 class TestAmbientLattice:
