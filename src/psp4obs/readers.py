@@ -32,8 +32,7 @@ def parse_ints(text) -> tuple:
 
 
 def _unique_keys(pairs) -> dict:
-    """The object of ``pairs``; a repeated key is a ValueError, where
-    ``json`` would keep the last value."""
+    """The JSON object of ``pairs``, which may not repeat a key."""
     obj = {}
     for key, value in pairs:
         if key in obj:

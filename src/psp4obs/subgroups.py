@@ -23,15 +23,12 @@ table lookup per power, and reads the order of zH where the powers first
 reach H, and the cosets of z, ..., z^{p-1}, off the same lookups.
 
 Step 1 adds the solvable residual of the group each pair generates
-(:func:`perfect_subgroup_classes`).  The search is seeded once, before any
-extension, with the trivial class, the perfect classes and the cyclic
-classes of prime order (the cyclic-extension method of Holt, Eick and
-O'Brien, *Handbook of Computational Group Theory*, 2005); a solvable group
-has no perfect subgroup but 1.  That the pairs generate every perfect
-subgroup is not proved: completeness rests on the class counts that
-callers check, the fixture match, and tests that the pairs alone find
-every perfect class and that every normaliser's solvable residual is a
-class found.
+(:func:`perfect_subgroup_classes`).  The seeds (1, the perfect classes and
+the cyclic classes of prime order) are registered once, before any
+extension (the cyclic-extension method of Holt, Eick and O'Brien,
+*Handbook of Computational Group Theory*, 2005).  Completeness is not
+proved: it rests on the class counts callers check, the fixture match and
+the tests of the perfect classes and of normalisers' solvable residuals.
 
 Classes are deduplicated by exact element-set, then by an invariant
 prescreen (order and fusion of element classes into the ambient group's),
@@ -266,9 +263,8 @@ def _prime_extensions(raw: _Raw, nrows: np.ndarray, degree,
 def _layer_closure(ambient: PermGroup) -> _ClassCollector:
     """All subgroup classes of ``ambient``: the seeds (the trivial class,
     the perfect classes of :func:`perfect_subgroup_classes` and the cyclic
-    classes of prime order, registered in that order) closed under prime
-    extensions.  No step here checks that the seeds are complete; see the
-    module docstring for what does."""
+    classes of prime order, in that order) closed under prime extensions;
+    the module docstring says what shows the seeds complete."""
     collector = _ClassCollector(ambient)
     collector.add_group(PermGroup([], ambient.degree))
     perfect_subgroup_classes(collector)
@@ -292,10 +288,10 @@ def _layer_closure(ambient: PermGroup) -> _ClassCollector:
 
 
 def perfect_subgroup_classes(collector: _ClassCollector):
-    """Register the classes of nontrivial perfect subgroups of the
-    collector's ambient group: the solvable residuals of the whole group
-    and of each <x, t>, x of prime order p >= 5 and t an involution.  A
-    solvable group registers none and builds no pairs.
+    """Register in ``collector`` the classes of nontrivial perfect
+    subgroups of its ambient group: the solvable residuals of the whole
+    group and of each <x, t>, x of prime order p >= 5 and t an involution.
+    A solvable group registers none and builds no pairs.
 
     A nontrivial perfect group holds such x and t: its nonabelian simple
     factor has order divisible by a prime p >= 5 (Burnside's p^a q^b
