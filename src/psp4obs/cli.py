@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -62,9 +63,10 @@ def _load_module(path, model) -> zmodules.GIntModule:
 def cmd_group_info(args) -> int:
     model = sp4f3.standard_model()
     classes = model.psp.conjugacy_classes()
-    chi = sp4f3.chi24_classfunction(model)
-    sizes = [size for _, size in classes]
-    norm = chi.inner(chi, sizes, model.psp.order)
+    reps = [rep for rep, _ in classes]
+    chi = [sp4f3.chi24(r) for r in reps]
+    norm = Fraction(sum(size * c * c for (_, size), c in zip(classes, chi)),
+                    model.psp.order)
     print(f"Sp4(F3): order {model.sp80.order}, acting on the 80 nonzero "
           f"vectors of F3^4")
     print(f"PSp4(F3): order {model.psp.order}, "
@@ -76,10 +78,9 @@ def cmd_group_info(args) -> int:
         print(f"  action on {name}: degree {grp.degree}, "
               f"{'transitive' if orb == 1 else f'{orb} orbits'}")
     print(f"chi24: degree {chi[0]}, <chi24, chi24> = {norm}")
-    pi_pt = sp4f3.perm_classfunction(model, lambda p: p)
-    pi_ln = sp4f3.perm_classfunction(model,
-                                     sp4f3.line_perm_from_point_perm)
-    same = pi_pt.values == pi_ln.values
+    same = ([sp4f3.fixed_points(r) for r in reps]
+            == [sp4f3.fixed_points(sp4f3.line_perm_from_point_perm(r))
+                for r in reps])
     print(f"point and line actions "
           f"{'equivalent' if same else 'inequivalent'} "
           f"(permutation characters {'equal' if same else 'differ'})")

@@ -123,11 +123,6 @@ class AbelianInvariants:
         if any(d <= 1 for d in self.torsion):
             raise ValueError("torsion coefficients must exceed 1")
 
-    def order(self) -> int:
-        if self.free_rank:
-            raise ValueError("infinite group")
-        return prod(self.torsion)
-
     def exponent(self) -> int:
         if self.free_rank:
             raise ValueError("infinite group")

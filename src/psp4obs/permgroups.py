@@ -5,11 +5,13 @@ left-to-right, so ``(p * q)(i) = q[p[i]]`` and points are acted on from the
 right: ``i ^ (pq) = (i ^ p) ^ q``.
 
 :class:`PermGroup` keeps a base and strong generating set built by a
-deterministic Schreier-Sims procedure.  One strip loop sifts every
-element: it returns the path of transversal points it met, and every
-transversal element carries a word, so a new strong generator's word,
-any element's word in the original generators (:meth:`PermGroup.express`)
-and a presentation (:meth:`PermGroup.presentation`) are read off paths.
+deterministic Schreier-Sims procedure on first use, so a group that is
+handed its element table and read only through it builds none.  One strip
+loop sifts every element: it returns the path of transversal points it
+met, and every transversal element carries a word, so a new strong
+generator's word, any element's word in the original generators
+(:meth:`PermGroup.express`) and a presentation
+(:meth:`PermGroup.presentation`) are read off paths.
 
 Whole-group operations run on the element table: all elements as one
 numpy array in lexicographic order.  A row is found by its key, one int64
@@ -25,8 +27,8 @@ cosets of a subgroup.
 
 Closures (:func:`closed_set`, :func:`normal_closure`) grow an
 :class:`ElementSet` by Dimino's coset closure; the derived series compares
-the sizes of element sets, and a chain is built only for a group that is
-kept (:meth:`ElementSet.group`).
+the sizes of element sets, and a group that is kept
+(:meth:`ElementSet.group`) builds its chain only where one is read.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cache, reduce
-from math import lcm
+from math import lcm, prod
 from operator import itemgetter
 
 import numpy as np
@@ -295,6 +297,10 @@ class PermGroup(_DerivedSeries):
 
     ``generators`` may contain duplicates or identities; they keep their
     indices for purposes of words, but only nontrivial ones enter the chain.
+    The constructor only checks the generators: the chain (``base``,
+    ``sgens``, the strong generators, ``sgen_words``, their words in the
+    generators, and ``levels``) is built on the first use of one of them.
+    A group that holds its element table takes its order from the table.
     """
 
     def __init__(self, generators, degree=None):
@@ -308,14 +314,17 @@ class PermGroup(_DerivedSeries):
                 raise ValueError(f"not a permutation of 0..{degree - 1}: {g}")
         self.degree = degree
         self.generators = generators
-        self.base = []
-        self.sgens = []            # strong generators (permutations)
-        self.sgen_words = []       # words in original generators
-        self.levels = []
-        self._build()
         self._cache = {}
 
     # -- construction ------------------------------------------------------
+
+    def __getattr__(self, name):
+        """Build the chain on the first use of one of its four fields."""
+        if name not in ("base", "sgens", "sgen_words", "levels"):
+            raise AttributeError(name)
+        self.base, self.sgens, self.sgen_words, self.levels = [], [], [], []
+        self._build()
+        return getattr(self, name)
 
     def _sgen_level(self, p):
         """Deepest level whose base prefix the permutation fixes."""
@@ -450,10 +459,9 @@ class PermGroup(_DerivedSeries):
 
     @property
     def order(self):
-        out = 1
-        for level in self.levels:
-            out *= len(level.orbit)
-        return out
+        if 'table' in self._cache:
+            return len(self._cache['table'])
+        return prod(len(level.orbit) for level in self.levels)
 
     @property
     def identity(self):
@@ -462,17 +470,17 @@ class PermGroup(_DerivedSeries):
     def __contains__(self, p):
         return self.sift(tuple(p)) is not None
 
-    def sift(self, p, start=0):
-        """The path of :meth:`_strip` from level ``start`` when ``p`` strips
-        to the identity, so that p = t_last ... t_first; None for
-        non-members."""
-        _, residue, path = self._strip(p, start)
+    def sift(self, p):
+        """The path of :meth:`_strip` when ``p`` strips to the identity, so
+        that p = t_last ... t_first; None for non-members."""
+        _, residue, path = self._strip(p)
         return path if is_identity(residue) else None
 
     def schreier_relations(self):
         """(i, pt, j, path) for each level i, orbit point pt and strong
         generator j of the level: t_pt s_j = h t_img, where ``path`` is
-        :meth:`sift` of h = t_pt s_j t_img^-1 from level i + 1 on."""
+        the path of :meth:`_strip` of h = t_pt s_j t_img^-1 from level
+        i + 1 on."""
         for i in range(len(self.levels)):
             for pt, j, (_, residue, path) in self._schreier_strips(i):
                 if not is_identity(residue):
@@ -516,14 +524,13 @@ class PermGroup(_DerivedSeries):
 
     # -- conjugacy of elements --------------------------------------------
 
-    def _conjugation_maps(self, gens=None):
+    def _conjugation_maps(self):
         """Row k: the table index of g^-1 x g for the row x at each index,
-        for the k-th nontrivial g of ``gens``, elements of this group
-        (default: its generators): the conjugates' keys, sorted, are the
-        table's."""
+        for the k-th nontrivial generator g: the conjugates' keys, sorted,
+        are the table's."""
         et = self.element_table()
         maps = []
-        for g in self.generators if gens is None else gens:
+        for g in self.generators:
             if is_identity(g):
                 continue
             g = np.asarray(g, dtype=et.table.dtype)
@@ -691,7 +698,7 @@ class ConjugacyAnchor:
         conjugator = np.full(len(et), -1, dtype=np.intp)
         frontier = et.index_of([rep for rep, _ in classes])
         conjugator[frontier] = 0  # the identity is the least row
-        maps = group._conjugation_maps(gens)
+        maps = group._conjugation_maps()
         while frontier.size:
             reached = []
             for conj, right in zip(maps, self.right):
@@ -794,7 +801,8 @@ class ElementSet(_DerivedSeries):
         return np.concatenate(self.blocks)
 
     def group(self) -> PermGroup:
-        """The group of these elements, with its Schreier-Sims chain."""
+        """The group of these elements' generators; its chain is built on
+        first use."""
         return PermGroup(self.generators, self.degree)
 
     def add_generator(self, p):
@@ -841,7 +849,7 @@ def closed_set(rows, degree) -> ElementSet:
 
 
 def group_from_elements(rows, degree) -> PermGroup:
-    """The group of :func:`closed_set` of the rows, with its chain."""
+    """The group of the generators of :func:`closed_set` of the rows."""
     return closed_set(rows, degree).group()
 
 

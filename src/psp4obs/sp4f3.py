@@ -47,8 +47,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache
 
 import numpy as np
 
@@ -182,24 +181,14 @@ def pair_perm_from_point_perm(pperm):
 @dataclass
 class SymplecticModel:
     """Sp4(F3) with its standard actions, built by :func:`build_sp4`.  Only
-    ``psp`` has a chain; the other actions build theirs on first use."""
+    ``psp`` has a chain; the other actions, of the same transvections,
+    build theirs on first use."""
 
     psp: PermGroup            # canonical PSp4(3): action on projective points
     matrices: list            # the transvections behind psp.generators
-
-    @cached_property
-    def sp80(self) -> PermGroup:
-        return PermGroup([vector_perm(m) for m in self.matrices], 80)
-
-    @cached_property
-    def line_action(self) -> PermGroup:
-        return PermGroup([line_perm_from_point_perm(p)
-                          for p in self.psp.generators], 40)
-
-    @cached_property
-    def pair_action(self) -> PermGroup:
-        return PermGroup([pair_perm_from_point_perm(p)
-                          for p in self.psp.generators], 45)
+    sp80: PermGroup           # on the 80 nonzero vectors
+    line_action: PermGroup    # on the 40 isotropic lines
+    pair_action: PermGroup    # on the 45 perp pairs
 
 
 def lift_to_sp(perm):
@@ -240,7 +229,13 @@ def build_sp4() -> SymplecticModel:
         matrices.append(m)
         psp = PermGroup(psp.generators + [p], 40)
         if psp.order == PSP4_ORDER:
-            return SymplecticModel(psp, matrices)
+            return SymplecticModel(
+                psp, matrices,
+                PermGroup([vector_perm(m) for m in matrices], 80),
+                PermGroup([line_perm_from_point_perm(p)
+                           for p in psp.generators], 40),
+                PermGroup([pair_perm_from_point_perm(p)
+                           for p in psp.generators], 45))
     raise RuntimeError(  # pragma: no cover
         "transvections failed to generate PSp4(3)")
 
@@ -281,22 +276,6 @@ def _projector_numerator():
     return b
 
 
-@dataclass(frozen=True)
-class ClassFunction:
-    """Exact values of a class function, aligned with conjugacy_classes()."""
-
-    values: tuple
-
-    def __getitem__(self, i):
-        return self.values[i]
-
-    def inner(self, other: "ClassFunction", sizes, group_order) -> Fraction:
-        """<f, g> = (1/|G|) * sum |class| f g  (real-valued functions)."""
-        s = sum(Fraction(sz) * a * b
-                for sz, a, b in zip(sizes, self.values, other.values))
-        return s / group_order
-
-
 def chi24(perm) -> int:
     """Value of the degree-24 irreducible character at a point permutation."""
     b = _projector_numerator()
@@ -307,19 +286,8 @@ def chi24(perm) -> int:
     return num // 60
 
 
-def chi24_classfunction(model: SymplecticModel) -> ClassFunction:
-    reps = [rep for rep, _ in model.psp.conjugacy_classes()]
-    return ClassFunction(tuple(chi24(r) for r in reps))
-
-
 def fixed_points(perm) -> int:
     return sum(1 for i, x in enumerate(perm) if i == x)
-
-
-def perm_classfunction(model: SymplecticModel, transport) -> ClassFunction:
-    """Permutation character of an action given by a transport map."""
-    reps = [rep for rep, _ in model.psp.conjugacy_classes()]
-    return ClassFunction(tuple(fixed_points(transport(r)) for r in reps))
 
 
 def picard_character_at(perm) -> int:

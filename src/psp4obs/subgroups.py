@@ -33,8 +33,9 @@ the tests of the perfect classes and of normalisers' solvable residuals.
 Classes are deduplicated by exact element-set, then by an invariant
 prescreen (order and fusion of element classes into the ambient group's),
 and finally by a vectorised subgroup-conjugacy test, all on the
-candidate's element table: only a new class gets a Schreier-Sims chain.
-The conjugacy and normaliser scans of the search start from centralisers
+candidate's element table: only a new class gets a group, which keeps the
+table, and it builds a Schreier-Sims chain only where one is read.  The
+conjugacy and normaliser scans of the search start from centralisers
 (:class:`~psp4obs.permgroups.ConjugacyAnchor`).  The final ordering is by
 (order, fingerprint, fusion) with construction order as the last
 tie-break; no step draws a random element, so the output is the same on
@@ -78,8 +79,8 @@ import numpy as np
 from . import burnside
 from .intlinalg import prime_powers
 from .permgroups import (ElementTable, PermGroup, _generating_rows,
-                         abelian_invariants, closed_set, group_from_elements,
-                         is_identity, orbit_minima, pident, porder)
+                         abelian_invariants, group_from_elements, is_identity,
+                         orbit_minima, pident, porder)
 from .readers import InputFile, checked, int_list
 
 
@@ -170,8 +171,10 @@ class _ClassCollector:
     def add(self, table: ElementTable, build) -> int:
         """Register the class of the subgroup with this element table and
         return its raw index; ``build()`` makes the group of a new class,
-        so a duplicate costs no Schreier-Sims chain.  The lookup tries the
-        exact element set, then order and fusion, then a conjugacy scan."""
+        whose elements ``table`` holds, and the group keeps the table, so
+        it builds a Schreier-Sims chain only where one is read.  The
+        lookup tries the exact element set, then order and fusion, then a
+        conjugacy scan."""
         rows = table.table
         key_bytes = rows.tobytes()
         if key_bytes in self.by_bytes:
@@ -184,8 +187,6 @@ class _ClassCollector:
                 self.by_bytes[key_bytes] = idx
                 return idx
         group = build()
-        if group.order != len(table):
-            raise RuntimeError("built group and element table differ")
         group._cache['table'] = table
         idx = len(self.raws)
         self.raws.append(_Raw(group, rows, group.order, fusion))
@@ -305,19 +306,19 @@ def perfect_subgroup_classes(collector: _ClassCollector):
     if whole.order == 1:
         return
     collector.add_closure(whole)
-    et = ambient.element_table()
+    anchor = ambient.conjugacy_anchor()
+    et = anchor.table
     classes = ambient.conjugacy_classes()
-    involution = np.array([porder(rep) == 2 for rep, _ in classes])[
-        ambient.class_indices(et.table)]
+    involutions = np.flatnonzero(np.array(
+        [porder(rep) == 2 for rep, _ in classes])[anchor.class_of])
     for x, _ in classes:
         p = porder(x)
         if p < 5 or prime_powers(p) != [(p, 1)]:
             continue
-        nrows = ambient.normalizer_rows(PermGroup([x], ambient.degree))
-        least = orbit_minima(ambient._conjugation_maps(
-            closed_set(nrows, ambient.degree).generators), len(et))
-        first = involution & (least == np.arange(len(et)))  # orbit minima
-        for t in np.flatnonzero(first).tolist():
+        n = ambient.normalizer_index(PermGroup([x], ambient.degree))
+        # the involutions that are least among their conjugates under N
+        least = et.conjugates(n, et.table[involutions]).min(1)
+        for t in involutions[least == involutions].tolist():
             k = ambient.subgroup([x, et.perm(t)])
             if k.order < ambient.order:
                 res = k.solvable_residual()

@@ -1,7 +1,7 @@
 """Reference implementations that only the tests use.
 
-``coset_action`` and ``random_element`` serve the tests that need them;
-the rest are the former production paths, kept as oracles for the faster
+``coset_action``, ``random_element`` and ``class_inner`` serve the tests
+that need them; the rest are the former production paths, kept as oracles for the faster
 ones:
 
 * ``brute_conjugacy_classes`` closes every element under ``pconj`` by
@@ -70,6 +70,7 @@ ones:
 """
 
 from collections import Counter, deque
+from fractions import Fraction
 from itertools import product
 from math import gcd, lcm, prod
 
@@ -134,6 +135,13 @@ def random_element(group: PermGroup, rng):
         pts = sorted(level.orbit)
         out = pg.pmul(out, level.orbit[pts[rng.randrange(len(pts))]])
     return out
+
+
+def class_inner(f, g, sizes, group_order) -> Fraction:
+    """<f, g> = (1/|G|) sum |class| f g, for real class functions given by
+    their values on classes of the given sizes."""
+    return Fraction(sum(s * a * b for s, a, b in zip(sizes, f, g)),
+                    group_order)
 
 
 def brute_conjugacy_classes(group: PermGroup, conjugators=None):

@@ -17,6 +17,20 @@ def run_cli(capsys, *argv):
 
 
 class TestGroupInfo:
+    def test_output_is_pinned(self, capsys):
+        # sha256 a4316e0cca47ac07...
+        code, out, _ = run_cli(capsys, "group", "info")
+        assert code == 0
+        assert out == "".join(line + "\n" for line in [
+            "Sp4(F3): order 51840, acting on the 80 nonzero vectors of F3^4",
+            "PSp4(F3): order 25920, 20 conjugacy classes",
+            "  action on projective points: degree 40, transitive",
+            "  action on isotropic lines: degree 40, transitive",
+            "  action on perp pairs: degree 45, transitive",
+            "chi24: degree 24, <chi24, chi24> = 1",
+            "point and line actions inequivalent (permutation characters "
+            "differ)"])
+
     def test_reports_orders_and_actions(self, capsys):
         code, out, _ = run_cli(capsys, "group", "info")
         assert code == 0
@@ -689,6 +703,23 @@ class TestModuleVerify:
         assert code == 1 and out == "" and "Traceback" not in err
         assert [ln for ln in err.splitlines() if "error" in ln] == [
             f"error: {path}: {message}"]
+
+    def test_identity_module_fails_the_character_check(self, tmp_path,
+                                                        capsys):
+        """Five identity matrices of rank 61 pass the unimodularity and
+        Schreier checks; their character is 61 everywhere, and the first
+        class it misses is the involutions of size 45."""
+        rows = "".join(" ".join("1" if j == i else "0" for j in range(61))
+                       + "\n" for i in range(61))
+        path = tmp_path / "identity.gmodule"
+        path.write_text("gmodule rank=61 gens=5\n" + "".join(
+            f"matrix {k}\n{rows}" for k in range(1, 6)))
+        code, out, err = run_cli(capsys, "module", "verify",
+                                 "--module", str(path))
+        assert code == 1 and out == ""
+        assert [ln for ln in err.splitlines() if "error" in ln] == [
+            f"error: {path}: character mismatch at class 1 (element order "
+            f"2, size 45): trace 61, expected 13"]
 
     def test_a_byte_that_is_not_utf8_is_one_error_line(self, tmp_path,
                                                        capsys):

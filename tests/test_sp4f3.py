@@ -8,6 +8,7 @@ derived from an independent principle.
 
 import ast
 import pathlib
+from functools import partial
 
 import numpy as np
 import pytest
@@ -36,14 +37,17 @@ class TestConstruction:
 
     def test_model_keeps_only_the_psp_chain(self):
         model = sp4f3.build_sp4()
-        lazy = {"sp80", "line_action", "pair_action"}
-        assert lazy.isdisjoint(vars(model))
+        actions = (model.sp80, model.line_action, model.pair_action)
+        assert "levels" in vars(model.psp)
+        assert all("levels" not in vars(g) for g in actions)
         # the transports use the generators alone
         pair = sp4f3.pair_perm_from_point_perm(model.psp.generators[0])
-        assert lazy.isdisjoint(vars(model))
+        assert all("levels" not in vars(g) for g in actions)
         assert model.pair_action.order == sp4f3.PSP4_ORDER
         assert model.sp80.order == sp4f3.SP4_ORDER
-        assert {"sp80", "pair_action"} <= set(vars(model))
+        assert "levels" in vars(model.sp80)
+        assert "levels" in vars(model.pair_action)
+        assert "levels" not in vars(model.line_action)
         assert pair == model.pair_action.generators[0]
 
     def test_build_makes_groups_on_the_points_only(self, monkeypatch):
@@ -179,30 +183,30 @@ class TestChi24:
         assert values[0] == 24
         assert all(isinstance(v, int) for v in values)
 
-    def test_irreducible(self, model, classes):
-        chi = sp4f3.chi24_classfunction(model)
+    def test_irreducible(self, classes):
+        chi = [sp4f3.chi24(rep) for rep, _ in classes]
         sizes = [size for _, size in classes]
-        assert chi.inner(chi, sizes, sp4f3.PSP4_ORDER) == 1
+        assert oracles.class_inner(chi, chi, sizes, sp4f3.PSP4_ORDER) == 1
 
-    def test_orthogonal_to_trivial(self, model, classes):
-        chi = sp4f3.chi24_classfunction(model)
-        one = sp4f3.ClassFunction((1,) * len(classes))
-        assert chi.inner(one, sizes=[s for _, s in classes],
-                         group_order=sp4f3.PSP4_ORDER) == 0
+    def test_orthogonal_to_trivial(self, classes):
+        chi = [sp4f3.chi24(rep) for rep, _ in classes]
+        one = [1] * len(classes)
+        assert oracles.class_inner(chi, one, [s for _, s in classes],
+                                   sp4f3.PSP4_ORDER) == 0
 
-    def test_constituent_of_both_perm_reps(self, model, classes):
+    def test_constituent_of_both_perm_reps(self, classes):
         sizes = [s for _, s in classes]
-        chi = sp4f3.chi24_classfunction(model)
-        pi40 = sp4f3.ClassFunction(tuple(
-            sp4f3.fixed_points(rep) for rep, _ in classes))
-        pi45 = sp4f3.ClassFunction(tuple(
-            sp4f3.fixed_points(sp4f3.pair_perm_from_point_perm(rep))
-            for rep, _ in classes))
+        chi = [sp4f3.chi24(rep) for rep, _ in classes]
+        pi40 = [sp4f3.fixed_points(rep) for rep, _ in classes]
+        pi45 = [sp4f3.fixed_points(sp4f3.pair_perm_from_point_perm(rep))
+                for rep, _ in classes]
+        inner = partial(oracles.class_inner, sizes=sizes,
+                        group_order=sp4f3.PSP4_ORDER)
         # rank-3 graph: <pi40, pi40> = 3, and chi24 appears once
-        assert pi40.inner(pi40, sizes, sp4f3.PSP4_ORDER) == 3
-        assert pi40.inner(chi, sizes, sp4f3.PSP4_ORDER) == 1
-        assert pi45.inner(pi45, sizes, sp4f3.PSP4_ORDER) == 3
-        assert pi45.inner(chi, sizes, sp4f3.PSP4_ORDER) == 1
+        assert inner(pi40, pi40) == 3
+        assert inner(pi40, chi) == 1
+        assert inner(pi45, pi45) == 3
+        assert inner(pi45, chi) == 1
 
     def test_class_function_constant(self, model, classes):
         from random import Random
@@ -214,12 +218,11 @@ class TestChi24:
 
     def test_picard_character(self, classes):
         sizes = [s for _, s in classes]
-        pic = sp4f3.ClassFunction(tuple(
-            sp4f3.picard_character_at(rep) for rep, _ in classes))
-        assert pic.values[0] == 61
-        one = sp4f3.ClassFunction((1,) * len(classes))
+        pic = [sp4f3.picard_character_at(rep) for rep, _ in classes]
+        assert pic[0] == 61
+        one = [1] * len(classes)
         # two orbit classes of divisors minus an irreducible: <pic, 1> = 2
-        assert pic.inner(one, sizes, sp4f3.PSP4_ORDER) == 2
+        assert oracles.class_inner(pic, one, sizes, sp4f3.PSP4_ORDER) == 2
 
 
 # the largest class order whose preimage the oracle spans by closure
