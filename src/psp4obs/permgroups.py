@@ -292,6 +292,22 @@ class _DerivedSeries:
         return length if residual.order == 1 else None
 
 
+class _ChainField:
+    """A field of the chain: the first read builds the chain, which stores
+    all four fields in the group and so shadows these descriptors."""
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, group, owner=None):
+        if group is None:
+            return self
+        group.base, group.sgens, group.sgen_words, group.levels = (
+            [], [], [], [])
+        group._build()
+        return vars(group)[self.name]
+
+
 class PermGroup(_DerivedSeries):
     """A permutation group with a deterministic base and strong generating set.
 
@@ -318,13 +334,8 @@ class PermGroup(_DerivedSeries):
 
     # -- construction ------------------------------------------------------
 
-    def __getattr__(self, name):
-        """Build the chain on the first use of one of its four fields."""
-        if name not in ("base", "sgens", "sgen_words", "levels"):
-            raise AttributeError(name)
-        self.base, self.sgens, self.sgen_words, self.levels = [], [], [], []
-        self._build()
-        return getattr(self, name)
+    # the chain, built on the first read of one of its fields
+    base, sgens, sgen_words, levels = (_ChainField() for _ in range(4))
 
     def _sgen_level(self, p):
         """Deepest level whose base prefix the permutation fixes."""
@@ -376,16 +387,17 @@ class PermGroup(_DerivedSeries):
         ``(i, pt)`` at which the image pt is not the base point, so that
         p = residue t_last ... t_first for their transversal elements t.
         """
+        levels = self.levels
         path = []
-        for i in range(start, len(self.levels)):
-            level = self.levels[i]
+        for i in range(start, len(levels)):
+            level = levels[i]
             pt = p[level.point]
             if pt != level.point:
                 if pt not in level.orbit:
                     return i, p, path
                 p = pmul(p, level.inverse(pt))
                 path.append((i, pt))
-        return len(self.levels), p, path
+        return len(levels), p, path
 
     def _path_word(self, path):
         """The word in strong generator indices of t_first^-1 ...

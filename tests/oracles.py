@@ -1,8 +1,8 @@
 """Reference implementations that only the tests use.
 
 ``coset_action``, ``random_element`` and ``class_inner`` serve the tests
-that need them; the rest are the former production paths, kept as oracles for the faster
-ones:
+that need them; the rest are the former production paths, kept as
+oracles for the faster ones:
 
 * ``brute_conjugacy_classes`` closes every element under ``pconj`` by
   every element, where :meth:`psp4obs.permgroups.PermGroup.conjugacy_classes`
