@@ -264,20 +264,24 @@ class _DerivedSeries:
     """Derived series of anything with ``generators`` and ``order``; every
     term is an :class:`ElementSet`, so no chain is built."""
 
-    def derived_subgroup(self) -> "ElementSet":
-        # [b, a] = [a, b]^-1 is in the closure by the time it would be
-        # popped, so only the pairs i < j are seeds
-        gens = [g for g in self.generators if not is_identity(g)]
-        return normal_closure(self, [pcommutator(a, b)
-                                     for i, a in enumerate(gens)
-                                     for b in gens[i + 1:]])
+    _derived = None  # G', kept by the first derived_subgroup()
 
-    def _derived_walk(self, derived=None):
+    def derived_subgroup(self) -> "ElementSet":
+        """G', closed on the first call and kept."""
+        if self._derived is None:
+            # [b, a] = [a, b]^-1 is in the closure by the time it would be
+            # popped, so only the pairs i < j are seeds
+            gens = [g for g in self.generators if not is_identity(g)]
+            self._derived = normal_closure(self, [pcommutator(a, b)
+                                                  for i, a in enumerate(gens)
+                                                  for b in gens[i + 1:]])
+        return self._derived
+
+    def _derived_walk(self):
         """(l, D): the series drops l times, then D = G^(l+1) = G^(l); D's
-        generators, not G^(l)'s, are those of the solvable residual.
-        ``derived`` is G' when the caller has it already."""
+        generators, not G^(l)'s, are those of the solvable residual."""
         cur, length = self, 0
-        nxt = self.derived_subgroup() if derived is None else derived
+        nxt = self.derived_subgroup()
         while nxt.order != cur.order:
             cur, length = nxt, length + 1
             nxt = cur.derived_subgroup()
@@ -286,9 +290,9 @@ class _DerivedSeries:
     def solvable_residual(self) -> "ElementSet":
         return self._derived_walk()[1]
 
-    def derived_length(self, derived=None):
+    def derived_length(self):
         """Length of the derived series, or None if it stops above 1."""
-        length, residual = self._derived_walk(derived)
+        length, residual = self._derived_walk()
         return length if residual.order == 1 else None
 
 
@@ -600,8 +604,7 @@ class PermGroup(_DerivedSeries):
     def normalizer_index(self, sub: "PermGroup") -> np.ndarray:
         """The sorted element-table indices of N_G(H), by the anchored
         scan (:meth:`ConjugacyAnchor.conjugators`)."""
-        return self.conjugacy_anchor().conjugators(_generating_rows(sub),
-                                                   sub.element_table())
+        return self._conjugators(sub, sub)
 
     def normalizer_rows(self, sub: "PermGroup") -> np.ndarray:
         """The element rows of N_G(H)."""
@@ -617,29 +620,32 @@ class PermGroup(_DerivedSeries):
             self._cache['anchor'] = ConjugacyAnchor(self)
         return self._cache['anchor']
 
-    # -- subgroup-level operations: ``b`` is a group or the ElementTable of
-    # one, so a subgroup can be tested before its chain is built
+    # -- subgroup-level operations: ``b`` is a group or the sorted indices
+    # of its rows in this group's table; |b| is b.order or len(b)
 
     def conjugating_element(self, a: "PermGroup", b):
         """Some g in G with a^g = b (as subgroups), or None."""
-        target = _table_of(b)
-        if a.order != len(target):
+        if a.order != (b.order if isinstance(b, PermGroup) else len(b)):
             return None
-        return self._conjugate_into_scan(a, target)
+        return self._conjugate_into_scan(a, b)
 
     def is_conjugate_subgroup(self, a, b):
         return self.conjugating_element(a, b) is not None
 
     def conjugate_into(self, a: "PermGroup", b):
         """Some g in G with a^g a subgroup of b, or None."""
-        target = _table_of(b)
-        if len(target) % a.order:
+        if (b.order if isinstance(b, PermGroup) else len(b)) % a.order:
             return None
-        return self._conjugate_into_scan(a, target)
+        return self._conjugate_into_scan(a, b)
 
-    def _conjugate_into_scan(self, a, target: ElementTable):
-        index = self.conjugacy_anchor().conjugators(_generating_rows(a),
-                                                    target)
+    def _conjugators(self, a, b) -> np.ndarray:
+        """The sorted indices of the rows g with a^g in b."""
+        if isinstance(b, PermGroup):
+            b = np.flatnonzero(self.element_table().held(b.element_table()))
+        return self.conjugacy_anchor().conjugators(_generating_rows(a), b)
+
+    def _conjugate_into_scan(self, a, b):
+        index = self._conjugators(a, b)
         if not index.size:
             return None
         return self.element_table().perm(int(index[0]))
@@ -729,18 +735,18 @@ class ConjugacyAnchor:
         self.centralizer_orders = np.array([len(c)
                                             for c in self.centralizers])
 
-    def conjugators(self, gens, target: ElementTable):
-        """The sorted indices of the rows g with g^-1 h g in ``target`` for
-        every h of ``gens``, which must be members (``ValueError``
-        otherwise): sieved from the rows that send the generator h with
-        the fewest such rows, |C_G(r)| |target n class(h)|, into
-        ``target``."""
+    def conjugators(self, gens, members):
+        """The sorted indices of the rows g with g^-1 h g among the sorted
+        row indices ``members`` for every h of ``gens``, rows of the group
+        (``ValueError`` otherwise): sieved from the rows that send the
+        generator h with the fewest such rows, |C_G(r)| |members n
+        class(h)|, into ``members``."""
         et = self.table
         gens = np.asarray(gens, dtype=et.table.dtype)
         index = et.index_of(gens)
         cls = self.class_of[index]
-        held = et.held(target)
-        members = np.flatnonzero(held)
+        held = np.zeros(len(et), dtype=bool)
+        held[members] = True
         counts = np.bincount(self.class_of[members],
                              minlength=len(self.centralizers))
         j = int(np.argmin(counts[cls] * self.centralizer_orders[cls]))
@@ -781,10 +787,6 @@ def _generating_rows(group: PermGroup):
     return gens if gens else [group.identity]
 
 
-def _table_of(group) -> ElementTable:
-    return group if isinstance(group, ElementTable) else group.element_table()
-
-
 class ElementSet(_DerivedSeries):
     """Elements of the group generated so far, as row bytes.
 
@@ -819,6 +821,7 @@ class ElementSet(_DerivedSeries):
 
     def add_generator(self, p):
         self.generators.append(tuple(p))
+        self._derived = None
         gens = [np.asarray(g, dtype=self.dtype) for g in self.generators]
         old = self.rows()
         reps = []
@@ -888,16 +891,15 @@ def orbits(gens, degree):
             for x in np.flatnonzero(label == np.arange(degree))]
 
 
-def abelian_invariants(group: PermGroup, derived=None) -> AbelianInvariants:
-    """Invariant factors of G/G', by counting over the conjugacy classes;
-    ``derived`` is G' when the caller has it already.
+def abelian_invariants(group: PermGroup) -> AbelianInvariants:
+    """Invariant factors of G/G', by counting over the conjugacy classes.
 
     For p^a exactly dividing |G/G'|, the x with x^(p^k) in G' number
     |G'| p^(s_k), where s_k sums min(e, k) over the cyclic factors Z/p^e
     of G/G'.  So r_k = s_k - s_(k-1) factors have order p^k or more, and
     the i-th largest has order p^e with e the number of k with r_k > i.
     """
-    derived = group.derived_subgroup() if derived is None else derived
+    derived = group.derived_subgroup()
     classes = group.conjugacy_classes()
     chains = []
     for p, a in prime_powers(group.order // derived.order):

@@ -18,9 +18,9 @@ elementary abelian.  Consequently the class list of G is generated by
 
 Step 2 is exhaustive given the seeds: every K with H normal of prime index
 arises from every element of K \\ H.  It raises the least element z of
-every coset of H in N_G(H) to its powers all at once, one gather and one
-table lookup per power, and reads the order of zH where the powers first
-reach H, and the cosets of z, ..., z^{p-1}, off the same lookups.
+every coset of H in N_G(H) to its powers all at once, one table lookup
+per power, and reads the order of zH where the powers first reach H, and
+the cosets of z, ..., z^{p-1}, off the same lookups.
 
 Step 1 adds the solvable residual of the group each pair generates
 (:func:`perfect_subgroup_classes`).  The seeds (1, the perfect classes and
@@ -30,16 +30,17 @@ extension (the cyclic-extension method of Holt, Eick and O'Brien,
 proved: it rests on the class counts callers check, the fixture match and
 the tests of the perfect classes and of normalisers' solvable residuals.
 
-Classes are deduplicated by exact element-set, then by an invariant
+Classes are deduplicated by exact element set, then by an invariant
 prescreen (order and fusion of element classes into the ambient group's),
-and finally by a vectorised subgroup-conjugacy test, all on the
-candidate's element table: only a new class gets a group, which keeps the
-table, and it builds a Schreier-Sims chain only where one is read.  The
-conjugacy and normaliser scans of the search start from centralisers
-(:class:`~psp4obs.permgroups.ConjugacyAnchor`).  The final ordering is by
-(order, fingerprint, fusion) with construction order as the last
-tie-break; no step draws a random element, so the output is the same on
-every run.
+and finally by a vectorised subgroup-conjugacy test.  The search keeps one
+element table, the ambient's: every candidate, class and normaliser is the
+sorted indices of its rows there.  Only a new class gets a group, handed
+those rows as its table, so it builds a Schreier-Sims chain only where one
+is read.  The conjugacy and normaliser scans of the search start from
+centralisers (:class:`~psp4obs.permgroups.ConjugacyAnchor`).  The final
+ordering is by (order, fingerprint, fusion) with construction order as the
+last tie-break; no step draws a random element, so the output is the same
+on every run.
 
 Every class H also gets its own subgroup-class lattice, read off the
 ambient one with no second search (Pfeiffer, "The subgroups of M24",
@@ -124,11 +125,10 @@ class Fingerprint:
 
 
 def fingerprint_of(group: PermGroup) -> Fingerprint:
-    derived = group.derived_subgroup()  # one G' for both of its uses
-    dl = group.derived_length(derived)
+    dl = group.derived_length()
     return Fingerprint(
         order=group.order,
-        abelianization=abelian_invariants(group, derived).torsion,
+        abelianization=abelian_invariants(group).torsion,
         exponent=group.exponent(),
         class_count=len(group.conjugacy_classes()),
         derived_length=-1 if dl is None else dl,
@@ -143,108 +143,99 @@ def fingerprint_of(group: PermGroup) -> Fingerprint:
 @dataclass
 class _Raw:
     group: PermGroup
-    rows: np.ndarray
-    order: int
+    index: np.ndarray  # the sorted rows of the ambient's table that H holds
     fusion: tuple
     normalizer: np.ndarray = None  # row indices of N_G(H), by _layer_closure
+
+    @property
+    def order(self):
+        return len(self.index)
 
     @property
     def gens(self):
         return _generating_rows(self.group)
 
-    @property
-    def table(self) -> ElementTable:
-        return self.group.element_table()
-
 
 class _ClassCollector:
-    """Deduplicated list of subgroup classes of one ambient group, and the
-    vectorised subgroup operations against that group."""
+    """Deduplicated list of the subgroup classes of one ambient group, each
+    held as the sorted indices of its rows in the ambient's table."""
 
     def __init__(self, ambient: PermGroup):
         self.ambient = ambient
-        self.base = ambient.element_table().base  # keys every table here
+        self.anchor = ambient.conjugacy_anchor()
         self.raws: list[_Raw] = []
         self.by_bytes: dict = {}
         self.by_key: dict = {}
 
-    def add(self, table: ElementTable, build) -> int:
-        """Register the class of the subgroup with this element table and
-        return its raw index; ``build()`` makes the group of a new class,
-        whose elements ``table`` holds, and the group keeps the table, so
-        it builds a Schreier-Sims chain only where one is read.  The
-        lookup tries the exact element set, then order and fusion, then a
-        conjugacy scan."""
-        rows = table.table
-        key_bytes = rows.tobytes()
+    def add(self, index: np.ndarray, build) -> int:
+        """Register the class of the subgroup at the sorted row indices
+        ``index`` and return its raw index; ``build()`` makes the group of
+        a new class, which is handed its element table, the ambient's
+        rows at ``index``, so it builds a Schreier-Sims chain only where
+        one is read.  The lookup tries the exact element set, then order
+        and fusion, then a conjugacy scan."""
+        key_bytes = index.tobytes()
         if key_bytes in self.by_bytes:
             return self.by_bytes[key_bytes]
-        fusion = self.fusion_key(rows)
-        key = (len(table), fusion)
+        vals, counts = np.unique(self.anchor.class_of[index],
+                                 return_counts=True)
+        fusion = tuple(zip(vals.tolist(), counts.tolist()))
+        key = (len(index), fusion)
         for idx in self.by_key.get(key, []):
             if self.ambient.is_conjugate_subgroup(self.raws[idx].group,
-                                                  table):
+                                                  index):
                 self.by_bytes[key_bytes] = idx
                 return idx
+        et = self.anchor.table
         group = build()
-        group._cache['table'] = table
+        group._cache['table'] = ElementTable(et.table[index], et.degree,
+                                             et.base)
         idx = len(self.raws)
-        self.raws.append(_Raw(group, rows, group.order, fusion))
+        self.raws.append(_Raw(group, index, fusion))
         self.by_bytes[key_bytes] = idx
         self.by_key.setdefault(key, []).append(idx)
         return idx
 
-    def add_group(self, group: PermGroup) -> int:
-        return self.add(group.element_table(), lambda: group)
-
-    def add_closure(self, elements) -> int:
-        """Register the class of an :class:`ElementSet`."""
-        return self.add(ElementTable(elements.rows(), elements.degree,
-                                     self.base),
-                        elements.group)
-
-    def fusion_key(self, rows) -> tuple:
-        vals, counts = np.unique(self.ambient.class_indices(rows),
-                                 return_counts=True)
-        return tuple(zip(vals.tolist(), counts.tolist()))
+    def add_rows(self, rows, build) -> int:
+        """Register the class of the subgroup with these element rows."""
+        return self.add(np.sort(self.anchor.table.index_of(rows)), build)
 
 
-def _coset_powers(sub: PermGroup, n_et: ElementTable):
-    """The right cosets of ``sub`` (H) in N, which normalises it, and the
-    powers of their representatives.
+def _coset_powers(hgens, n: np.ndarray, et: ElementTable):
+    """The right cosets of H in N, which normalises it, and the powers of
+    their representatives; ``hgens`` holds the row indices of H's
+    generators and ``n`` the sorted row indices of N, both in ``et``.
 
     Returns ``(coset_of, order, powers)``: the coset id of each row of
-    ``n_et``, the cosets numbered by their least rows, so that coset 0 is
-    H; and for each other coset c, with z its least row, the order of zH
-    in N/H at ``order[c - 1]`` and the row of z^k at ``powers[k - 1, c -
-    1]``.  All representatives are raised a power at a time, one gather
-    and one lookup per power, until each has reached coset 0.
+    ``n``, the cosets numbered by their least rows, so that coset 0 is H;
+    and for each other coset c, with z its least row, the order of zH in
+    N/H at ``order[c - 1]`` and the position in ``n`` of z^k at
+    ``powers[k - 1, c - 1]``.  All representatives are raised a power at a
+    time, one table lookup per power, until each has reached coset 0.
     """
     # the cosets xH are the orbits of right multiplication by H's
     # generators, numbered by their least rows
-    acts = [n_et.index_of(np.asarray(h, n_et.table.dtype)[n_et.table])
-            for h in sub.generators if not is_identity(h)]
-    firsts, coset_of = np.unique(orbit_minima(acts, len(n_et)),
+    acts = [np.searchsorted(n, et.times(n, h)) for h in hgens]
+    firsts, coset_of = np.unique(orbit_minima(acts, len(n)),
                                  return_inverse=True)
-    z = cur = n_et.table[firsts[1:]]
+    z = cur = n[firsts[1:]]
     order = np.zeros(len(z), dtype=np.intp)
     powers = []
     while True:
-        powers.append(n_et.index_of(cur))
+        powers.append(np.searchsorted(n, cur))
         order[(order == 0) & (coset_of[powers[-1]] == 0)] = len(powers)
         if order.all():
             return coset_of, order, np.array(powers)
-        cur = np.take_along_axis(z, cur, axis=1)  # z^(k+1): z^k, then z
+        cur = et.times(cur, z)
 
 
-def _prime_extensions(raw: _Raw, nrows: np.ndarray, degree,
-                      collector: _ClassCollector):
+def _prime_extensions(raw: _Raw, collector: _ClassCollector):
     """All K with raw.group normal of prime index, up to local dedupe."""
-    if len(nrows) == raw.order:
+    n = raw.normalizer
+    if len(n) == raw.order:
         return
-    n_et = ElementTable(nrows, degree, collector.base)
-    h_rows = raw.group.element_table().table
-    coset_of, order, powers = _coset_powers(raw.group, n_et)
+    et = collector.anchor.table
+    coset_of, order, powers = _coset_powers(et.index_of(raw.gens), n, et)
     seen_subquot = set()
     for c, p in enumerate(order.tolist()):
         if prime_powers(p) != [(p, 1)]:
@@ -255,10 +246,11 @@ def _prime_extensions(raw: _Raw, nrows: np.ndarray, degree,
         if ids in seen_subquot:
             continue
         seen_subquot.add(ids)
-        k_rows = np.concatenate(
-            [h_rows, n_et.table[index][:, h_rows].reshape(-1, degree)])
-        collector.add(ElementTable(k_rows, degree, collector.base),
-                      lambda: group_from_elements(k_rows, degree))
+        # K's rows in the order H, Hz, ..., which fixes its generators
+        k = np.concatenate([raw.index,
+                            et.times(raw.index, n[index, None]).ravel()])
+        collector.add(np.sort(k),
+                      lambda: group_from_elements(et.table[k], et.degree))
 
 
 def _layer_closure(ambient: PermGroup) -> _ClassCollector:
@@ -267,20 +259,20 @@ def _layer_closure(ambient: PermGroup) -> _ClassCollector:
     classes of prime order, in that order) closed under prime extensions;
     the module docstring says what shows the seeds complete."""
     collector = _ClassCollector(ambient)
-    collector.add_group(PermGroup([], ambient.degree))
+    collector.add_rows([pident(ambient.degree)],
+                       lambda: PermGroup([], ambient.degree))
     perfect_subgroup_classes(collector)
     for rep, _ in ambient.conjugacy_classes():
         p = porder(rep)
         if prime_powers(p) == [(p, 1)]:
-            collector.add_group(PermGroup([rep], ambient.degree))
-    et = ambient.element_table()
+            cyclic = PermGroup([rep], ambient.degree)
+            collector.add_rows(cyclic.element_table().table, lambda: cyclic)
     for raw in collector.raws:  # visits the classes added on the way
         if raw.order in (1, ambient.order):
             raw.normalizer = np.arange(ambient.order)
             continue
-        raw.normalizer = ambient.normalizer_index(raw.group)
-        _prime_extensions(raw, et.table[raw.normalizer], ambient.degree,
-                          collector)
+        raw.normalizer = collector.anchor.conjugators(raw.gens, raw.index)
+        _prime_extensions(raw, collector)
     return collector
 
 
@@ -305,8 +297,8 @@ def perfect_subgroup_classes(collector: _ClassCollector):
     whole = ambient.solvable_residual()
     if whole.order == 1:
         return
-    collector.add_closure(whole)
-    anchor = ambient.conjugacy_anchor()
+    collector.add_rows(whole.rows(), whole.group)
+    anchor = collector.anchor
     et = anchor.table
     classes = ambient.conjugacy_classes()
     involutions = np.flatnonzero(np.array(
@@ -323,7 +315,7 @@ def perfect_subgroup_classes(collector: _ClassCollector):
             if k.order < ambient.order:
                 res = k.solvable_residual()
                 if res.order > 1:
-                    collector.add_closure(res)
+                    collector.add_rows(res.rows(), res.group)
 
 
 # ---------------------------------------------------------------------------
@@ -507,6 +499,11 @@ class SubgroupLattice:
                     raise ValueError(f"class {pos}: the last own_gclass id "
                                      f"must be the class itself, not "
                                      f"{c.own_gclass[-1]}")
+                # a maximal class is a proper own class
+                for j in c.maximal:
+                    if j not in c.own_gclass[:-1]:
+                        raise ValueError(f"class {pos}: maximal id {j} is not "
+                                         f"one of its proper own classes")
             # each element generates exactly one cyclic subgroup, so every
             # ambient class meets the cyclic classes
             cyclic = [c for c in classes if c.order == 1
@@ -558,11 +555,12 @@ def _own_classes(ambient: PermGroup, raws) -> tuple:
     anchor = ambient.conjugacy_anchor()
     et = anchor.table
     n = len(et)
-    held = np.array([et.held(raw.table) for raw in raws])
     orders = np.array([raw.order for raw in raws])
+    held = np.zeros((len(raws), n), dtype=bool)
     fusion = np.zeros((len(raws), len(ambient.conjugacy_classes())),
                       dtype=np.intp)
     for i, raw in enumerate(raws):
+        held[i, raw.index] = True
         fusion[i, [c for c, _ in raw.fusion]] = [m for _, m in raw.fusion]
     # the generators of each H as rows, the missing ones the identity (row 0)
     counts = np.array([len(raw.gens) for raw in raws])
@@ -646,7 +644,7 @@ def subgroup_classes(ambient: PermGroup, seed=None,
                                               id_of_raw[kg[0]], kg[1]))
         own_ids = [id_of_raw[k] for k, _ in own]
         orders = np.array([raws[k].order for k, _ in own])
-        rows = [_conjugate(raws[k].rows, table[g]) for k, g in own]
+        rows = [_conjugate(table[raws[k].index], table[g]) for k, g in own]
         chars = burnside.perm_characters(rep, rows)
         elem_fusion = tuple(ambient.class_indices(np.asarray(
             [crep for crep, _ in rep.conjugacy_classes()])).tolist())

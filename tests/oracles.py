@@ -303,7 +303,8 @@ def may_contain(big, small) -> bool:
 def scan_maximal(classes, group: PermGroup) -> list:
     """Indices of the maximal proper classes among ``classes``, the
     subgroup classes of ``group``, each with ``order``, ``fusion`` (into
-    the classes of ``group``), ``gens`` and element ``rows``.
+    the classes of ``group``), ``gens`` and ``index``, the sorted indices
+    of its rows in the element table of ``group``.
 
     Every proper subgroup lies in a maximal one, which is larger.  So,
     walking the classes by descending order, a proper class is maximal
@@ -320,7 +321,8 @@ def scan_maximal(classes, group: PermGroup) -> list:
         if not (b.order > a.order and may_contain(b, a)):
             return False
         if j not in tables:
-            tables[j] = pg.ElementTable(b.rows, group.degree, et.base)
+            tables[j] = pg.ElementTable(et.table[b.index], group.degree,
+                                        et.base)
         return scan_conjugators(et, a.gens, tables[j]).size > 0
 
     maximal = []
@@ -338,7 +340,7 @@ def lattice_ids(lattice, raws) -> list:
     for raw in raws:
         (cid,) = [c.class_id for c in lattice.classes if c.order == raw.order
                   and lattice.ambient.is_conjugate_subgroup(
-                      lattice.rep(c.class_id), raw.table)]
+                      lattice.rep(c.class_id), raw.group)]
         ids.append(cid)
     return ids
 
@@ -357,7 +359,8 @@ def closure_own_lattice(lattice, class_id):
     order = sorted(range(len(raws)), key=lambda k: (raws[k].order, ids[k]))
     return (maximal, tuple(raws[k].order for k in order),
             tuple(ids[k] for k in order),
-            scan_perm_characters(rep, [raws[k].rows for k in order]))
+            scan_perm_characters(rep, [rep.element_table().table[raws[k].index]
+                                       for k in order]))
 
 
 def quotient_order(z, sub_rows) -> int:

@@ -130,6 +130,12 @@ def _maximal_999(doc):
     doc["classes"][-1]["maximal"][0] = 999
 
 
+def _maximal_5(doc):
+    """Class 30's maximal [4, 6] as [5, 6]; its own classes are 1, 4, 6
+    and 30, and class 5 has order 3, as class 4 has."""
+    doc["classes"][29]["maximal"][0] = 5
+
+
 def _elem_fusion_99(doc):
     doc["classes"][9]["elem_fusion"][-1] = 99
 
@@ -223,6 +229,8 @@ class TestBadLatticeFile:
          "the last class must be the whole group, of order 25920"),
         (_own_gclass_117, "class 10: own_gclass id 117 is not in 1..116"),
         (_maximal_999, "class 116: maximal id 999 is not in 1..116"),
+        (_maximal_5, "class 30: maximal id 5 is not one of its proper own "
+         "classes"),
         (_elem_fusion_99, "class 10: elem_fusion id 99 is not in 0..19"),
         (_whole_group_fusion_reversed, "class 116: elem_fusion must be "
          "0..19, the ambient classes in order"),
@@ -279,7 +287,7 @@ class TestBadLatticeFile:
          "last own_gclass id must be the class itself, not 59"),
         (_order_repeated, "top level: duplicate key 'order'"),
     ], ids=["without-class-116", "own-gclass-117", "maximal-999",
-            "elem-fusion-99", "whole-group-fusion-reversed",
+            "maximal-4-to-5", "elem-fusion-99", "whole-group-fusion-reversed",
             "perm-chars-row-dropped", "order-5", "fingerprint-order-5",
             "identity-character-3", "own-orders-empty", "generator-0-1",
             "generator-entry-40",

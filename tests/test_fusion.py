@@ -36,7 +36,7 @@ def lattice_raws(lattice):
 
 
 def check_perm_characters(group, raws):
-    rows = [r.rows for r in raws]
+    rows = [group.element_table().table[r.index] for r in raws]
     got = burnside.perm_characters(group, rows)
     assert (got == oracles.scan_perm_characters(group, rows)).all()
     # chars |c^H| |K| / |H| counts the rows of each K in each class c^H,

@@ -14,7 +14,7 @@ import pytest
 from oracles import (brute_subgroups, closure_own_lattice, lattice_ids,
                      may_contain, quotient_order)
 from psp4obs import cli, subgroups
-from psp4obs.permgroups import ElementTable, PermGroup, pconj, pmul
+from psp4obs.permgroups import PermGroup, _generating_rows, pconj, pmul
 
 C6 = PermGroup([(1, 2, 3, 4, 5, 0)], 6)
 A4 = PermGroup([(1, 2, 0, 3), (0, 2, 3, 1)], 4)
@@ -167,19 +167,20 @@ class TestS4Structure:
 
 def check_coset_powers(sub, ambient):
     """Batched coset orders and power cosets of ``sub`` in its normaliser
-    agree with one multiplication and one lookup per power."""
-    n_rows = ambient.normalizer_rows(sub)
-    n_et = ElementTable(n_rows, ambient.degree,
-                        ambient.element_table().base)
-    coset_of, order, powers = subgroups._coset_powers(sub, n_et)
-    assert len(order) == coset_of.max() == len(n_et) // sub.order - 1
+    agree with one multiplication and one lookup per power, in the row
+    indices of the ambient's table."""
+    et = ambient.element_table()
+    n = ambient.normalizer_index(sub)
+    coset_of, order, powers = subgroups._coset_powers(
+        et.index_of(_generating_rows(sub)), n, et)
+    assert len(order) == coset_of.max() == len(n) // sub.order - 1
     sub_rows = sub.element_table().table
     for c in range(1, len(order) + 1):
-        z = n_et.perm(int(np.flatnonzero(coset_of == c)[0]))
+        z = et.perm(int(n[np.flatnonzero(coset_of == c)[0]]))
         assert order[c - 1] == quotient_order(z, sub_rows)
         w = z
         for k in range(1, order[c - 1]):
-            assert powers[k - 1, c - 1] == n_et.index_of([w])[0]
+            assert n[powers[k - 1, c - 1]] == et.index_of([w])[0]
             w = pmul(w, z)
     return len(order)
 
@@ -199,6 +200,25 @@ class TestCosetPowers:
         # |N/H| = 288, 216, 24, 60 (A5), 18 and 2
         for cid in (2, 4, 10, 45, 71, 110):
             assert check_coset_powers(lattice.rep(cid), lattice.ambient) > 0
+
+
+@pytest.mark.parametrize("name", ["S4", "A5", "class-112"])
+def test_classes_are_row_indices_of_the_ambient_table(lattice, name):
+    """Every class of the search is held as the sorted, unique indices of
+    its rows in the ambient's element table, and a conjugacy test reads
+    those indices as it reads the class's group."""
+    g = {"S4": S4, "A5": A5}.get(name) or lattice.rep(112)
+    et = g.element_table()
+    raws = subgroups._layer_closure(g).raws
+    for raw in raws:
+        assert (np.diff(raw.index) > 0).all()
+        assert np.array_equal(et.table[raw.index],
+                              raw.group.element_table().table)
+    for a in raws:
+        for b in raws:
+            if a.order == b.order:
+                assert g.is_conjugate_subgroup(a.group, b.index) == \
+                    g.is_conjugate_subgroup(a.group, b.group)
 
 
 class TestPersistence:
