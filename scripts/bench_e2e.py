@@ -15,6 +15,13 @@ BLAS thread:
   is start-up, the symplectic model and ``load_module``; its output is
   its stdout.
 
+Every process of a checkout reads its bytecode from one cache in the
+harness's temporary directory (``PYTHONPYCACHEPREFIX``) and writes none.
+Before any timed run, each timed stage runs once, untimed, with writing
+allowed, which compiles ``src/`` and every module that the stage imports
+into that cache; so no timed run compiles, whatever
+``PYTHONDONTWRITEBYTECODE`` says.
+
 Each stage runs five times.  Given two checkouts (a ``--label`` and a
 ``--root`` for each), the runs interleave: every run of a stage on one
 side is followed by the same run on the other, and the side that goes
@@ -33,8 +40,11 @@ writes.
 ``bench/BENCH_<label>.json``, one per checkout, holds the median and
 every raw wall time of each stage, the sha256 of each stage's and each
 check's output file (equal hashes mean byte-identical output), the git
-sha of the checkout and whether its tree had uncommitted changes, and the
-Python and numpy versions, the CPU model and nproc.
+sha of the checkout and whether its tree had uncommitted changes, the
+Python and numpy versions, the CPU model and nproc, and under ``bytecode``
+how the timed runs got their bytecode.  Records written before that field
+timed a compilation of ``src/`` in every run, so their times are not
+comparable with newer ones.
 """
 
 import argparse
@@ -55,6 +65,8 @@ HERE = pathlib.Path(__file__).resolve().parent.parent
 REPEATS = 5
 ONE_THREAD = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 CLI = ("-m", "psp4obs.cli")
+BYTECODE = ("PYTHONPYCACHEPREFIX in the temporary directory, filled by one "
+            "untimed run of each timed stage; no timed run compiles")
 # check name: file that scripts/build_module.py writes
 BUILT = {"build_gmodule": "m61.gmodule", "build_pairing": "m61.pairing"}
 
@@ -82,11 +94,16 @@ def _sha256(path):
     return hashlib.sha256(pathlib.Path(path).read_bytes()).hexdigest()
 
 
-def run_stage(root, cpu, argv, stdout_path=None, program=CLI):
+def run_stage(root, cpu, pycache, argv, stdout_path=None, program=CLI,
+              fill_cache=False):
     """Wall seconds and exit status of one ``psp4obs`` process (or of
-    another ``program`` of the checkout) on one CPU; its stdout goes to
+    another ``program`` of the checkout) on one CPU, with its bytecode in
+    ``pycache``, which it fills only if ``fill_cache``; its stdout goes to
     ``stdout_path`` if given."""
-    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    env = dict(os.environ, PYTHONPATH=str(root / "src"),
+               PYTHONPYCACHEPREFIX=str(pycache), PYTHONDONTWRITEBYTECODE="1")
+    if fill_cache:
+        del env["PYTHONDONTWRITEBYTECODE"]
     env.update({k: "1" for k in ONE_THREAD})
     with open(stdout_path or os.devnull, "w") as sink:
         t0 = time.perf_counter()
@@ -165,9 +182,18 @@ def main(argv=None):
             timed, untimed = _stages(side_tmp)
             sides.append({"label": label, "root": root.resolve(),
                           "build": side_tmp / "build",
+                          "pycache": side_tmp / "pycache",
                           "timed": timed, "untimed": untimed,
                           "times": {name: [] for name in timed},
                           "outputs": {}, "checks": {}})
+        for side in sides:
+            for name, (stage_argv, *_) in side["timed"].items():
+                _, code = run_stage(side["root"], cpu, side["pycache"],
+                                    stage_argv, fill_cache=True)
+                if code:
+                    raise RuntimeError(f"{side['label']} {name}: exit "
+                                       f"status {code} while compiling")
+            print(f"{side['label']}: bytecode compiled", flush=True)
         for rep in range(REPEATS):
             for k, name in enumerate(sides[0]["timed"]):
                 # the side that runs first alternates stage by stage and
@@ -176,7 +202,8 @@ def main(argv=None):
                     stage_argv, out, stdout = side["timed"][name]
                     if name == "lattice_cold_s":
                         out.unlink(missing_ok=True)
-                    seconds, code = run_stage(side["root"], cpu, stage_argv,
+                    seconds, code = run_stage(side["root"], cpu,
+                                              side["pycache"], stage_argv,
                                               out if stdout else None)
                     if code:
                         raise RuntimeError(f"{side['label']} {name}: exit "
@@ -190,12 +217,12 @@ def main(argv=None):
                           f"{seconds:.2f} s", flush=True)
         for side in sides:
             for name, (check_argv, out, stdout) in side["untimed"].items():
-                _, code = run_stage(side["root"], cpu, check_argv,
-                                    out if stdout else None)
+                _, code = run_stage(side["root"], cpu, side["pycache"],
+                                    check_argv, out if stdout else None)
                 side["checks"][name] = {"exit": code,
                                         "output_sha256": _sha256(out)}
                 print(f"{side['label']} {name}: exit {code}", flush=True)
-            _, code = run_stage(side["root"], cpu,
+            _, code = run_stage(side["root"], cpu, side["pycache"],
                                 ["--out-dir", str(side["build"])],
                                 program=("scripts/build_module.py",))
             for name, file in BUILT.items():
@@ -221,6 +248,7 @@ def main(argv=None):
             "nproc": os.cpu_count(),
             "cpu_model": _cpu_model(),
             "repeats": REPEATS,
+            "bytecode": BYTECODE,
             "date": date,
         }
         path = HERE / "bench" / f"BENCH_{side['label']}.json"

@@ -25,15 +25,15 @@ generator's class representative: each group builds one
 :class:`ConjugacyAnchor` for them, which also labels the rows by the
 cosets of a subgroup.
 
-Closures (:func:`closed_set`, :func:`normal_closure`) grow an
-:class:`ElementSet` by Dimino's coset closure; the derived series compares
-the sizes of element sets, and a group that is kept
-(:meth:`ElementSet.group`) builds its chain only where one is read.
+A subgroup generated by rows of an element table is a :class:`Closure`, a
+mask of the rows it holds, grown by table lookups.  One closure serves
+:func:`group_from_elements`, :func:`normal_closure` and the derived series
+(:func:`derived_series`), whose every term is a closure on the same table,
+so it builds no table and no chain.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from functools import cache, reduce
 from math import lcm, prod
@@ -70,10 +70,6 @@ def pconj(p, g):
     """g^-1 p g (the conjugate of p by g, acting after relabelling by g)."""
     gi = pinv(g)
     return tuple(g[p[gi[i]]] for i in range(len(p)))
-
-
-def pcommutator(a, b):
-    return pmul(pmul(pinv(a), pinv(b)), pmul(a, b))
 
 
 def cycle_type(p):
@@ -130,6 +126,11 @@ def _as_table(rows, degree):
     return np.asarray(rows, dtype=_dtype(degree)).reshape(-1, degree)
 
 
+@cache
+def _place_values(degree, width):
+    return degree ** np.arange(width - 1, -1, -1, dtype=np.int64)
+
+
 def _keys(columns, degree):
     """One key per row (along the last axis) of ``columns``, whose entries
     lie in ``range(degree)``, equal exactly for equal rows: the row as an
@@ -137,8 +138,7 @@ def _keys(columns, degree):
     its bytes."""
     width = columns.shape[-1]
     if degree ** width < 2 ** 63:
-        return columns @ degree ** np.arange(width - 1, -1, -1,
-                                             dtype=np.int64)
+        return columns @ _place_values(degree, width)
     columns = np.ascontiguousarray(columns)
     return columns.view(np.dtype((np.void, columns.itemsize * width)))[
         ..., 0]
@@ -187,7 +187,7 @@ class ElementTable:
     def _lookup(self, images):
         """For each row (along the last axis) of base images, the index of
         the table row with its key if there is one, else of some row."""
-        pos = np.searchsorted(self.sorted_keys, _keys(images, self.degree))
+        pos = self.sorted_keys.searchsorted(_keys(images, self.degree))
         return self.by_key[np.minimum(pos, len(self) - 1)]
 
     def index_of(self, rows):
@@ -200,7 +200,7 @@ class ElementTable:
         return idx
 
     def perm(self, i):
-        return tuple(int(x) for x in self.table[i])
+        return tuple(self.table[i].tolist())
 
     def held(self, target: "ElementTable"):
         """A mask of the rows of this group that ``target`` holds, checked
@@ -231,6 +231,11 @@ class ElementTable:
                 break
         return index
 
+    def inverses(self, index):
+        """Indices of the inverses of the rows at ``index``."""
+        return self._lookup(np.argsort(self.table[index], axis=-1)[
+            ..., self.base].astype(self.table.dtype))
+
     def times(self, index, g):
         """Indices of the products x g of the rows x at ``index`` and the
         rows g at ``g``, two index arrays that broadcast together: x g
@@ -260,42 +265,6 @@ class _Level:
         return inv
 
 
-class _DerivedSeries:
-    """Derived series of anything with ``generators`` and ``order``; every
-    term is an :class:`ElementSet`, so no chain is built."""
-
-    _derived = None  # G', kept by the first derived_subgroup()
-
-    def derived_subgroup(self) -> "ElementSet":
-        """G', closed on the first call and kept."""
-        if self._derived is None:
-            # [b, a] = [a, b]^-1 is in the closure by the time it would be
-            # popped, so only the pairs i < j are seeds
-            gens = [g for g in self.generators if not is_identity(g)]
-            self._derived = normal_closure(self, [pcommutator(a, b)
-                                                  for i, a in enumerate(gens)
-                                                  for b in gens[i + 1:]])
-        return self._derived
-
-    def _derived_walk(self):
-        """(l, D): the series drops l times, then D = G^(l+1) = G^(l); D's
-        generators, not G^(l)'s, are those of the solvable residual."""
-        cur, length = self, 0
-        nxt = self.derived_subgroup()
-        while nxt.order != cur.order:
-            cur, length = nxt, length + 1
-            nxt = cur.derived_subgroup()
-        return length, nxt
-
-    def solvable_residual(self) -> "ElementSet":
-        return self._derived_walk()[1]
-
-    def derived_length(self):
-        """Length of the derived series, or None if it stops above 1."""
-        length, residual = self._derived_walk()
-        return length if residual.order == 1 else None
-
-
 class _ChainField:
     """A field of the chain: the first read builds the chain, which stores
     all four fields in the group and so shadows these descriptors."""
@@ -312,7 +281,7 @@ class _ChainField:
         return vars(group)[self.name]
 
 
-class PermGroup(_DerivedSeries):
+class PermGroup:
     """A permutation group with a deterministic base and strong generating set.
 
     ``generators`` may contain duplicates or identities; they keep their
@@ -569,21 +538,22 @@ class PermGroup(_DerivedSeries):
         order, class size, representative).
         """
         if 'classes' not in self._cache:
-            et = self.element_table()
-            first, cls, sizes = np.unique(
-                orbit_minima(self._conjugation_maps(), len(et)),
-                return_inverse=True, return_counts=True)
-            classes = [(et.perm(i), int(size))
-                       for i, size in zip(first, sizes)]
-            nclass = len(classes)
-            order = sorted(range(nclass),
-                           key=lambda i: (porder(classes[i][0]),
-                                          classes[i][1], classes[i][0]))
-            self._cache['classes'] = [classes[i] for i in order]
-            relabel = np.empty(nclass, dtype=np.min_scalar_type(nclass))
-            relabel[order] = np.arange(nclass)
-            self._cache['class_index'] = relabel[cls]
+            self._label_classes(self._conjugation_maps())
         return self._cache['classes']
+
+    def _label_classes(self, maps):
+        """Fill the class cache from the generators' conjugation maps."""
+        et = self.element_table()
+        first, cls, sizes = np.unique(orbit_minima(maps, len(et)),
+                                      return_inverse=True, return_counts=True)
+        classes = [(et.perm(i), int(size)) for i, size in zip(first, sizes)]
+        nclass = len(classes)
+        order = sorted(range(nclass), key=lambda i: (
+            porder(classes[i][0]), classes[i][1], classes[i][0]))
+        self._cache['classes'] = [classes[i] for i in order]
+        relabel = np.empty(nclass, dtype=np.min_scalar_type(nclass))
+        relabel[order] = np.arange(nclass)
+        self._cache['class_index'] = relabel[cls]
 
     def class_indices(self, rows) -> np.ndarray:
         """Indices into :meth:`conjugacy_classes` of the element rows."""
@@ -606,18 +576,20 @@ class PermGroup(_DerivedSeries):
         scan (:meth:`ConjugacyAnchor.conjugators`)."""
         return self._conjugators(sub, sub)
 
-    def normalizer_rows(self, sub: "PermGroup") -> np.ndarray:
-        """The element rows of N_G(H)."""
-        return self.element_table().table[self.normalizer_index(sub)]
-
     def normalizer(self, sub: "PermGroup") -> "PermGroup":
         """N_G(H) as a group."""
-        return group_from_elements(self.normalizer_rows(sub), self.degree)
+        return group_from_elements(self.element_table(),
+                                   self.normalizer_index(sub)).group()
 
     def conjugacy_anchor(self) -> "ConjugacyAnchor":
-        """The :class:`ConjugacyAnchor` of this group, built once."""
+        """The :class:`ConjugacyAnchor` of this group, built once.  The
+        anchor and the conjugacy classes share one run of
+        :meth:`_conjugation_maps`, which neither keeps."""
         if 'anchor' not in self._cache:
-            self._cache['anchor'] = ConjugacyAnchor(self)
+            maps = self._conjugation_maps()
+            if 'classes' not in self._cache:
+                self._label_classes(maps)
+            self._cache['anchor'] = ConjugacyAnchor(self, maps)
         return self._cache['anchor']
 
     # -- subgroup-level operations: ``b`` is a group or the sorted indices
@@ -705,7 +677,8 @@ class ConjugacyAnchor:
     (:meth:`coset_labels`).
     """
 
-    def __init__(self, group: PermGroup):
+    def __init__(self, group: PermGroup, maps):
+        """``maps``: the group's :meth:`PermGroup._conjugation_maps`."""
         et = self.table = group.element_table()
         classes = group.conjugacy_classes()
         self.class_of = group._cache['class_index']
@@ -716,7 +689,6 @@ class ConjugacyAnchor:
         conjugator = np.full(len(et), -1, dtype=np.intp)
         frontier = et.index_of([rep for rep, _ in classes])
         conjugator[frontier] = 0  # the identity is the least row
-        maps = group._conjugation_maps()
         while frontier.size:
             reached = []
             for conj, right in zip(maps, self.right):
@@ -787,101 +759,114 @@ def _generating_rows(group: PermGroup):
     return gens if gens else [group.identity]
 
 
-class ElementSet(_DerivedSeries):
-    """Elements of the group generated so far, as row bytes.
+class Closure:
+    """The subgroup generated so far by rows of one element table, as a
+    mask of the rows it holds.  A new generator x is multiplied onto every
+    row held with each of its powers, in one lookup, and then each new row
+    by every generator until no row is new: every element of <H, x>
+    outside the old group H is h x w for a word w, and each prefix of it
+    outside H is reached that way.  The first generator's powers are the
+    cyclic group it generates, so they need no search."""
 
-    Dimino's algorithm: a new generator adds right cosets Hx of the old
-    group H until the union is closed under every generator.  Growing
-    past ``limit`` elements raises ``RuntimeError``.
-    """
+    def __init__(self, et: ElementTable):
+        self.table = et
+        self.held = np.zeros(len(et), dtype=bool)
+        self.held[0] = True  # the identity is the least row
+        self.gens = []
+        self.order = 1
 
-    def __init__(self, degree, limit=None):
-        self.degree = degree
-        self.dtype = _dtype(degree)
-        identity = np.arange(degree, dtype=self.dtype)
-        self.blocks = [identity[None, :]]
-        self.keys = {identity.tobytes()}
-        self.generators = []
-        self.limit = limit
+    def add(self, x):
+        """Make the row x, which is not held, a generator."""
+        self.gens.append(x)
+        et = self.table
+        # the base images of x, x^2, ... up to the identity's
+        row, base = et.table[x].tolist(), et.base.tolist()
+        powers, images = [], base
+        while (images := [row[b] for b in images]) != base:
+            powers.append(images)
+        powers = et._lookup(np.array(powers, dtype=et.table.dtype))
+        frontier = et.times(self.index()[:, None], powers).ravel()
+        while frontier.size:
+            # the new rows, each once (np.unique is slower)
+            new = np.sort(frontier[~self.held[frontier]])
+            new = np.concatenate([new[:1], new[1:][new[1:] != new[:-1]]])
+            self.held[new] = True
+            self.order += len(new)
+            if len(self.gens) == 1:
+                break  # <x> is its powers
+            frontier = et.times(new[:, None], self.gens).ravel()
 
-    @property
-    def order(self):
-        return len(self.keys)
+    def walk(self, rows) -> list:
+        """Make each of the ``rows`` in turn a generator if it is not held
+        by then; the rows made generators."""
+        rows, added = np.asarray(rows, dtype=np.intp).ravel(), []
+        while (new := np.flatnonzero(~self.held[rows])).size:
+            rows = rows[new[0]:]
+            added.append(int(rows[0]))
+            self.add(added[-1])
+        return added
 
-    def __contains__(self, p):
-        return np.asarray(p, dtype=self.dtype).tobytes() in self.keys
-
-    def rows(self) -> np.ndarray:
-        return np.concatenate(self.blocks)
+    def index(self) -> np.ndarray:
+        """The sorted indices of the rows held."""
+        return np.flatnonzero(self.held)
 
     def group(self) -> PermGroup:
-        """The group of these elements' generators; its chain is built on
-        first use."""
-        return PermGroup(self.generators, self.degree)
-
-    def add_generator(self, p):
-        self.generators.append(tuple(p))
-        self._derived = None
-        gens = [np.asarray(g, dtype=self.dtype) for g in self.generators]
-        old = self.rows()
-        reps = []
-        self._add_coset(old, gens[-1], reps)
-        for r in reps:  # grows while it is walked
-            for g in gens:
-                x = g[r]
-                if x not in self:
-                    self._add_coset(old, x, reps)
-
-    def _add_coset(self, old, x, reps):
-        block = x[old]
-        raw = block.tobytes()
-        width = block.itemsize * block.shape[1]
-        self.keys.update(raw[k:k + width] for k in range(0, len(raw), width))
-        self.blocks.append(block)
-        reps.append(x)
-        if self.limit is not None and self.order > self.limit:
-            raise RuntimeError("rows were not closed")
+        """The group of the generators; its chain is built on first use."""
+        return PermGroup([self.table.perm(i) for i in self.gens],
+                         self.table.degree)
 
 
-def closed_set(rows, degree) -> ElementSet:
-    """The element set constituted by the given rows.
-
-    A row becomes a generator iff it is not in the group generated by the
-    earlier ones, so the resulting generating set is small; the rows must
-    be closed under the group operations (they come from masked
-    element-table scans).
-    """
-    rows = _as_table(rows, degree)
-    elements = ElementSet(degree, limit=len(rows))
-    for r in rows:
-        if elements.order == len(rows):
-            break
-        if r not in elements:
-            elements.add_generator(r.tolist())
-    if elements.order != len(rows):
+def group_from_elements(et: ElementTable, index) -> Closure:
+    """The subgroup at the row indices ``index`` of ``et``, which must hold
+    a subgroup, each row once (``RuntimeError`` otherwise).  Walking
+    ``index`` in its order, a row becomes a generator iff the earlier ones
+    do not generate it, so the generating set is small."""
+    closure = Closure(et)
+    closure.walk(index)
+    if closure.order != len(index) or not closure.held[index].all():
         raise RuntimeError("rows were not closed")
-    return elements
+    return closure
 
 
-def group_from_elements(rows, degree) -> PermGroup:
-    """The group of the generators of :func:`closed_set` of the rows."""
-    return closed_set(rows, degree).group()
+def normal_closure(et: ElementTable, seeds, under) -> Closure:
+    """The smallest subgroup that holds the rows ``seeds`` of ``et`` and is
+    normalised by the rows ``under``.  From a queue of the seeds, a row not
+    held by then becomes a generator x and queues g^-1 x g and g x g^-1
+    for each g of ``under``, a generation of the queue at a time, so the
+    conjugates of a generation's generators take two table lookups."""
+    closure = Closure(et)
+    new = closure.walk(seeds)
+    if new:  # g, g^-1 for each g of under, and their inverses
+        under = np.asarray(under, dtype=np.intp)
+        by = np.array([under, et.inverses(under)]).T.ravel()
+        by_inverse = by.reshape(-1, 2)[:, ::-1].ravel()
+    while new:
+        new = closure.walk(et.times(
+            et.times(by_inverse, np.array(new)[:, None]), by))
+    return closure
 
 
-def normal_closure(ambient, seeds) -> ElementSet:
-    """Smallest subgroup of ``ambient`` (a group or an element set)
-    containing ``seeds`` and normal in it."""
-    elements = ElementSet(ambient.degree)
-    queue = deque(tuple(s) for s in seeds if not is_identity(s))
-    gens = [(g, pinv(g)) for g in ambient.generators if not is_identity(g)]
-    while queue:
-        x = queue.popleft()
-        if x not in elements:
-            elements.add_generator(x)
-            for g, gi in gens:
-                queue.append(pconj(x, g))
-                queue.append(pconj(x, gi))
-    return elements
+def derived_series(et: ElementTable, gens) -> list:
+    """The terms G', G'', ... of the derived series of the group of the
+    rows ``gens`` of ``et``, as closures on ``et``, up to the first equal
+    to the term before (the solvable residual), so the series drops one
+    time fewer than it has terms.  A term is the normal closure of the
+    commutators [a, b] of the generators a before b of the one before ([b,
+    a] = [a, b]^-1 is held by the time it would be popped), or 1 for a
+    cyclic group, with fewer than two generators."""
+    gens, terms = np.asarray(gens, dtype=np.intp), []
+    while True:
+        if len(gens) < 2:
+            terms.append(Closure(et))
+        else:
+            # [a, b] = (b a)^-1 (a b), from b a and a b in one lookup
+            a, b = np.nonzero(np.less.outer(*[np.arange(len(gens))] * 2))
+            ba, ab = et.times(gens[np.array([b, a])], gens[np.array([a, b])])
+            terms.append(normal_closure(et, et.times(et.inverses(ba), ab),
+                                        gens))
+        if terms[-1].held[gens].all():
+            return terms
+        gens = np.array(terms[-1].gens, dtype=np.intp)
 
 
 def orbits(gens, degree):
@@ -891,23 +876,26 @@ def orbits(gens, degree):
             for x in np.flatnonzero(label == np.arange(degree))]
 
 
-def abelian_invariants(group: PermGroup) -> AbelianInvariants:
-    """Invariant factors of G/G', by counting over the conjugacy classes.
+def abelian_invariants(group: PermGroup,
+                       derived: Closure) -> AbelianInvariants:
+    """Invariant factors of G/G', by counting over the conjugacy classes;
+    ``derived`` is G' on the group's element table (the first term of
+    :func:`derived_series`).
 
     For p^a exactly dividing |G/G'|, the x with x^(p^k) in G' number
     |G'| p^(s_k), where s_k sums min(e, k) over the cyclic factors Z/p^e
     of G/G'.  So r_k = s_k - s_(k-1) factors have order p^k or more, and
     the i-th largest has order p^e with e the number of k with r_k > i.
     """
-    derived = group.derived_subgroup()
+    et = group.element_table()
     classes = group.conjugacy_classes()
+    sizes = np.array([size for _, size in classes])
     chains = []
     for p, a in prime_powers(group.order // derived.order):
-        powers, ranks, s = [rep for rep, _ in classes], [], 0
+        powers, ranks, s = et.index_of([rep for rep, _ in classes]), [], 0
         while s < a:
-            powers = [reduce(pmul, (x,) * p) for x in powers]
-            killed = sum(size for x, (_, size) in zip(powers, classes)
-                         if x in derived)
+            powers = reduce(et.times, [powers] * p)
+            killed = int(sizes[derived.held[powers]].sum())
             s_k = dict(prime_powers(killed // derived.order)).get(p, 0)
             ranks.append(s_k - s)
             s = s_k

@@ -72,7 +72,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from math import prod
 
 import numpy as np
@@ -80,8 +80,9 @@ import numpy as np
 from . import burnside
 from .intlinalg import prime_powers
 from .permgroups import (ElementTable, PermGroup, _generating_rows,
-                         abelian_invariants, group_from_elements, is_identity,
-                         orbit_minima, pident, porder)
+                         abelian_invariants, derived_series,
+                         group_from_elements, is_identity, orbit_minima,
+                         pident, porder)
 from .readers import InputFile, checked, int_list
 
 
@@ -94,9 +95,9 @@ class Fingerprint:
     """Cheap conjugacy-invariant data of a subgroup class.
 
     ``derived_length`` is -1 for non-solvable groups; ``abelianization``
-    lists the invariant factors of H/[H,H].  All of it is read off the
-    element table, the conjugacy classes and the derived series.  The
-    field order is the canonical sort order of the classes.
+    lists the invariant factors of H/[H,H].  All of it is read off H's own
+    element table: its conjugacy classes and its derived series, as
+    closures on the table.  The field order is the canonical sort order.
     """
 
     order: int
@@ -125,13 +126,14 @@ class Fingerprint:
 
 
 def fingerprint_of(group: PermGroup) -> Fingerprint:
-    dl = group.derived_length()
+    et = group.element_table()
+    series = derived_series(et, et.index_of(_generating_rows(group)))
     return Fingerprint(
         order=group.order,
-        abelianization=abelian_invariants(group).torsion,
+        abelianization=abelian_invariants(group, series[0]).torsion,
         exponent=group.exponent(),
         class_count=len(group.conjugacy_classes()),
-        derived_length=-1 if dl is None else dl,
+        derived_length=len(series) - 1 if series[-1].order == 1 else -1,
         nilpotent=group.is_nilpotent(),
     )
 
@@ -236,6 +238,9 @@ def _prime_extensions(raw: _Raw, collector: _ClassCollector):
         return
     et = collector.anchor.table
     coset_of, order, powers = _coset_powers(et.index_of(raw.gens), n, et)
+    # group_from_elements on K's rows in the order H, Hz, ... would pick
+    # what it picks on H's sorted rows (found once), then z, closing K
+    hgens = cache(lambda: group_from_elements(et, raw.index).gens)
     seen_subquot = set()
     for c, p in enumerate(order.tolist()):
         if prime_powers(p) != [(p, 1)]:
@@ -246,11 +251,10 @@ def _prime_extensions(raw: _Raw, collector: _ClassCollector):
         if ids in seen_subquot:
             continue
         seen_subquot.add(ids)
-        # K's rows in the order H, Hz, ..., which fixes its generators
         k = np.concatenate([raw.index,
                             et.times(raw.index, n[index, None]).ravel()])
-        collector.add(np.sort(k),
-                      lambda: group_from_elements(et.table[k], et.degree))
+        collector.add(np.sort(k), lambda: PermGroup(
+            [et.perm(i) for i in hgens() + [n[index[0]]]], et.degree))
 
 
 def _layer_closure(ambient: PermGroup) -> _ClassCollector:
@@ -294,12 +298,12 @@ def perfect_subgroup_classes(collector: _ClassCollector):
     group is not proved (see the module docstring).
     """
     ambient = collector.ambient
-    whole = ambient.solvable_residual()
-    if whole.order == 1:
-        return
-    collector.add_rows(whole.rows(), whole.group)
     anchor = collector.anchor
     et = anchor.table
+    whole = derived_series(et, et.index_of(_generating_rows(ambient)))[-1]
+    if whole.order == 1:
+        return
+    collector.add(whole.index(), whole.group)
     classes = ambient.conjugacy_classes()
     involutions = np.flatnonzero(np.array(
         [porder(rep) == 2 for rep, _ in classes])[anchor.class_of])
@@ -311,11 +315,10 @@ def perfect_subgroup_classes(collector: _ClassCollector):
         # the involutions that are least among their conjugates under N
         least = et.conjugates(n, et.table[involutions]).min(1)
         for t in involutions[least == involutions].tolist():
-            k = ambient.subgroup([x, et.perm(t)])
-            if k.order < ambient.order:
-                res = k.solvable_residual()
+            if ambient.subgroup([x, et.perm(t)]).order < ambient.order:
+                res = derived_series(et, [*et.index_of([x]), t])[-1]
                 if res.order > 1:
-                    collector.add_rows(res.rows(), res.group)
+                    collector.add(res.index(), res.group)
 
 
 # ---------------------------------------------------------------------------

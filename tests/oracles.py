@@ -1,8 +1,9 @@
 """Reference implementations that only the tests use.
 
-``coset_action``, ``random_element`` and ``class_inner`` serve the tests
-that need them; the rest are the former production paths, kept as
-oracles for the faster ones:
+``coset_action``, ``random_element``, ``class_inner``, ``pcommutator``,
+``normal_closure`` and ``derived_series`` serve the tests that need them;
+the rest are the former production paths, kept as oracles for the faster
+ones:
 
 * ``brute_conjugacy_classes`` closes every element under ``pconj`` by
   every element, where :meth:`psp4obs.permgroups.PermGroup.conjugacy_classes`
@@ -12,8 +13,9 @@ oracles for the faster ones:
   :func:`psp4obs.burnside.perm_characters` reads them off class fusion;
 * ``chain_*`` run the derived and lower central series with a
   Schreier-Sims chain rebuilt for every accepted generator of every
-  term, where :class:`psp4obs.permgroups.PermGroup` compares the sizes of
-  element sets and counts the elements of p-power order;
+  term, where :func:`psp4obs.permgroups.derived_series` grows closures on
+  one element table and :class:`psp4obs.permgroups.PermGroup` counts the
+  elements of p-power order;
 * ``scan_conjugators`` sieves every row of an element table, where
   :meth:`psp4obs.permgroups.ConjugacyAnchor.conjugators` starts from the
   centraliser of one generator's class representative;
@@ -137,6 +139,23 @@ def random_element(group: PermGroup, rng):
     return out
 
 
+def normal_closure(group: PermGroup, seeds) -> pg.Closure:
+    """The normal closure of the permutations ``seeds`` under the
+    generators of ``group``, on its element table
+    (:func:`psp4obs.permgroups.normal_closure`)."""
+    et = group.element_table()
+    return pg.normal_closure(et, et.index_of(seeds),
+                             et.index_of(group.generators))
+
+
+def derived_series(group: PermGroup) -> list:
+    """The terms G', G'', ... of the derived series of ``group`` as
+    closures on its own element table, the solvable residual last
+    (:func:`psp4obs.permgroups.derived_series`)."""
+    et = group.element_table()
+    return pg.derived_series(et, et.index_of(pg._generating_rows(group)))
+
+
 def class_inner(f, g, sizes, group_order) -> Fraction:
     """<f, g> = (1/|G|) sum |class| f g, for real class functions given by
     their values on classes of the given sizes."""
@@ -206,6 +225,11 @@ def _nontrivial(gens):
     return [g for g in gens if not pg.is_identity(g)]
 
 
+def pcommutator(a, b):
+    """[a, b] = a^-1 b^-1 a b of two permutations as tuples."""
+    return pg.pmul(pg.pmul(pg.pinv(a), pg.pinv(b)), pg.pmul(a, b))
+
+
 def chain_normal_closure(ambient, seeds) -> PermGroup:
     """Normal closure with a chain rebuilt for every accepted generator."""
     gens = []
@@ -226,7 +250,7 @@ def chain_normal_closure(ambient, seeds) -> PermGroup:
 
 def chain_derived_subgroup(group) -> PermGroup:
     gens = _nontrivial(group.generators)
-    return chain_normal_closure(group, [pg.pcommutator(a, b)
+    return chain_normal_closure(group, [pcommutator(a, b)
                                         for a in gens for b in gens])
 
 
@@ -254,7 +278,7 @@ def chain_is_nilpotent(group) -> bool:
     cur = group
     while cur.order > 1:
         nxt = chain_normal_closure(group, [
-            pg.pcommutator(g, h) for g in gens
+            pcommutator(g, h) for g in gens
             for h in _nontrivial(cur.generators)])
         if nxt.order == cur.order:
             return False

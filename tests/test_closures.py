@@ -3,7 +3,8 @@
 ``ReferenceChain`` is the Schreier-Sims build that sifts every Schreier
 generator with its word and rebuilds every orbit on each pass;
 ``reference_group_from_elements`` and ``reference_normal_closure`` build
-one chain per accepted generator.  The production code must give the same
+one chain per accepted generator, where the production closures grow a
+mask of element-table rows.  The production code must give the same
 generators, base, strong generators, words and transversals, because saved
 lattices record the generators.
 """
@@ -18,7 +19,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import random_element, scan_conjugators
+from oracles import (normal_closure, pcommutator, random_element,
+                     scan_conjugators)
 from psp4obs import permgroups as pg
 from psp4obs.permgroups import PermGroup
 
@@ -148,16 +150,17 @@ def lattice_groups(lattice):
 
 def check_closures(group, ambient):
     """Both closures of ``group`` agree with their references."""
-    rows = group.element_table().table
-    shuffled = rows[np.random.default_rng(group.order).permutation(len(rows))]
+    et = group.element_table()
+    rows = np.arange(len(et))
+    shuffled = np.random.default_rng(group.order).permutation(len(et))
     for r in (rows, shuffled):
-        got = pg.group_from_elements(r, group.degree)
+        got = pg.group_from_elements(et, r).group()
         assert chain(got) == chain(
-            reference_group_from_elements(r, group.degree))
+            reference_group_from_elements(et.table[r], group.degree))
     gens = [g for g in group.generators if not pg.is_identity(g)]
-    for seeds in ([pg.pcommutator(a, b) for a in gens for b in gens],
+    for seeds in ([pcommutator(a, b) for a in gens for b in gens],
                   gens[:1]):
-        got = pg.normal_closure(ambient, seeds).group()
+        got = normal_closure(ambient, seeds).group()
         assert chain(got) == chain(reference_normal_closure(ambient, seeds))
 
 
@@ -219,8 +222,9 @@ class TestChainsMatchReference:
 
     def test_element_sets(self, lattice):
         for g in lattice_groups(lattice) + [lattice.ambient]:
-            elements = pg.closed_set(g.element_table().table, g.degree)
-            gens = elements.generators
+            et = g.element_table()
+            elements = pg.group_from_elements(et, np.arange(len(et)))
+            gens = elements.group().generators
             assert chain(elements.group()) == chain(
                 PermGroup(gens, g.degree)) == chain(
                 ReferenceChain(gens, g.degree))
@@ -244,7 +248,7 @@ class TestClosuresMatchReference:
     def test_normal_closure_in_the_whole_group(self, lattice):
         rep = lattice.rep(60)
         seeds = [g for g in rep.generators if not pg.is_identity(g)][:1]
-        got = pg.normal_closure(lattice.ambient, seeds).group()
+        got = normal_closure(lattice.ambient, seeds).group()
         assert got.order == lattice.ambient.order
         assert chain(got) == chain(
             reference_normal_closure(lattice.ambient, seeds))
@@ -259,24 +263,36 @@ class TestClosuresMatchReference:
                 reference_group_from_elements(rows, ambient.degree))
 
 
+# S4's element table, and row indices in it that are not a subgroup: all
+# rows but the last (unclosed), the identity and a 3-cycle, whose closure
+# holds a third row (foreign), and every row with the identity twice
+UNCLOSED = """
+import numpy as np
+from psp4obs import permgroups as pg
+et = pg.PermGroup([(1, 0, 2, 3), (1, 2, 3, 0)], 4).element_table()
+UNCLOSED = [np.arange(len(et) - 1),
+            et.index_of([(0, 1, 2, 3), (1, 2, 0, 3)]),
+            np.append(np.arange(len(et)), 0)]
+"""
+
+
 class TestUnclosedRows:
     def test_raises(self):
-        rows = S4.element_table().table
-        with pytest.raises(RuntimeError):
-            pg.group_from_elements(rows[:-1], 4)
-        with pytest.raises(RuntimeError):
-            pg.group_from_elements([(0, 1, 2, 3), (1, 2, 0, 3)], 4)
-        with pytest.raises(RuntimeError):
-            pg.group_from_elements(np.concatenate([rows, rows[:1]]), 4)
+        scope = {}
+        exec(UNCLOSED, scope)
+        for index in scope["UNCLOSED"]:
+            with pytest.raises(RuntimeError):
+                pg.group_from_elements(scope["et"], index)
 
     def test_raises_without_asserts(self):
         # python -O strips asserts, so the check must not be one
-        code = ("from psp4obs import permgroups as pg\n"
-                "try:\n"
-                "    pg.group_from_elements([(0, 1, 2, 3), (1, 2, 0, 3)], 4)\n"
-                "except RuntimeError:\n"
-                "    raise SystemExit(0)\n"
-                "raise SystemExit(3)\n")
+        code = UNCLOSED + (
+            "for index in UNCLOSED:\n"
+            "    try:\n"
+            "        pg.group_from_elements(et, index)\n"
+            "    except RuntimeError:\n"
+            "        continue\n"
+            "    raise SystemExit(3)\n")
         src = pathlib.Path(__file__).resolve().parent.parent / "src"
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [str(src), os.environ.get("PYTHONPATH")])))

@@ -92,8 +92,9 @@ class TestConstruction:
         assert len(orbits(model.pair_action.generators, 45)) == 1
 
     def test_simple(self, model):
-        assert model.psp.derived_subgroup().order == model.psp.order
-        assert model.psp.solvable_residual().order == model.psp.order
+        series = oracles.derived_series(model.psp)
+        assert series[0].order == model.psp.order
+        assert series[-1].order == model.psp.order
 
     def test_class_count(self, classes):
         assert len(classes) == 20

@@ -11,10 +11,11 @@ import json
 import numpy as np
 import pytest
 
-from oracles import (brute_subgroups, closure_own_lattice, lattice_ids,
-                     may_contain, quotient_order)
+from oracles import (brute_subgroups, closure_own_lattice, derived_series,
+                     lattice_ids, may_contain, quotient_order)
 from psp4obs import cli, subgroups
-from psp4obs.permgroups import PermGroup, _generating_rows, pconj, pmul
+from psp4obs.permgroups import (ElementTable, PermGroup, _generating_rows,
+                               pconj, pmul)
 
 C6 = PermGroup([(1, 2, 3, 4, 5, 0)], 6)
 A4 = PermGroup([(1, 2, 0, 3), (0, 2, 3, 1)], 4)
@@ -342,7 +343,7 @@ A6_LATTICE_SHA256 = \
 
 def test_classification_is_byte_identical(tmp_path):
     rep = PermGroup(A6_GENERATORS, 40)
-    assert rep.order == 360 and rep.derived_length() is None
+    assert rep.order == 360 and derived_series(rep)[-1].order > 1
     path = tmp_path / "a6.json"
     subgroups.subgroup_classes(rep).save(path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == A6_LATTICE_SHA256
@@ -356,7 +357,7 @@ SOLVABLE_648_LATTICE_SHA256 = \
 
 def test_solvable_classification_is_byte_identical(tmp_path):
     rep = PermGroup(SOLVABLE_648_GENERATORS, 40)
-    assert rep.order == 648 and rep.derived_length() is not None
+    assert rep.order == 648 and derived_series(rep)[-1].order == 1
     path = tmp_path / "c112.json"
     subgroups.subgroup_classes(rep).save(path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == \
@@ -435,11 +436,36 @@ NONSOLVABLE_LATTICE_SHA256 = {
 def test_nonsolvable_classification_is_byte_identical(lattice, class_id,
                                                       tmp_path):
     rep = PermGroup(lattice.by_id(class_id).generators, 40)
-    assert rep.derived_length() is None
+    assert derived_series(rep)[-1].order > 1
     path = tmp_path / f"c{class_id}.json"
     subgroups.subgroup_classes(rep).save(path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == \
         NONSOLVABLE_LATTICE_SHA256[class_id]
+
+
+def test_fingerprints_build_no_table_group_or_chain(lattice, monkeypatch):
+    """Every term of the derived series is a closure on the class's own
+    table, so fingerprint_of, handed that table as _ClassCollector.add
+    hands it, builds no element table, no group and no chain."""
+    et = lattice.ambient.element_table()
+    groups = []
+    for c in lattice.classes:
+        index = np.sort(et.index_of(
+            lattice.rep(c.class_id).element_table().table))
+        group = PermGroup(c.generators, et.degree)
+        group._cache['table'] = ElementTable(et.table[index], et.degree,
+                                             et.base)
+        groups.append(group)
+    built = []
+    for cls, name in [(ElementTable, "__init__"), (PermGroup, "__init__"),
+                      (PermGroup, "_build")]:
+        def counted(self, *args, _method=getattr(cls, name), _name=name):
+            built.append((type(self).__name__, _name))
+            return _method(self, *args)
+        monkeypatch.setattr(cls, name, counted)
+    fingerprints = [subgroups.fingerprint_of(g) for g in groups]
+    assert built == []
+    assert fingerprints == [c.fingerprint for c in lattice.classes]
 
 
 @pytest.mark.parametrize("class_id", [85, 86, 100, 101, 110, 114, 115, 116])
@@ -466,8 +492,8 @@ def test_normaliser_residuals_are_lattice_classes(lattice):
     ambient = lattice.ambient
     met = set()
     for info in lattice.classes:
-        res = ambient.normalizer(lattice.rep(info.class_id)) \
-            .solvable_residual().group()
+        res = derived_series(ambient.normalizer(
+            lattice.rep(info.class_id)))[-1].group()
         if res.order == 1:
             continue
         ids = [c.class_id for c in lattice.classes if c.order == res.order
