@@ -859,8 +859,10 @@ def derived_series(et: ElementTable, gens) -> list:
         if len(gens) < 2:
             terms.append(Closure(et))
         else:
-            # [a, b] = (b a)^-1 (a b), from b a and a b in one lookup
-            a, b = np.nonzero(np.less.outer(*[np.arange(len(gens))] * 2))
+            # the pairs a before b; [a, b] = (b a)^-1 (a b), from b a and
+            # a b in one lookup
+            k = np.arange(len(gens))
+            a, b = np.nonzero(k[:, None] < k)
             ba, ab = et.times(gens[np.array([b, a])], gens[np.array([a, b])])
             terms.append(normal_closure(et, et.times(et.inverses(ba), ab),
                                         gens))
